@@ -11,9 +11,14 @@
 // through parallel_for_chunked on one lane: one simulation at a time, so
 // cells never contend with each other for a shared machine's cores.
 //
+// Every timed call (a cell, a set-up) sits between two runs of a fixed
+// calibration kernel, and its wall time is rescaled to a reference core (see
+// Calibration), so that load from other tenants of a shared host cancels.
+//
 // Untraced (--trace 0), cycles repeat until --seconds have passed and the
-// binary reports jobs_per_s from the fastest repeats (see Throughput), the
-// median setup_s and the process's peak RSS. Traced (--trace 1), cycles
+// binary reports jobs_per_s from each cell's median repeat (see
+// Throughput), the median setup_s and the process's peak RSS. Traced
+// (--trace 1), cycles
 // alternate between undecorated and decorated (layers.hpp), starting
 // undecorated; the decorated ones give the per-layer metrics, whose medians
 // are reported, and the two kinds together give the tracing overhead.
@@ -31,7 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -183,6 +187,60 @@ constexpr Workload kWorkloads[] = {
     {"neighbor-migration-sweep", &neighbor_migration_sweep},
 };
 
+// --- host calibration --------------------------------------------------------
+
+/// Rescales wall times to a reference core. The benchmark may share a host
+/// with other tenants, whose load slows memory accesses by 10-80% for tens
+/// of milliseconds to minutes at a time; no run length averages that out.
+/// A fixed kernel -- a dependent-load chase around a 256 KiB ring -- is
+/// timed right before and right after each measured call. The call evicts
+/// the ring from L2, so a chase times the L3 and memory latency the host
+/// gives at that moment, which is what other tenants' load changes. The
+/// call's wall time is multiplied by kReferenceNs / (mean chase time per
+/// load). A faster simulator still shows in full; a slowdown the host
+/// imposes on both cancels.
+class Calibration {
+ public:
+  static constexpr double kReferenceNs = 6.0;  ///< per load on the reference
+
+  Calibration() : ring_(kRing) {
+    // One random cycle through every slot, so each load depends on the last
+    // and the prefetcher cannot guess the next.
+    std::vector<std::uint32_t> order(kRing);
+    for (std::uint32_t i = 0; i < kRing; ++i) order[i] = i;
+    std::uint64_t x = 1;
+    for (std::size_t i = kRing - 1; i > 0; --i) {
+      x = splitmix64(x);
+      std::swap(order[i], order[x % (i + 1)]);
+    }
+    for (std::size_t i = 0; i < kRing; ++i) {
+      ring_[order[i]] = order[(i + 1) % kRing];
+    }
+  }
+
+  /// Nanoseconds per load of one chase.
+  [[nodiscard]] double ns_per_load() const {
+    const std::int64_t t0 = now_ns();
+    std::uint32_t p = 0;
+    for (int i = 0; i < kLoads; ++i) p = ring_[p];
+    sink_ = p;
+    return static_cast<double>(now_ns() - t0) / kLoads;
+  }
+
+  /// `wall_ns` in reference seconds, given the chases before and after it.
+  [[nodiscard]] static double reference_s(std::int64_t wall_ns, double before,
+                                          double after) {
+    return 1e-9 * static_cast<double>(wall_ns) * kReferenceNs /
+           (0.5 * (before + after));
+  }
+
+ private:
+  static constexpr std::uint32_t kRing = 1 << 16;  // 4-byte slots: 256 KiB
+  static constexpr int kLoads = 100000;            // under 1 ms
+  std::vector<std::uint32_t> ring_;
+  mutable volatile std::uint32_t sink_ = 0;
+};
+
 // --- running cells -----------------------------------------------------------
 
 struct CellResult {
@@ -192,6 +250,8 @@ struct CellResult {
   std::size_t events = 0;
   std::size_t peak_id_window = 0;
   std::int64_t wall_ns = 0;
+  double reference_s = 0.0;  ///< wall_ns on the reference core (Calibration)
+  double ns_per_load = 0.0;  ///< the host's mean chase time around the cell
   std::string error;
   SpanRecorder rec;  ///< empty unless traced
 };
@@ -235,7 +295,7 @@ struct Cycle {
   std::size_t terminal_jobs = 0;
 };
 
-Cycle run_cycle(Inputs& in, bool traced) {
+Cycle run_cycle(Inputs& in, bool traced, const Calibration& cal) {
   Cycle c;
   c.cells.resize(in.cells.size());
   SweepOptions options;
@@ -243,7 +303,12 @@ Cycle run_cycle(Inputs& in, bool traced) {
   options.chunk = 1;
   const std::int64_t t0 = now_ns();
   parallel_for_chunked(in.cells.size(), options, [&](std::size_t i) {
-    run_cell(in.cells[i], traced, c.cells[i]);
+    CellResult& r = c.cells[i];
+    const double before = cal.ns_per_load();
+    run_cell(in.cells[i], traced, r);
+    const double after = cal.ns_per_load();
+    r.ns_per_load = 0.5 * (before + after);
+    r.reference_s = Calibration::reference_s(r.wall_ns, before, after);
   });
   c.wall_ns = now_ns() - t0;
   for (const CellResult& r : c.cells) {
@@ -366,28 +431,28 @@ double percentile(std::vector<std::int64_t>& v, double q) {
 
 double ratio(double a, double b) { return b > 0.0 ? a / b : 0.0; }
 
-/// jobs_per_s over repeated cycles of the same cells: the sum of each
-/// cell's fastest run. On a shared machine noise only ever adds time, and a
-/// stall then spoils one sample of one cell rather than a whole cycle.
+/// jobs_per_s over repeated cycles of the same cells: jobs per reference
+/// second (see Calibration), summing each cell's median run. Calibration
+/// cancels a slowdown that hits the chases and the cell alike; the median
+/// drops a stall that hit only one run of a cell, or only one chase.
 class Throughput {
  public:
   void add(const Cycle& c) {
     jobs_ = static_cast<double>(c.terminal_jobs);
-    cell_s_.resize(c.cells.size(), std::numeric_limits<double>::infinity());
+    cell_s_.resize(c.cells.size());
     for (std::size_t i = 0; i < c.cells.size(); ++i) {
-      cell_s_[i] = std::min(cell_s_[i],
-                            1e-9 * static_cast<double>(c.cells[i].wall_ns));
+      cell_s_[i].push_back(c.cells[i].reference_s);
     }
   }
   [[nodiscard]] double jobs_per_s() const {
-    double wall = 0.0;
-    for (const double s : cell_s_) wall += s;
-    return ratio(jobs_, wall);
+    double total = 0.0;
+    for (const std::vector<double>& s : cell_s_) total += median(s);
+    return ratio(jobs_, total);
   }
 
  private:
   double jobs_ = 0.0;
-  std::vector<double> cell_s_;
+  std::vector<std::vector<double>> cell_s_;
 };
 
 /// Per-layer metrics of one traced cycle.
@@ -571,6 +636,7 @@ int main(int argc, char** argv) {
     return usage();
   }
 
+  const Calibration cal;
   std::vector<std::string> notes;
   if (!bench::reset_peak_rss()) {
     notes.emplace_back(
@@ -578,13 +644,19 @@ int main(int argc, char** argv) {
   }
 
   // Set-up is measured several times before the first cycle (the last
-  // inputs feed it) and once more per later cycle; setup_s is the median.
+  // inputs feed it) and once more per later cycle; setup_s is the median,
+  // in reference seconds like jobs_per_s.
   constexpr int kSetupReps = 20;
   std::vector<double> setup_s;
+  std::vector<double> ns_per_load;
   const auto setup = [&] {
+    const double before = cal.ns_per_load();
     const std::int64_t t0 = now_ns();
     Inputs in = workload->setup(seed);
-    setup_s.push_back(1e-9 * static_cast<double>(now_ns() - t0));
+    const std::int64_t wall = now_ns() - t0;
+    const double after = cal.ns_per_load();
+    setup_s.push_back(Calibration::reference_s(wall, before, after));
+    ns_per_load.push_back(0.5 * (before + after));
     return in;
   };
   Inputs inputs;
@@ -607,7 +679,8 @@ int main(int argc, char** argv) {
       inputs = setup();
     }
     const bool decorated = trace && cycle % 2 == 1;
-    const Cycle c = run_cycle(inputs, decorated);
+    const Cycle c = run_cycle(inputs, decorated, cal);
+    for (const CellResult& r : c.cells) ns_per_load.push_back(r.ns_per_load);
     attempted += c.cells.size();
     failed += check_cycle(inputs, c, reference, decorated, notes);
     if (decorated) {
@@ -621,6 +694,12 @@ int main(int argc, char** argv) {
     const bool need_decorated = trace && layer_cycles.empty();
     if (t + (t - cycle_start) > deadline && !need_decorated) break;
   }
+
+  char host[128];
+  std::snprintf(host, sizeof host,
+                "calibration chase: median %.2f ns per load (reference %.1f)",
+                median(ns_per_load), Calibration::kReferenceNs);
+  notes.emplace_back(host);
 
   MetricMap out;
   if (trace) {
