@@ -1,9 +1,10 @@
 #include "memory/placement.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
+#include <span>
 #include <utility>
-#include <numeric>
 
 #include "common/assert.hpp"
 
@@ -41,50 +42,106 @@ std::int64_t TakePlan::gpu_total() const {
 
 namespace {
 
-/// Rack visit order under a selection policy. Deterministic: ties break on
-/// rack index.
-std::vector<RackId> rack_order(const ResourceState& state,
-                               NodeSelection selection, bool has_deficit) {
-  std::vector<RackId> order(state.free_nodes.size());
-  std::iota(order.begin(), order.end(), 0);
-  auto stable_by = [&](auto key) {
-    std::stable_sort(order.begin(), order.end(),
-                     [&](RackId a, RackId b) { return key(a) < key(b); });
-  };
-  switch (selection) {
-    case NodeSelection::kFirstFit:
-      break;  // index order
-    case NodeSelection::kPackRacks:
-      // Most free nodes first => job spans the fewest racks.
-      stable_by([&](RackId r) {
-        return -state.free_nodes[static_cast<std::size_t>(r)];
-      });
-      break;
-    case NodeSelection::kSpreadRacks:
-      // Least-loaded... i.e. fewest free last? Spreading = take from racks
-      // with the most free capacity one at a time; approximated by visiting
-      // emptiest-first which still spreads wide jobs across many racks.
-      stable_by([&](RackId r) {
-        return state.free_nodes[static_cast<std::size_t>(r)];
-      });
-      break;
-    case NodeSelection::kPoolAware:
-      if (has_deficit) {
-        // Deficit jobs chase pool-rich racks to avoid the global tier.
-        stable_by([&](RackId r) {
-          return -state.pool_free[static_cast<std::size_t>(r)].count();
-        });
-      } else {
-        // Local jobs keep away from pool-rich racks, preserving them for
-        // deficit jobs; among equals prefer fuller racks (packing).
-        stable_by([&](RackId r) {
-          return std::pair{state.pool_free[static_cast<std::size_t>(r)].count(),
-                           -state.free_nodes[static_cast<std::size_t>(r)]};
-        });
-      }
-      break;
+/// A rack's place in the visit order: racks are visited in ascending
+/// (major, minor), ties broken on rack index.
+struct RackKey {
+  std::int64_t major;
+  std::int64_t minor;
+  RackId rack;
+};
+
+[[nodiscard]] bool key_before(const RackKey& a, const RackKey& b) {
+  return a.major != b.major ? a.major < b.major : a.minor < b.minor;
+}
+
+/// Racks whose visit order fits on the stack; larger machines use the heap.
+constexpr std::size_t kInlineRacks = 64;
+
+/// Rack visit order under a selection policy, written into `keys` (one
+/// slot per rack). Deterministic: ties break on rack index.
+void rack_order(const ResourceState& state, NodeSelection selection,
+                bool has_deficit, std::span<RackKey> keys) {
+  for (std::size_t r = 0; r < keys.size(); ++r) {
+    RackKey& k = keys[r];
+    k = {0, 0, static_cast<RackId>(r)};
+    const std::int64_t free = state.free_nodes[r];
+    const std::int64_t pool = state.pool_free[r].count();
+    switch (selection) {
+      case NodeSelection::kFirstFit:
+        break;  // index order
+      case NodeSelection::kPackRacks:
+        // Most free nodes first => job spans the fewest racks.
+        k.major = -free;
+        break;
+      case NodeSelection::kSpreadRacks:
+        // Fewest free nodes first, so wide jobs spread over many racks.
+        k.major = free;
+        break;
+      case NodeSelection::kPoolAware:
+        if (has_deficit) {
+          // Deficit jobs chase pool-rich racks to avoid the global tier.
+          k.major = -pool;
+        } else {
+          // Local jobs keep away from pool-rich racks, preserving them for
+          // deficit jobs; among equals prefer fuller racks (packing).
+          k.major = pool;
+          k.minor = -free;
+        }
+        break;
+    }
   }
-  return order;
+  if (selection == NodeSelection::kFirstFit) return;
+  if (keys.size() > kInlineRacks) {
+    std::stable_sort(keys.begin(), keys.end(), key_before);
+    return;
+  }
+  // Stable insertion sort: a key moves only past strictly greater keys.
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    const RackKey k = keys[i];
+    std::size_t j = i;
+    for (; j > 0 && key_before(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
+    keys[j] = k;
+  }
+}
+
+/// Nodes rack `idx` can host when each draws `g` devices from its GPU pool.
+std::int32_t gpu_clamped(const ResourceState& state, std::size_t idx,
+                         std::int32_t g) {
+  const std::int32_t free = state.free_nodes[idx];
+  if (g <= 0) return free;
+  return static_cast<std::int32_t>(
+      std::min<std::int64_t>(free, state.free_gpus_in(idx) / g));
+}
+
+/// Nodes the greedy in compute_take places before it runs out of
+/// resources, whatever the rack order. Not valid for the distance-graded
+/// routing's neighbor stage.
+///
+/// A rack with f takeable nodes funds c = min(f, pool / d) of them from its
+/// own pool (c = 0 without rack routing), then up to f - c more from the
+/// global budget. A visit that does not finish the job takes all c, plus
+/// min(f - c, budget left); those global takes sum to min(G, L) in any
+/// order, where G = global / d (0 without global routing) and L = Σ(f - c).
+/// So a greedy that never finishes places R + min(G, L) nodes, R = Σc, and
+/// it finishes exactly when that reaches the job's node count. Without a
+/// deficit every takeable node counts.
+std::int64_t greedy_capacity(const ResourceState& state, Bytes d,
+                             std::int32_t g, bool rack_ok, bool global_ok) {
+  std::int64_t via_rack = 0;
+  std::int64_t leftover = 0;
+  for (std::size_t idx = 0; idx < state.free_nodes.size(); ++idx) {
+    const std::int64_t free = gpu_clamped(state, idx, g);
+    const std::int64_t c =
+        (rack_ok && !d.is_zero())
+            ? std::min(free, state.pool_free[idx].count() / d.count())
+            : 0;
+    via_rack += c;
+    leftover += free - c;
+  }
+  if (d.is_zero()) return leftover;
+  const std::int64_t global_nodes =
+      global_ok ? state.global_free.count() / d.count() : 0;
+  return via_rack + std::min(global_nodes, leftover);
 }
 
 }  // namespace
@@ -108,49 +165,56 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
     if (state.bb_free < job.bb_bytes) return std::nullopt;
     plan.bb_bytes = job.bb_bytes;
   }
-  // Per-rack takeable nodes under the GPU axis: each node taken in rack `r`
-  // draws `g` devices from that rack's pool.
-  const auto gpu_clamped = [&](std::size_t idx, std::int32_t free) {
-    if (g <= 0) return free;
-    return static_cast<std::int32_t>(std::min<std::int64_t>(
-        free, state.free_gpus_in(idx) / g));
-  };
 
-  std::int32_t remaining = job.nodes;
-  const auto order = rack_order(state, policy.selection, !d.is_zero());
-
-  if (d.is_zero()) {
-    for (RackId r : order) {
-      if (remaining == 0) break;
-      const auto idx = static_cast<std::size_t>(r);
-      const std::int32_t free = gpu_clamped(idx, state.free_nodes[idx]);
-      const std::int32_t take = std::min(free, remaining);
-      if (take > 0) {
-        plan.takes.push_back(
-            {r, take, Bytes{0}, Bytes{0}, static_cast<std::int64_t>(take) * g});
-        remaining -= take;
-      }
-    }
-    if (remaining > 0) return std::nullopt;
-    return plan;
-  }
-
-  // Deficit job: nodes must be funded at d bytes each from some pool.
   const bool rack_ok = policy.routing != PoolRouting::kGlobalOnly;
   const bool global_ok = policy.routing != PoolRouting::kRackOnly;
   // Under the distance-graded routing the global tier is a *last* resort
   // behind foreign rack pools, so the main loop funds rack-only and stage 2
   // below walks the remaining deficit outward by hop distance.
   const bool neighbor_ok = policy.routing == PoolRouting::kRackNeighborGlobal;
+  // Reject before ordering racks: the greedy's placed-node count does not
+  // depend on the order (greedy_capacity), except in the neighbor stage.
+  if ((d.is_zero() || !neighbor_ok) &&
+      greedy_capacity(state, d, g, rack_ok, global_ok) < job.nodes) {
+    return std::nullopt;
+  }
+
+  const std::size_t racks_n = state.free_nodes.size();
+  std::array<RackKey, kInlineRacks> inline_keys{};
+  std::vector<RackKey> heap_keys;
+  if (racks_n > kInlineRacks) heap_keys.resize(racks_n);
+  const std::span<RackKey> order =
+      racks_n > kInlineRacks ? std::span<RackKey>(heap_keys)
+                             : std::span<RackKey>(inline_keys).first(racks_n);
+  rack_order(state, policy.selection, !d.is_zero(), order);
+
+  std::int32_t remaining = job.nodes;
+  if (d.is_zero()) {
+    for (const RackKey& k : order) {
+      if (remaining == 0) break;
+      const std::int32_t free =
+          gpu_clamped(state, static_cast<std::size_t>(k.rack), g);
+      const std::int32_t take = std::min(free, remaining);
+      if (take > 0) {
+        plan.takes.push_back({k.rack, take, Bytes{0}, Bytes{0},
+                              static_cast<std::int64_t>(take) * g});
+        remaining -= take;
+      }
+    }
+    DMSCHED_ASSERT(remaining == 0, "compute_take: greedy_capacity disagrees");
+    return plan;
+  }
+
+  // Deficit job: nodes must be funded at d bytes each from some pool.
   std::int64_t global_node_budget =
       (global_ok && !neighbor_ok) ? state.global_free.count() / d.count() : 0;
 
-  for (RackId r : order) {
+  for (const RackKey& k : order) {
     if (remaining == 0) break;
-    const auto idx = static_cast<std::size_t>(r);
-    std::int32_t free = gpu_clamped(idx, state.free_nodes[idx]);
+    const auto idx = static_cast<std::size_t>(k.rack);
+    std::int32_t free = gpu_clamped(state, idx, g);
     if (free == 0) continue;
-    RackTake take{r, 0, Bytes{0}, Bytes{0}, 0};
+    RackTake take{k.rack, 0, Bytes{0}, Bytes{0}, 0};
     if (rack_ok) {
       const auto pool_capacity_nodes = static_cast<std::int32_t>(std::min<std::int64_t>(
           state.pool_free[idx].count() / d.count(), free));
@@ -181,7 +245,6 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
   if (neighbor_ok && remaining > 0) {
     // Stage 2 of the distance-graded routing. Nodes first: the hosting set
     // must be final before any draw can be classified own-rack vs neighbor.
-    const std::size_t racks_n = state.free_nodes.size();
     std::vector<std::int32_t> taken_nodes(racks_n, 0);
     std::vector<Bytes> taken_pool(racks_n, Bytes{0});
     std::vector<std::ptrdiff_t> slot(racks_n, -1);
@@ -200,11 +263,10 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
       return plan.takes[static_cast<std::size_t>(slot[idx])];
     };
     std::int32_t placed = 0;
-    for (RackId r : order) {
+    for (const RackKey& k : order) {
       if (remaining == 0) break;
-      const auto idx = static_cast<std::size_t>(r);
-      const std::int32_t avail =
-          gpu_clamped(idx, state.free_nodes[idx]) - taken_nodes[idx];
+      const auto idx = static_cast<std::size_t>(k.rack);
+      const std::int32_t avail = gpu_clamped(state, idx, g) - taken_nodes[idx];
       const std::int32_t take_n = std::min(avail, remaining);
       if (take_n <= 0) continue;
       slice(idx).nodes += take_n;

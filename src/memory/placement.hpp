@@ -34,6 +34,8 @@ struct RackTake {
   /// distance-graded neighbor draw (shared-neighbors routing only). Such a
   /// slice may carry `nodes == 0`; it still debits this rack's pool.
   Bytes neighbor_pool_bytes{};
+
+  bool operator==(const RackTake&) const = default;
 };
 
 /// A start decision in counted form (no node ids yet).
@@ -43,6 +45,8 @@ struct TakePlan {
   /// Burst-buffer reservation (cluster-global, like the global pool).
   Bytes bb_bytes{};
   std::vector<RackTake> takes;
+
+  bool operator==(const TakePlan&) const = default;
 
   [[nodiscard]] Bytes global_total() const;
   [[nodiscard]] Bytes rack_pool_total() const;

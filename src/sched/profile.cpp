@@ -81,7 +81,6 @@ void FreeProfile::reset(ResourceState base, SimTime now,
   timeline_id_ = 0;
   timeline_version_ = 0;
   cache_times_.clear();
-  cache_states_.clear();
   cache_consumed_.clear();
 }
 
@@ -96,7 +95,7 @@ bool FreeProfile::sync(const SchedContext& ctx) {
   const SimTime now = ctx.now();
   if (tl != nullptr && from_timeline_ && timeline_id_ == tl->id() &&
       timeline_version_ == tl->version() && now >= now_ &&
-      next_change_after(now_) > now) {
+      row_time(rows_through(now_)) > now) {
     // Clean: no resources moved and no delta (release or hold boundary)
     // crossed now since the last pass — the profile, its holds, and the
     // prefix-state cache all stay valid; only the clock advances.
@@ -181,104 +180,42 @@ void FreeProfile::invalidate_cache_from(SimTime t) const {
   // removed at time >= t sits after that prefix in ordered_, so the rows'
   // consumed counts stay valid.
   cache_times_.resize(keep);
-  cache_states_.resize(keep);
   cache_consumed_.resize(keep);
 }
 
-void FreeProfile::ensure_cached_to(SimTime t) const {
-  if (!cache_times_.empty() && cache_times_.back() >= t) return;
-  std::size_t i = cache_consumed_.empty() ? 0 : cache_consumed_.back();
-  if (i >= ordered_.size() || deltas_[ordered_[i]].time > t) return;
-  ResourceState state = cache_states_.empty() ? base_ : cache_states_.back();
-  while (i < ordered_.size() && deltas_[ordered_[i]].time <= t) {
-    const SimTime row_time = deltas_[ordered_[i]].time;
-    // One row per distinct delta time, with every delta at that time folded
-    // (adds before subtracts, per ordered_) — intermediate same-time states
-    // are never observable, matching the "apply everything <= t" contract.
-    while (i < ordered_.size() && deltas_[ordered_[i]].time == row_time) {
-      const ProfileDelta& d = deltas_[ordered_[i]];
-      apply_signed(state, d.take, d.adds);
-      ++i;
-    }
-    cache_times_.push_back(row_time);
-    cache_states_.push_back(state);
-    cache_consumed_.push_back(i);
+bool FreeProfile::grow_row() const {
+  const std::size_t k = cache_times_.size();
+  std::size_t i = k == 0 ? 0 : cache_consumed_.back();
+  if (i >= ordered_.size()) return false;
+  if (k == cache_states_.size()) cache_states_.emplace_back();
+  // Assigning into a spare row reuses its buffers.
+  ResourceState& state = cache_states_[k];
+  state = row_state(k);
+  const SimTime time = deltas_[ordered_[i]].time;
+  // Every delta at this time is folded (adds before subtracts, per
+  // ordered_): intermediate same-time states are never observable, matching
+  // the "apply everything <= t" contract.
+  for (; i < ordered_.size() && deltas_[ordered_[i]].time == time; ++i) {
+    const ProfileDelta& d = deltas_[ordered_[i]];
+    apply_signed(state, d.take, d.adds);
   }
+  cache_times_.push_back(time);
+  cache_consumed_.push_back(i);
+  return true;
 }
 
-const ResourceState& FreeProfile::state_covering(SimTime t) const {
-  ensure_cached_to(t);
-  const auto it =
-      std::upper_bound(cache_times_.begin(), cache_times_.end(), t);
-  if (it == cache_times_.begin()) return base_;
-  return cache_states_[static_cast<std::size_t>(it - cache_times_.begin()) -
-                       1];
+std::size_t FreeProfile::rows_through(SimTime t) const {
+  auto n = static_cast<std::size_t>(
+      std::upper_bound(cache_times_.begin(), cache_times_.end(), t) -
+      cache_times_.begin());
+  // Past the grown rows, step the cursor until the next row lies after t.
+  while (n == cache_times_.size() && grow_row() && cache_times_[n] <= t) ++n;
+  return n;
 }
 
 ResourceState FreeProfile::state_at(SimTime time) const {
   DMSCHED_ASSERT(time >= now_, "state_at: time in the past");
-  return state_covering(time);
-}
-
-SimTime FreeProfile::next_change_after(SimTime t) const {
-  const auto it = std::upper_bound(
-      ordered_.begin(), ordered_.end(), t,
-      [this](SimTime v, std::uint32_t i) { return v < deltas_[i].time; });
-  if (it == ordered_.end()) return kTimeInfinity;
-  return deltas_[*it].time;
-}
-
-std::vector<SimTime> FreeProfile::breakpoints() const {
-  std::vector<SimTime> times;
-  times.reserve(ordered_.size() + 1);
-  times.push_back(now_);
-  for (const std::uint32_t i : ordered_) {
-    if (deltas_[i].time >= now_) times.push_back(deltas_[i].time);
-  }
-  // ordered_ is time-sorted, so after the leading now_ the vector is
-  // already sorted; only duplicates remain to strip.
-  times.erase(std::unique(times.begin(), times.end()), times.end());
-  return times;
-}
-
-std::optional<FreeProfile::Fit> FreeProfile::earliest_fit(
-    const Job& job, PlacementPolicy policy) const {
-  // Sweep the breakpoints in order against the cached prefix states. Holds
-  // make availability non-monotone, so every breakpoint is tested — but a
-  // repeated sweep over an unchanged prefix is pure cache hits.
-  SimTime t = now_;
-  for (;;) {
-    if (auto plan = compute_take(state_covering(t), *config_, job, policy)) {
-      return Fit{t, std::move(*plan)};
-    }
-    const SimTime next = next_change_after(t);
-    if (next == kTimeInfinity) return std::nullopt;  // final state tested
-    t = next;
-  }
-}
-
-std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
-    const Job& job, PlacementPolicy policy,
-    const std::function<SimTime(const TakePlan&)>& duration_of) const {
-  SimTime t = now_;
-  for (;;) {
-    auto plan = compute_take(state_covering(t), *config_, job, policy);
-    if (plan) {
-      const SimTime end = t + duration_of(*plan);
-      bool continuous = true;
-      for (SimTime u = next_change_after(t); u < end;
-           u = next_change_after(u)) {
-        if (!can_apply(state_covering(u), *plan)) {
-          continuous = false;
-          break;
-        }
-      }
-      if (continuous) return Fit{t, std::move(*plan)};
-    }
-    const SimTime next = next_change_after(t);
-    if (next == kTimeInfinity) return std::nullopt;
-    t = next;
-  }
+  return row_state(rows_through(time));
 }
 
 }  // namespace dmsched

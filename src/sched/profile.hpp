@@ -25,7 +25,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -149,20 +148,11 @@ class FreeProfile {
   /// effect time <= `time`.
   [[nodiscard]] ResourceState state_at(SimTime time) const;
 
-  /// Earliest time >= now at which `job` fits *instantaneously*, with the
-  /// plan it would get. Returns nullopt only if the job does not even fit
-  /// with every tracked release applied.
-  ///
-  /// Correct for profiles whose deltas after now() only add resources
-  /// (releases, plus holds that start at now) — then an instantaneous fit
-  /// persists for the job's whole run. With future-start holds present
-  /// (conservative reservations), use earliest_fit_window instead.
+  /// A start time and the plan the job gets there.
   struct Fit {
     SimTime time;
     TakePlan plan;
   };
-  [[nodiscard]] std::optional<Fit> earliest_fit(const Job& job,
-                                                PlacementPolicy policy) const;
 
   /// Earliest time t >= now at which `job` fits *continuously* over
   /// [t, t + duration_of(plan)): the plan chosen at t must remain
@@ -170,10 +160,12 @@ class FreeProfile {
   /// reservation primitive for conservative backfilling, where future holds
   /// make availability non-monotone. `duration_of` maps the plan chosen at
   /// the candidate start to the job's walltime bound (dilation depends on
-  /// where the memory comes from).
+  /// where the memory comes from); a zero duration asks for an
+  /// instantaneous fit. Returns nullopt only if no breakpoint, the last
+  /// included, admits the job.
+  template <class DurationFn>
   [[nodiscard]] std::optional<Fit> earliest_fit_window(
-      const Job& job, PlacementPolicy policy,
-      const std::function<SimTime(const TakePlan&)>& duration_of) const;
+      const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const;
 
   [[nodiscard]] SimTime now() const { return now_; }
 
@@ -184,26 +176,36 @@ class FreeProfile {
   [[nodiscard]] Mark mark() const { return deltas_.size(); }
   void rollback(Mark m);
 
-  /// All change points (now plus every release/hold boundary at or after
-  /// now), sorted and deduplicated. Exposed for tests and for schedulers
-  /// that sweep manually.
-  [[nodiscard]] std::vector<SimTime> breakpoints() const;
-
-  /// Earliest delta time strictly after `t` (kTimeInfinity if none) — the
-  /// sweep's step function, also used by sync() to detect a breakpoint
-  /// crossing now.
-  [[nodiscard]] SimTime next_change_after(SimTime t) const;
-
  private:
   void reset(ResourceState base, SimTime now, const ClusterConfig* config);
   void insert_delta(ProfileDelta d);
   /// Drop cached prefix states at or after `t` (a delta at `t` changed).
   void invalidate_cache_from(SimTime t) const;
-  /// Extend the prefix-state cache through every delta time <= `t`.
-  void ensure_cached_to(SimTime t) const;
-  /// State effective at `t`: the cached row for the greatest delta time
-  /// <= `t`, or the base state. Reference dies at the next cache call.
-  [[nodiscard]] const ResourceState& state_covering(SimTime t) const;
+
+  // The sweep primitive: a row cursor over the prefix-state cache. A cursor
+  // n means the first n rows lie at or before the instant being examined,
+  // so row_state(n) is the state there and row n, the next row, is the
+  // next breakpoint. Cursors are row indices, never references: growing
+  // the cache may move the rows.
+
+  /// Fold every delta at the next distinct delta time into one new row.
+  /// False when every delta is already folded.
+  bool grow_row() const;
+  /// The cursor for `t`, growing the cache through every delta time <= `t`
+  /// (and one row past it, the next breakpoint).
+  [[nodiscard]] std::size_t rows_through(SimTime t) const;
+  /// Time of row `k`, growing the cache by one row when `k` is the next
+  /// one; kTimeInfinity when no delta is left. Cursors only ever step by
+  /// one, so `k` never runs past the grown rows.
+  [[nodiscard]] SimTime row_time(std::size_t k) const {
+    if (k < cache_times_.size() || grow_row()) return cache_times_[k];
+    return kTimeInfinity;
+  }
+  /// State after the first `n` rows (the base state for n == 0).
+  /// Reference dies at the next cache growth.
+  [[nodiscard]] const ResourceState& row_state(std::size_t n) const {
+    return n == 0 ? base_ : cache_states_[n - 1];
+  }
 
   ResourceState base_;
   SimTime now_{};
@@ -224,10 +226,34 @@ class FreeProfile {
   // time <= cache_times_[k] (one row per distinct delta time, ascending),
   // and cache_consumed_[k] counts the ordered_ entries folded in. Rows at
   // or after a mutated time are truncated; everything earlier survives
-  // across queries, holds, rollbacks, and clean syncs.
+  // across queries, holds, rollbacks, and clean syncs. cache_times_ sets
+  // the row count: cache_states_ may run longer, and its spare entries
+  // keep their buffers so a regrown row allocates nothing.
   mutable std::vector<SimTime> cache_times_;
   mutable std::vector<ResourceState> cache_states_;
   mutable std::vector<std::size_t> cache_consumed_;
 };
+
+template <class DurationFn>
+std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
+    const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const {
+  // One cursor walks the candidates; the continuity check walks a second
+  // one forward from it. Each step reads the next row instead of searching.
+  std::size_t n = rows_through(now_);
+  SimTime t = now_;
+  for (;;) {
+    if (auto plan = compute_take(row_state(n), *config_, job, policy)) {
+      const SimTime end = t + duration_of(*plan);
+      bool continuous = true;
+      for (std::size_t k = n; continuous && row_time(k) < end; ++k) {
+        continuous = can_apply(cache_states_[k], *plan);
+      }
+      if (continuous) return Fit{t, std::move(*plan)};
+    }
+    t = row_time(n);
+    if (t == kTimeInfinity) return std::nullopt;  // final state tested
+    ++n;
+  }
+}
 
 }  // namespace dmsched

@@ -7,11 +7,13 @@
 #include "common/rng.hpp"
 #include "sched/profile.hpp"
 #include "testing/builders.hpp"
+#include "testing/profile_oracle.hpp"
 
 namespace dmsched {
 namespace {
 
 using testing::job;
+using testing::ProfileOracle;
 
 constexpr int kRounds = 300;
 
@@ -162,11 +164,9 @@ TEST(ProfileFuzz, EarliestFitAgreesWithStateProbing) {
                                PoolRouting::kRackThenGlobal};
   for (int round = 0; round < 120; ++round) {
     const ClusterConfig c = fuzz_config(rng);
-    ResourceState state = empty_state(c);
-    FreeProfile profile(state, SimTime{}, &c);
 
     // Fill with a random running set (consistent: takes applied to state).
-    ResourceState live = state;
+    ResourceState live = empty_state(c);
     for (int k = 0; k < 6; ++k) {
       const Job r = fuzz_job(rng, c);
       const auto take = compute_take(live, c, r, policy);
@@ -175,7 +175,7 @@ TEST(ProfileFuzz, EarliestFitAgreesWithStateProbing) {
     }
     // Profile over the final live state; the diff between empty and live is
     // what is held, released in one go at a random time.
-    profile = FreeProfile(live, SimTime{}, &c);
+    ProfileOracle profile(live, SimTime{}, &c);
     TakePlan held;
     const ResourceState empty = empty_state(c);
     for (std::size_t r = 0; r < live.free_nodes.size(); ++r) {
@@ -194,11 +194,13 @@ TEST(ProfileFuzz, EarliestFitAgreesWithStateProbing) {
     if (!held.takes.empty()) profile.add_release(release_at, held);
 
     const Job q = fuzz_job(rng, c);
-    const auto fit = profile.earliest_fit(q, policy);
+    // An instantaneous fit is a zero-length window.
+    const auto fit = profile.profile().earliest_fit_window(
+        q, policy, [](const TakePlan&) { return SimTime{}; });
     // Oracle: probe state_at at every breakpoint.
     std::optional<SimTime> expected;
     for (const SimTime t : profile.breakpoints()) {
-      if (compute_take(profile.state_at(t), c, q, policy)) {
+      if (compute_take(profile.profile().state_at(t), c, q, policy)) {
         expected = t;
         break;
       }
@@ -206,7 +208,7 @@ TEST(ProfileFuzz, EarliestFitAgreesWithStateProbing) {
     ASSERT_EQ(fit.has_value(), expected.has_value()) << "round " << round;
     if (fit) {
       EXPECT_EQ(fit->time, *expected) << "round " << round;
-      ResourceState at = profile.state_at(fit->time);
+      ResourceState at = profile.profile().state_at(fit->time);
       EXPECT_TRUE(can_apply(at, fit->plan)) << "round " << round;
     }
   }
@@ -218,13 +220,13 @@ TEST(ProfileFuzz, WindowFitSatisfiesWindowProperty) {
                                PoolRouting::kRackThenGlobal};
   for (int round = 0; round < 120; ++round) {
     const ClusterConfig c = fuzz_config(rng);
-    FreeProfile profile(empty_state(c), SimTime{}, &c);
+    ProfileOracle profile(empty_state(c), SimTime{}, &c);
     // Random future holds, each placed with earliest_fit_window so the
     // accumulated set stays mutually consistent (as conservative does).
     for (int k = 0; k < 4; ++k) {
       const Job h = fuzz_job(rng, c);
       const SimTime len = hours(rng.uniform_int(1, 5));
-      const auto hold_fit = profile.earliest_fit_window(
+      const auto hold_fit = profile.profile().earliest_fit_window(
           h, policy, [&](const TakePlan&) { return len; });
       if (!hold_fit) continue;
       profile.add_hold(hold_fit->time, hold_fit->time + len, hold_fit->plan);
@@ -232,12 +234,17 @@ TEST(ProfileFuzz, WindowFitSatisfiesWindowProperty) {
     const Job q = fuzz_job(rng, c);
     const SimTime duration = hours(rng.uniform_int(1, 8));
     const auto duration_of = [&](const TakePlan&) { return duration; };
-    const auto fit = profile.earliest_fit_window(q, policy, duration_of);
+    const auto fit =
+        profile.profile().earliest_fit_window(q, policy, duration_of);
+    const auto expected = profile.earliest_fit_window(q, policy, duration_of);
+    ASSERT_EQ(fit.has_value(), expected.has_value()) << "round " << round;
     if (!fit) continue;
+    EXPECT_EQ(fit->time, expected->time) << "round " << round;
+    EXPECT_EQ(fit->plan, expected->plan) << "round " << round;
     // the plan must be subtractable at every breakpoint in the window
     for (const SimTime t : profile.breakpoints()) {
       if (t < fit->time || t >= fit->time + duration) continue;
-      EXPECT_TRUE(can_apply(profile.state_at(t), fit->plan))
+      EXPECT_TRUE(can_apply(profile.profile().state_at(t), fit->plan))
           << "round " << round << " at t=" << t.seconds();
     }
   }

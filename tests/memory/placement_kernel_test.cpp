@@ -1,0 +1,355 @@
+// Differential test of the placement kernel: compute_take (order-free
+// early reject, stable insertion sort over an inline key buffer) against
+// the previous kernel, kept here as the reference. The reference allocates
+// and std::stable_sort()s a rack vector on every probe and rejects only
+// after walking the racks. Both must return identical plans, and nullopt on
+// the same inputs, for every NodeSelection × PoolRouting with the GPU and
+// burst-buffer axes on and off, on machines of 1, 3, 16 and 80 racks (past
+// the inline buffer).
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "common/rng.hpp"
+#include "memory/placement.hpp"
+#include "testing/builders.hpp"
+
+namespace dmsched {
+namespace {
+
+// --- The reference kernel ----------------------------------------------------
+
+namespace reference {
+
+/// Rack visit order under a selection policy. Deterministic: ties break on
+/// rack index.
+std::vector<RackId> rack_order(const ResourceState& state,
+                               NodeSelection selection, bool has_deficit) {
+  std::vector<RackId> order(state.free_nodes.size());
+  std::iota(order.begin(), order.end(), 0);
+  auto stable_by = [&](auto key) {
+    std::stable_sort(order.begin(), order.end(),
+                     [&](RackId a, RackId b) { return key(a) < key(b); });
+  };
+  switch (selection) {
+    case NodeSelection::kFirstFit:
+      break;  // index order
+    case NodeSelection::kPackRacks:
+      // Most free nodes first => job spans the fewest racks.
+      stable_by([&](RackId r) {
+        return -state.free_nodes[static_cast<std::size_t>(r)];
+      });
+      break;
+    case NodeSelection::kSpreadRacks:
+      stable_by([&](RackId r) {
+        return state.free_nodes[static_cast<std::size_t>(r)];
+      });
+      break;
+    case NodeSelection::kPoolAware:
+      if (has_deficit) {
+        // Deficit jobs chase pool-rich racks to avoid the global tier.
+        stable_by([&](RackId r) {
+          return -state.pool_free[static_cast<std::size_t>(r)].count();
+        });
+      } else {
+        // Local jobs keep away from pool-rich racks, preserving them for
+        // deficit jobs; among equals prefer fuller racks (packing).
+        stable_by([&](RackId r) {
+          return std::pair{state.pool_free[static_cast<std::size_t>(r)].count(),
+                           -state.free_nodes[static_cast<std::size_t>(r)]};
+        });
+      }
+      break;
+  }
+  return order;
+}
+
+}  // namespace reference
+
+std::optional<TakePlan> reference_take(const ResourceState& state,
+                                      const ClusterConfig& config,
+                                      const Job& job, PlacementPolicy policy) {
+  TakePlan plan;
+  plan.local_per_node = min(job.mem_per_node, config.local_mem_per_node);
+  plan.far_per_node = job.mem_per_node - plan.local_per_node;
+  const Bytes d = plan.far_per_node;
+
+  // Optional axes. A policy blind to an axis plans as if the axis did not
+  // exist (the memory-only instantiation); zero-request jobs take the same
+  // code path either way, so legacy traces are byte-identical.
+  const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
+  if (policy.axes.burst_buffer && job.bb_bytes > Bytes{0}) {
+    if (state.bb_free < job.bb_bytes) return std::nullopt;
+    plan.bb_bytes = job.bb_bytes;
+  }
+  // Per-rack takeable nodes under the GPU axis: each node taken in rack `r`
+  // draws `g` devices from that rack's pool.
+  const auto gpu_clamped = [&](std::size_t idx, std::int32_t free) {
+    if (g <= 0) return free;
+    return static_cast<std::int32_t>(std::min<std::int64_t>(
+        free, state.free_gpus_in(idx) / g));
+  };
+
+  std::int32_t remaining = job.nodes;
+  const auto order =
+      reference::rack_order(state, policy.selection, !d.is_zero());
+
+  if (d.is_zero()) {
+    for (RackId r : order) {
+      if (remaining == 0) break;
+      const auto idx = static_cast<std::size_t>(r);
+      const std::int32_t free = gpu_clamped(idx, state.free_nodes[idx]);
+      const std::int32_t take = std::min(free, remaining);
+      if (take > 0) {
+        plan.takes.push_back(
+            {r, take, Bytes{0}, Bytes{0}, static_cast<std::int64_t>(take) * g});
+        remaining -= take;
+      }
+    }
+    if (remaining > 0) return std::nullopt;
+    return plan;
+  }
+
+  // Deficit job: nodes must be funded at d bytes each from some pool.
+  const bool rack_ok = policy.routing != PoolRouting::kGlobalOnly;
+  const bool global_ok = policy.routing != PoolRouting::kRackOnly;
+  // Under the distance-graded routing the global tier is a *last* resort
+  // behind foreign rack pools, so the main loop funds rack-only and stage 2
+  // below walks the remaining deficit outward by hop distance.
+  const bool neighbor_ok = policy.routing == PoolRouting::kRackNeighborGlobal;
+  std::int64_t global_node_budget =
+      (global_ok && !neighbor_ok) ? state.global_free.count() / d.count() : 0;
+
+  for (RackId r : order) {
+    if (remaining == 0) break;
+    const auto idx = static_cast<std::size_t>(r);
+    std::int32_t free = gpu_clamped(idx, state.free_nodes[idx]);
+    if (free == 0) continue;
+    RackTake take{r, 0, Bytes{0}, Bytes{0}, 0};
+    if (rack_ok) {
+      const auto pool_capacity_nodes = static_cast<std::int32_t>(std::min<std::int64_t>(
+          state.pool_free[idx].count() / d.count(), free));
+      const std::int32_t via_rack =
+          std::min(pool_capacity_nodes, remaining);
+      if (via_rack > 0) {
+        take.nodes += via_rack;
+        take.rack_pool_bytes = d * via_rack;
+        free -= via_rack;
+        remaining -= via_rack;
+      }
+    }
+    if (remaining > 0 && global_node_budget > 0 && free > 0) {
+      const auto via_global = static_cast<std::int32_t>(std::min<std::int64_t>(
+          {static_cast<std::int64_t>(free), global_node_budget,
+           static_cast<std::int64_t>(remaining)}));
+      take.nodes += via_global;
+      take.global_pool_bytes = d * via_global;
+      global_node_budget -= via_global;
+      remaining -= via_global;
+    }
+    if (take.nodes > 0) {
+      take.gpus = static_cast<std::int64_t>(take.nodes) * g;
+      plan.takes.push_back(take);
+    }
+  }
+
+  if (neighbor_ok && remaining > 0) {
+    // Stage 2 of the distance-graded routing. Nodes first: the hosting set
+    // must be final before any draw can be classified own-rack vs neighbor.
+    const std::size_t racks_n = state.free_nodes.size();
+    std::vector<std::int32_t> taken_nodes(racks_n, 0);
+    std::vector<Bytes> taken_pool(racks_n, Bytes{0});
+    std::vector<std::ptrdiff_t> slot(racks_n, -1);
+    for (std::size_t i = 0; i < plan.takes.size(); ++i) {
+      const auto idx = static_cast<std::size_t>(plan.takes[i].rack);
+      slot[idx] = static_cast<std::ptrdiff_t>(i);
+      taken_nodes[idx] = plan.takes[i].nodes;
+      taken_pool[idx] = plan.takes[i].rack_pool_bytes;
+    }
+    const auto slice = [&](std::size_t idx) -> RackTake& {
+      if (slot[idx] < 0) {
+        plan.takes.push_back({static_cast<RackId>(idx), 0, Bytes{0}, Bytes{0},
+                              0, Bytes{0}});
+        slot[idx] = static_cast<std::ptrdiff_t>(plan.takes.size()) - 1;
+      }
+      return plan.takes[static_cast<std::size_t>(slot[idx])];
+    };
+    std::int32_t placed = 0;
+    for (RackId r : order) {
+      if (remaining == 0) break;
+      const auto idx = static_cast<std::size_t>(r);
+      const std::int32_t avail =
+          gpu_clamped(idx, state.free_nodes[idx]) - taken_nodes[idx];
+      const std::int32_t take_n = std::min(avail, remaining);
+      if (take_n <= 0) continue;
+      slice(idx).nodes += take_n;
+      taken_nodes[idx] += take_n;
+      placed += take_n;
+      remaining -= take_n;
+    }
+    if (remaining > 0) return std::nullopt;
+    // Fund the stage-2 deficit outward by hop distance: hosting racks'
+    // residual pools, then foreign (neighbor) racks' pools, then the
+    // global tier. Rack-index order within each ring keeps it deterministic.
+    Bytes deficit = d * placed;
+    for (std::size_t idx = 0; idx < racks_n && deficit > Bytes{0}; ++idx) {
+      if (taken_nodes[idx] == 0) continue;
+      const Bytes use = min(state.pool_free[idx] - taken_pool[idx], deficit);
+      if (use > Bytes{0}) {
+        slice(idx).rack_pool_bytes += use;
+        taken_pool[idx] += use;
+        deficit -= use;
+      }
+    }
+    for (std::size_t idx = 0; idx < racks_n && deficit > Bytes{0}; ++idx) {
+      if (taken_nodes[idx] != 0) continue;
+      const Bytes use = min(state.pool_free[idx] - taken_pool[idx], deficit);
+      if (use > Bytes{0}) {
+        slice(idx).neighbor_pool_bytes += use;
+        taken_pool[idx] += use;
+        deficit -= use;
+      }
+    }
+    if (deficit > Bytes{0}) {
+      if (state.global_free < deficit) return std::nullopt;
+      plan.takes.front().global_pool_bytes += deficit;
+    }
+    for (auto& t : plan.takes) {
+      t.gpus = static_cast<std::int64_t>(t.nodes) * g;
+    }
+  }
+
+  if (remaining > 0) return std::nullopt;
+  return plan;
+}
+
+
+// --- Random machines, states and jobs ---------------------------------------
+
+struct Shape {
+  std::int32_t racks;
+  bool gpus;
+  bool burst_buffer;
+};
+
+ClusterConfig random_machine(Rng& rng, const Shape& shape) {
+  ClusterConfig c;
+  c.name = "kernel-diff";
+  c.nodes_per_rack = static_cast<std::int32_t>(rng.uniform_int(1, 8));
+  // Sometimes a partial last rack.
+  c.total_nodes = c.nodes_per_rack * shape.racks -
+                  static_cast<std::int32_t>(
+                      rng.uniform_int(0, c.nodes_per_rack - 1));
+  c.local_mem_per_node = gib(rng.uniform_int(16, 128));
+  c.pool_per_rack = rng.bernoulli(0.8) ? gib(rng.uniform_int(0, 512))
+                                       : Bytes{0};
+  c.global_pool = rng.bernoulli(0.6) ? gib(rng.uniform_int(0, 2048))
+                                     : Bytes{0};
+  c.gpus_per_node =
+      shape.gpus ? static_cast<std::int32_t>(rng.uniform_int(1, 4)) : 0;
+  c.bb_capacity =
+      shape.burst_buffer ? gib(rng.uniform_int(64, 512)) : Bytes{0};
+  return c;
+}
+
+/// Free amounts drawn from a few levels, so equal sort keys (the
+/// tie-breaking path) are common.
+std::int64_t leveled(Rng& rng, std::int64_t capacity) {
+  const std::int64_t level = rng.uniform_int(0, 3);
+  return capacity * level / 3;
+}
+
+ResourceState random_state(Rng& rng, const ClusterConfig& c) {
+  ResourceState s = empty_state(c);
+  for (std::size_t r = 0; r < s.free_nodes.size(); ++r) {
+    s.free_nodes[r] = static_cast<std::int32_t>(
+        rng.bernoulli(0.5) ? leveled(rng, s.free_nodes[r])
+                           : rng.uniform_int(0, s.free_nodes[r]));
+    s.pool_free[r] = Bytes{leveled(rng, s.pool_free[r].count())};
+  }
+  for (auto& g : s.free_gpus) g = rng.uniform_int(0, g);
+  s.global_free = Bytes{rng.uniform_int(0, s.global_free.count())};
+  s.bb_free = Bytes{rng.uniform_int(0, s.bb_free.count())};
+  return s;
+}
+
+Job random_job(Rng& rng, const ClusterConfig& c) {
+  Job j = testing::job(0)
+              .nodes(static_cast<std::int32_t>(
+                  rng.uniform_int(1, c.total_nodes + 2)))
+              .mem_gib(static_cast<double>(rng.uniform_int(
+                  1, 3 * c.local_mem_per_node.count() / kGiB.count())));
+  // Wide jobs on big machines rarely fit anything; keep many narrow ones.
+  if (rng.bernoulli(0.5)) {
+    j.nodes = static_cast<std::int32_t>(
+        rng.uniform_int(1, std::min<std::int32_t>(c.total_nodes, 12)));
+  }
+  if (c.has_gpus() && rng.bernoulli(0.6)) {
+    j.gpus_per_node = static_cast<std::int32_t>(rng.uniform_int(1, 5));
+  }
+  if (c.has_burst_buffer() && rng.bernoulli(0.6)) {
+    j.bb_bytes = gib(rng.uniform_int(1, 256));
+  }
+  return j;
+}
+
+constexpr NodeSelection kSelections[] = {
+    NodeSelection::kFirstFit, NodeSelection::kPackRacks,
+    NodeSelection::kSpreadRacks, NodeSelection::kPoolAware};
+constexpr PoolRouting kRoutings[] = {
+    PoolRouting::kRackOnly, PoolRouting::kRackThenGlobal,
+    PoolRouting::kGlobalOnly, PoolRouting::kRackNeighborGlobal};
+
+class KernelDiff : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(KernelDiff, MatchesReferenceKernel) {
+  const std::int32_t racks = GetParam();
+  Rng rng(static_cast<std::uint64_t>(4242 + racks));
+  int fits = 0;
+  int rejects = 0;
+  const int rounds = racks > 16 ? 60 : 150;
+  for (int round = 0; round < rounds; ++round) {
+    const Shape shape{racks, rng.bernoulli(0.5), rng.bernoulli(0.5)};
+    const ClusterConfig c = random_machine(rng, shape);
+    ASSERT_EQ(c.racks(), racks);
+    const ResourceState s = random_state(rng, c);
+    for (int k = 0; k < 8; ++k) {
+      const Job j = random_job(rng, c);
+      for (const NodeSelection sel : kSelections) {
+        for (const PoolRouting route : kRoutings) {
+          for (const bool all_axes : {false, true}) {
+            const PlacementPolicy policy{
+                sel, route,
+                all_axes ? ResourceAxes::all() : ResourceAxes::memory_only()};
+            const auto got = compute_take(s, c, j, policy);
+            const auto want = reference_take(s, c, j, policy);
+            ASSERT_EQ(got.has_value(), want.has_value())
+                << "round " << round << " " << to_string(sel) << "/"
+                << to_string(route) << " axes=" << all_axes;
+            if (!got) {
+              ++rejects;
+              continue;
+            }
+            ++fits;
+            EXPECT_EQ(*got, *want)
+                << "round " << round << " " << to_string(sel) << "/"
+                << to_string(route) << " axes=" << all_axes;
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes must be well represented.
+  EXPECT_GT(fits, 500);
+  EXPECT_GT(rejects, 500);
+}
+
+INSTANTIATE_TEST_SUITE_P(RackCounts, KernelDiff,
+                         ::testing::Values(1, 3, 16, 80));
+
+}  // namespace
+}  // namespace dmsched

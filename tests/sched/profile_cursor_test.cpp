@@ -1,0 +1,208 @@
+// Differential test of FreeProfile's row cursor: earliest_fit_window and
+// state_at against the brute-force breakpoint sweep of
+// testing/profile_oracle.hpp, on randomized profiles.
+//
+// The op mix is chosen to hit every way the cursor can go wrong:
+//  - future-start holds, so availability is non-monotone and the
+//    continuity walk matters;
+//  - mark()/rollback() between queries, so cache truncation lands in the
+//    middle of rows an earlier sweep built;
+//  - overdue releases (before now), folded into the state at now;
+//  - holds starting exactly at a release time (an add and a subtract at
+//    one instant, folded into one row);
+//  - queries of every horizon in random order, so the lazily built rows
+//    grow across calls and in the middle of a sweep.
+// A cursor that skips a row or reads a row state from before the cache
+// grew returns a different start or plan than the oracle.
+#include <gtest/gtest.h>
+
+#include <vector>
+
+#include "common/rng.hpp"
+#include "memory/placement.hpp"
+#include "sched/profile.hpp"
+#include "testing/builders.hpp"
+#include "testing/profile_oracle.hpp"
+
+namespace dmsched {
+namespace {
+
+using testing::ProfileOracle;
+
+constexpr NodeSelection kSelections[] = {
+    NodeSelection::kFirstFit, NodeSelection::kPackRacks,
+    NodeSelection::kSpreadRacks, NodeSelection::kPoolAware};
+constexpr PoolRouting kRoutings[] = {
+    PoolRouting::kRackOnly, PoolRouting::kRackThenGlobal,
+    PoolRouting::kGlobalOnly, PoolRouting::kRackNeighborGlobal};
+
+/// Delta times come from a coarse grid so equal times are common.
+constexpr std::int64_t kStepSec = 1800;
+
+ClusterConfig random_machine(Rng& rng) {
+  ClusterConfig c;
+  c.name = "cursor";
+  c.nodes_per_rack = static_cast<std::int32_t>(rng.uniform_int(2, 6));
+  c.total_nodes =
+      c.nodes_per_rack * static_cast<std::int32_t>(rng.uniform_int(1, 5));
+  c.local_mem_per_node = gib(rng.uniform_int(32, 128));
+  c.pool_per_rack = gib(rng.uniform_int(0, 256));
+  c.global_pool = rng.bernoulli(0.6) ? gib(rng.uniform_int(0, 512))
+                                     : Bytes{0};
+  return c;
+}
+
+Job random_job(Rng& rng, const ClusterConfig& c) {
+  return testing::job(0)
+      .nodes(static_cast<std::int32_t>(
+          rng.uniform_int(1, (c.total_nodes + 1) / 2)))
+      .mem_gib(static_cast<double>(rng.uniform_int(
+          8, 2 * c.local_mem_per_node.count() / kGiB.count())));
+}
+
+struct Counts {
+  int queries = 0;
+  int later_than_instant = 0;  // the continuity walk moved the start
+  int nullopts = 0;
+  int tie_holds = 0;  // holds starting exactly at a release time
+  int overdue = 0;
+  int rollbacks = 0;
+};
+
+void run_round(Rng& rng, Counts& counts) {
+  const ClusterConfig c = random_machine(rng);
+  const PlacementPolicy policy{
+      kSelections[rng.uniform_int(0, 3)], kRoutings[rng.uniform_int(0, 3)]};
+  const SimTime now = seconds(kStepSec * rng.uniform_int(4, 8));
+  const auto grid = [&](std::int64_t lo, std::int64_t hi) {
+    return now + seconds(kStepSec * rng.uniform_int(lo, hi));
+  };
+
+  // A partly busy machine whose jobs come back as releases; some overdue.
+  ResourceState busy = empty_state(c);
+  std::vector<std::pair<SimTime, TakePlan>> running;
+  for (int k = 0; k < 6; ++k) {
+    const auto plan = compute_take(busy, c, random_job(rng, c), policy);
+    if (!plan) continue;
+    apply_take(busy, *plan);
+    running.emplace_back(grid(-3, 16), *plan);
+  }
+  ProfileOracle p(busy, now, &c);
+  std::vector<SimTime> release_times;
+  for (const auto& [t, plan] : running) {
+    p.add_release(t, plan);
+    release_times.push_back(t);
+    if (t < now) ++counts.overdue;
+  }
+
+  // Dilation-like durations: the plan's far-memory mix changes the window.
+  const SimTime base_len = seconds(kStepSec * rng.uniform_int(1, 6));
+  const auto duration_of = [&](const TakePlan& plan) {
+    return plan.global_total() > Bytes{0} ? base_len + seconds(kStepSec / 2)
+                                          : base_len;
+  };
+  const auto instant = [](const TakePlan&) { return SimTime{}; };
+
+  std::vector<FreeProfile::Mark> marks;
+  for (int step = 0; step < 60; ++step) {
+    const double r = rng.uniform();
+    if (r < 0.35) {
+      const Job j = random_job(rng, c);
+      const auto got = p.profile().earliest_fit_window(j, policy, duration_of);
+      const auto want = p.earliest_fit_window(j, policy, duration_of);
+      ++counts.queries;
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (!got) {
+        ++counts.nullopts;
+        continue;
+      }
+      EXPECT_EQ(got->time, want->time) << "step " << step;
+      EXPECT_EQ(got->plan, want->plan) << "step " << step;
+      const auto now_fit = p.earliest_fit_window(j, policy, instant);
+      if (now_fit && now_fit->time < want->time) ++counts.later_than_instant;
+    } else if (r < 0.45) {
+      const Job j = random_job(rng, c);
+      const auto got = p.profile().earliest_fit_window(j, policy, instant);
+      const auto want = p.earliest_fit(j, policy);
+      ASSERT_EQ(got.has_value(), want.has_value()) << "step " << step;
+      if (got) {
+        EXPECT_EQ(got->time, want->time) << "step " << step;
+        EXPECT_EQ(got->plan, want->plan) << "step " << step;
+      }
+    } else if (r < 0.55) {
+      // Point probe at an arbitrary instant, in random order.
+      const SimTime t = grid(0, 24) + seconds(rng.uniform_int(0, 1));
+      const ResourceState got = p.profile().state_at(t);
+      const ResourceState want = p.state_at(t);
+      EXPECT_EQ(got.free_nodes, want.free_nodes) << "step " << step;
+      EXPECT_EQ(got.pool_free, want.pool_free) << "step " << step;
+      EXPECT_EQ(got.global_free, want.global_free) << "step " << step;
+    } else if (r < 0.80) {
+      // A hold, placed like a reservation (the oracle's window fit) or at
+      // a chosen start — often a release time — when it stays feasible.
+      const Job j = random_job(rng, c);
+      const SimTime len = seconds(kStepSec * rng.uniform_int(1, 8));
+      if (rng.bernoulli(0.5)) {
+        const auto fit = p.earliest_fit_window(
+            j, policy, [&](const TakePlan&) { return len; });
+        if (fit) p.add_hold(fit->time, fit->time + len, fit->plan);
+        continue;
+      }
+      const bool tie = !release_times.empty() && rng.bernoulli(0.5);
+      SimTime start =
+          tie ? release_times[static_cast<std::size_t>(rng.uniform_int(
+                    0, static_cast<std::int64_t>(release_times.size()) - 1))]
+              : grid(0, 12);
+      if (start < now) start = now;
+      const auto plan = compute_take(p.state_at(start), c, j, policy);
+      if (!plan) continue;
+      bool feasible = true;
+      for (const SimTime u : p.breakpoints()) {
+        if (u > start && u < start + len) {
+          feasible = feasible && can_apply(p.state_at(u), *plan);
+        }
+      }
+      if (!feasible) continue;
+      p.add_hold(start, start + len, *plan);
+      if (tie && start > now) ++counts.tie_holds;
+    } else if (r < 0.87) {
+      // A late release, sometimes overdue.
+      const auto plan =
+          compute_take(empty_state(c), c, random_job(rng, c), policy);
+      if (!plan) continue;
+      const SimTime t = grid(-2, 16);
+      p.add_release(t, *plan);
+      release_times.push_back(t);
+      if (t < now) ++counts.overdue;
+    } else if (r < 0.94 || marks.empty()) {
+      marks.push_back(p.mark());
+    } else {
+      // Back to a random earlier mark: truncates rows mid-cache.
+      const auto at = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(marks.size()) - 1));
+      p.rollback(marks[at]);
+      marks.resize(at);
+      ++counts.rollbacks;
+    }
+  }
+}
+
+TEST(ProfileCursor, MatchesBreakpointSweepOnRandomProfiles) {
+  Rng rng(20261016);
+  Counts counts;
+  for (int round = 0; round < 150; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    run_round(rng, counts);
+    if (HasFatalFailure()) return;
+  }
+  // Every hazard the cursor must survive was actually exercised.
+  EXPECT_GT(counts.queries, 2000);
+  EXPECT_GT(counts.later_than_instant, 100);
+  EXPECT_GT(counts.nullopts, 10);
+  EXPECT_GT(counts.tie_holds, 50);
+  EXPECT_GT(counts.overdue, 50);
+  EXPECT_GT(counts.rollbacks, 100);
+}
+
+}  // namespace
+}  // namespace dmsched

@@ -20,6 +20,7 @@
 #include "sched/profile.hpp"
 #include "testing/builders.hpp"
 #include "testing/fake_context.hpp"
+#include "testing/profile_oracle.hpp"
 #include "topology/topology.hpp"
 
 namespace dmsched {
@@ -28,6 +29,7 @@ namespace {
 using testing::FakeContext;
 using testing::job;
 using testing::machine;
+using testing::ProfileOracle;
 
 std::int32_t total_free_nodes(const ResourceState& s) {
   return std::accumulate(s.free_nodes.begin(), s.free_nodes.end(),
@@ -167,7 +169,8 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
     TakePlan take;
   };
   std::vector<Op> ops;
-  FreeProfile live(busy, t0, &config);
+  // The live profile, shadowed by the oracle's from-scratch delta log.
+  ProfileOracle live(busy, t0, &config);
   for (const auto& [t, take] : initial) {
     live.add_release(t, take);
     ops.push_back({false, t, SimTime{}, take});
@@ -182,17 +185,22 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
         fresh.add_release(op.a, op.take);
       }
     }
+    // Same delta count, and at every breakpoint of the log the live
+    // profile, the rebuild and the from-scratch fold all agree.
+    ASSERT_EQ(live.profile().mark(), fresh.mark());
     const auto points = live.breakpoints();
-    ASSERT_EQ(points, fresh.breakpoints());
     for (std::size_t i = 0; i < points.size(); ++i) {
-      expect_states_equal(live.state_at(points[i]),
+      expect_states_equal(live.profile().state_at(points[i]),
                           fresh.state_at(points[i]));
+      expect_states_equal(live.profile().state_at(points[i]),
+                          live.state_at(points[i]));
       // Also probe strictly between breakpoints (piecewise-constant spans).
       const SimTime mid =
           points[i] + (i + 1 < points.size()
                            ? usec((points[i + 1] - points[i]).usec() / 2)
                            : seconds(std::int64_t{1}));
-      expect_states_equal(live.state_at(mid), fresh.state_at(mid));
+      expect_states_equal(live.profile().state_at(mid), fresh.state_at(mid));
+      expect_states_equal(live.profile().state_at(mid), live.state_at(mid));
     }
   };
 
@@ -206,7 +214,7 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
       // Query at an arbitrary time: warms the lazy prefix-state cache in a
       // random order, so later inserts must invalidate mid-cache rows.
       const SimTime t = t0 + seconds(rng.uniform(0.0, 250000.0));
-      const ResourceState s = live.state_at(t);
+      const ResourceState s = live.profile().state_at(t);
       ASSERT_GE(total_free_nodes(s), 0);
     } else if (r < 0.58) {
       // A release (always feasible: planned against the empty machine);
@@ -223,13 +231,13 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
       // feasibility sweep the schedulers run before reserving.
       const SimTime start = t0 + seconds(rng.uniform(0.0, 150000.0));
       const SimTime end = start + seconds(rng.uniform(100.0, 40000.0));
-      const auto plan =
-          compute_take(live.state_at(start), config, random_job(), policy);
+      const auto plan = compute_take(live.profile().state_at(start), config,
+                                     random_job(), policy);
       if (!plan) continue;
       bool feasible = true;
-      for (SimTime u = live.next_change_after(start); u < end;
-           u = live.next_change_after(u)) {
-        if (!can_apply(live.state_at(u), *plan)) {
+      for (const SimTime u : live.breakpoints()) {
+        if (u <= start || u >= end) continue;
+        if (!can_apply(live.profile().state_at(u), *plan)) {
           feasible = false;
           break;
         }

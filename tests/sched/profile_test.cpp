@@ -4,12 +4,15 @@
 
 #include "cluster/system_config.hpp"
 #include "testing/builders.hpp"
+#include "testing/profile_oracle.hpp"
 
 namespace dmsched {
 namespace {
 
 using testing::job;
+using testing::ProfileOracle;
 using testing::tiny_cluster;
+using Fit = FreeProfile::Fit;
 
 const PlacementPolicy kPolicy{NodeSelection::kFirstFit,
                               PoolRouting::kRackThenGlobal};
@@ -21,10 +24,29 @@ TakePlan take_for(const ClusterConfig& cfg, const Job& j,
   return *plan;
 }
 
+/// The profile's window fit, checked against the oracle's breakpoint sweep.
+template <class DurationFn>
+std::optional<Fit> window_fit(const ProfileOracle& p, const Job& j,
+                              DurationFn duration) {
+  auto fit = p.profile().earliest_fit_window(j, kPolicy, duration);
+  const auto ref = p.earliest_fit_window(j, kPolicy, duration);
+  EXPECT_EQ(fit.has_value(), ref.has_value());
+  if (fit && ref) {
+    EXPECT_EQ(fit->time, ref->time);
+    EXPECT_EQ(fit->plan, ref->plan);
+  }
+  return fit;
+}
+
+/// Instantaneous fit: a zero-length window.
+std::optional<Fit> instant_fit(const ProfileOracle& p, const Job& j) {
+  return window_fit(p, j, [](const TakePlan&) { return SimTime{}; });
+}
+
 TEST(FreeProfile, FitsNowOnEmptyMachine) {
   const ClusterConfig cfg = tiny_cluster();
-  FreeProfile p(empty_state(cfg), hours(1), &cfg);
-  const auto fit = p.earliest_fit(job(0).nodes(4).mem_gib(8), kPolicy);
+  ProfileOracle p(empty_state(cfg), hours(1), &cfg);
+  const auto fit = instant_fit(p, job(0).nodes(4).mem_gib(8));
   ASSERT_TRUE(fit.has_value());
   EXPECT_EQ(fit->time, hours(1));
 }
@@ -36,9 +58,9 @@ TEST(FreeProfile, WaitsForNodeRelease) {
   const TakePlan busy = take_for(cfg, job(0).nodes(14).mem_gib(8),
                                  empty_state(cfg));
   apply_take(state, busy);
-  FreeProfile p(state, SimTime{}, &cfg);
+  ProfileOracle p(state, SimTime{}, &cfg);
   p.add_release(hours(3), busy);
-  const auto fit = p.earliest_fit(job(1).nodes(6).mem_gib(8), kPolicy);
+  const auto fit = instant_fit(p, job(1).nodes(6).mem_gib(8));
   ASSERT_TRUE(fit.has_value());
   EXPECT_EQ(fit->time, hours(3));
 }
@@ -53,16 +75,16 @@ TEST(FreeProfile, WaitsForPoolReleaseEvenWithFreeNodes) {
   const Job pinner = job(0).nodes(1).mem_gib(96);  // deficit 32: whole pool
   const TakePlan pin = take_for(cfg, pinner, empty_state(cfg));
   apply_take(state, pin);
-  FreeProfile p(state, SimTime{}, &cfg);
+  ProfileOracle p(state, SimTime{}, &cfg);
   p.add_release(hours(5), pin);
 
   // 3 nodes are free, but this job needs 8 GiB of the pinned pool.
-  const auto fit = p.earliest_fit(job(1).nodes(1).mem_gib(72), kPolicy);
+  const auto fit = instant_fit(p, job(1).nodes(1).mem_gib(72));
   ASSERT_TRUE(fit.has_value());
   EXPECT_EQ(fit->time, hours(5)) << "must wait for the pool, not the nodes";
 
   // A local-memory job of the same width starts immediately.
-  const auto local_fit = p.earliest_fit(job(2).nodes(1).mem_gib(32), kPolicy);
+  const auto local_fit = instant_fit(p, job(2).nodes(1).mem_gib(32));
   ASSERT_TRUE(local_fit.has_value());
   EXPECT_EQ(local_fit->time, SimTime{});
 }
@@ -74,33 +96,34 @@ TEST(FreeProfile, PicksEarliestSufficientBreakpoint) {
   apply_take(state, a);
   const TakePlan b = take_for(cfg, job(1).nodes(8).mem_gib(8), state);
   apply_take(state, b);
-  FreeProfile p(state, SimTime{}, &cfg);
+  ProfileOracle p(state, SimTime{}, &cfg);
   p.add_release(hours(2), a);  // 8 nodes back at t=2h
   p.add_release(hours(4), b);  // all back at t=4h
-  EXPECT_EQ(p.earliest_fit(job(2).nodes(8).mem_gib(8), kPolicy)->time,
+  EXPECT_EQ(instant_fit(p, job(2).nodes(8).mem_gib(8))->time,
             hours(2));
-  EXPECT_EQ(p.earliest_fit(job(3).nodes(12).mem_gib(8), kPolicy)->time,
+  EXPECT_EQ(instant_fit(p, job(3).nodes(12).mem_gib(8))->time,
             hours(4));
 }
 
 TEST(FreeProfile, HoldDelaysFit) {
   const ClusterConfig cfg = tiny_cluster();
-  FreeProfile p(empty_state(cfg), SimTime{}, &cfg);
+  ProfileOracle p(empty_state(cfg), SimTime{}, &cfg);
   // reservation holds 12 nodes during [1h, 3h)
   const TakePlan hold = take_for(cfg, job(0).nodes(12).mem_gib(8),
                                  empty_state(cfg));
   p.add_hold(hours(1), hours(3), hold);
   // Instantaneous fitting: an 8-node job fits at t=0 (the hold has not
-  // started); so does a 16-node job — earliest_fit only tests instants.
-  EXPECT_EQ(p.earliest_fit(job(1).nodes(8).mem_gib(8), kPolicy)->time,
+  // started); so does a 16-node job — an instantaneous fit only tests
+  // instants.
+  EXPECT_EQ(instant_fit(p, job(1).nodes(8).mem_gib(8))->time,
             SimTime{});
-  EXPECT_EQ(p.earliest_fit(job(2).nodes(16).mem_gib(8), kPolicy)->time,
+  EXPECT_EQ(instant_fit(p, job(2).nodes(16).mem_gib(8))->time,
             SimTime{});
   // Window fitting: a 16-node 4 h job collides with the hold at 1h, and
   // must wait until the hold expires at 3h.
   const auto duration = [](const TakePlan&) { return hours(4); };
   const auto windowed =
-      p.earliest_fit_window(job(2).nodes(16).mem_gib(8), kPolicy, duration);
+      window_fit(p, job(2).nodes(16).mem_gib(8), duration);
   ASSERT_TRUE(windowed.has_value());
   EXPECT_EQ(windowed->time, hours(3));
   // A 4-node 4 h job can coexist with the 12-node hold, but only on the
@@ -109,22 +132,22 @@ TEST(FreeProfile, HoldDelaysFit) {
   // hold's start, where the planner sees exactly the leftover rack. This
   // pins the documented rack-assignment conservatism of window fitting.
   const auto narrow =
-      p.earliest_fit_window(job(1).nodes(4).mem_gib(8), kPolicy, duration);
+      window_fit(p, job(1).nodes(4).mem_gib(8), duration);
   ASSERT_TRUE(narrow.has_value());
   EXPECT_EQ(narrow->time, hours(1));
 }
 
 TEST(FreeProfile, RollbackDropsTentativeHolds) {
   const ClusterConfig cfg = tiny_cluster();
-  FreeProfile p(empty_state(cfg), SimTime{}, &cfg);
+  ProfileOracle p(empty_state(cfg), SimTime{}, &cfg);
   const auto mark = p.mark();
   const TakePlan hold = take_for(cfg, job(0).nodes(16).mem_gib(8),
                                  empty_state(cfg));
   p.add_hold(SimTime{}, hours(2), hold);
-  EXPECT_EQ(p.earliest_fit(job(1).nodes(1).mem_gib(8), kPolicy)->time,
+  EXPECT_EQ(instant_fit(p, job(1).nodes(1).mem_gib(8))->time,
             hours(2));
   p.rollback(mark);
-  EXPECT_EQ(p.earliest_fit(job(1).nodes(1).mem_gib(8), kPolicy)->time,
+  EXPECT_EQ(instant_fit(p, job(1).nodes(1).mem_gib(8))->time,
             SimTime{});
 }
 
@@ -133,18 +156,18 @@ TEST(FreeProfile, PastReleaseClampsToNow) {
   ResourceState state = empty_state(cfg);
   const TakePlan busy = take_for(cfg, job(0).nodes(16).mem_gib(8), state);
   apply_take(state, busy);
-  FreeProfile p(state, hours(10), &cfg);
+  ProfileOracle p(state, hours(10), &cfg);
   // the running job overran its walltime bound: expected end is in the past
   p.add_release(hours(8), busy);
-  const auto fit = p.earliest_fit(job(1).nodes(1).mem_gib(8), kPolicy);
+  const auto fit = instant_fit(p, job(1).nodes(1).mem_gib(8));
   ASSERT_TRUE(fit.has_value());
   EXPECT_EQ(fit->time, hours(10));  // treated as "releases any moment"
 }
 
 TEST(FreeProfile, NeverFitsReturnsNullopt) {
   const ClusterConfig cfg = tiny_cluster();
-  FreeProfile p(empty_state(cfg), SimTime{}, &cfg);
-  EXPECT_FALSE(p.earliest_fit(job(0).nodes(17).mem_gib(8), kPolicy)
+  ProfileOracle p(empty_state(cfg), SimTime{}, &cfg);
+  EXPECT_FALSE(instant_fit(p, job(0).nodes(17).mem_gib(8))
                    .has_value());
 }
 
@@ -153,16 +176,16 @@ TEST(FreeProfile, StateAtAppliesDeltasUpToTime) {
   ResourceState state = empty_state(cfg);
   const TakePlan busy = take_for(cfg, job(0).nodes(4).mem_gib(8), state);
   apply_take(state, busy);
-  FreeProfile p(state, SimTime{}, &cfg);
+  ProfileOracle p(state, SimTime{}, &cfg);
   p.add_release(hours(2), busy);
-  EXPECT_EQ(p.state_at(SimTime{}).total_free_nodes(), 12);
-  EXPECT_EQ(p.state_at(hours(1)).total_free_nodes(), 12);
-  EXPECT_EQ(p.state_at(hours(2)).total_free_nodes(), 16);
+  EXPECT_EQ(p.profile().state_at(SimTime{}).total_free_nodes(), 12);
+  EXPECT_EQ(p.profile().state_at(hours(1)).total_free_nodes(), 12);
+  EXPECT_EQ(p.profile().state_at(hours(2)).total_free_nodes(), 16);
 }
 
 TEST(FreeProfile, BreakpointsSortedUnique) {
   const ClusterConfig cfg = tiny_cluster();
-  FreeProfile p(empty_state(cfg), SimTime{}, &cfg);
+  ProfileOracle p(empty_state(cfg), SimTime{}, &cfg);
   const TakePlan t1 = take_for(cfg, job(0).nodes(2).mem_gib(8),
                                empty_state(cfg));
   p.add_hold(hours(1), hours(2), t1);
@@ -173,6 +196,13 @@ TEST(FreeProfile, BreakpointsSortedUnique) {
   EXPECT_EQ(bp[1], hours(1));
   EXPECT_EQ(bp[2], hours(2));
   EXPECT_EQ(bp[3], hours(3));
+  // The profile steps at exactly those instants and nowhere between them.
+  const FreeProfile& live = p.profile();
+  EXPECT_EQ(live.state_at(SimTime{}).total_free_nodes(), 16);
+  EXPECT_EQ(live.state_at(hours(1)).total_free_nodes(), 12);
+  EXPECT_EQ(live.state_at(seconds(1.5 * 3600.0)).total_free_nodes(), 12);
+  EXPECT_EQ(live.state_at(hours(2)).total_free_nodes(), 14);
+  EXPECT_EQ(live.state_at(hours(3)).total_free_nodes(), 16);
 }
 
 TEST(FreeProfile, FromContextMirrorsClusterAndRunningSet) {
@@ -187,13 +217,13 @@ TEST(FreeProfile, FitPlanIsUsableAtThatTime) {
   ResourceState state = empty_state(cfg);
   const TakePlan pin = take_for(cfg, job(0).nodes(2).mem_gib(80), state);
   apply_take(state, pin);
-  FreeProfile p(state, SimTime{}, &cfg);
+  ProfileOracle p(state, SimTime{}, &cfg);
   p.add_release(hours(1), pin);
   const Job j = job(1).nodes(4).mem_gib(70);
-  const auto fit = p.earliest_fit(j, kPolicy);
+  const auto fit = instant_fit(p, j);
   ASSERT_TRUE(fit.has_value());
   // applying the returned plan to the state at that time must not abort
-  ResourceState at = p.state_at(fit->time);
+  ResourceState at = p.profile().state_at(fit->time);
   apply_take(at, fit->plan);
 }
 

@@ -1,0 +1,115 @@
+// Brute-force reference for FreeProfile queries.
+//
+// A ProfileOracle drives a real FreeProfile and keeps its own log of every
+// delta it was given. From that log it enumerates the breakpoints (which
+// FreeProfile does not expose), folds the state at any instant from scratch
+// (without touching the profile's prefix-state cache), and answers fit
+// queries with the plain step-by-breakpoint sweep: test every breakpoint,
+// and for a candidate start re-check the plan at every later breakpoint
+// inside its window. The profile's row cursor must agree with it exactly.
+#pragma once
+
+#include <algorithm>
+#include <optional>
+#include <utility>
+#include <vector>
+
+#include "common/assert.hpp"
+#include "memory/placement.hpp"
+#include "sched/profile.hpp"
+
+namespace dmsched::testing {
+
+class ProfileOracle {
+ public:
+  using Fit = FreeProfile::Fit;
+
+  ProfileOracle(ResourceState base, SimTime now, const ClusterConfig* config)
+      : profile_(base, now, config),
+        base_(std::move(base)),
+        now_(now),
+        config_(config) {}
+
+  // Mutators: applied to the profile and to the log alike.
+  void add_release(SimTime time, const TakePlan& take) {
+    profile_.add_release(time, take);
+    log_.push_back({time, take, /*adds=*/true});
+  }
+  void add_hold(SimTime start, SimTime end, const TakePlan& take) {
+    profile_.add_hold(start, end, take);
+    log_.push_back({start, take, /*adds=*/false});
+    log_.push_back({end, take, /*adds=*/true});
+  }
+  [[nodiscard]] FreeProfile::Mark mark() const {
+    DMSCHED_ASSERT(profile_.mark() == log_.size(), "oracle log out of step");
+    return profile_.mark();
+  }
+  void rollback(FreeProfile::Mark m) {
+    profile_.rollback(m);
+    log_.resize(m);
+  }
+
+  /// The profile under test. Query it directly; mutate through the oracle.
+  [[nodiscard]] const FreeProfile& profile() const { return profile_; }
+  [[nodiscard]] SimTime now() const { return now_; }
+
+  /// now() plus every delta time at or after it, sorted and deduplicated.
+  [[nodiscard]] std::vector<SimTime> breakpoints() const {
+    std::vector<SimTime> times{now_};
+    for (const ProfileDelta& d : log_) {
+      if (d.time >= now_) times.push_back(d.time);
+    }
+    std::sort(times.begin(), times.end());
+    times.erase(std::unique(times.begin(), times.end()), times.end());
+    return times;
+  }
+
+  /// The base state plus every logged delta with time <= `t`. Additions
+  /// fold first, so no intermediate state goes below the final one.
+  [[nodiscard]] ResourceState state_at(SimTime t) const {
+    ResourceState s = base_;
+    for (const ProfileDelta& d : log_) {
+      if (d.adds && d.time <= t) release_take(s, d.take);
+    }
+    for (const ProfileDelta& d : log_) {
+      if (!d.adds && d.time <= t) apply_take(s, d.take);
+    }
+    return s;
+  }
+
+  /// Earliest breakpoint at which `job` fits instantaneously.
+  [[nodiscard]] std::optional<Fit> earliest_fit(const Job& job,
+                                                PlacementPolicy policy) const {
+    return earliest_fit_window(job, policy,
+                               [](const TakePlan&) { return SimTime{}; });
+  }
+
+  /// Earliest breakpoint t at which `job` fits and its plan stays
+  /// subtractable at every breakpoint in (t, t + duration_of(plan)).
+  template <class DurationFn>
+  [[nodiscard]] std::optional<Fit> earliest_fit_window(
+      const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const {
+    const std::vector<SimTime> points = breakpoints();
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      auto plan = compute_take(state_at(points[i]), *config_, job, policy);
+      if (!plan) continue;
+      const SimTime end = points[i] + duration_of(*plan);
+      bool continuous = true;
+      for (std::size_t j = i + 1; j < points.size() && points[j] < end; ++j) {
+        continuous = continuous && can_apply(state_at(points[j]), *plan);
+      }
+      if (continuous) return Fit{points[i], std::move(*plan)};
+    }
+    return std::nullopt;
+  }
+
+ private:
+  FreeProfile profile_;
+  ResourceState base_;
+  SimTime now_;
+  const ClusterConfig* config_;
+  /// Every delta in insertion order: the mark()/rollback() domain.
+  std::vector<ProfileDelta> log_;
+};
+
+}  // namespace dmsched::testing
