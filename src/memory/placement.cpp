@@ -91,10 +91,6 @@ void rack_order(const ResourceState& state, NodeSelection selection,
     }
   }
   if (selection == NodeSelection::kFirstFit) return;
-  if (keys.size() > kInlineRacks) {
-    std::stable_sort(keys.begin(), keys.end(), key_before);
-    return;
-  }
   // Stable insertion sort: a key moves only past strictly greater keys.
   for (std::size_t i = 1; i < keys.size(); ++i) {
     const RackKey k = keys[i];
@@ -241,6 +237,8 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
       plan.takes.push_back(take);
     }
   }
+  DMSCHED_ASSERT(neighbor_ok || remaining == 0,
+                 "compute_take: greedy_capacity disagrees");
 
   if (neighbor_ok && remaining > 0) {
     // Stage 2 of the distance-graded routing. Nodes first: the hosting set
@@ -306,7 +304,6 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
     }
   }
 
-  if (remaining > 0) return std::nullopt;
   return plan;
 }
 

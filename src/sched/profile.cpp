@@ -81,6 +81,7 @@ void FreeProfile::reset(ResourceState base, SimTime now,
   timeline_id_ = 0;
   timeline_version_ = 0;
   cache_times_.clear();
+  cache_states_.clear();
   cache_consumed_.clear();
 }
 
@@ -180,6 +181,7 @@ void FreeProfile::invalidate_cache_from(SimTime t) const {
   // removed at time >= t sits after that prefix in ordered_, so the rows'
   // consumed counts stay valid.
   cache_times_.resize(keep);
+  cache_states_.resize(keep);
   cache_consumed_.resize(keep);
 }
 
@@ -187,10 +189,7 @@ bool FreeProfile::grow_row() const {
   const std::size_t k = cache_times_.size();
   std::size_t i = k == 0 ? 0 : cache_consumed_.back();
   if (i >= ordered_.size()) return false;
-  if (k == cache_states_.size()) cache_states_.emplace_back();
-  // Assigning into a spare row reuses its buffers.
-  ResourceState& state = cache_states_[k];
-  state = row_state(k);
+  ResourceState state = row_state(k);
   const SimTime time = deltas_[ordered_[i]].time;
   // Every delta at this time is folded (adds before subtracts, per
   // ordered_): intermediate same-time states are never observable, matching
@@ -200,6 +199,7 @@ bool FreeProfile::grow_row() const {
     apply_signed(state, d.take, d.adds);
   }
   cache_times_.push_back(time);
+  cache_states_.push_back(std::move(state));
   cache_consumed_.push_back(i);
   return true;
 }

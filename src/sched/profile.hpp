@@ -226,9 +226,7 @@ class FreeProfile {
   // time <= cache_times_[k] (one row per distinct delta time, ascending),
   // and cache_consumed_[k] counts the ordered_ entries folded in. Rows at
   // or after a mutated time are truncated; everything earlier survives
-  // across queries, holds, rollbacks, and clean syncs. cache_times_ sets
-  // the row count: cache_states_ may run longer, and its spare entries
-  // keep their buffers so a regrown row allocates nothing.
+  // across queries, holds, rollbacks, and clean syncs.
   mutable std::vector<SimTime> cache_times_;
   mutable std::vector<ResourceState> cache_states_;
   mutable std::vector<std::size_t> cache_consumed_;
