@@ -1,15 +1,15 @@
 // Many-small-sweeps throughput: cold fork/join vs. the warm persistent pool.
 //
 // Every paper figure is a parameter sweep, and benches issue many *small*
-// sweeps back to back (one per scenario, per beta, per pool size...). Until
-// the runtime/ layer existed, each run_sweep call spawned and joined a fresh
-// jthread team, paying thread-startup cost per call. This bench quantifies
-// what the persistent work-stealing Executor buys by racing the two
-// implementations on identical workloads:
+// sweeps back to back (one per scenario, per beta, per pool size...). A
+// sweep engine that spawns and joins a fresh jthread team per call pays
+// thread-startup cost every time. This bench quantifies what the persistent
+// lane pool behind parallel_for_chunked buys by racing the two on identical
+// workloads:
 //
-//   cold  — a faithful local copy of the old per-call fork/join loop
-//           (spawn jthreads, atomic chunk counter, join);
-//   warm  — parallel_for on the process-wide Executor::global().
+//   cold  — a per-call fork/join loop (spawn jthreads, atomic chunk
+//           counter, join);
+//   warm  — parallel_for_chunked on the process-lifetime pool.
 //
 // Two workload shapes, both representative:
 //   startup-bound  — trivial task bodies, so per-call thread startup is the
@@ -36,9 +36,8 @@ using namespace dmsched::bench;
 
 using Clock = std::chrono::steady_clock;
 
-/// The pre-runtime/ sweep engine, preserved verbatim in spirit: one fresh
-/// jthread team per call, chunk claims from one atomic counter, join on
-/// scope exit. This is the baseline the persistent pool replaces.
+/// The per-call baseline: one fresh jthread team per call, chunk claims from
+/// one atomic counter, join on scope exit.
 void cold_fork_join_for(std::size_t count, unsigned threads,
                         std::size_t chunk,
                         const std::function<void(std::size_t)>& fn) {
@@ -85,9 +84,9 @@ struct Comparison {
 /// Time `sweeps` repetitions of `one_sweep(use_warm_pool)` per engine.
 Comparison compare(std::string workload, std::size_t sweeps,
                    const std::function<void(bool)>& one_sweep) {
-  // Start the global pool first so "warm" measures reuse, not first-call
+  // Start the pool first so "warm" measures reuse, not first-call
   // construction (real processes pay that once, not per sweep).
-  (void)Executor::global();
+  parallel_for_chunked(2, {.threads = 2}, [](std::size_t) {});
   Comparison c{std::move(workload), sweeps, 0.0, 0.0};
   const auto cold_start = Clock::now();
   for (std::size_t s = 0; s < sweeps; ++s) one_sweep(false);
@@ -103,8 +102,7 @@ Comparison compare(std::string workload, std::size_t sweeps,
 int main() {
   // Floor the team size at 4 so the cold path's per-call thread spawns are
   // visible even on small CI machines; the warm path never spawns per call,
-  // and parallelism above the pool's worker count is harmless
-  // oversubscription by contract.
+  // and lanes above the pool's worker count never start.
   const unsigned threads = std::max(4u, std::thread::hardware_concurrency());
 
   // Shape 1: startup-bound. 512 sweeps of 64 near-empty tasks — the cost is
@@ -116,10 +114,8 @@ int main() {
       sink.fetch_add(i + 1, std::memory_order_relaxed);
     };
     if (warm) {
-      ParallelForOptions options;
-      options.parallelism = threads;  // same lane count as the cold team
-      options.chunk = 1;
-      parallel_for(kCount, options, fn);
+      // Same lane count as the cold team.
+      parallel_for_chunked(kCount, {.threads = threads, .chunk = 1}, fn);
     } else {
       cold_fork_join_for(kCount, threads, 1, fn);
     }
@@ -140,10 +136,8 @@ int main() {
       results[i] = run_experiment(configs[i], scenario.trace);
     };
     if (warm) {
-      ParallelForOptions options;
-      options.parallelism = threads;
-      options.chunk = 1;
-      parallel_for(configs.size(), options, fn);
+      parallel_for_chunked(configs.size(), {.threads = threads, .chunk = 1},
+                           fn);
     } else {
       cold_fork_join_for(configs.size(), threads, 1, fn);
     }

@@ -73,7 +73,7 @@ class PassContext final : public SchedContext {
       RunningJob r;
       r.id = j.id;
       r.expected_end = now_ + j.walltime;
-      r.take = SchedulingSimulation::take_from_allocation(*alloc, config_);
+      r.take = take_from(*alloc, config_);
       running_.push_back(r);
       timeline_.on_start(r.id, r.expected_end, r.take);
     }

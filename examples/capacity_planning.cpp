@@ -9,7 +9,7 @@
 // With --scenario, sweeps the *machine scale* of a library scenario instead
 // (ScenarioParams::{node_scale, pool_scale}): the same regime on machines
 // 1–4× the published node count with 0.5–2× the pool capacity, workload
-// re-derived per machine. All runs share the persistent executor, so the
+// re-derived per machine. All runs share the persistent lane pool, so the
 // grid costs no per-sweep thread startup.
 //
 // With --scenario --rack-grid, sweeps the machine's *topology* instead
@@ -197,8 +197,14 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  const WorkloadModel model =
-      workload_model_from_string(cli.get_string("model"));
+  const auto parsed_model = workload_model_from_string(cli.get_string("model"));
+  if (!parsed_model) {
+    std::fprintf(stderr,
+                 "error: unknown --model '%s' (capability|capacity|mixed)\n",
+                 cli.get_string("model").c_str());
+    return 1;
+  }
+  const WorkloadModel model = *parsed_model;
   const auto jobs = static_cast<std::size_t>(cli.get_int("jobs"));
 
   auto make = [&](ClusterConfig cluster) {

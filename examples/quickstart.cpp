@@ -26,7 +26,16 @@ int main(int argc, char** argv) {
   ExperimentConfig config;
   config.cluster = disaggregated_config(cli.get_int("local-gib"),
                                         cli.get_int("pool-gib"));
-  config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
+  const auto scheduler =
+      scheduler_kind_from_string(cli.get_string("scheduler"));
+  if (!scheduler) {
+    std::fprintf(stderr,
+                 "error: unknown --scheduler '%s' "
+                 "(fcfs|easy|conservative|mem-easy|adaptive|resource-easy)\n",
+                 cli.get_string("scheduler").c_str());
+    return 1;
+  }
+  config.scheduler = *scheduler;
   config.model = WorkloadModel::kMixed;
   config.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
   config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));

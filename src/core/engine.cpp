@@ -204,11 +204,6 @@ std::vector<JobId> SchedulingSimulation::queued_jobs_after(
   return out;
 }
 
-TakePlan SchedulingSimulation::take_from_allocation(const Allocation& alloc,
-                                                    const ClusterConfig& cfg) {
-  return take_from(alloc, cfg);
-}
-
 void SchedulingSimulation::record_usage_change() {
   const double t = engine_.now().seconds();
   busy_nodes_tw_.record(t, static_cast<double>(cluster_.busy_nodes()));
@@ -329,7 +324,7 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   // take both changed, so incremental passes must see a version bump.
   timeline_.on_finish(id, old_expected);
   r.dilation = new_dilation;
-  r.take = take_from_allocation(*updated, config_);
+  r.take = take_from(*updated, config_);
   r.far_rack = updated->rack_draw_total();
   r.far_neighbor = updated->neighbor_draw_total();
   r.far_global = updated->global_draw_total();
@@ -663,7 +658,7 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
   r.start = engine_.now();
   r.seg_start = r.start;
   r.dilation = options_.slowdown.dilation_for(alloc, j);
-  r.take = take_from_allocation(alloc, config_);
+  r.take = take_from(alloc, config_);
   r.far_rack = alloc.rack_draw_total();
   r.far_neighbor = alloc.neighbor_draw_total();
   r.far_global = alloc.global_draw_total();

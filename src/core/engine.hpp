@@ -119,10 +119,6 @@ class SchedulingSimulation final : public SchedContext {
       std::uint64_t epoch) const override;
   void start_job(JobId id, const Allocation& alloc) override;
 
-  /// Counted resource view of an allocation (exposed for tests).
-  [[nodiscard]] static TakePlan take_from_allocation(const Allocation& alloc,
-                                                     const ClusterConfig& cfg);
-
   // --- instrumentation (valid after run()) ---------------------------------
   /// Total events the simulation processed.
   [[nodiscard]] std::size_t events_processed() const {

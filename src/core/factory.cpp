@@ -19,14 +19,14 @@ const char* to_string(SchedulerKind kind) {
   return "?";
 }
 
-SchedulerKind scheduler_kind_from_string(const std::string& s) {
+std::optional<SchedulerKind> scheduler_kind_from_string(const std::string& s) {
   if (s == "fcfs") return SchedulerKind::kFcfs;
   if (s == "easy") return SchedulerKind::kEasy;
   if (s == "conservative") return SchedulerKind::kConservative;
   if (s == "mem-easy") return SchedulerKind::kMemAwareEasy;
   if (s == "adaptive") return SchedulerKind::kAdaptive;
   if (s == "resource-easy") return SchedulerKind::kResourceAwareEasy;
-  DMSCHED_UNREACHABLE("unknown scheduler name");
+  return std::nullopt;
 }
 
 std::vector<SchedulerKind> all_scheduler_kinds() {

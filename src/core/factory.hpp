@@ -2,6 +2,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -24,7 +25,9 @@ enum class SchedulerKind {
 };
 
 [[nodiscard]] const char* to_string(SchedulerKind kind);
-[[nodiscard]] SchedulerKind scheduler_kind_from_string(const std::string& s);
+/// Parse a scheduler name (the inverse of to_string); nullopt if unknown.
+[[nodiscard]] std::optional<SchedulerKind> scheduler_kind_from_string(
+    const std::string& s);
 /// The paper's evaluation set, in evaluation order. Deliberately excludes
 /// kResourceAwareEasy: this list feeds the pinned discrimination goldens and
 /// the published figure sweeps, which compare the paper's five policies.

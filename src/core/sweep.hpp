@@ -1,15 +1,17 @@
 // Parallel parameter-sweep harness.
 //
 // Simulation runs are independent, so sweeps parallelize embarrassingly.
-// Work runs on the persistent work-stealing Executor (src/runtime/): the
-// pool starts once per process and is reused by every sweep, so the many
-// small sweeps benches and golden suites issue no longer pay per-call
-// thread-startup cost (bench/sweep_throughput measures the win).
+// Every parallel loop goes through `parallel_for_chunked`, which runs on one
+// persistent, lazily started pool of hardware-concurrency worker threads
+// (core/sweep.cpp): the many small sweeps benches and golden suites issue
+// pay thread startup once per process, not once per call
+// (bench/sweep_throughput measures the difference).
 //
-// Determinism contract: every index writes only its own pre-sized result
-// slot and no result depends on which worker ran it, in what order, or
-// whether the task was stolen, so sweep output is byte-identical across
-// thread counts, chunk sizes, and pool reuse. tests/golden/ enforces this.
+// Determinism contract: lanes claim contiguous chunks of the index range
+// from one atomic counter, every index writes only its own pre-sized result
+// slot, and no result depends on which thread ran an index or in what
+// order, so sweep output is byte-identical across thread counts, chunk
+// sizes, and pool reuse. tests/golden/ enforces this.
 #pragma once
 
 #include <cstddef>
@@ -17,62 +19,54 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "runtime/parallel_for.hpp"
 
 namespace dmsched {
 
-/// How a sweep distributes work across the shared pool.
+/// How a loop spreads over the shared pool.
 struct SweepOptions {
-  /// Upper bound on in-flight parallelism within the shared Executor (no
-  /// threads are spawned per call). 0 means hardware concurrency; values
-  /// above the pool's worker count are harmless oversubscription.
+  /// Lanes the loop may use, the calling thread included. 0 means hardware
+  /// concurrency; values above the pool's worker count are harmless (the
+  /// surplus lanes never start). 1 runs the loop serially on the caller and
+  /// never starts the pool.
   unsigned threads = 0;
   /// Indices claimed per atomic grab. At production scale (thousands of
-  /// configs) larger chunks cut counter contention; 1 reproduces the old
-  /// index-at-a-time behaviour. 0 picks a size automatically so each worker
-  /// sees several chunks (load balance) while grabs stay rare (contention).
+  /// configs) larger chunks cut counter contention; 1 claims one index at a
+  /// time. 0 picks `auto_chunk_size`, so each lane sees several chunks
+  /// (load balance) while grabs stay rare (contention).
   std::size_t chunk = 0;
-  /// Pool to run on; nullptr means the process-wide Executor::global().
-  /// Inject a private Executor to isolate a sweep (tests do).
-  Executor* executor = nullptr;
 };
+
+/// The chunk size used when `SweepOptions::chunk == 0`:
+/// count / (8 × threads), clamped to [1, 64] (`threads` 0 means hardware
+/// concurrency). Never 0, and never so large that a lane starves.
+[[nodiscard]] std::size_t auto_chunk_size(std::size_t count, unsigned threads);
+
+/// Visit every index in [0, count) exactly once on up to `options.threads`
+/// lanes: the caller plus pool workers, each claiming contiguous chunks of
+/// `options.chunk` indices from one atomic counter. Ordering between chunks
+/// is unspecified; correctness must not depend on it. Nested and concurrent
+/// calls are safe (the caller always drains, so progress never needs a free
+/// worker).
+///
+/// Exceptions: if `fn` throws, the loop winds down (a throwing lane abandons
+/// the rest of its chunk, unclaimed chunks are abandoned), every exception
+/// is captured with its index, and the *lowest-index* one is rethrown on
+/// the caller — deterministic, matching the serial path's failure contract.
+/// Chunk claims are monotonic, so an exception at the lowest throwing index
+/// of any claimed chunk wins regardless of thread timing.
+void parallel_for_chunked(std::size_t count, const SweepOptions& options,
+                          const std::function<void(std::size_t)>& fn);
 
 /// Run every experiment (each generating its own workload) and return
 /// metrics in input order.
 [[nodiscard]] std::vector<RunMetrics> run_sweep(
-    const std::vector<ExperimentConfig>& configs, const SweepOptions& options);
+    const std::vector<ExperimentConfig>& configs,
+    const SweepOptions& options = {});
 
 /// Run every experiment against one shared trace (comparisons on identical
 /// workloads). The trace must outlive the call.
 [[nodiscard]] std::vector<RunMetrics> run_sweep_on_trace(
     const std::vector<ExperimentConfig>& configs, const Trace& trace,
-    const SweepOptions& options);
-
-/// Back-compat conveniences: `threads` only, automatic chunking.
-[[nodiscard]] std::vector<RunMetrics> run_sweep(
-    const std::vector<ExperimentConfig>& configs, unsigned threads = 0);
-[[nodiscard]] std::vector<RunMetrics> run_sweep_on_trace(
-    const std::vector<ExperimentConfig>& configs, const Trace& trace,
-    unsigned threads = 0);
-
-// `auto_chunk_size(count, threads)` — the chunk heuristic used when
-// `options.chunk == 0` — now lives in runtime/parallel_for.hpp (included
-// above) and is re-exported here unchanged.
-
-/// Generic parallel map over [0, count) on the shared pool: workers claim
-/// contiguous chunks of `options.chunk` indices from one atomic counter and
-/// visit every index exactly once. Ordering between chunks is unspecified;
-/// correctness must not depend on it. If `fn` throws, the loop winds down
-/// (unclaimed chunks are abandoned, a throwing worker abandons the rest of
-/// its own chunk), every worker exception is captured with its index, and
-/// the *lowest-index* exception is rethrown on the calling thread —
-/// deterministic, matching the serial path's failure contract (callers
-/// never see std::terminate from a worker).
-void parallel_for_chunked(std::size_t count, const SweepOptions& options,
-                          const std::function<void(std::size_t)>& fn);
-
-/// Index-at-a-time compatibility wrapper: chunk size 1 (exposed for tests).
-void parallel_for_index(std::size_t count, unsigned threads,
-                        const std::function<void(std::size_t)>& fn);
+    const SweepOptions& options = {});
 
 }  // namespace dmsched

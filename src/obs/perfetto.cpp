@@ -232,29 +232,6 @@ void PerfettoTraceWriter::on_run_end(SimTime makespan) {
   flush_if_full();
 }
 
-void PerfettoTraceWriter::add_worker_profiles(
-    const std::vector<WorkerProfile>& workers, std::uint64_t inline_runs) {
-  metadata(kExecPid, 0, "process_name", "wall: executor (cumulative)");
-  for (std::size_t i = 0; i < workers.size(); ++i) {
-    const WorkerProfile& w = workers[i];
-    const int tid = static_cast<int>(i);
-    metadata(kExecPid, tid, "thread_name", "worker " + std::to_string(i));
-    // One span per worker whose *length* is its total idle wait — a visual
-    // cumulative profile, not a timeline (these are wall-clock totals).
-    event_prelude();
-    append_format(buf_,
-                  "{\"ph\":\"X\",\"pid\":%d,\"tid\":%d,\"ts\":0,"
-                  "\"dur\":%.3f,\"name\":\"idle wait\","
-                  "\"args\":{\"tasks_run\":%" PRIu64 ",\"tasks_stolen\":%" PRIu64
-                  ",\"wait_ms\":%.3f,\"inline_runs\":%" PRIu64 "}}",
-                  kExecPid, tid,
-                  static_cast<double>(w.wait_ns) / 1000.0, w.tasks_run,
-                  w.tasks_stolen, static_cast<double>(w.wait_ns) / 1e6,
-                  inline_runs);
-    flush_if_full();
-  }
-}
-
 void PerfettoTraceWriter::close() {
   if (closed_) return;
   closed_ = true;

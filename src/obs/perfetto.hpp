@@ -11,8 +11,6 @@
 //   pid 2  "sim: scheduler"  one "X" event per pass (dur 0 — passes are
 //                            instantaneous in simulated time) and "C"
 //                            counter series for the gauges.
-//   pid 3  "wall: executor"  cumulative per-worker profile (wall-clock
-//                            domain; see add_worker_profiles).
 //
 // Timestamps are microseconds: simulated time maps 1:1 (SimTime is already
 // int64 µs since the trace epoch). The writer streams — nothing is
@@ -24,20 +22,10 @@
 #include <cstdint>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "obs/trace_sink.hpp"
 
 namespace dmsched::obs {
-
-/// Cumulative wall-clock stats for one executor worker, as copied from
-/// runtime::Executor::worker_stats() (obs/ cannot include runtime/; the
-/// caller converts).
-struct WorkerProfile {
-  std::uint64_t tasks_run = 0;
-  std::uint64_t tasks_stolen = 0;
-  std::uint64_t wait_ns = 0;
-};
 
 class PerfettoTraceWriter final : public TraceSink {
  public:
@@ -50,13 +38,6 @@ class PerfettoTraceWriter final : public TraceSink {
 
   [[nodiscard]] bool ok() const { return !failed_ && out_.good(); }
   [[nodiscard]] std::size_t events_written() const { return events_; }
-
-  /// Append the executor's cumulative per-worker profile as a wall-clock
-  /// track (pid 3): per worker, one span whose length is its total idle
-  /// wait, with tasks_run/tasks_stolen in the args. Call between the end
-  /// of the run and close().
-  void add_worker_profiles(const std::vector<WorkerProfile>& workers,
-                           std::uint64_t inline_runs);
 
   /// Write the JSON trailer and flush. Idempotent; the destructor calls it.
   void close();
@@ -79,7 +60,6 @@ class PerfettoTraceWriter final : public TraceSink {
   // Track ids. Queued spans live on a dedicated tid past the last rack.
   static constexpr int kJobsPid = 1;
   static constexpr int kSchedPid = 2;
-  static constexpr int kExecPid = 3;
 
   void raw(std::string_view text);
   void event_prelude();  // comma/newline separation between events

@@ -12,9 +12,9 @@
 // Two time domains share the trace:
 //  - simulated time (SimTime, µs since the trace epoch): job lifecycle
 //    spans and scheduler pass spans;
-//  - wall-clock time (nanoseconds): pass durations and executor worker
-//    profiles. Wall values are nondeterministic and exist only inside
-//    sinks — nothing wall-clock ever reaches RunMetrics or a golden table.
+//  - wall-clock time (nanoseconds): pass durations. Wall values are
+//    nondeterministic and exist only inside sinks — nothing wall-clock
+//    ever reaches RunMetrics or a golden table.
 //
 // Sinks must not throw: the engine treats a throwing observer as a
 // programming error and aborts deterministically ("trace sink threw

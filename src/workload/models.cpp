@@ -20,11 +20,11 @@ const char* to_string(WorkloadModel m) {
   return "?";
 }
 
-WorkloadModel workload_model_from_string(const std::string& s) {
+std::optional<WorkloadModel> workload_model_from_string(const std::string& s) {
   if (s == "capability") return WorkloadModel::kCapability;
   if (s == "capacity") return WorkloadModel::kCapacity;
   if (s == "mixed") return WorkloadModel::kMixed;
-  DMSCHED_UNREACHABLE("unknown workload model name");
+  return std::nullopt;
 }
 
 SyntheticSpec model_spec(WorkloadModel m, std::int32_t max_nodes,

@@ -6,6 +6,7 @@
 // always refers to workloads by these names.
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,9 @@ enum class WorkloadModel {
 /// Stable display name ("capability", "capacity", "mixed").
 [[nodiscard]] const char* to_string(WorkloadModel m);
 
-/// Parse a model name; aborts on unknown names (CLI validates earlier).
-[[nodiscard]] WorkloadModel workload_model_from_string(const std::string& s);
+/// Parse a model name (the inverse of to_string); nullopt if unknown.
+[[nodiscard]] std::optional<WorkloadModel> workload_model_from_string(
+    const std::string& s);
 
 /// The tuned spec for a model, scaled to a machine with `max_nodes` nodes
 /// and `reference_node_mem` of local memory per node.

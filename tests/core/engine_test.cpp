@@ -163,7 +163,7 @@ TEST(Engine, TakeFromAllocationGroupsByRack) {
   a.draws = {{0, gib(std::int64_t{20})},
              {1, gib(std::int64_t{5})},
              {kGlobalPoolRack, gib(std::int64_t{5})}};
-  const TakePlan take = SchedulingSimulation::take_from_allocation(a, cfg);
+  const TakePlan take = take_from(a, cfg);
   EXPECT_EQ(take.node_total(), 3);
   ASSERT_EQ(take.takes.size(), 2u);
   EXPECT_EQ(take.takes[0].rack, 0);

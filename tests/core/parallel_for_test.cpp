@@ -1,11 +1,16 @@
-// parallel_for_index under contention: the sweep harness's correctness rests
-// on it visiting every index exactly once, keeping results in slot order,
-// and propagating worker exceptions instead of terminating.
+// parallel_for_chunked and the lane pool behind it: the sweep harness's
+// correctness rests on visiting every index exactly once, keeping results in
+// slot order, and propagating the lowest-index exception instead of
+// terminating — under contention, nesting, oversubscription, pool reuse,
+// concurrent clients, and while every pool worker is busy.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -14,17 +19,23 @@
 namespace dmsched {
 namespace {
 
+/// Also the pool's fixed worker count.
 unsigned hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
 
-class ParallelForTest : public ::testing::TestWithParam<unsigned> {};
+class ParallelForTest : public ::testing::TestWithParam<unsigned> {
+ protected:
+  SweepOptions one_at_a_time() const {
+    return {.threads = GetParam(), .chunk = 1};
+  }
+};
 
 TEST_P(ParallelForTest, VisitsEveryIndexExactlyOnce) {
   constexpr std::size_t kCount = 257;  // prime: never divides evenly
   std::vector<std::atomic<int>> visits(kCount);
-  parallel_for_index(kCount, GetParam(),
-                     [&](std::size_t i) { visits[i].fetch_add(1); });
+  parallel_for_chunked(kCount, one_at_a_time(),
+                       [&](std::size_t i) { visits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(visits[i].load(), 1) << "index " << i;
   }
@@ -32,10 +43,10 @@ TEST_P(ParallelForTest, VisitsEveryIndexExactlyOnce) {
 
 TEST_P(ParallelForTest, ResultsLandInInputOrder) {
   // Each task writes to its own slot; the output must line up with input
-  // order no matter which worker ran which index or in what order.
+  // order no matter which lane ran which index or in what order.
   constexpr std::size_t kCount = 100;
   std::vector<std::size_t> out(kCount, SIZE_MAX);
-  parallel_for_index(kCount, GetParam(), [&](std::size_t i) {
+  parallel_for_chunked(kCount, one_at_a_time(), [&](std::size_t i) {
     // Stagger finish times so late indices often complete first.
     if (i % 7 == 0) std::this_thread::yield();
     out[i] = i * i;
@@ -49,32 +60,33 @@ TEST_P(ParallelForTest, PropagatesWorkerExceptions) {
   constexpr std::size_t kCount = 64;
   std::atomic<int> ran{0};
   EXPECT_THROW(
-      parallel_for_index(kCount, GetParam(),
-                         [&](std::size_t i) {
-                           ran.fetch_add(1);
-                           if (i == 13) {
-                             throw std::runtime_error("boom at 13");
-                           }
-                         }),
+      parallel_for_chunked(kCount, one_at_a_time(),
+                           [&](std::size_t i) {
+                             ran.fetch_add(1);
+                             if (i == 13) {
+                               throw std::runtime_error("boom at 13");
+                             }
+                           }),
       std::runtime_error);
-  // The failing index ran; the pool wound down without visiting everything
+  // The failing index ran; the lanes wound down without visiting everything
   // or deadlocking. (With 1 thread the loop stops exactly at the throw.)
   EXPECT_GE(ran.load(), 1);
   EXPECT_LE(ran.load(), static_cast<int>(kCount));
 }
 
 TEST_P(ParallelForTest, FirstExceptionWinsWhenAllWorkersThrow) {
-  EXPECT_THROW(parallel_for_index(32, GetParam(),
-                                  [](std::size_t) {
-                                    throw std::invalid_argument("everybody");
-                                  }),
+  EXPECT_THROW(parallel_for_chunked(32, one_at_a_time(),
+                                    [](std::size_t) {
+                                      throw std::invalid_argument(
+                                          "everybody");
+                                    }),
                std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     ThreadCounts, ParallelForTest,
     ::testing::Values(1u, 2u, hardware_threads(),
-                      // more workers than items at count 32/64 and a count+7
+                      // more lanes than items at count 32/64 and a count+7
                       // analogue at 257: oversubscription must be harmless
                       264u),
     [](const ::testing::TestParamInfo<unsigned>& info) {
@@ -90,31 +102,183 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ParallelFor, ZeroCountIsANoOp) {
   bool called = false;
-  parallel_for_index(0, 8, [&](std::size_t) { called = true; });
+  parallel_for_chunked(0, {.threads = 8, .chunk = 1},
+                       [&](std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ParallelFor, ZeroThreadsMeansHardwareConcurrency) {
   constexpr std::size_t kCount = 50;
   std::vector<std::atomic<int>> visits(kCount);
-  parallel_for_index(kCount, 0,
-                     [&](std::size_t i) { visits[i].fetch_add(1); });
+  parallel_for_chunked(kCount, {.threads = 0, .chunk = 1},
+                       [&](std::size_t i) { visits[i].fetch_add(1); });
   for (std::size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(visits[i].load(), 1);
   }
 }
 
 TEST(ParallelFor, HeavyContentionOnASharedCounter) {
-  // All workers hammer one atomic: the sum must still be exact.
+  // All lanes hammer one atomic: the sum must still be exact.
   constexpr std::size_t kCount = 10'000;
   std::atomic<std::int64_t> sum{0};
-  parallel_for_index(kCount, hardware_threads(), [&](std::size_t i) {
-    sum.fetch_add(static_cast<std::int64_t>(i) + 1,
-                  std::memory_order_relaxed);
-  });
+  parallel_for_chunked(kCount, {.threads = hardware_threads(), .chunk = 1},
+                       [&](std::size_t i) {
+                         sum.fetch_add(static_cast<std::int64_t>(i) + 1,
+                                       std::memory_order_relaxed);
+                       });
   const auto expected =
       static_cast<std::int64_t>(kCount) * (kCount + 1) / 2;
   EXPECT_EQ(sum.load(), expected);
+}
+
+TEST(ParallelForPool, RecursiveParallelForCompletes) {
+  // Loops inside loops inside loops on the shared pool: each inner caller
+  // drains its own loop, so the nesting never waits on a free worker.
+  const SweepOptions options{.threads = 4};
+  std::atomic<int> leaf{0};
+  parallel_for_chunked(4, options, [&](std::size_t) {
+    parallel_for_chunked(4, options, [&](std::size_t) {
+      parallel_for_chunked(4, options,
+                           [&](std::size_t) { leaf.fetch_add(1); });
+    });
+  });
+  EXPECT_EQ(leaf.load(), 64);
+}
+
+TEST(ParallelForPool, ReuseAcrossHundredsOfSequentialLoops) {
+  // The whole point of the persistent pool: back-to-back small loops reuse
+  // the same workers. 150 sequential "sweeps" must each produce exact
+  // results.
+  for (int sweep = 0; sweep < 150; ++sweep) {
+    constexpr std::size_t kCount = 64;
+    std::vector<std::size_t> out(kCount, SIZE_MAX);
+    parallel_for_chunked(kCount, SweepOptions{},
+                         [&](std::size_t i) { out[i] = i * i; });
+    for (std::size_t i = 0; i < kCount; ++i) {
+      ASSERT_EQ(out[i], i * i) << "sweep " << sweep << " slot " << i;
+    }
+  }
+}
+
+TEST(ParallelForPool, OversubscriptionBeyondPoolWorkersIsHarmless) {
+  // Far more lanes than the pool has workers: the surplus never starts.
+  constexpr std::size_t kCount = 257;
+  std::vector<std::atomic<int>> visits(kCount);
+  parallel_for_chunked(kCount, {.threads = 64 * hardware_threads(), .chunk = 1},
+                       [&](std::size_t i) { visits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_EQ(visits[i].load(), 1) << "index " << i;
+  }
+}
+
+TEST(ParallelForPool, CallerMakesProgressWhileAllWorkersAreBusy) {
+  // A blocker loop with one lane more than the pool has workers parks every
+  // worker (and its own caller) on one index each. A loop issued meanwhile
+  // must still complete, because its calling thread is itself a lane.
+  const unsigned lanes = hardware_threads() + 1;
+  std::mutex mutex;
+  std::condition_variable cv;
+  unsigned parked = 0;
+  bool release = false;
+  std::jthread blocker([&] {
+    parallel_for_chunked(lanes, {.threads = lanes, .chunk = 1},
+                         [&](std::size_t) {
+                           std::unique_lock<std::mutex> lock(mutex);
+                           ++parked;
+                           cv.notify_all();
+                           cv.wait(lock, [&] { return release; });
+                         });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    cv.wait(lock, [&] { return parked == lanes; });
+  }
+
+  std::atomic<int> visited{0};
+  parallel_for_chunked(100, {.threads = 4},
+                       [&](std::size_t) { visited.fetch_add(1); });
+  EXPECT_EQ(visited.load(), 100);
+
+  {
+    const std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  cv.notify_all();
+}
+
+TEST(ParallelForPool, LowestIndexExceptionWinsDeterministically) {
+  // All indices throw: chunk 0 is always claimed before any wind-down, so
+  // index 0's exception must win on every repeat, on any thread timing.
+  for (int repeat = 0; repeat < 50; ++repeat) {
+    try {
+      parallel_for_chunked(64, {.threads = 4, .chunk = 4}, [](std::size_t i) {
+        throw std::runtime_error("index " + std::to_string(i));
+      });
+      FAIL() << "parallel_for_chunked must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 0") << "repeat " << repeat;
+    }
+  }
+}
+
+TEST(ParallelForPool, LowerIndexWinsWithinOneChunk) {
+  // Two throwers in the same chunk: the lane scans the chunk in index order
+  // and abandons it at the first throw, so the lower index always surfaces
+  // even though both are "first" in their own right.
+  for (int repeat = 0; repeat < 25; ++repeat) {
+    try {
+      // Indices 10 and 30 share chunk 0.
+      parallel_for_chunked(100, {.threads = 4, .chunk = 50},
+                           [](std::size_t i) {
+                             if (i == 10 || i == 30) {
+                               throw std::runtime_error(
+                                   "index " + std::to_string(i));
+                             }
+                           });
+      FAIL() << "parallel_for_chunked must rethrow";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 10") << "repeat " << repeat;
+    }
+  }
+}
+
+TEST(ParallelForPool, SerialPathMatchesSerialSemantics) {
+  // One thread never touches the pool and stops at the first throwing
+  // index, exactly like a plain for loop.
+  std::vector<std::size_t> visited;
+  try {
+    parallel_for_chunked(10, {.threads = 1}, [&](std::size_t i) {
+      visited.push_back(i);
+      if (i == 3) throw std::runtime_error("stop");
+    });
+    FAIL() << "must rethrow";
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(visited, (std::vector<std::size_t>{0, 1, 2, 3}));
+}
+
+TEST(ParallelForPool, ManySmallLoopsFromConcurrentThreads) {
+  // Several client threads each issue loops against the shared pool at once
+  // — the cross-session shape benches create. Results must stay exact per
+  // client.
+  constexpr int kClients = 4;
+  std::vector<std::jthread> clients;
+  std::atomic<int> failures{0};
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&failures] {
+      for (int sweep = 0; sweep < 25; ++sweep) {
+        constexpr std::size_t kCount = 97;
+        std::vector<std::size_t> out(kCount, 0);
+        parallel_for_chunked(kCount, SweepOptions{},
+                             [&](std::size_t i) { out[i] = i + 1; });
+        for (std::size_t i = 0; i < kCount; ++i) {
+          if (out[i] != i + 1) failures.fetch_add(1);
+        }
+      }
+    });
+  }
+  clients.clear();  // join
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

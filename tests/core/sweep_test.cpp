@@ -26,17 +26,19 @@ ExperimentConfig small_config(SchedulerKind kind) {
 
 TEST(Sweep, ParallelForCoversAllIndices) {
   std::vector<std::atomic<int>> hits(100);
-  parallel_for_index(100, 4, [&](std::size_t i) { ++hits[i]; });
+  parallel_for_chunked(100, {.threads = 4, .chunk = 1},
+                       [&](std::size_t i) { ++hits[i]; });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(Sweep, ParallelForZeroCount) {
-  parallel_for_index(0, 4, [](std::size_t) { FAIL() << "must not run"; });
+  parallel_for_chunked(0, {.threads = 4, .chunk = 1},
+                       [](std::size_t) { FAIL() << "must not run"; });
 }
 
 TEST(Sweep, ParallelForSingleThread) {
   std::vector<int> order;
-  parallel_for_index(5, 1, [&](std::size_t i) {
+  parallel_for_chunked(5, {.threads = 1, .chunk = 1}, [&](std::size_t i) {
     order.push_back(static_cast<int>(i));
   });
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -47,7 +49,7 @@ TEST(Sweep, ResultsMatchSequentialRuns) {
       small_config(SchedulerKind::kFcfs),
       small_config(SchedulerKind::kEasy),
       small_config(SchedulerKind::kMemAwareEasy)};
-  const auto parallel = run_sweep(configs, 3);
+  const auto parallel = run_sweep(configs, {.threads = 3});
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
     const RunMetrics solo = run_experiment(configs[i]);
@@ -61,7 +63,7 @@ TEST(Sweep, SharedTraceVariantUsesGivenTrace) {
   const auto config = small_config(SchedulerKind::kEasy);
   const Trace trace = make_workload(config);
   const auto results =
-      run_sweep_on_trace({config, config}, trace, 2);
+      run_sweep_on_trace({config, config}, trace, {.threads = 2});
   ASSERT_EQ(results.size(), 2u);
   // identical config + identical trace => identical results
   EXPECT_DOUBLE_EQ(results[0].mean_wait_hours, results[1].mean_wait_hours);
@@ -71,7 +73,7 @@ TEST(Sweep, SharedTraceVariantUsesGivenTrace) {
 TEST(Sweep, LabelPropagates) {
   auto config = small_config(SchedulerKind::kFcfs);
   config.label = "my-label";
-  const auto results = run_sweep({config}, 1);
+  const auto results = run_sweep({config}, {.threads = 1});
   EXPECT_EQ(results[0].label, "my-label");
 }
 
@@ -121,27 +123,6 @@ TEST(Sweep, ChunkedRethrowsTheLowestIndexDeterministically) {
     } catch (const std::out_of_range& e) {
       EXPECT_STREQ(e.what(), "boom at 0") << "repeat " << repeat;
     }
-  }
-}
-
-TEST(Sweep, InjectedExecutorMatchesTheGlobalPool) {
-  // SweepOptions::executor isolates a sweep on a private pool; results must
-  // be byte-identical to the shared-pool run (determinism is pool-blind).
-  const std::vector<ExperimentConfig> configs = {
-      small_config(SchedulerKind::kEasy),
-      small_config(SchedulerKind::kMemAwareEasy)};
-  const Trace trace = make_workload(configs.front());
-  const auto on_global =
-      run_sweep_on_trace(configs, trace, SweepOptions{4, 1});
-  Executor private_pool(ExecutorOptions{2});
-  SweepOptions options{4, 1};
-  options.executor = &private_pool;
-  const auto on_private = run_sweep_on_trace(configs, trace, options);
-  ASSERT_EQ(on_private.size(), on_global.size());
-  for (std::size_t i = 0; i < on_global.size(); ++i) {
-    EXPECT_EQ(on_private[i].makespan.usec(), on_global[i].makespan.usec());
-    EXPECT_EQ(on_private[i].mean_wait_hours, on_global[i].mean_wait_hours);
-    EXPECT_EQ(on_private[i].completed, on_global[i].completed);
   }
 }
 

@@ -177,7 +177,7 @@ class GoldenMetricsTest : public ::testing::Test {
     scenario_ = new Scenario(make_scenario("golden-baseline"));
     configs_ = new std::vector<ExperimentConfig>(golden_configs(*scenario_));
     serial_ = new std::vector<RunMetrics>(
-        run_sweep_on_trace(*configs_, scenario_->trace, /*threads=*/1));
+        run_sweep_on_trace(*configs_, scenario_->trace, {.threads = 1}));
   }
   static void TearDownTestSuite() {
     delete serial_;
@@ -225,7 +225,7 @@ TEST_F(GoldenMetricsTest, ScenarioMachineStaysPinned) {
 
 TEST_F(GoldenMetricsTest, RepeatedRunIsByteIdentical) {
   const auto again =
-      run_sweep_on_trace(*configs_, scenario_->trace, /*threads=*/1);
+      run_sweep_on_trace(*configs_, scenario_->trace, {.threads = 1});
   ASSERT_EQ(again.size(), serial_->size());
   for (std::size_t i = 0; i < again.size(); ++i) {
     SCOPED_TRACE(to_string(kGolden[i].scheduler));
@@ -235,7 +235,8 @@ TEST_F(GoldenMetricsTest, RepeatedRunIsByteIdentical) {
 
 TEST_F(GoldenMetricsTest, HardwareThreadsMatchSerial) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto parallel = run_sweep_on_trace(*configs_, scenario_->trace, hw);
+  const auto parallel =
+      run_sweep_on_trace(*configs_, scenario_->trace, {.threads = hw});
   ASSERT_EQ(parallel.size(), serial_->size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE(to_string(kGolden[i].scheduler));
@@ -246,7 +247,8 @@ TEST_F(GoldenMetricsTest, HardwareThreadsMatchSerial) {
 TEST_F(GoldenMetricsTest, OddThreadCountMatchesSerial) {
   // A thread count that does not divide the config count exercises the
   // chunk counter's remainder handling.
-  const auto parallel = run_sweep_on_trace(*configs_, scenario_->trace, 3);
+  const auto parallel =
+      run_sweep_on_trace(*configs_, scenario_->trace, {.threads = 3});
   ASSERT_EQ(parallel.size(), serial_->size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE(to_string(kGolden[i].scheduler));
@@ -273,28 +275,19 @@ TEST_F(GoldenMetricsTest, ExplicitChunkSizesMatchSerial) {
 }
 
 TEST_F(GoldenMetricsTest, RepeatedSweepsOnTheSharedPoolStayByteIdentical) {
-  // The persistent executor is reused across every sweep in the process;
-  // repeated sweeps, a fresh injected pool, and the warm shared pool must
-  // all produce byte-identical output (pool reuse is unobservable).
+  // The persistent pool is reused across every sweep in the process;
+  // repeated sweeps on the warm pool must all produce byte-identical output
+  // (pool reuse is unobservable).
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const auto warm = run_sweep_on_trace(*configs_, scenario_->trace, hw);
+    const auto warm =
+        run_sweep_on_trace(*configs_, scenario_->trace, {.threads = hw});
     ASSERT_EQ(warm.size(), serial_->size());
     for (std::size_t i = 0; i < warm.size(); ++i) {
       SCOPED_TRACE(::testing::Message()
                    << to_string(kGolden[i].scheduler) << " repeat " << repeat);
       expect_byte_identical((*serial_)[i], warm[i]);
     }
-  }
-  Executor fresh_pool(ExecutorOptions{3});
-  SweepOptions options{hw, /*chunk=*/2};
-  options.executor = &fresh_pool;
-  const auto cold =
-      run_sweep_on_trace(*configs_, scenario_->trace, options);
-  ASSERT_EQ(cold.size(), serial_->size());
-  for (std::size_t i = 0; i < cold.size(); ++i) {
-    SCOPED_TRACE(to_string(kGolden[i].scheduler));
-    expect_byte_identical((*serial_)[i], cold[i]);
   }
 }
 

@@ -39,7 +39,7 @@ class MultiResourceTest : public ::testing::Test {
       configs.push_back(std::move(c));
     }
     results_ = new std::vector<RunMetrics>(
-        run_sweep_on_trace(configs, scenario_->trace, /*threads=*/1));
+        run_sweep_on_trace(configs, scenario_->trace, {.threads = 1}));
   }
   static void TearDownTestSuite() {
     delete results_;

@@ -39,7 +39,7 @@ class PolicyDiscriminationTest : public ::testing::Test {
       configs_->push_back(std::move(c));
     }
     serial_ = new std::vector<RunMetrics>(
-        run_sweep_on_trace(*configs_, scenario_->trace, /*threads=*/1));
+        run_sweep_on_trace(*configs_, scenario_->trace, {.threads = 1}));
   }
   static void TearDownTestSuite() {
     delete serial_;

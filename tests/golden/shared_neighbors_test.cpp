@@ -145,7 +145,7 @@ class SharedNeighborsTest : public ::testing::Test {
       configs_->push_back(arm_config(*scenario_, rec.arm));
     }
     serial_ = new std::vector<RunMetrics>(
-        run_sweep_on_trace(*configs_, scenario_->trace, /*threads=*/1));
+        run_sweep_on_trace(*configs_, scenario_->trace, {.threads = 1}));
   }
   static void TearDownTestSuite() {
     delete serial_;
@@ -241,7 +241,8 @@ TEST_F(SharedNeighborsTest, MigrationArmActuallyMigrates) {
 
 TEST_F(SharedNeighborsTest, SweepIsThreadCountInvariant) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto parallel = run_sweep_on_trace(*configs_, scenario_->trace, hw);
+  const auto parallel =
+      run_sweep_on_trace(*configs_, scenario_->trace, {.threads = hw});
   ASSERT_EQ(parallel.size(), serial_->size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE(arm_name(kGolden[i].arm));

@@ -98,7 +98,7 @@ class TopologyPlacementTest : public ::testing::Test {
       configs_->push_back(strategy_config(*scenario_, rec.strategy));
     }
     serial_ = new std::vector<RunMetrics>(
-        run_sweep_on_trace(*configs_, scenario_->trace, /*threads=*/1));
+        run_sweep_on_trace(*configs_, scenario_->trace, {.threads = 1}));
   }
   static void TearDownTestSuite() {
     delete serial_;
@@ -185,7 +185,8 @@ TEST_F(TopologyPlacementTest, ScenarioActuallyUsesBothTiers) {
 
 TEST_F(TopologyPlacementTest, SweepIsThreadCountInvariant) {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto parallel = run_sweep_on_trace(*configs_, scenario_->trace, hw);
+  const auto parallel =
+      run_sweep_on_trace(*configs_, scenario_->trace, {.threads = hw});
   ASSERT_EQ(parallel.size(), serial_->size());
   for (std::size_t i = 0; i < parallel.size(); ++i) {
     SCOPED_TRACE(to_string(kGolden[i].strategy));

@@ -116,7 +116,7 @@ TEST(TracePassivityTest, SinksAreUnperturbedAcrossSweepThreadCounts) {
   for (const SchedulerKind kind : kinds)
     plain_configs.push_back(scenario_experiment(scenario, kind));
   const std::vector<RunMetrics> plain =
-      run_sweep_on_trace(plain_configs, scenario.trace, /*threads=*/1);
+      run_sweep_on_trace(plain_configs, scenario.trace, {.threads = 1});
 
   for (const unsigned threads : {1u, 3u, 0u}) {  // 0 = hardware concurrency
     SCOPED_TRACE(::testing::Message() << "threads " << threads);
@@ -129,7 +129,8 @@ TEST(TracePassivityTest, SinksAreUnperturbedAcrossSweepThreadCounts) {
       traced_configs.push_back(c);
     }
     const std::vector<RunMetrics> traced =
-        run_sweep_on_trace(traced_configs, scenario.trace, threads);
+        run_sweep_on_trace(traced_configs, scenario.trace,
+                           {.threads = threads});
     ASSERT_EQ(traced.size(), plain.size());
     for (std::size_t i = 0; i < traced.size(); ++i) {
       SCOPED_TRACE(::testing::Message() << "config " << i);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <vector>
 
 #include "cluster/system_config.hpp"
 #include "core/experiment.hpp"
@@ -74,9 +75,10 @@ TEST_P(InvariantTest, RuntimeMatchesDilation) {
   }
 }
 
-TEST_P(InvariantTest, NoFarMemoryWithoutPools) {
-  const Matrix& p = GetParam();
-  if (p.with_pool) GTEST_SKIP() << "pool case";
+/// The same runs, restricted to the matrix rows without pools.
+class NoPoolInvariantTest : public InvariantTest {};
+
+TEST_P(NoPoolInvariantTest, NoFarMemoryWithoutPools) {
   const RunMetrics m = run_case();
   for (const JobOutcome& o : m.jobs) {
     EXPECT_FALSE(o.used_far_memory()) << "job " << o.id;
@@ -141,22 +143,31 @@ std::string matrix_name(const ::testing::TestParamInfo<Matrix>& info) {
   return name;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    FullMatrix, InvariantTest,
-    ::testing::Values(
-        Matrix{SchedulerKind::kFcfs, WorkloadModel::kMixed, true},
-        Matrix{SchedulerKind::kFcfs, WorkloadModel::kCapacity, false},
-        Matrix{SchedulerKind::kEasy, WorkloadModel::kMixed, true},
-        Matrix{SchedulerKind::kEasy, WorkloadModel::kCapability, false},
-        Matrix{SchedulerKind::kConservative, WorkloadModel::kMixed, true},
-        Matrix{SchedulerKind::kConservative, WorkloadModel::kCapacity, true},
-        Matrix{SchedulerKind::kMemAwareEasy, WorkloadModel::kMixed, true},
-        Matrix{SchedulerKind::kMemAwareEasy, WorkloadModel::kCapacity, true},
-        Matrix{SchedulerKind::kMemAwareEasy, WorkloadModel::kCapability,
-               false},
-        Matrix{SchedulerKind::kAdaptive, WorkloadModel::kMixed, true},
-        Matrix{SchedulerKind::kAdaptive, WorkloadModel::kCapacity, true}),
-    matrix_name);
+const std::vector<Matrix> kFullMatrix = {
+    {SchedulerKind::kFcfs, WorkloadModel::kMixed, true},
+    {SchedulerKind::kFcfs, WorkloadModel::kCapacity, false},
+    {SchedulerKind::kEasy, WorkloadModel::kMixed, true},
+    {SchedulerKind::kEasy, WorkloadModel::kCapability, false},
+    {SchedulerKind::kConservative, WorkloadModel::kMixed, true},
+    {SchedulerKind::kConservative, WorkloadModel::kCapacity, true},
+    {SchedulerKind::kMemAwareEasy, WorkloadModel::kMixed, true},
+    {SchedulerKind::kMemAwareEasy, WorkloadModel::kCapacity, true},
+    {SchedulerKind::kMemAwareEasy, WorkloadModel::kCapability, false},
+    {SchedulerKind::kAdaptive, WorkloadModel::kMixed, true},
+    {SchedulerKind::kAdaptive, WorkloadModel::kCapacity, true}};
+
+std::vector<Matrix> no_pool_rows() {
+  std::vector<Matrix> rows;
+  for (const Matrix& m : kFullMatrix) {
+    if (!m.with_pool) rows.push_back(m);
+  }
+  return rows;
+}
+
+INSTANTIATE_TEST_SUITE_P(FullMatrix, InvariantTest,
+                         ::testing::ValuesIn(kFullMatrix), matrix_name);
+INSTANTIATE_TEST_SUITE_P(FullMatrix, NoPoolInvariantTest,
+                         ::testing::ValuesIn(no_pool_rows()), matrix_name);
 
 }  // namespace
 }  // namespace dmsched

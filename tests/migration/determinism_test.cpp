@@ -120,9 +120,9 @@ TEST(MigrationDeterminism, SweepIsThreadCountInvariant) {
   ExperimentConfig instant = base;
   instant.engine.migration.bandwidth_gibps = 0.0;
   const std::vector<ExperimentConfig> configs = {base, instant};
-  const auto serial = run_sweep_on_trace(configs, s.trace, /*threads=*/1);
+  const auto serial = run_sweep_on_trace(configs, s.trace, {.threads = 1});
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const auto parallel = run_sweep_on_trace(configs, s.trace, hw);
+  const auto parallel = run_sweep_on_trace(configs, s.trace, {.threads = hw});
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE("config " + std::to_string(i));

@@ -67,26 +67,6 @@ TEST(PerfettoWriterTest, RealRunParsesBack) {
   EXPECT_GT(m.completed, 0u);
 }
 
-// Worker profiles land on their own wall-clock process and keep the
-// document valid.
-TEST(PerfettoWriterTest, WorkerProfilesParseBack) {
-  const std::string path = ::testing::TempDir() + "perfetto_workers.json";
-  PerfettoTraceWriter writer(path);
-  ASSERT_TRUE(writer.ok());
-  std::vector<WorkerProfile> workers(3);
-  workers[0] = {.tasks_run = 10, .tasks_stolen = 2, .wait_ns = 1500};
-  workers[2] = {.tasks_run = 4, .tasks_stolen = 0, .wait_ns = 900};
-  writer.add_worker_profiles(workers, /*inline_runs=*/7);
-  writer.close();
-  ASSERT_TRUE(writer.ok());
-
-  TraceCheckResult r = check_trace_file(path);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.complete, 3u);          // one "idle wait" span per worker
-  EXPECT_EQ(r.metadata, 4u);          // process name + 3 thread names
-  EXPECT_EQ(r.events, writer.events_written());
-}
-
 // Seeded fuzz: hostile bytes (quotes, backslashes, control characters,
 // newlines) in every string the writer interpolates — run label, cluster
 // name, pass kind — must still yield a valid document. Each round uses

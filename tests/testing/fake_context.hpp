@@ -140,7 +140,7 @@ class FakeContext final : public SchedContext {
     RunningJob r;
     r.id = id;
     r.expected_end = now_ + j.walltime.scaled(dilation);
-    r.take = SchedulingSimulation::take_from_allocation(alloc, config_);
+    r.take = take_from(alloc, config_);
     running_.push_back(r);
     timeline_.on_start(id, r.expected_end, r.take);
   }

@@ -16,8 +16,9 @@ TEST(Models, NamesRoundTrip) {
   }
 }
 
-TEST(Models, UnknownNameAborts) {
-  EXPECT_DEATH((void)workload_model_from_string("nope"), "unknown");
+TEST(Models, UnknownNameIsNullopt) {
+  EXPECT_FALSE(workload_model_from_string("nope").has_value());
+  EXPECT_FALSE(workload_model_from_string("").has_value());
 }
 
 TEST(Models, AllModelsGenerate) {

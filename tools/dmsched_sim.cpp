@@ -13,8 +13,11 @@
 //               --checkpoint-interval-min 120 --csv-windows windows.csv
 //   dmsched-sim --list-scenarios
 #include <cstdio>
+#include <initializer_list>
 #include <optional>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "cluster/system_config.hpp"
 #include "common/cli.hpp"
@@ -26,7 +29,6 @@
 #include "core/fairness.hpp"
 #include "obs/counters.hpp"
 #include "obs/perfetto.hpp"
-#include "runtime/executor.hpp"
 #include "workload/characterize.hpp"
 #include "workload/scenarios.hpp"
 #include "workload/swf.hpp"
@@ -116,6 +118,31 @@ void write_series_csv(const std::string& path, const RunMetrics& m) {
         .add(s.global_pool_used.gib());
     csv.end_row();
   }
+}
+
+/// Print the diagnostic for a value `--flag` does not accept and return
+/// main's exit code for it.
+int unknown_value(const char* flag, const std::string& value,
+                  const std::string& known) {
+  std::fprintf(stderr, "error: unknown --%s '%s' (%s)\n", flag, value.c_str(),
+               known.c_str());
+  return 1;
+}
+
+/// Look `value` up among a flag's (name, choice) pairs; on a miss, report it
+/// with the known names via unknown_value.
+template <typename T>
+std::optional<T> parse_choice(
+    const char* flag, const std::string& value,
+    std::initializer_list<std::pair<std::string_view, T>> choices) {
+  std::string known;
+  for (const auto& [name, choice] : choices) {
+    if (value == name) return choice;
+    if (!known.empty()) known += '|';
+    known += name;
+  }
+  unknown_value(flag, value, known);
+  return std::nullopt;
 }
 
 }  // namespace
@@ -241,21 +268,14 @@ int main(int argc, char** argv) {
                  "stderr diagnostics threshold: debug|info|warn|error");
   if (!cli.parse(argc, argv)) return 1;
 
-  if (const std::string level = cli.get_string("log-level");
-      level == "debug") {
-    set_log_level(LogLevel::kDebug);
-  } else if (level == "info") {
-    set_log_level(LogLevel::kInfo);
-  } else if (level == "warn") {
-    set_log_level(LogLevel::kWarn);
-  } else if (level == "error") {
-    set_log_level(LogLevel::kError);
-  } else {
-    std::fprintf(stderr,
-                 "error: unknown --log-level '%s' (debug|info|warn|error)\n",
-                 level.c_str());
-    return 1;
-  }
+  const auto log_level = parse_choice<LogLevel>(
+      "log-level", cli.get_string("log-level"),
+      {{"debug", LogLevel::kDebug},
+       {"info", LogLevel::kInfo},
+       {"warn", LogLevel::kWarn},
+       {"error", LogLevel::kError}});
+  if (!log_level) return 1;
+  set_log_level(*log_level);
 
   if (cli.get_flag("list-scenarios")) {
     for (const std::string& name : scenario_names()) {
@@ -286,6 +306,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --lookahead must be >= 0\n");
     return 1;
   }
+  if (cli.get_int("jobs") < 0) {
+    std::fprintf(stderr, "error: --jobs must be >= 0\n");
+    return 1;
+  }
+  if (cli.get_int("seed") < 0) {
+    std::fprintf(stderr, "error: --seed must be >= 0\n");
+    return 1;
+  }
 
   std::optional<Scenario> scenario;
   std::optional<ScenarioStream> stream;
@@ -296,9 +324,10 @@ int main(int argc, char** argv) {
                    "(a scenario brings its own workload)\n");
       return 1;
     }
-    if (cli.get_int("jobs") < 0 || cli.get_int("seed") < 0 ||
-        cli.get_double("load") < 0.0) {
-      std::fprintf(stderr, "error: --jobs/--seed/--load must be >= 0\n");
+    if (cli.get_double("load") < 0.0) {
+      std::fprintf(stderr,
+                   "error: --load must be >= 0 with --scenario (0 keeps the "
+                   "scenario's load)\n");
       return 1;
     }
     ScenarioParams params;
@@ -345,6 +374,16 @@ int main(int argc, char** argv) {
     return 1;
   }
 
+  if (!scenario && !stream &&
+      (cli.get_int("nodes") <= 0 || cli.get_int("nodes-per-rack") <= 0 ||
+       cli.get_int("local-gib") <= 0 || cli.get_int("pool-gib") < 0 ||
+       cli.get_int("global-gib") < 0)) {
+    std::fprintf(stderr,
+                 "error: --nodes, --nodes-per-rack and --local-gib must be "
+                 "> 0; --pool-gib and --global-gib must be >= 0\n");
+    return 1;
+  }
+
   ExperimentConfig config;
   config.cluster = scenario ? scenario->cluster
                    : stream ? stream->cluster
@@ -353,13 +392,21 @@ int main(int argc, char** argv) {
           static_cast<std::int32_t>(cli.get_int("nodes-per-rack")),
           gib(cli.get_int("local-gib")), gib(cli.get_int("pool-gib")),
           gib(cli.get_int("global-gib")));
-  config.scheduler = scheduler_kind_from_string(cli.get_string("scheduler"));
-  config.mem_options.order = [&] {
-    const std::string s = cli.get_string("backfill-order");
-    if (s == "shortest-first") return BackfillOrder::kShortestFirst;
-    if (s == "best-mem-fit") return BackfillOrder::kBestMemFit;
-    return BackfillOrder::kQueueOrder;
-  }();
+  const auto scheduler =
+      scheduler_kind_from_string(cli.get_string("scheduler"));
+  if (!scheduler) {
+    return unknown_value(
+        "scheduler", cli.get_string("scheduler"),
+        "fcfs|easy|conservative|mem-easy|adaptive|resource-easy");
+  }
+  config.scheduler = *scheduler;
+  const auto backfill_order = parse_choice<BackfillOrder>(
+      "backfill-order", cli.get_string("backfill-order"),
+      {{"queue-order", BackfillOrder::kQueueOrder},
+       {"shortest-first", BackfillOrder::kShortestFirst},
+       {"best-mem-fit", BackfillOrder::kBestMemFit}});
+  if (!backfill_order) return 1;
+  config.mem_options.order = *backfill_order;
   config.mem_options.reservation_depth =
       static_cast<std::size_t>(cli.get_int("reservation-depth"));
   config.mem_options.adaptive_margin_sec =
@@ -370,48 +417,51 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: --reserve-headroom must lie in [0, 1)\n");
     return 1;
   }
-  config.engine.queue_order = [&] {
-    const std::string s = cli.get_string("queue-order");
-    if (s == "sjf") return QueueOrder::kShortestFirst;
-    if (s == "largest") return QueueOrder::kLargestFirst;
-    if (s == "wfp") return QueueOrder::kWfp;
-    return QueueOrder::kFcfs;
-  }();
+  const auto queue_order = parse_choice<QueueOrder>(
+      "queue-order", cli.get_string("queue-order"),
+      {{"fcfs", QueueOrder::kFcfs},
+       {"sjf", QueueOrder::kShortestFirst},
+       {"largest", QueueOrder::kLargestFirst},
+       {"wfp", QueueOrder::kWfp}});
+  if (!queue_order) return 1;
+  config.engine.queue_order = *queue_order;
   // A named strategy presets (selection, routing); the individual flags
   // refine it when explicitly provided.
   if (const std::string name = cli.get_string("placement"); !name.empty()) {
     const auto strategy = placement_strategy_from_string(name);
     if (!strategy) {
-      std::fprintf(stderr,
-                   "error: unknown placement strategy \"%s\" (known: "
-                   "local-first, balanced, global-fallback, "
-                   "shared-neighbors)\n",
-                   name.c_str());
-      return 1;
+      return unknown_value(
+          "placement", name,
+          "local-first|balanced|global-fallback|shared-neighbors");
     }
     config.engine.placement = make_placement(*strategy);
   }
+  const auto selection = parse_choice<NodeSelection>(
+      "selection", cli.get_string("selection"),
+      {{"first-fit", NodeSelection::kFirstFit},
+       {"pack-racks", NodeSelection::kPackRacks},
+       {"spread-racks", NodeSelection::kSpreadRacks},
+       {"pool-aware", NodeSelection::kPoolAware}});
+  if (!selection) return 1;
   if (!cli.provided("placement") || cli.provided("selection")) {
-    config.engine.placement.selection = [&] {
-      const std::string s = cli.get_string("selection");
-      if (s == "first-fit") return NodeSelection::kFirstFit;
-      if (s == "pack-racks") return NodeSelection::kPackRacks;
-      if (s == "spread-racks") return NodeSelection::kSpreadRacks;
-      return NodeSelection::kPoolAware;
-    }();
+    config.engine.placement.selection = *selection;
   }
+  const auto routing = parse_choice<PoolRouting>(
+      "routing", cli.get_string("routing"),
+      {{"rack-only", PoolRouting::kRackOnly},
+       {"rack-then-global", PoolRouting::kRackThenGlobal},
+       {"rack-neighbor-global", PoolRouting::kRackNeighborGlobal},
+       {"global-only", PoolRouting::kGlobalOnly}});
+  if (!routing) return 1;
   if (!cli.provided("placement") || cli.provided("routing")) {
-    config.engine.placement.routing = [&] {
-      const std::string s = cli.get_string("routing");
-      if (s == "rack-only") return PoolRouting::kRackOnly;
-      if (s == "rack-neighbor-global") return PoolRouting::kRackNeighborGlobal;
-      if (s == "global-only") return PoolRouting::kGlobalOnly;
-      return PoolRouting::kRackThenGlobal;
-    }();
+    config.engine.placement.routing = *routing;
   }
-  config.engine.slowdown.kind = cli.get_string("slowdown") == "saturating"
-                                    ? SlowdownModel::Kind::kSaturating
-                                    : SlowdownModel::Kind::kLinear;
+  const auto slowdown = parse_choice<SlowdownModel::Kind>(
+      "slowdown", cli.get_string("slowdown"),
+      {{"linear", SlowdownModel::Kind::kLinear},
+       {"saturating", SlowdownModel::Kind::kSaturating}});
+  if (!slowdown) return 1;
+  config.engine.slowdown.kind = *slowdown;
   config.engine.slowdown.beta_rack = cli.get_double("beta-rack");
   config.engine.slowdown.beta_neighbor = cli.get_double("beta-neighbor");
   config.engine.slowdown.beta_global = cli.get_double("beta-global");
@@ -464,6 +514,10 @@ int main(int argc, char** argv) {
     std::printf("scenario: %s — %s\n", scenario->info.name.c_str(),
                 scenario->info.summary.c_str());
   } else if (const std::string swf = cli.get_string("swf"); !swf.empty()) {
+    if (cli.get_int("procs-per-node") <= 0) {
+      std::fprintf(stderr, "error: --procs-per-node must be > 0\n");
+      return 1;
+    }
     SwfOptions options;
     options.procs_per_node =
         static_cast<std::int32_t>(cli.get_int("procs-per-node"));
@@ -477,7 +531,26 @@ int main(int argc, char** argv) {
                 result.lines_malformed);
     trace = result.trace.prefix(static_cast<std::size_t>(cli.get_int("jobs")));
   } else {
-    config.model = workload_model_from_string(cli.get_string("workload"));
+    const auto model = workload_model_from_string(cli.get_string("workload"));
+    if (!model) {
+      return unknown_value("workload", cli.get_string("workload"),
+                           "capability|capacity|mixed");
+    }
+    if (cli.get_double("load") <= 0.0) {
+      std::fprintf(stderr, "error: --load must be > 0\n");
+      return 1;
+    }
+    if (cli.get_int("jobs") == 0) {
+      std::fprintf(stderr, "error: --jobs must be > 0\n");
+      return 1;
+    }
+    // The synthetic models size job widths as fractions of the machine.
+    if (cli.get_int("nodes") < 8) {
+      std::fprintf(stderr,
+                   "error: --nodes must be >= 8 for a synthetic workload\n");
+      return 1;
+    }
+    config.model = *model;
     config.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.target_load = cli.get_double("load");
@@ -546,14 +619,6 @@ int main(int argc, char** argv) {
                               : run_experiment(config, trace);
 
   if (trace_writer) {
-    // Wall-clock worker profiles only exist when the process actually used
-    // the pool (sweeps/benches); a single run just records an idle pool.
-    std::vector<obs::WorkerProfile> profiles;
-    for (const ExecutorWorkerStats& w : Executor::global().worker_stats()) {
-      profiles.push_back({w.tasks_run, w.tasks_stolen, w.wait_ns});
-    }
-    trace_writer->add_worker_profiles(profiles,
-                                      Executor::global().inline_runs());
     trace_writer->close();
     if (!trace_writer->ok()) {
       std::fprintf(stderr, "error: trace write to %s failed\n",
