@@ -44,9 +44,10 @@
 //                   fails the bench instead of benchmarking different
 //                   schedules.
 //
-//   streaming ingestion — the million-replay scenario pulled through the
-//                   TraceSource path at a bounded submission look-ahead vs.
-//                   the eager materialize-then-push path, with peak RSS
+//   streaming ingestion — the million-replay scenario pulled from its
+//                   streaming source at a bounded submission look-ahead vs.
+//                   the eager arm (the trace materialized, served through an
+//                   EagerTraceSource at look-ahead 0), with peak RSS
 //                   (VmHWM) and the event queue's peak live id window as the
 //                   memory gauges and jobs/sec as the throughput gauge. The
 //                   two arms are cross-checked job-for-job and by the
@@ -293,8 +294,8 @@ RunMetrics run_easy(const Scenario& scenario, bool legacy) {
   } else {
     sched = make_scheduler(SchedulerKind::kEasy);
   }
-  SchedulingSimulation sim(cfg.cluster, scenario.trace, std::move(sched),
-                           cfg.engine);
+  EagerTraceSource source(scenario.trace);
+  SchedulingSimulation sim(cfg.cluster, source, std::move(sched), cfg.engine);
   return sim.run();
 }
 
@@ -342,8 +343,8 @@ IngestArm run_streaming_arm(std::size_t jobs, std::size_t lookahead) {
   return a;
 }
 
-/// The historical path: the whole trace materialized, every submission
-/// pushed up front (look-ahead 0).
+/// The eager arm: the whole trace materialized and served through an
+/// EagerTraceSource, every submission pushed up front (look-ahead 0).
 IngestArm run_eager_arm(std::size_t jobs) {
   reset_peak_rss();
   const Scenario scenario = make_scenario("million-replay", {.jobs = jobs});
@@ -351,7 +352,8 @@ IngestArm run_eager_arm(std::size_t jobs) {
       scenario_experiment(scenario, SchedulerKind::kEasy);
   IngestArm a;
   const auto start = Clock::now();
-  SchedulingSimulation sim(cfg.cluster, scenario.trace,
+  EagerTraceSource source(scenario.trace);
+  SchedulingSimulation sim(cfg.cluster, source,
                            make_scheduler(cfg.scheduler, cfg.mem_options),
                            cfg.engine);
   a.metrics = sim.run();
@@ -431,7 +433,8 @@ TracedArm run_traced(const Scenario& scenario, obs::TraceSink* sink,
   cfg.engine.counters = counters;
   TracedArm a;
   const auto start = Clock::now();
-  SchedulingSimulation sim(cfg.cluster, scenario.trace,
+  EagerTraceSource source(scenario.trace);
+  SchedulingSimulation sim(cfg.cluster, source,
                            make_scheduler(cfg.scheduler, cfg.mem_options),
                            cfg.engine);
   a.metrics = sim.run();
@@ -588,7 +591,7 @@ bool run_streaming_section(const std::vector<std::size_t>& sizes) {
   constexpr std::size_t kLookahead = 256;
   ConsoleTable table(
       "streaming ingestion — million-replay, pull-based source "
-      "(lookahead 256) vs. eager materialize-and-push");
+      "(lookahead 256) vs. eager source at lookahead 0");
   table.columns({"jobs", "stream (s)", "eager (s)", "stream jobs/s",
                  "eager jobs/s", "stream idwin", "eager idwin", "win ratio",
                  "stream RSS (MiB)", "eager RSS (MiB)"});

@@ -1,12 +1,16 @@
 #include "core/engine.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/str.hpp"
 #include "obs/counters.hpp"
 
 namespace dmsched {
@@ -35,18 +39,53 @@ void guarded_emit(Fn&& fn) {
   }
 }
 
+long long raw(SimTime t) { return static_cast<long long>(t.usec()); }
+long long raw(Bytes b) { return static_cast<long long>(b.count()); }
+
 }  // namespace
 
-void SchedulingSimulation::JobList::push_back(std::vector<JobRuntime>& rt,
-                                              JobId job) {
-  JobRuntime& r = rt[job];
+void SchedulingSimulation::JobRing::reserve(std::size_t capacity) {
+  if (capacity <= slots_.size()) return;
+  // Unwrap the live span into the front of the new buffer.
+  std::vector<JobSlot> grown(capacity);
+  for (std::size_t k = 0; k < count_; ++k) {
+    grown[k] = std::move(slots_[index(k)]);
+  }
+  slots_ = std::move(grown);
+  head_ = 0;
+}
+
+void SchedulingSimulation::JobRing::push(Job job) {
+  constexpr std::size_t kMinSlots = 16;
+  if (count_ == slots_.size()) reserve(std::max(kMinSlots, 2 * count_));
+  JobSlot& s = slots_[index(count_)];
+  s.job = std::move(job);
+  s.rt = JobRuntime{};
+  ++count_;
+}
+
+void SchedulingSimulation::JobRing::pop_front() {
+  DMSCHED_ASSERT(count_ > 0, "JobRing::pop_front: ring is empty");
+  head_ = index(1);
+  ++base_;
+  --count_;
+}
+
+const SchedulingSimulation::JobSlot& SchedulingSimulation::JobRing::operator[](
+    JobId id) const {
+  DMSCHED_ASSERT(live(id), "job id is not a live job (retired or unpulled)");
+  return slots_[index(id - base_)];
+}
+
+void SchedulingSimulation::JobList::push_back(JobRing& ring, JobId job) {
+  JobRuntime& r = ring[job].rt;
   DMSCHED_ASSERT(r.list == JobListId::kNone,
                  "JobList::push_back: job already linked into a list");
   r.list = id;
   r.list_prev = tail;
   r.list_next = kInvalidJobId;
   if (tail != kInvalidJobId) {
-    rt[tail].list_next = job;
+    ring[tail].rt.list_next = job;
   } else {
     head = job;
   }
@@ -54,21 +93,20 @@ void SchedulingSimulation::JobList::push_back(std::vector<JobRuntime>& rt,
   ++count;
 }
 
-void SchedulingSimulation::JobList::erase(std::vector<JobRuntime>& rt,
-                                          JobId job) {
-  JobRuntime& r = rt[job];
+void SchedulingSimulation::JobList::erase(JobRing& ring, JobId job) {
+  JobRuntime& r = ring[job].rt;
   // The checked removal: membership is asserted via the job's list slot, so
   // a bookkeeping bug aborts here instead of silently corrupting the list
   // (the old vector path erased whatever std::find returned, end() included).
   DMSCHED_ASSERT(r.list == id, "JobList::erase: job is not in this list");
   DMSCHED_ASSERT(count > 0, "JobList::erase: list count out of sync");
   if (r.list_prev != kInvalidJobId) {
-    rt[r.list_prev].list_next = r.list_next;
+    ring[r.list_prev].rt.list_next = r.list_next;
   } else {
     head = r.list_next;
   }
   if (r.list_next != kInvalidJobId) {
-    rt[r.list_next].list_prev = r.list_prev;
+    ring[r.list_next].rt.list_prev = r.list_prev;
   } else {
     tail = r.list_prev;
   }
@@ -79,10 +117,10 @@ void SchedulingSimulation::JobList::erase(std::vector<JobRuntime>& rt,
 }
 
 std::vector<JobId> SchedulingSimulation::JobList::to_vector(
-    const std::vector<JobRuntime>& rt) const {
+    const JobRing& ring) const {
   std::vector<JobId> ids;
   ids.reserve(count);
-  for (JobId j = head; j != kInvalidJobId; j = rt[j].list_next) {
+  for (JobId j = head; j != kInvalidJobId; j = ring[j].rt.list_next) {
     ids.push_back(j);
   }
   DMSCHED_ASSERT(ids.size() == count, "JobList: link/count mismatch");
@@ -90,26 +128,10 @@ std::vector<JobId> SchedulingSimulation::JobList::to_vector(
 }
 
 SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
-                                           const Trace& trace,
-                                           std::unique_ptr<Scheduler> scheduler,
-                                           EngineOptions options)
-    : SchedulingSimulation(std::move(config), &trace, nullptr,
-                           std::move(scheduler), options) {}
-
-SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
                                            TraceSource& source,
                                            std::unique_ptr<Scheduler> scheduler,
                                            EngineOptions options)
-    : SchedulingSimulation(std::move(config), nullptr, &source,
-                           std::move(scheduler), options) {}
-
-SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
-                                           const Trace* trace,
-                                           TraceSource* source,
-                                           std::unique_ptr<Scheduler> scheduler,
-                                           EngineOptions options)
     : config_(std::move(config)),
-      trace_(trace),
       source_(source),
       scheduler_(std::move(scheduler)),
       options_(options),
@@ -118,13 +140,10 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
       topology_(config_),
       timeline_(config_) {
   DMSCHED_ASSERT(scheduler_ != nullptr, "simulation needs a scheduler");
-  DMSCHED_ASSERT((trace_ != nullptr) != (source_ != nullptr),
-                 "simulation needs exactly one job input");
-  // Per-job bookkeeping (rt_, outcome records) grows with pulls; reserving
-  // from the known/advisory size avoids reallocation churn, nothing more.
-  const std::size_t expect =
-      trace_ ? trace_->size() : source_->size_hint().value_or(0);
-  rt_.reserve(expect);
+  // Look-ahead 0 pulls every job before the first event, so the advisory
+  // size fits the ring exactly; a bounded window's ring doubles as needed.
+  const std::size_t expect = source_.size_hint().value_or(0);
+  if (options_.submit_lookahead == 0) ring_.reserve(expect);
   metrics_.jobs.reserve(expect);
   metrics_.label = std::string(scheduler_->name()) + "/" + config_.name;
 }
@@ -133,23 +152,13 @@ SimTime SchedulingSimulation::now() const { return engine_.now(); }
 
 const Cluster& SchedulingSimulation::cluster() const { return cluster_; }
 
-const Job& SchedulingSimulation::job(JobId id) const {
-  if (trace_ != nullptr) return trace_->job(id);
-  const auto it = live_jobs_rec_.find(id);
-  DMSCHED_ASSERT(it != live_jobs_rec_.end(),
-                 "job(): not a live job (streaming runs drop terminal jobs)");
-  return it->second;
-}
+const Job& SchedulingSimulation::job(JobId id) const { return ring_[id].job; }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs() const {
-  std::vector<JobId> ids = queue_.to_vector(rt_);
-  if (trace_ != nullptr) {
-    order_queue(ids, trace_->jobs(), options_.queue_order, engine_.now());
-  } else {
-    order_queue(
-        ids, [this](JobId id) -> const Job& { return job(id); },
-        options_.queue_order, engine_.now());
-  }
+  std::vector<JobId> ids = queue_.to_vector(ring_);
+  order_queue(
+      ids, [this](JobId id) -> const Job& { return job(id); },
+      options_.queue_order, engine_.now());
   return ids;
 }
 
@@ -157,8 +166,8 @@ std::vector<RunningJob> SchedulingSimulation::running_jobs() const {
   std::vector<RunningJob> out;
   out.reserve(running_.size());
   for (JobId id = running_.head; id != kInvalidJobId;
-       id = rt_[id].list_next) {
-    const JobRuntime& r = rt_[id];
+       id = ring_[id].rt.list_next) {
+    const JobRuntime& r = ring_[id].rt;
     out.push_back({id, r.expected_end, r.take});
   }
   return out;
@@ -198,8 +207,11 @@ std::vector<JobId> SchedulingSimulation::queued_jobs_after(
                  "queued_jobs_after: epoch from the future");
   std::vector<JobId> out;
   for (std::size_t i = epoch; i < queue_appends_.size(); ++i) {
+    // Retired ids are terminal, so never queued.
     const JobId id = queue_appends_[i];
-    if (rt_[id].state == JobState::kQueued) out.push_back(id);
+    if (ring_.live(id) && ring_[id].rt.state == JobState::kQueued) {
+      out.push_back(id);
+    }
   }
   return out;
 }
@@ -240,7 +252,7 @@ void SchedulingSimulation::migration_check() {
   // Plan over the running list in insertion order — the same deterministic
   // order every other per-job walk uses.
   const std::vector<MigrationDecision> moves =
-      migration_.plan(cluster_, running_.to_vector(rt_));
+      migration_.plan(cluster_, running_.to_vector(ring_));
   for (const MigrationDecision& m : moves) {
     const SimTime latency = migration_.policy().latency_for(m.bytes);
     if (latency > SimTime{0}) {
@@ -264,12 +276,12 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
                                            bool delayed) {
   if (delayed) migration_.on_applied(decision.job);
   const JobId id = decision.job;
-  JobRuntime& r = rt_[id];
   // The copy may have raced the job's completion (kCompletion pops before
-  // kMigration at one timestamp, so a finished job is already kDone here) —
-  // the move is moot. Skipping is deterministic: it depends only on event
-  // order.
-  if (r.state != JobState::kRunning) return;
+  // kMigration at one timestamp, so a finished job is already kDone here, or
+  // retired) — the move is moot. Skipping is deterministic: it depends only
+  // on event order.
+  if (!ring_.live(id) || ring_[id].rt.state != JobState::kRunning) return;
+  JobRuntime& r = ring_[id].rt;
   const Allocation* alloc = cluster_.find_allocation(id);
   DMSCHED_ASSERT(alloc != nullptr, "apply_migration: running job unledgered");
   // Re-validate against the live ledger: other jobs started or finished
@@ -356,56 +368,50 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
 }
 
 bool SchedulingSimulation::pull_one() {
-  Job j;
-  if (trace_ != nullptr) {
-    if (next_pull_ >= trace_->size()) {
-      source_dry_ = true;
-      return false;
-    }
-    j = trace_->jobs()[next_pull_++];
-  } else {
-    std::optional<Job> next = source_->next();
-    if (!next.has_value()) {
-      source_dry_ = true;
-      return false;
-    }
-    j = *std::move(next);
+  std::optional<Job> next = source_.next();
+  if (!next.has_value()) {
+    source_dry_ = true;
+    return false;
   }
-  // Trace::make enforces these for the eager path; sources are arbitrary
-  // code, so re-check at the boundary.
-  DMSCHED_ASSERT(j.nodes > 0, "pulled job requests no nodes");
-  DMSCHED_ASSERT(j.runtime > SimTime{0}, "pulled job has no runtime");
-  DMSCHED_ASSERT(j.walltime >= j.runtime, "pulled job walltime < runtime");
-  DMSCHED_ASSERT(j.mem_per_node >= Bytes{0}, "pulled job memory negative");
-  DMSCHED_ASSERT(j.gpus_per_node >= 0, "pulled job GPU count negative");
-  DMSCHED_ASSERT(j.bb_bytes >= Bytes{0},
-                 "pulled job burst-buffer request negative");
-  DMSCHED_ASSERT(!pulled_any_ || j.submit >= last_pull_submit_,
-                 "job input is not sorted by submission time");
-  if (!pulled_any_) first_submit_ = j.submit;
-  pulled_any_ = true;
+  // Ids are assigned in pull order; for an EagerTraceSource (sorted, ids =
+  // indices) this reproduces the job's own id. Sources are arbitrary code,
+  // so the fields Trace::make enforces are re-checked at this boundary.
+  const JobId id = ring_.end();
+  const Job& j = *next;
+  const auto fail = [id](const std::string& what) {
+    throw std::invalid_argument(strformat("pulled job %u: ", id) + what);
+  };
+  if (j.nodes <= 0) fail(strformat("nodes = %d, must be > 0", j.nodes));
+  if (j.runtime <= SimTime{0}) {
+    fail(strformat("runtime = %lld us, must be > 0", raw(j.runtime)));
+  }
+  if (j.walltime < j.runtime) {
+    fail(strformat("walltime = %lld us, must be >= runtime (%lld us)",
+                   raw(j.walltime), raw(j.runtime)));
+  }
+  if (j.mem_per_node < Bytes{0}) {
+    fail(strformat("mem_per_node = %lld B, must be >= 0", raw(j.mem_per_node)));
+  }
+  if (j.gpus_per_node < 0) {
+    fail(strformat("gpus_per_node = %d, must be >= 0", j.gpus_per_node));
+  }
+  if (j.bb_bytes < Bytes{0}) {
+    fail(strformat("bb_bytes = %lld B, must be >= 0", raw(j.bb_bytes)));
+  }
+  if (id > 0 && j.submit < last_pull_submit_) {
+    fail(strformat("submit = %lld us, must be >= the previous job's submit "
+                   "(%lld us)",
+                   raw(j.submit), raw(last_pull_submit_)));
+  }
+  if (id == 0) first_submit_ = j.submit;
   last_pull_submit_ = j.submit;
-
-  // Ids are assigned in pull order; for a Trace (sorted, ids = indices)
-  // this reproduces the job's own id.
-  const JobId id = next_pull_id_++;
-  j.id = id;
-  rt_.emplace_back();
-
-  // Static outcome fields are captured at pull time so the job record can
-  // be dropped once terminal; dynamic fields are filled after the run.
-  JobOutcome o;
-  o.id = id;
-  o.submit = j.submit;
-  o.nodes = j.nodes;
-  o.mem_per_node = j.mem_per_node;
-  o.runtime = j.runtime;
-  o.sensitivity = j.sensitivity;
-  o.user = j.user;
-  metrics_.jobs.push_back(o);
-
   const SimTime submit = j.submit;
-  if (source_ != nullptr) live_jobs_rec_.emplace(id, std::move(j));
+
+  // The ring grows here and nowhere else, so a JobSlot reference is stale
+  // only across a pull: handle_submit pulls before it takes one, and no
+  // other handler or scheduler pass pulls.
+  next->id = id;
+  ring_.push(*std::move(next));
   ++live_jobs_;
   ++pending_submissions_;
   engine_.schedule_at(submit, sim::EventClass::kSubmission,
@@ -417,6 +423,33 @@ void SchedulingSimulation::refill_submissions() {
   const std::size_t target = options_.submit_lookahead;
   while (!source_dry_ && (target == 0 || pending_submissions_ < target)) {
     if (!pull_one()) break;
+  }
+}
+
+void SchedulingSimulation::retire_front() {
+  while (!ring_.empty()) {
+    const JobSlot& s = ring_[ring_.base()];
+    const JobRuntime& r = s.rt;
+    if (r.state != JobState::kDone && r.state != JobState::kRejected) return;
+    JobOutcome o;
+    o.id = s.job.id;
+    o.fate = r.state == JobState::kRejected
+                 ? JobFate::kRejected
+                 : (r.killed ? JobFate::kKilled : JobFate::kCompleted);
+    o.submit = s.job.submit;
+    o.start = r.start;
+    o.end = r.end;
+    o.dilation = r.dilation;
+    o.far_rack = r.far_rack;
+    o.far_neighbor = r.far_neighbor;
+    o.far_global = r.far_global;
+    o.nodes = s.job.nodes;
+    o.mem_per_node = s.job.mem_per_node;
+    o.runtime = s.job.runtime;
+    o.sensitivity = s.job.sensitivity;
+    o.user = s.job.user;
+    metrics_.jobs.push_back(o);
+    ring_.pop_front();
   }
 }
 
@@ -600,9 +633,10 @@ void SchedulingSimulation::handle_submit(JobId id) {
   digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
   ++window_acc_.jobs_submitted;
 
-  JobRuntime& r = rt_[id];  // after refill: pull_one may grow rt_
+  JobSlot& slot = ring_[id];  // after refill: pull_one may grow the ring
+  JobRuntime& r = slot.rt;
   DMSCHED_ASSERT(r.state == JobState::kPending, "double submission");
-  const Job& j = job(id);
+  const Job& j = slot.job;
   if (!feasible_on_empty(config_, j, options_.placement)) {
     // The job cannot run on this machine shape at all (e.g. footprint above
     // local memory and no pool big enough). Table III counts these.
@@ -616,11 +650,11 @@ void SchedulingSimulation::handle_submit(JobId id) {
       ev.at = engine_.now();
       guarded_emit([&] { options_.sink->on_job_rejected(ev); });
     }
-    if (source_ != nullptr) live_jobs_rec_.erase(id);  // after last use of j
+    retire_front();  // after the last use of r and j
     return;
   }
   r.state = JobState::kQueued;
-  queue_.push_back(rt_, id);
+  queue_.push_back(ring_, id);
   queue_appends_.push_back(id);
   if (options_.sink != nullptr) {
     obs::JobQueued ev;
@@ -640,19 +674,20 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
   digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
   ++window_acc_.jobs_started;
 
-  JobRuntime& r = rt_[id];
+  JobSlot& slot = ring_[id];
+  JobRuntime& r = slot.rt;
   DMSCHED_ASSERT(r.state == JobState::kQueued,
                  "start_job: job is not waiting");
   DMSCHED_ASSERT(alloc.job == id, "start_job: allocation/job id mismatch");
-  const Job& j = job(id);
+  const Job& j = slot.job;
   DMSCHED_ASSERT(std::cmp_equal(alloc.nodes.size(), j.nodes),
                  "start_job: allocation node count != request");
   DMSCHED_ASSERT(alloc.local_per_node + alloc.far_per_node == j.mem_per_node,
                  "start_job: allocation does not cover the footprint");
 
   cluster_.commit(alloc);
-  queue_.erase(rt_, id);
-  running_.push_back(rt_, id);
+  queue_.erase(ring_, id);
+  running_.push_back(ring_, id);
 
   r.state = JobState::kRunning;
   r.start = engine_.now();
@@ -698,17 +733,16 @@ void SchedulingSimulation::handle_complete(JobId id) {
   digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
   ++window_acc_.jobs_finished;
 
-  JobRuntime& r = rt_[id];
+  JobRuntime& r = ring_[id].rt;
   DMSCHED_ASSERT(r.state == JobState::kRunning, "completion of a non-running job");
   migration_.on_job_finished(id);
   cluster_.release(id);
   timeline_.on_finish(id, r.expected_end);
   if (options_.audit_cluster) cluster_.audit();
-  running_.erase(rt_, id);
+  running_.erase(ring_, id);
   r.state = JobState::kDone;
   --live_jobs_;
   last_end_ = max(last_end_, engine_.now());
-  if (source_ != nullptr) live_jobs_rec_.erase(id);
   if (options_.sink != nullptr) {
     obs::JobFinished ev;
     ev.job = id;
@@ -718,6 +752,7 @@ void SchedulingSimulation::handle_complete(JobId id) {
     ev.killed = r.killed;
     guarded_emit([&] { options_.sink->on_job_finished(ev); });
   }
+  retire_front();  // after the last use of r
   record_usage_change();
   request_schedule_pass();
 }
@@ -741,11 +776,12 @@ RunMetrics SchedulingSimulation::run() {
   // only the first W submissions and handle_submit keeps it topped up.
   refill_submissions();
   record_usage_change();
-  if (options_.sample_interval > SimTime{0} && pulled_any_) {
+  // Nothing has retired yet, so an empty ring means an empty input.
+  if (options_.sample_interval > SimTime{0} && !ring_.empty()) {
     engine_.schedule_at(first_submit_, sim::EventClass::kTimer,
                         [this](SimTime) { sample_series(); });
   }
-  if (options_.migration.enabled() && pulled_any_) {
+  if (options_.migration.enabled() && !ring_.empty()) {
     engine_.schedule_at(first_submit_ + options_.migration.check_interval,
                         sim::EventClass::kMigration,
                         [this](SimTime) { migration_check(); });
@@ -757,8 +793,7 @@ RunMetrics SchedulingSimulation::run() {
   DMSCHED_ASSERT(live_jobs_ == 0, "simulation drained with live jobs");
   DMSCHED_ASSERT(queue_.empty() && running_.empty(),
                  "simulation drained with queued/running jobs");
-  DMSCHED_ASSERT(source_ == nullptr || live_jobs_rec_.empty(),
-                 "streaming run leaked live job records");
+  DMSCHED_ASSERT(ring_.empty(), "simulation drained with unretired jobs");
   cluster_.audit();
   flush_final_window();
 
@@ -795,20 +830,6 @@ RunMetrics SchedulingSimulation::run() {
       metrics_.bb_utilization = bb_tw_.finish(horizon) / bb_capacity;
       metrics_.bb_peak = bb_tw_.peak() / bb_capacity;
     }
-  }
-  // Static outcome fields were recorded at pull time (see pull_one); fill
-  // in the dynamic fields now that every job is terminal.
-  for (JobOutcome& o : metrics_.jobs) {
-    const JobRuntime& r = rt_[o.id];
-    o.fate = r.state == JobState::kRejected
-                 ? JobFate::kRejected
-                 : (r.killed ? JobFate::kKilled : JobFate::kCompleted);
-    o.start = r.start;
-    o.end = r.end;
-    o.dilation = r.dilation;
-    o.far_rack = r.far_rack;
-    o.far_neighbor = r.far_neighbor;
-    o.far_global = r.far_global;
   }
   metrics_.demotions = demotions_;
   metrics_.promotions = promotions_;

@@ -1,10 +1,10 @@
-// SchedulingSimulation: binds a trace, a machine, and a scheduler into one
-// deterministic discrete-event run and produces RunMetrics.
+// SchedulingSimulation: binds a job source, a machine, and a scheduler into
+// one deterministic discrete-event run and produces RunMetrics.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
@@ -19,7 +19,6 @@
 #include "sched/queue_policy.hpp"
 #include "sched/scheduler.hpp"
 #include "sim/engine.hpp"
-#include "workload/trace.hpp"
 #include "workload/trace_source.hpp"
 
 namespace dmsched {
@@ -72,13 +71,12 @@ struct EngineOptions {
 
 /// One simulation run. Create, call run(), read the metrics.
 ///
-/// Jobs come from either an in-memory Trace (held by reference — traces are
-/// shared across many runs in sweeps and must outlive the simulation) or a
-/// pull-based TraceSource (also by reference, single-use). Both paths feed
-/// the identical event machinery: with the same jobs and options the two
-/// produce byte-identical RunMetrics. Source mode additionally keeps only
-/// live job records in memory, so combined with a bounded
-/// `submit_lookahead` the per-event state is O(live jobs), not O(trace).
+/// Jobs are pulled from a TraceSource (held by reference, single-use; an
+/// in-memory Trace enters through EagerTraceSource). Each pulled job is
+/// copied into a ring of live-job slots indexed by pull order and retired
+/// from the ring's front once it and every earlier job are terminal, so
+/// with a bounded `submit_lookahead` per-job state is O(live span), not
+/// O(trace). Any look-ahead produces byte-identical RunMetrics.
 ///
 /// Lifecycle semantics (DESIGN.md §4):
 ///  - submissions enter the queue unless the job can never fit the machine
@@ -88,18 +86,15 @@ struct EngineOptions {
 ///  - planning bounds (`RunningJob::expected_end`) use walltime × dilation.
 class SchedulingSimulation final : public SchedContext {
  public:
-  SchedulingSimulation(ClusterConfig config, const Trace& trace,
-                       std::unique_ptr<Scheduler> scheduler,
-                       EngineOptions options);
-
-  /// Streaming variant: jobs are pulled from `source` on demand. The source
-  /// must outlive the simulation. Job ids are assigned in pull order
-  /// (0, 1, 2, ...) regardless of the ids the source reports.
+  /// The source must outlive the simulation. Job ids are assigned in pull
+  /// order (0, 1, 2, ...) regardless of the ids the source reports.
   SchedulingSimulation(ClusterConfig config, TraceSource& source,
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);
 
-  /// Run to completion (all jobs terminal) and return the metrics.
+  /// Run to completion (all jobs terminal) and return the metrics. Throws
+  /// std::invalid_argument naming the job's pull ordinal and the field when
+  /// the source yields an invalid job or breaks submission order.
   RunMetrics run();
 
   // --- SchedContext ---------------------------------------------------------
@@ -143,9 +138,9 @@ class SchedulingSimulation final : public SchedContext {
   [[nodiscard]] std::uint64_t passes_run() const { return pass_seq_; }
   /// Order-sensitive digest over semantic transitions (submit/start/finish
   /// with job id and sim time). Two runs that drain events in the same
-  /// semantic order agree on this even when raw event ids differ (eager
-  /// pre-push vs lazy pull issue different id sequences); the differential
-  /// harness compares it across modes.
+  /// semantic order agree on this even when raw event ids differ (a full
+  /// pre-push and a bounded look-ahead issue different id sequences); the
+  /// differential harness compares it across look-aheads.
   [[nodiscard]] std::uint64_t event_digest() const { return digest_; }
 
  private:
@@ -190,6 +185,50 @@ class SchedulingSimulation final : public SchedContext {
     JobListId list = JobListId::kNone;
   };
 
+  /// One live job: the pulled record and its runtime state.
+  struct JobSlot {
+    Job job;
+    JobRuntime rt;
+  };
+
+  /// The live-job ring: slots for ids [base, end) in pull order, the slot of
+  /// `id` sitting (id - base) places after the head, wrapping. Jobs enter at
+  /// the back in pull_one and leave from the front once terminal.
+  class JobRing {
+   public:
+    /// Grow to at least `capacity` slots, moving every live slot (see
+    /// pull_one for why no slot reference is held then).
+    void reserve(std::size_t capacity);
+    /// Append the next pulled job as id end(); a full ring doubles.
+    void push(Job job);
+    void pop_front();
+    [[nodiscard]] bool empty() const { return count_ == 0; }
+    [[nodiscard]] JobId base() const { return base_; }
+    /// The id the next push receives.
+    [[nodiscard]] JobId end() const {
+      return base_ + static_cast<JobId>(count_);
+    }
+    [[nodiscard]] bool live(JobId id) const {
+      return id >= base_ && id - base_ < count_;
+    }
+    /// Dies on an id that is not live (retired or never pulled).
+    [[nodiscard]] const JobSlot& operator[](JobId id) const;
+    [[nodiscard]] JobSlot& operator[](JobId id) {
+      return const_cast<JobSlot&>(std::as_const(*this)[id]);
+    }
+
+   private:
+    [[nodiscard]] std::size_t index(std::size_t offset) const {
+      const std::size_t i = head_ + offset;
+      return i < slots_.size() ? i : i - slots_.size();
+    }
+
+    std::vector<JobSlot> slots_;
+    std::size_t head_ = 0;   ///< slot of id base_
+    std::size_t count_ = 0;  ///< live span end() - base_
+    JobId base_ = 0;         ///< oldest unretired id
+  };
+
   /// Intrusive doubly-linked list over the JobRuntime link slots: O(1)
   /// push_back and O(1) checked erase, with iteration in insertion order —
   /// byte-identical to the order the old vector kept under
@@ -202,18 +241,11 @@ class SchedulingSimulation final : public SchedContext {
 
     [[nodiscard]] bool empty() const { return count == 0; }
     [[nodiscard]] std::size_t size() const { return count; }
-    void push_back(std::vector<JobRuntime>& rt, JobId job);
-    void erase(std::vector<JobRuntime>& rt, JobId job);
+    void push_back(JobRing& ring, JobId job);
+    void erase(JobRing& ring, JobId job);
     /// Collect ids head → tail (insertion order).
-    [[nodiscard]] std::vector<JobId> to_vector(
-        const std::vector<JobRuntime>& rt) const;
+    [[nodiscard]] std::vector<JobId> to_vector(const JobRing& ring) const;
   };
-
-  /// Delegated ctor: exactly one of trace/source is non-null.
-  SchedulingSimulation(ClusterConfig config, const Trace* trace,
-                       TraceSource* source,
-                       std::unique_ptr<Scheduler> scheduler,
-                       EngineOptions options);
 
   void handle_submit(JobId id);
   void handle_complete(JobId id);
@@ -235,13 +267,17 @@ class SchedulingSimulation final : public SchedContext {
   void record_usage_change();
   void sample_series();
 
-  /// Pull the next job from the trace/source, validate it, assign the next
-  /// sequential id, and schedule its submission event. False when the input
-  /// is exhausted.
+  /// Pull the next job from the source, validate it (throwing
+  /// std::invalid_argument), copy it into the ring under the next sequential
+  /// id, and schedule its submission event. False when the input is
+  /// exhausted. The only place the ring grows.
   bool pull_one();
   /// Top up pending submission events to the look-ahead window (all of them
   /// when the window is unbounded).
   void refill_submissions();
+  /// Pop terminal jobs off the ring's front, appending their outcomes to
+  /// metrics_.jobs — in id order, because the ring retires in pull order.
+  void retire_front();
 
   /// Fold a semantic transition into the event digest (FNV-1a style).
   void digest_fold(std::uint64_t v) {
@@ -258,8 +294,7 @@ class SchedulingSimulation final : public SchedContext {
   void flush_final_window();
 
   ClusterConfig config_;
-  const Trace* trace_ = nullptr;     ///< eager mode (exactly one of these
-  TraceSource* source_ = nullptr;    ///< streaming mode    two is set)
+  TraceSource& source_;
   std::unique_ptr<Scheduler> scheduler_;
   EngineOptions options_;
 
@@ -273,7 +308,7 @@ class SchedulingSimulation final : public SchedContext {
   /// Lifetime log of queue appends (never shrinks); its size is the queue
   /// tail epoch, and suffixes of it answer queued_jobs_after.
   std::vector<JobId> queue_appends_;
-  std::vector<JobRuntime> rt_;
+  JobRing ring_;
   JobList queue_{.id = JobListId::kQueue};      // waiting, insertion order
   JobList running_{.id = JobListId::kRunning};  // running, insertion order
   std::size_t live_jobs_ = 0;   // not yet terminal
@@ -296,17 +331,10 @@ class SchedulingSimulation final : public SchedContext {
   GaugeRefs gauges_;
 
   // --- lazy submission state ----------------------------------------------
-  std::size_t next_pull_ = 0;       ///< trace mode: next trace index
-  JobId next_pull_id_ = 0;          ///< ids are assigned in pull order
   SimTime last_pull_submit_{};      ///< monotonicity check across pulls
-  bool pulled_any_ = false;
   bool source_dry_ = false;         ///< input exhausted
   std::size_t pending_submissions_ = 0;  ///< scheduled but un-fired
   SimTime first_submit_{};          ///< first pulled job's submit time
-  /// Source mode only: records of jobs not yet terminal, erased on
-  /// completion/rejection so memory is O(live jobs). Lookup-only (never
-  /// iterated), so the unordered container cannot perturb determinism.
-  std::unordered_map<JobId, Job> live_jobs_rec_;
   std::uint64_t digest_ = 1469598103934665603ULL;  ///< FNV-1a offset basis
 
   // --- windowed checkpoints -------------------------------------------------

@@ -16,12 +16,8 @@ RunMetrics run_experiment(const ExperimentConfig& config) {
 }
 
 RunMetrics run_experiment(const ExperimentConfig& config, const Trace& trace) {
-  SchedulingSimulation sim(config.cluster, trace,
-                           make_scheduler(config.scheduler, config.mem_options),
-                           config.engine);
-  RunMetrics metrics = sim.run();
-  if (!config.label.empty()) metrics.label = config.label;
-  return metrics;
+  EagerTraceSource source(trace);
+  return run_experiment(config, source);
 }
 
 RunMetrics run_experiment(const ExperimentConfig& config, TraceSource& source) {

@@ -38,14 +38,14 @@ struct ExperimentConfig {
 [[nodiscard]] RunMetrics run_experiment(const ExperimentConfig& config);
 
 /// Run one experiment on a caller-provided trace (for SWF replays and for
-/// sharing one generated trace across many configs).
+/// sharing one generated trace across many configs), served through an
+/// EagerTraceSource.
 [[nodiscard]] RunMetrics run_experiment(const ExperimentConfig& config,
                                         const Trace& trace);
 
 /// Run one experiment drawing jobs from a pull-based source (streaming
-/// replays). Sources are single-use: one run consumes `source`. With the
-/// same jobs and options this returns byte-identical metrics to the Trace
-/// overload.
+/// replays). Sources are single-use: one run consumes `source`. The only
+/// site in src/ that builds a SchedulingSimulation.
 [[nodiscard]] RunMetrics run_experiment(const ExperimentConfig& config,
                                         TraceSource& source);
 

@@ -17,13 +17,9 @@ const char* to_string(QueueOrder order) {
   return "?";
 }
 
-namespace {
-
-/// The one ordering implementation; `get` resolves JobId -> const Job&.
-/// Both public overloads funnel here so they cannot drift apart.
-template <typename Get>
-void order_queue_impl(std::vector<JobId>& ids, const Get& get,
-                      QueueOrder order, SimTime now) {
+void order_queue(std::vector<JobId>& ids, const JobLookup& get,
+                 QueueOrder order, SimTime now) {
+  DMSCHED_ASSERT(get != nullptr, "order_queue: null job lookup");
   auto tie = [&](JobId a, JobId b) {
     const Job& ja = get(a);
     const Job& jb = get(b);
@@ -67,20 +63,6 @@ void order_queue_impl(std::vector<JobId>& ids, const Get& get,
       break;
     }
   }
-}
-
-}  // namespace
-
-void order_queue(std::vector<JobId>& ids, const std::vector<Job>& jobs,
-                 QueueOrder order, SimTime now) {
-  order_queue_impl(
-      ids, [&](JobId id) -> const Job& { return jobs[id]; }, order, now);
-}
-
-void order_queue(std::vector<JobId>& ids, const JobLookup& lookup,
-                 QueueOrder order, SimTime now) {
-  DMSCHED_ASSERT(lookup != nullptr, "order_queue: null job lookup");
-  order_queue_impl(ids, lookup, order, now);
 }
 
 }  // namespace dmsched

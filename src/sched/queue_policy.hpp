@@ -19,19 +19,12 @@ enum class QueueOrder {
 
 [[nodiscard]] const char* to_string(QueueOrder order);
 
-/// Sort job ids into queue order. `now` is needed for wait-dependent
-/// policies (WFP). Ties always break on submission then id, so the order is
-/// total and deterministic.
-void order_queue(std::vector<JobId>& ids,
-                 const std::vector<Job>& jobs, QueueOrder order, SimTime now);
-
-/// Resolves a job id to its record for the lookup overload below.
+/// Resolves a job id to its record.
 using JobLookup = std::function<const Job&(JobId)>;
 
-/// The same ordering with jobs resolved through a lookup: streaming runs
-/// hold only their live jobs, not a dense id-indexed vector. Identical
-/// results to the vector overload for the same jobs (pinned by
-/// tests/sched/queue_policy_test.cpp).
+/// Sort job ids into queue order, resolving each id through `lookup`. `now`
+/// is needed for wait-dependent policies (WFP). Ties always break on
+/// submission then id, so the order is total and deterministic.
 void order_queue(std::vector<JobId>& ids, const JobLookup& lookup,
                  QueueOrder order, SimTime now);
 

@@ -4,8 +4,8 @@
 // The engine draws from a TraceSource lazily, keeping only its bounded
 // look-ahead window of pending submissions live (EngineOptions::
 // submit_lookahead); the differential harness in
-// tests/workload/trace_source_test.cpp proves the streamed run is
-// byte-identical to the eager one at any window size.
+// tests/workload/trace_source_test.cpp proves a bounded window is
+// byte-identical to the full pre-push (look-ahead 0) at any window size.
 #pragma once
 
 #include <cstddef>
@@ -47,7 +47,8 @@ class TraceSource {
 };
 
 /// The eager source: a view over an in-memory Trace, served by index. The
-/// trace must outlive the source (traces are shared, not copied).
+/// trace must outlive the source (traces are shared, not copied; each pull
+/// copies one job).
 class EagerTraceSource final : public TraceSource {
  public:
   explicit EagerTraceSource(const Trace& trace) : trace_(trace) {}
@@ -65,28 +66,6 @@ class EagerTraceSource final : public TraceSource {
 
  private:
   const Trace& trace_;
-  std::size_t next_ = 0;
-};
-
-/// An eager source that owns its trace (scenario streams whose workload has
-/// no streaming construction).
-class OwningTraceSource final : public TraceSource {
- public:
-  explicit OwningTraceSource(Trace trace) : trace_(std::move(trace)) {}
-
-  [[nodiscard]] const std::string& name() const override {
-    return trace_.name();
-  }
-  std::optional<Job> next() override {
-    if (next_ >= trace_.size()) return std::nullopt;
-    return trace_.jobs()[next_++];
-  }
-  [[nodiscard]] std::optional<std::size_t> size_hint() const override {
-    return trace_.size();
-  }
-
- private:
-  Trace trace_;
   std::size_t next_ = 0;
 };
 

@@ -16,7 +16,8 @@ using testing::trace_of;
 RunMetrics run(const Trace& trace, EngineOptions options,
                SchedulerKind kind = SchedulerKind::kFcfs) {
   options.audit_cluster = true;
-  SchedulingSimulation sim(tiny_cluster(), trace, make_scheduler(kind),
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(tiny_cluster(), source, make_scheduler(kind),
                            options);
   return sim.run();
 }
@@ -90,7 +91,8 @@ TEST(EnginePolicies, KilledJobFreesResourcesEarly) {
   const Trace t = trace_of(
       {job(0).at_h(0.0).nodes(16).mem_gib(80).runtime_h(1.0).walltime_h(1.0),
        job(1).at_h(0.0).nodes(16).mem_gib(8).runtime_h(1.0)});
-  SchedulingSimulation sim(tiny_cluster(gib(std::int64_t{512})), t,
+  EagerTraceSource source(t);
+  SchedulingSimulation sim(tiny_cluster(gib(std::int64_t{512})), source,
                            make_scheduler(SchedulerKind::kFcfs), options);
   const RunMetrics m = sim.run();
   EXPECT_EQ(m.jobs[0].fate, JobFate::kKilled);
@@ -102,7 +104,8 @@ TEST(EnginePolicies, KillCountsExcludedFromCompleted) {
   options.kill_on_walltime = true;
   const Trace t = trace_of(
       {job(0).nodes(2).mem_gib(80).runtime_h(1.0).walltime_h(1.0)});
-  SchedulingSimulation sim(tiny_cluster(gib(std::int64_t{64})), t,
+  EagerTraceSource source(t);
+  SchedulingSimulation sim(tiny_cluster(gib(std::int64_t{64})), source,
                            make_scheduler(SchedulerKind::kFcfs), options);
   const RunMetrics m = sim.run();
   EXPECT_EQ(m.completed, 0u);
@@ -120,7 +123,8 @@ TEST(EnginePolicies, PlacementSelectionReachesAllocations) {
   EngineOptions options;
   options.placement.selection = NodeSelection::kPackRacks;
   options.audit_cluster = true;
-  SchedulingSimulation sim(tiny_cluster(), t,
+  EagerTraceSource source(t);
+  SchedulingSimulation sim(tiny_cluster(), source,
                            make_scheduler(SchedulerKind::kFcfs), options);
   const RunMetrics m = sim.run();
   EXPECT_EQ(m.completed, 1u);
@@ -128,7 +132,8 @@ TEST(EnginePolicies, PlacementSelectionReachesAllocations) {
 
 TEST(EnginePolicies, LabelsIncludeSchedulerAndMachine) {
   const Trace trace = trace_of({job(0)});  // must outlive the simulation
-  SchedulingSimulation sim(tiny_cluster(), trace,
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(tiny_cluster(), source,
                            make_scheduler(SchedulerKind::kEasy), {});
   const RunMetrics m = sim.run();
   EXPECT_EQ(m.label, "easy/tiny");

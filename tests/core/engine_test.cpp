@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/factory.hpp"
 #include "testing/builders.hpp"
 
@@ -16,7 +23,8 @@ RunMetrics run(const ClusterConfig& cfg, const Trace& trace,
                SchedulerKind kind = SchedulerKind::kFcfs,
                EngineOptions options = {}) {
   options.audit_cluster = true;
-  SchedulingSimulation sim(cfg, trace, make_scheduler(kind), options);
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(cfg, source, make_scheduler(kind), options);
   return sim.run();
 }
 
@@ -146,7 +154,8 @@ TEST(Engine, EmptyTraceProducesEmptyMetrics) {
 
 TEST(Engine, RunIsSingleShot) {
   const Trace t = trace_of({job(0)});
-  SchedulingSimulation sim(tiny_cluster(), t,
+  EagerTraceSource source(t);
+  SchedulingSimulation sim(tiny_cluster(), source,
                            make_scheduler(SchedulerKind::kFcfs), {});
   (void)sim.run();
   EXPECT_DEATH((void)sim.run(), "single-shot");
@@ -183,6 +192,199 @@ TEST(Engine, WalltimeBoundGovernsExpectedEndNotActual) {
        job(1).at_h(0.0).nodes(16).runtime_h(1.0).walltime_h(3.0)});
   const RunMetrics m = run(tiny_cluster(), t, SchedulerKind::kEasy);
   EXPECT_DOUBLE_EQ(m.jobs[1].start.hours(), 1.0);
+}
+
+// --- the live-job ring ---------------------------------------------------
+
+struct RingRun {
+  RunMetrics metrics;
+  std::uint64_t digest = 0;
+};
+
+RingRun run_at(const Trace& trace, SchedulerKind kind,
+               std::size_t lookahead) {
+  EngineOptions options;
+  options.audit_cluster = true;
+  options.submit_lookahead = lookahead;
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(tiny_cluster(), source, make_scheduler(kind),
+                           options);
+  RingRun r;
+  r.metrics = sim.run();
+  r.digest = sim.event_digest();
+  return r;
+}
+
+TEST(EngineRing, GrowingWhileWrappedMatchesLookaheadZero) {
+  // Ten short jobs retire, moving the ring's head to slot 10. Job 10 then
+  // runs for 40 h and holds the front, so the later short jobs finish but
+  // cannot retire: at look-ahead 8 the 16-slot ring fills as ids 10..25
+  // (slots 10..15, then 0..9) and doubles while wrapped, then doubles
+  // again. Look-ahead 0 sizes the ring from the hint and never grows.
+  std::vector<Job> jobs;
+  for (JobId i = 0; i < 60; ++i) {
+    const bool long_job = i == 10;
+    jobs.push_back(job(i)
+                       .at_h(0.3 * i)
+                       .nodes(long_job ? 4 : 7)
+                       .runtime_h(long_job ? 40.0 : 0.5)
+                       .walltime_h(long_job ? 40.0 : 1.0));
+  }
+  const Trace t = trace_of(std::move(jobs));
+  for (const SchedulerKind kind : all_scheduler_kinds()) {
+    SCOPED_TRACE(to_string(kind));
+    const RingRun full = run_at(t, kind, 0);
+    const RingRun ring = run_at(t, kind, 8);
+    ASSERT_EQ(full.metrics.jobs.size(), t.size());
+    ASSERT_EQ(ring.metrics.jobs.size(), t.size());
+    for (std::size_t i = 0; i < t.size(); ++i) {
+      SCOPED_TRACE("job " + std::to_string(i));
+      const JobOutcome& a = full.metrics.jobs[i];
+      const JobOutcome& b = ring.metrics.jobs[i];
+      EXPECT_EQ(a.id, i);
+      EXPECT_EQ(b.id, i);
+      EXPECT_EQ(a.fate, b.fate);
+      EXPECT_EQ(a.submit, b.submit);
+      EXPECT_EQ(a.start, b.start);
+      EXPECT_EQ(a.end, b.end);
+      EXPECT_EQ(a.dilation, b.dilation);
+      EXPECT_EQ(a.nodes, b.nodes);
+      EXPECT_EQ(a.runtime, b.runtime);
+    }
+    EXPECT_EQ(full.metrics.makespan, ring.metrics.makespan);
+    EXPECT_EQ(full.metrics.mean_wait_hours, ring.metrics.mean_wait_hours);
+    EXPECT_EQ(full.digest, ring.digest);
+    // Non-vacuous: the short jobs contend for nodes, so some wait.
+    EXPECT_GT(full.metrics.max_wait_hours, 0.0);
+  }
+}
+
+/// FCFS that, once the clock reaches `at`, looks up `probe`.
+class ProbeScheduler final : public Scheduler {
+ public:
+  ProbeScheduler(JobId probe, SimTime at) : probe_(probe), at_(at) {}
+  [[nodiscard]] const char* name() const override { return "probe"; }
+  void schedule(SchedContext& ctx) override {
+    inner_->schedule(ctx);
+    if (ctx.now() >= at_) (void)ctx.job(probe_);
+  }
+
+ private:
+  std::unique_ptr<Scheduler> inner_ = make_scheduler(SchedulerKind::kFcfs);
+  JobId probe_;
+  SimTime at_;
+};
+
+TEST(EngineRingDeathTest, RetiredJobIsNotALiveJob) {
+  // One short job an hour: each retires before the next submits, so the
+  // 16-slot ring never grows and id k sits in slot k mod 16. At 18 h job 2
+  // is long retired and its slot holds job 18 — the lookup must still die.
+  std::vector<Job> jobs;
+  for (JobId i = 0; i < 20; ++i) {
+    jobs.push_back(job(i).at_h(i).nodes(2).runtime_h(0.5));
+  }
+  const Trace t = trace_of(std::move(jobs));
+  EXPECT_DEATH(
+      {
+        EngineOptions options;
+        options.submit_lookahead = 8;
+        EagerTraceSource source(t);
+        SchedulingSimulation sim(
+            tiny_cluster(), source,
+            std::make_unique<ProbeScheduler>(2, hours(18)), options);
+        (void)sim.run();
+      },
+      "not a live job");
+}
+
+// --- invalid pulled jobs ---------------------------------------------------
+
+/// Yields its jobs verbatim, without Trace::make's validation.
+class ListSource final : public TraceSource {
+ public:
+  explicit ListSource(std::vector<Job> jobs) : jobs_(std::move(jobs)) {}
+  [[nodiscard]] const std::string& name() const override { return name_; }
+  std::optional<Job> next() override {
+    if (next_ >= jobs_.size()) return std::nullopt;
+    return jobs_[next_++];
+  }
+
+ private:
+  std::vector<Job> jobs_;
+  std::string name_ = "list";
+  std::size_t next_ = 0;
+};
+
+/// Run two valid jobs followed by `bad` (pull ordinal 2) and return the
+/// diagnostic run() throws. Look-ahead 0 pulls `bad` before the first event;
+/// look-ahead 1 pulls it mid-run, from job 1's submission.
+std::string rejection(const Job& bad, std::size_t lookahead) {
+  ListSource source({job(0).at_h(0.0), job(1).at_h(1.0), bad});
+  EngineOptions options;
+  options.submit_lookahead = lookahead;
+  SchedulingSimulation sim(tiny_cluster(), source,
+                           make_scheduler(SchedulerKind::kFcfs), options);
+  try {
+    (void)sim.run();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "no exception";
+}
+
+Job third_job() { return job(2).at_h(2.0).runtime_h(1.0); }
+
+void expect_rejection(const Job& bad, const std::string& message) {
+  for (const std::size_t lookahead : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("lookahead " + std::to_string(lookahead));
+    EXPECT_EQ(rejection(bad, lookahead), message);
+  }
+}
+
+TEST(EngineInput, ZeroNodesThrows) {
+  Job bad = third_job();
+  bad.nodes = 0;
+  expect_rejection(bad, "pulled job 2: nodes = 0, must be > 0");
+}
+
+TEST(EngineInput, ZeroRuntimeThrows) {
+  Job bad = third_job();
+  bad.runtime = SimTime{0};
+  expect_rejection(bad, "pulled job 2: runtime = 0 us, must be > 0");
+}
+
+TEST(EngineInput, WalltimeBelowRuntimeThrows) {
+  Job bad = third_job();
+  bad.walltime = minutes(30);
+  expect_rejection(bad,
+                   "pulled job 2: walltime = 1800000000 us, must be >= "
+                   "runtime (3600000000 us)");
+}
+
+TEST(EngineInput, NegativeMemoryThrows) {
+  Job bad = third_job();
+  bad.mem_per_node = Bytes{-1};
+  expect_rejection(bad, "pulled job 2: mem_per_node = -1 B, must be >= 0");
+}
+
+TEST(EngineInput, NegativeGpusThrows) {
+  Job bad = third_job();
+  bad.gpus_per_node = -1;
+  expect_rejection(bad, "pulled job 2: gpus_per_node = -1, must be >= 0");
+}
+
+TEST(EngineInput, NegativeBurstBufferThrows) {
+  Job bad = third_job();
+  bad.bb_bytes = Bytes{-1};
+  expect_rejection(bad, "pulled job 2: bb_bytes = -1 B, must be >= 0");
+}
+
+TEST(EngineInput, UnsortedSubmitThrows) {
+  Job bad = third_job();
+  bad.submit = minutes(30);
+  expect_rejection(bad,
+                   "pulled job 2: submit = 1800000000 us, must be >= the "
+                   "previous job's submit (3600000000 us)");
 }
 
 }  // namespace

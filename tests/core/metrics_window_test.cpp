@@ -26,7 +26,8 @@ RunMetrics run_windowed(const ClusterConfig& cluster, const Trace& trace,
                         SimTime interval) {
   EngineOptions opts;
   opts.checkpoint_interval = interval;
-  SchedulingSimulation sim(cluster, trace,
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(cluster, source,
                            make_scheduler(SchedulerKind::kEasy, {}), opts);
   return sim.run();
 }

@@ -18,7 +18,8 @@ RunMetrics run(const ClusterConfig& cfg, const Trace& trace,
                SchedulerKind kind) {
   EngineOptions options;
   options.audit_cluster = true;
-  SchedulingSimulation sim(cfg, trace, make_scheduler(kind), options);
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(cfg, source, make_scheduler(kind), options);
   return sim.run();
 }
 

@@ -1,6 +1,6 @@
 // Migration determinism: live tier migration must preserve every
 // reproducibility contract the engine already pins — same seed → same
-// schedule, eager ≡ streamed ingestion at every look-ahead window, sweep
+// schedule, look-ahead 0 ≡ every bounded look-ahead window, sweep
 // thread-count invariance — and the default 0-sentinel policy must be a
 // *byte-identical* no-op, not merely a quiet one. Migration events carry
 // their own class (kMigration, after kCompletion at the same timestamp), so
@@ -49,20 +49,8 @@ struct RunResult {
   std::uint64_t digest = 0;
 };
 
-RunResult run_eager(const Scenario& s, EngineOptions opts,
-                    std::size_t lookahead = 0) {
-  opts.submit_lookahead = lookahead;
-  SchedulingSimulation sim(s.cluster, s.trace,
-                           make_scheduler(SchedulerKind::kMemAwareEasy, {}),
-                           opts);
-  RunResult r;
-  r.metrics = sim.run();
-  r.digest = sim.event_digest();
-  return r;
-}
-
-RunResult run_streamed(const Scenario& s, EngineOptions opts,
-                       std::size_t lookahead) {
+RunResult run_sim(const Scenario& s, EngineOptions opts,
+                  std::size_t lookahead = 0) {
   opts.submit_lookahead = lookahead;
   EagerTraceSource source(s.trace);  // sources are single-use: fresh per run
   SchedulingSimulation sim(s.cluster, source,
@@ -89,8 +77,8 @@ void expect_identical(const RunMetrics& a, const RunMetrics& b) {
 
 TEST(MigrationDeterminism, SameSeedSameScheduleWithMigrationOn) {
   const Scenario s = make_scenario("shared-neighbors", small_params());
-  const RunResult a = run_eager(s, migration_options());
-  const RunResult b = run_eager(s, migration_options());
+  const RunResult a = run_sim(s, migration_options());
+  const RunResult b = run_sim(s, migration_options());
   // Non-vacuous: the knobs above must actually move bytes on this trace.
   ASSERT_GT(a.metrics.demotions + a.metrics.promotions, 0u);
   expect_identical(a.metrics, b.metrics);
@@ -99,12 +87,12 @@ TEST(MigrationDeterminism, SameSeedSameScheduleWithMigrationOn) {
 
 TEST(MigrationDeterminism, EagerMatchesStreamedAtEveryLookahead) {
   const Scenario s = make_scenario("shared-neighbors", small_params());
-  const RunResult eager = run_eager(s, migration_options());
+  const RunResult eager = run_sim(s, migration_options());
   ASSERT_GT(eager.metrics.demotions + eager.metrics.promotions, 0u);
   for (const std::size_t w : {std::size_t{1}, std::size_t{7},
                               s.trace.size() + 10}) {
     SCOPED_TRACE("lookahead " + std::to_string(w));
-    const RunResult streamed = run_streamed(s, migration_options(), w);
+    const RunResult streamed = run_sim(s, migration_options(), w);
     expect_identical(eager.metrics, streamed.metrics);
     EXPECT_EQ(eager.digest, streamed.digest);
   }
@@ -142,8 +130,8 @@ TEST(MigrationDeterminism, DefaultPolicyIsAByteIdenticalNoOp) {
   sentinel.migration.demote_threshold = 0.1;
   sentinel.migration.promote_headroom = 0.0;
   sentinel.migration.bandwidth_gibps = 100.0;
-  const RunResult a = run_eager(s, plain);
-  const RunResult b = run_eager(s, sentinel);
+  const RunResult a = run_sim(s, plain);
+  const RunResult b = run_sim(s, sentinel);
   EXPECT_EQ(a.metrics.demotions, 0u);
   EXPECT_EQ(b.metrics.promotions, 0u);
   expect_identical(a.metrics, b.metrics);
@@ -155,12 +143,12 @@ TEST(MigrationDeterminism, MigrationEventsAreOrderedAndPassive) {
   // order), every move re-prices the job, and *observing* the moves is
   // passive: attaching the sink changes no bit of the run.
   const Scenario s = make_scenario("shared-neighbors", small_params());
-  const RunResult plain = run_eager(s, migration_options());
+  const RunResult plain = run_sim(s, migration_options());
 
   obs::RecordingSink sink;
   EngineOptions opts = migration_options();
   opts.sink = &sink;
-  const RunResult observed = run_eager(s, opts);
+  const RunResult observed = run_sim(s, opts);
   expect_identical(plain.metrics, observed.metrics);
   EXPECT_EQ(plain.digest, observed.digest);
 
@@ -189,9 +177,9 @@ TEST(MigrationDeterminism, AuditStaysGreenThroughEveryMove) {
   const Scenario s = make_scenario("shared-neighbors", small_params());
   EngineOptions opts = migration_options();
   opts.audit_cluster = true;
-  const RunResult audited = run_eager(s, opts);
+  const RunResult audited = run_sim(s, opts);
   ASSERT_GT(audited.metrics.demotions + audited.metrics.promotions, 0u);
-  expect_identical(run_eager(s, migration_options()).metrics,
+  expect_identical(run_sim(s, migration_options()).metrics,
                    audited.metrics);
 }
 

@@ -6,7 +6,7 @@
 //     on every machine that provisions no GPU/burst-buffer axis: the
 //     generalized predicate collapses to the 2-D one when the extra axes
 //     are absent. Checked on every non-infrastructure library scenario,
-//     eager and streamed, across look-ahead windows — metrics AND the
+//     at look-ahead 0 and across bounded windows — metrics AND the
 //     semantic event digest.
 //  2. DIVERGENCE — on machines that do provision the extra axes, the
 //     memory-only policy plans blind: its take-plans over-commit devices
@@ -77,16 +77,8 @@ struct RunResult {
   std::uint64_t digest = 0;
 };
 
-RunResult run_eager(const Scenario& s, SchedulerKind kind) {
-  SchedulingSimulation sim(s.cluster, s.trace, make_scheduler(kind, {}), {});
-  RunResult r;
-  r.metrics = sim.run();
-  r.digest = sim.event_digest();
-  return r;
-}
-
-RunResult run_streamed(const Scenario& s, SchedulerKind kind,
-                       std::size_t lookahead) {
+RunResult run_sim(const Scenario& s, SchedulerKind kind,
+                  std::size_t lookahead = 0) {
   EagerTraceSource source(s.trace);
   EngineOptions opts;
   opts.submit_lookahead = lookahead;
@@ -108,8 +100,8 @@ TEST(ResourceAwareEquivalence, ByteIdenticalToMemEasyOnEveryLegacyScenario) {
     if (s.cluster.has_gpus() || s.cluster.has_burst_buffer()) {
       continue;  // the divergence regime, pinned below
     }
-    const RunResult mem = run_eager(s, SchedulerKind::kMemAwareEasy);
-    const RunResult full = run_eager(s, SchedulerKind::kResourceAwareEasy);
+    const RunResult mem = run_sim(s, SchedulerKind::kMemAwareEasy);
+    const RunResult full = run_sim(s, SchedulerKind::kResourceAwareEasy);
     expect_metrics_equal(mem.metrics, full.metrics);
     EXPECT_EQ(mem.digest, full.digest);
     // Absent axes never move the new metric fields off zero.
@@ -121,15 +113,15 @@ TEST(ResourceAwareEquivalence, ByteIdenticalToMemEasyOnEveryLegacyScenario) {
 }
 
 TEST(ResourceAwareEquivalence, HoldsAcrossStreamingAndLookaheadWindows) {
-  // The equivalence must survive ingestion mode: streamed resource-easy at
-  // any look-ahead window == eager mem-easy, digest and all.
+  // The equivalence must survive bounded ingestion: resource-easy at any
+  // look-ahead window == mem-easy at look-ahead 0, digest and all.
   const Scenario s = make_scenario("memory-stressed", {.jobs = 250});
-  const RunResult mem = run_eager(s, SchedulerKind::kMemAwareEasy);
+  const RunResult mem = run_sim(s, SchedulerKind::kMemAwareEasy);
   for (const std::size_t w : {std::size_t{1}, std::size_t{7},
                               std::size_t{300}}) {
     SCOPED_TRACE("lookahead " + std::to_string(w));
     const RunResult full =
-        run_streamed(s, SchedulerKind::kResourceAwareEasy, w);
+        run_sim(s, SchedulerKind::kResourceAwareEasy, w);
     expect_metrics_equal(mem.metrics, full.metrics);
     EXPECT_EQ(mem.digest, full.digest);
   }
@@ -213,8 +205,8 @@ TEST(ResourceAwarePlanning, MemoryOnlyPlanOvercommitsAFullBurstBuffer) {
 TEST(ResourceAwareDivergence, SchedulesDifferOnGpuContended) {
   const Scenario s = make_scenario("gpu-contended", {.jobs = 400});
   ASSERT_TRUE(s.cluster.has_gpus());
-  const RunResult mem = run_eager(s, SchedulerKind::kMemAwareEasy);
-  const RunResult full = run_eager(s, SchedulerKind::kResourceAwareEasy);
+  const RunResult mem = run_sim(s, SchedulerKind::kMemAwareEasy);
+  const RunResult full = run_sim(s, SchedulerKind::kResourceAwareEasy);
   // Both runs are *valid* — mem-easy revalidates its blind starts against
   // the ledger, so neither run over-commits — but the plans differ, so the
   // schedules do too.
@@ -240,8 +232,8 @@ TEST(ResourceAwareDivergence, SchedulesDifferOnGpuContended) {
 TEST(ResourceAwareDivergence, SchedulesDifferOnBbStaging) {
   const Scenario s = make_scenario("bb-staging", {.jobs = 400});
   ASSERT_TRUE(s.cluster.has_burst_buffer());
-  const RunResult mem = run_eager(s, SchedulerKind::kMemAwareEasy);
-  const RunResult full = run_eager(s, SchedulerKind::kResourceAwareEasy);
+  const RunResult mem = run_sim(s, SchedulerKind::kMemAwareEasy);
+  const RunResult full = run_sim(s, SchedulerKind::kResourceAwareEasy);
   EXPECT_NE(mem.digest, full.digest);
   EXPECT_GT(mem.metrics.bb_peak, 0.0);
   EXPECT_GT(full.metrics.bb_peak, 0.0);

@@ -76,10 +76,9 @@ class FakeContext final : public SchedContext {
   [[nodiscard]] const Cluster& cluster() const override { return cluster_; }
   [[nodiscard]] const Job& job(JobId id) const override {
     // FakeContext is an *eager* context: it holds the whole job vector and
-    // equates JobId with position, like the engine's Trace mode (and unlike
-    // its TraceSource mode, which only retains live jobs). Fail loudly if a
-    // test hands us an id outside the materialized vector instead of reading
-    // a stranger's memory.
+    // equates JobId with position (unlike the engine, whose ring retains
+    // only live jobs). Fail loudly if a test hands us an id outside the
+    // materialized vector instead of reading a stranger's memory.
     DMSCHED_ASSERT(id < jobs_.size(),
                    "FakeContext::job: id out of range — this context is "
                    "eager-only and indexes jobs by position");
@@ -87,7 +86,8 @@ class FakeContext final : public SchedContext {
   }
   [[nodiscard]] std::vector<JobId> queued_jobs() const override {
     std::vector<JobId> ids = queue_;
-    order_queue(ids, jobs_, order_, now_);
+    order_queue(
+        ids, [this](JobId id) -> const Job& { return job(id); }, order_, now_);
     return ids;
   }
   [[nodiscard]] std::vector<RunningJob> running_jobs() const override {

@@ -57,9 +57,9 @@ TEST(SimSession, DrivesASchedulerThroughAFullJobLifecycle) {
 }
 
 TEST(FakeContext, JobLookupOutsideTheEagerVectorDiesLoudly) {
-  // FakeContext equates JobId with position in its materialized vector (the
-  // engine's eager mode). An id from outside that vector — e.g. one minted
-  // by a streaming run — must fail the eager-only assert, not read garbage.
+  // FakeContext equates JobId with position in its materialized vector. An
+  // id from outside that vector — e.g. one minted by a streaming run — must
+  // fail the eager-only assert, not read garbage.
   FakeContext ctx(machine(4, 64.0), {job(0), job(1)});
   EXPECT_DEATH((void)ctx.job(2), "eager-only");
 }

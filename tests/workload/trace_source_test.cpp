@@ -1,9 +1,10 @@
 // Differential harness for streaming trace ingestion: the same workload
-// driven through the eager Trace path and the pull-based TraceSource path
-// must produce byte-identical RunMetrics — at every look-ahead window size,
-// under every scheduler — plus identical semantic event digests. This is
-// the proof obligation behind EngineOptions::submit_lookahead (see
-// src/README.md for the event-order argument the tests pin down).
+// pulled with every submission pre-pushed (look-ahead 0, the eager arm) and
+// through a bounded look-ahead window must produce byte-identical
+// RunMetrics — at every window size, under every scheduler — plus identical
+// semantic event digests. This is the proof obligation behind
+// EngineOptions::submit_lookahead (see src/README.md for the event-order
+// argument the tests pin down).
 #include "workload/trace_source.hpp"
 
 #include <gtest/gtest.h>
@@ -144,19 +145,8 @@ EngineOptions harness_options(std::size_t lookahead) {
   return opts;
 }
 
-RunResult run_eager(const Scenario& s, SchedulerKind kind,
-                    std::size_t lookahead) {
-  SchedulingSimulation sim(s.cluster, s.trace, make_scheduler(kind, {}),
-                           harness_options(lookahead));
-  RunResult r;
-  r.metrics = sim.run();
-  r.digest = sim.event_digest();
-  r.peak_id_window = sim.peak_event_id_window();
-  return r;
-}
-
-RunResult run_streamed(const Scenario& s, SchedulerKind kind,
-                       std::size_t lookahead) {
+RunResult run_at(const Scenario& s, SchedulerKind kind,
+                 std::size_t lookahead) {
   EagerTraceSource source(s.trace);  // sources are single-use: fresh per run
   SchedulingSimulation sim(s.cluster, source, make_scheduler(kind, {}),
                            harness_options(lookahead));
@@ -192,10 +182,10 @@ TEST(TraceSourceDifferential, StreamMatchesEagerForEveryScheduler) {
   const Scenario s = make_scenario("golden-baseline", small_params("golden-baseline"));
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     SCOPED_TRACE(to_string(kind));
-    const RunResult eager = run_eager(s, kind, /*lookahead=*/0);
+    const RunResult eager = run_at(s, kind, /*lookahead=*/0);
     for (const std::size_t w : lookahead_windows(s.trace.size(), 17)) {
       SCOPED_TRACE("lookahead " + std::to_string(w));
-      const RunResult streamed = run_streamed(s, kind, w);
+      const RunResult streamed = run_at(s, kind, w);
       expect_metrics_equal(eager.metrics, streamed.metrics);
       EXPECT_EQ(eager.digest, streamed.digest);
     }
@@ -207,24 +197,24 @@ TEST(TraceSourceDifferential, StreamMatchesEagerOnTheSwfReplay) {
   for (const SchedulerKind kind :
        {SchedulerKind::kEasy, SchedulerKind::kMemAwareEasy}) {
     SCOPED_TRACE(to_string(kind));
-    const RunResult eager = run_eager(s, kind, /*lookahead=*/0);
+    const RunResult eager = run_at(s, kind, /*lookahead=*/0);
     for (const std::size_t w : lookahead_windows(s.trace.size(), 23)) {
       SCOPED_TRACE("lookahead " + std::to_string(w));
-      const RunResult streamed = run_streamed(s, kind, w);
+      const RunResult streamed = run_at(s, kind, w);
       expect_metrics_equal(eager.metrics, streamed.metrics);
       EXPECT_EQ(eager.digest, streamed.digest);
     }
   }
 }
 
-TEST(TraceSourceDifferential, TraceModeLookaheadIsAlsoByteIdentical) {
-  // The lazy pull applies to the eager Trace ctor too (trace mode just
-  // pulls by index): a bounded window must not perturb it either.
+TEST(TraceSourceDifferential, MemoryStressedLookaheadIsByteIdentical) {
+  // The pool-bound regime: far-memory draws and dilation must not depend on
+  // how far ahead submissions are pulled either.
   const Scenario s = make_scenario("memory-stressed", small_params("memory-stressed"));
-  const RunResult unbounded = run_eager(s, SchedulerKind::kMemAwareEasy, 0);
+  const RunResult unbounded = run_at(s, SchedulerKind::kMemAwareEasy, 0);
   for (const std::size_t w : {std::size_t{1}, std::size_t{5}}) {
     SCOPED_TRACE("lookahead " + std::to_string(w));
-    const RunResult bounded = run_eager(s, SchedulerKind::kMemAwareEasy, w);
+    const RunResult bounded = run_at(s, SchedulerKind::kMemAwareEasy, w);
     expect_metrics_equal(unbounded.metrics, bounded.metrics);
     EXPECT_EQ(unbounded.digest, bounded.digest);
   }
@@ -233,19 +223,21 @@ TEST(TraceSourceDifferential, TraceModeLookaheadIsAlsoByteIdentical) {
 TEST(TraceSourceDifferential, RejectionsAgreeAcrossModes) {
   using testing::job;
   // One job that can never fit (17 nodes on a 16-node machine) among
-  // runnable ones: the rejection path erases live records in source mode.
+  // runnable ones: the rejection path retires ring slots out of order.
   const Trace t = testing::trace_of(
       {job(0).at_h(0.0).nodes(4).mem_gib(8).runtime_h(1.0),
        job(1).at_h(0.5).nodes(17).mem_gib(8).runtime_h(1.0),
        job(2).at_h(1.0).nodes(2).mem_gib(8).runtime_h(0.5)});
   const ClusterConfig cluster = testing::machine(16, 64.0);
-  EngineOptions opts = harness_options(1);
-  SchedulingSimulation eager(cluster, t, make_scheduler(SchedulerKind::kEasy, {}),
-                             opts);
+  EagerTraceSource eager_src(t);
+  SchedulingSimulation eager(cluster, eager_src,
+                             make_scheduler(SchedulerKind::kEasy, {}),
+                             harness_options(0));
   const RunMetrics em = eager.run();
   EagerTraceSource src(t);
   SchedulingSimulation streamed(cluster, src,
-                                make_scheduler(SchedulerKind::kEasy, {}), opts);
+                                make_scheduler(SchedulerKind::kEasy, {}),
+                                harness_options(1));
   const RunMetrics sm = streamed.run();
   EXPECT_EQ(em.rejected, 1u);
   expect_metrics_equal(em, sm);
@@ -257,8 +249,8 @@ TEST(TraceSourceDifferential, BoundedLookaheadShrinksThePeakIdWindow) {
   // at test scale: a bounded window keeps the event queue's live id span
   // at O(lookahead + running) instead of O(trace).
   const Scenario s = make_scenario("million-replay", small_params("million-replay"));
-  const RunResult eager = run_eager(s, SchedulerKind::kEasy, 0);
-  const RunResult streamed = run_streamed(s, SchedulerKind::kEasy, 32);
+  const RunResult eager = run_at(s, SchedulerKind::kEasy, 0);
+  const RunResult streamed = run_at(s, SchedulerKind::kEasy, 32);
   expect_metrics_equal(eager.metrics, streamed.metrics);
   EXPECT_EQ(eager.digest, streamed.digest);
   EXPECT_GE(eager.peak_id_window, s.trace.size());
@@ -404,12 +396,13 @@ TEST(MappedSource, ReorderingRewriteThrows) {
   EXPECT_THROW(mapped.next(), std::logic_error);
 }
 
-TEST(OwningSource, ServesItsTraceOnce) {
+TEST(EagerSource, ServesItsTraceOnce) {
   using testing::job;
-  OwningTraceSource source(testing::trace_of(
+  const Trace t = testing::trace_of(
       {job(0).at_h(0.0).runtime_h(1.0), job(1).at_h(1.0).runtime_h(1.0)},
-      "owned"));
-  EXPECT_EQ(source.name(), "owned");
+      "shared");
+  EagerTraceSource source(t);
+  EXPECT_EQ(source.name(), "shared");
   EXPECT_EQ(source.size_hint(), std::optional<std::size_t>{2});
   EXPECT_TRUE(source.next().has_value());
   EXPECT_TRUE(source.next().has_value());
