@@ -62,9 +62,13 @@
 // representative numbers.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <ctime>
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -419,8 +423,16 @@ bool identical_metrics(const RunMetrics& a, const RunMetrics& b) {
 struct TracedArm {
   RunMetrics metrics;
   std::uint64_t digest = 0;
-  double elapsed_s = 0.0;
+  double cpu_s = 0.0;  ///< the run's thread CPU time
 };
+
+/// CPU time consumed so far by the calling thread.
+double thread_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
 
 /// One EASY replay of `scenario` with the given observers attached (either
 /// may be null — both null is the untraced baseline).
@@ -432,13 +444,13 @@ TracedArm run_traced(const Scenario& scenario, obs::TraceSink* sink,
   cfg.engine.trace_detail = detail;
   cfg.engine.counters = counters;
   TracedArm a;
-  const auto start = Clock::now();
+  const double start = thread_cpu_s();
   EagerTraceSource source(scenario.trace);
   SchedulingSimulation sim(cfg.cluster, source,
                            make_scheduler(cfg.scheduler, cfg.mem_options),
                            cfg.engine);
   a.metrics = sim.run();
-  a.elapsed_s = sec_since(start);
+  a.cpu_s = thread_cpu_s() - start;
   a.digest = sim.event_digest();
   return a;
 }
@@ -450,15 +462,28 @@ TracedArm run_traced(const Scenario& scenario, obs::TraceSink* sink,
 ///  - RunMetrics and the semantic event digest are identical across every
 ///    arm — tracing observes, never perturbs;
 ///  - an attached in-memory sink at lifecycle detail costs <5% over the
-///    untraced baseline (min of kReps reps per arm, so machine noise does
-///    not fail the build). Lifecycle is the budgeted always-on level; the
+///    untraced baseline. Lifecycle is the budgeted always-on level; the
 ///    deeper levels are diagnostics and are priced in the table: kFull
 ///    reads the wall clock twice per pass, which alone is ~8% of a replay
 ///    that runs at ~1.4 us/job.
-/// The JSON writer is reported, not enforced — its cost is dominated by
-/// serialization and disk I/O, which CI machines vary on wildly.
+/// On a shared host one replay's speed swings by several percent from run
+/// to run, so neither one run nor the fastest of a few prices a
+/// few-percent cost. Each rep runs every in-memory arm once, in an order
+/// rotated by one arm per rep (no arm always runs first or after the same
+/// neighbour), timed in thread CPU time (preemption does not count). An
+/// arm's overhead is the median over reps of its time over the untraced
+/// arm's time in the same rep. A second untraced arm (A/A) prices the
+/// estimator's own error on identical work. The diagnostic arms run for
+/// the first kMinReps reps; the gated ones (untraced, A/A, lifecycle) go on
+/// until the A/A median's standard error is under 0.25%, and the table
+/// prints the A/A reading.
+/// The JSON writer runs once, reported, not enforced — its cost is
+/// dominated by serialization and disk I/O, which CI machines vary on
+/// wildly.
 bool run_tracing_overhead_section(std::size_t jobs) {
-  constexpr int kReps = 5;
+  constexpr std::size_t kMinReps = 31;
+  constexpr std::size_t kMaxReps = 401;
+  constexpr double kTargetSe = 0.0025;
   const Scenario scenario = make_scenario("large-replay", {.jobs = jobs});
 
   obs::RecordingSink recorder;
@@ -471,115 +496,141 @@ bool run_tracing_overhead_section(std::size_t jobs) {
   // particular sink does with the data.
   obs::TraceSink null_sink;
 
-  double base_s = 1e300, null_s = 1e300, life_s = 1e300, sched_s = 1e300,
-         rec_s = 1e300, json_s = 1e300;
-  std::size_t json_events = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    const TracedArm base = run_traced(scenario, nullptr, nullptr);
-    const TracedArm null_arm = run_traced(scenario, &null_sink, nullptr);
-    recorder.clear();
-    const TracedArm life =
-        run_traced(scenario, &recorder, nullptr, obs::TraceDetail::kLifecycle);
-    recorder.clear();
-    const TracedArm schd =
-        run_traced(scenario, &recorder, nullptr, obs::TraceDetail::kSched);
-    recorder.clear();
-    const TracedArm rec = run_traced(scenario, &recorder, &registry);
-    obs::PerfettoTraceWriter writer(trace_path);
-    const TracedArm json = run_traced(scenario, &writer, nullptr);
-    writer.close();
-    json_events = writer.events_written();
+  std::size_t recorded = 0;
+  struct Arm {
+    const char* label;  // table row
+    const char* csv;    // CSV arm name
+    bool gated;  // runs every rep, not only the first kMinReps
+    std::function<TracedArm()> run;
+    std::vector<double> cpu_s = {};  // one run per rep it ran in
+  };
+  Arm arms[] = {
+      {"no sink", "none", true,
+       [&] { return run_traced(scenario, nullptr, nullptr); }},
+      {"no sink again (A/A)", "none-again", true,
+       [&] { return run_traced(scenario, nullptr, nullptr); }},
+      {"null sink (full)", "null-full", false,
+       [&] { return run_traced(scenario, &null_sink, nullptr); }},
+      {"lifecycle (enforced <5%)", "lifecycle", true,
+       [&] {
+         recorder.clear();
+         return run_traced(scenario, &recorder, nullptr,
+                           obs::TraceDetail::kLifecycle);
+       }},
+      {"+ pass spans (sched)", "sched", false,
+       [&] {
+         recorder.clear();
+         return run_traced(scenario, &recorder, nullptr,
+                           obs::TraceDetail::kSched);
+       }},
+      {"+ gauges + counters (full)", "full", false,
+       [&] {
+         recorder.clear();
+         TracedArm a = run_traced(scenario, &recorder, &registry);
+         recorded = recorder.queued.size() + recorder.rejected.size() +
+                    recorder.started.size() + recorder.finished.size() +
+                    recorder.passes.size() + recorder.gauges.size();
+         return a;
+       }},
+  };
+  constexpr std::size_t kArms = std::size(arms);
+  constexpr std::size_t kBase = 0, kAgain = 1, kLifecycle = 3, kFull = 5;
 
-    if (!identical_metrics(base.metrics, null_arm.metrics) ||
-        !identical_metrics(base.metrics, rec.metrics) ||
-        !identical_metrics(base.metrics, life.metrics) ||
-        !identical_metrics(base.metrics, schd.metrics) ||
-        !identical_metrics(base.metrics, json.metrics) ||
-        base.digest != null_arm.digest || base.digest != rec.digest ||
-        base.digest != life.digest || base.digest != schd.digest ||
-        base.digest != json.digest) {
-      std::fprintf(stderr,
-                   "FATAL: tracing perturbed the run at %zu jobs "
-                   "(digests base %llx rec %llx json %llx)\n",
-                   jobs, static_cast<unsigned long long>(base.digest),
-                   static_cast<unsigned long long>(rec.digest),
-                   static_cast<unsigned long long>(json.digest));
+  // Untimed reference run; it also warms the caches and the allocator.
+  const TracedArm reference = arms[kBase].run();
+  const auto perturbed = [&](const TracedArm& got, const char* label) {
+    if (identical_metrics(reference.metrics, got.metrics) &&
+        reference.digest == got.digest) {
       return false;
     }
-    base_s = std::min(base_s, base.elapsed_s);
-    null_s = std::min(null_s, null_arm.elapsed_s);
-    life_s = std::min(life_s, life.elapsed_s);
-    sched_s = std::min(sched_s, schd.elapsed_s);
-    rec_s = std::min(rec_s, rec.elapsed_s);
-    json_s = std::min(json_s, json.elapsed_s);
+    std::fprintf(stderr,
+                 "FATAL: tracing perturbed the run at %zu jobs "
+                 "(arm '%s': digest %llx, untraced %llx)\n",
+                 jobs, label, static_cast<unsigned long long>(got.digest),
+                 static_cast<unsigned long long>(reference.digest));
+    return true;
+  };
+
+  const auto median = [](std::vector<double> v) {
+    std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+    return v[v.size() / 2];
+  };
+  /// Per-rep time of `arm` over the untraced arm's in the same rep (the
+  /// untraced arm ran in every rep `arm` ran in).
+  const auto ratios = [&](const Arm& arm) {
+    std::vector<double> r(arm.cpu_s.size());
+    for (std::size_t rep = 0; rep < r.size(); ++rep) {
+      r[rep] = arm.cpu_s[rep] / arms[kBase].cpu_s[rep];
+    }
+    return r;
+  };
+  /// Standard error of a median, from the interquartile range.
+  const auto median_se = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const double iqr = v[3 * v.size() / 4] - v[v.size() / 4];
+    return 1.253 * (iqr / 1.349) / std::sqrt(static_cast<double>(v.size()));
+  };
+
+  std::size_t reps = 0;
+  while (reps < kMaxReps &&
+         (reps < kMinReps || median_se(ratios(arms[kAgain])) >= kTargetSe)) {
+    for (std::size_t i = 0; i < kArms; ++i) {
+      Arm& arm = arms[(i + reps) % kArms];
+      if (!arm.gated && reps >= kMinReps) continue;
+      const TracedArm got = arm.run();
+      if (perturbed(got, arm.label)) return false;
+      arm.cpu_s.push_back(got.cpu_s);
+    }
+    ++reps;
   }
 
-  const std::size_t recorded =
-      recorder.queued.size() + recorder.rejected.size() +
-      recorder.started.size() + recorder.finished.size() +
-      recorder.passes.size() + recorder.gauges.size();
-  const double null_pct = 100.0 * (null_s - base_s) / base_s;
-  const double life_pct = 100.0 * (life_s - base_s) / base_s;
-  const double sched_pct = 100.0 * (sched_s - base_s) / base_s;
-  const double rec_pct = 100.0 * (rec_s - base_s) / base_s;
-  const double json_pct = 100.0 * (json_s - base_s) / base_s;
+  obs::PerfettoTraceWriter writer(trace_path);
+  const TracedArm json = run_traced(scenario, &writer, nullptr);
+  writer.close();
+  if (perturbed(json, "perfetto json writer")) return false;
 
-  ConsoleTable table(
-      "tracing overhead — large-replay (EASY, recording sink, min of reps)");
-  table.columns({"arm", "jobs", "elapsed (s)", "jobs/s", "overhead",
-                 "events"});
-  table.row({"no sink", num(jobs), f3(base_s),
-             f1(static_cast<double>(jobs) / base_s), "-", "-"});
-  table.row({"null sink (full)", num(jobs), f3(null_s),
-             f1(static_cast<double>(jobs) / null_s),
-             strformat("%+.1f%%", null_pct), "-"});
-  table.row({"lifecycle (enforced <5%)", num(jobs), f3(life_s),
-             f1(static_cast<double>(jobs) / life_s),
-             strformat("%+.1f%%", life_pct), "-"});
-  table.row({"+ pass spans (sched)", num(jobs), f3(sched_s),
-             f1(static_cast<double>(jobs) / sched_s),
-             strformat("%+.1f%%", sched_pct), "-"});
-  table.row({"+ gauges + counters (full)", num(jobs), f3(rec_s),
-             f1(static_cast<double>(jobs) / rec_s),
-             strformat("%+.1f%%", rec_pct), num(recorded)});
-  table.row({"perfetto json writer (full)", num(jobs), f3(json_s),
-             f1(static_cast<double>(jobs) / json_s),
-             strformat("%+.1f%%", json_pct), num(json_events)});
+  const auto overhead_pct = [&](const Arm& arm) {
+    return 100.0 * (median(ratios(arm)) - 1.0);
+  };
+  const double aa_pct = overhead_pct(arms[kAgain]);
+  const double life_pct = overhead_pct(arms[kLifecycle]);
+  const double base_cpu_s = median(arms[kBase].cpu_s);
+
+  ConsoleTable table(strformat(
+      "tracing overhead — large-replay (EASY, recording sink, median of %zu "
+      "rotated reps in CPU time; A/A spread %.2f%%)",
+      reps, std::abs(aa_pct)));
+  table.columns({"arm", "jobs", "cpu (s)", "jobs/s", "overhead", "events"});
+  auto csv = csv_for("tracing_overhead");
+  csv.header({"arm", "jobs", "cpu_s", "jobs_per_s", "overhead_pct",
+              "events"});
+  const auto row = [&](const char* label, const char* csv_arm, double cpu_s,
+                       double pct, std::int64_t events) {
+    table.row({label, num(jobs), f3(cpu_s),
+               f1(static_cast<double>(jobs) / cpu_s),
+               std::strcmp(csv_arm, "none") == 0 ? "-"
+                                                 : strformat("%+.2f%%", pct),
+               events < 0 ? "-" : num(static_cast<std::size_t>(events))});
+    csv.add(csv_arm).add(jobs).add(cpu_s)
+        .add(static_cast<double>(jobs) / cpu_s).add(pct).add(events);
+    csv.end_row();
+  };
+  for (std::size_t i = 0; i < kArms; ++i) {
+    row(arms[i].label, arms[i].csv, median(arms[i].cpu_s),
+        i == kBase ? 0.0 : overhead_pct(arms[i]),
+        i == kFull ? static_cast<std::int64_t>(recorded) : -1);
+  }
+  row("perfetto json writer (full, 1 run)", "perfetto", json.cpu_s,
+      100.0 * (json.cpu_s - base_cpu_s) / base_cpu_s,
+      static_cast<std::int64_t>(writer.events_written()));
   table.print();
 
-  auto csv = csv_for("tracing_overhead");
-  csv.header({"arm", "jobs", "elapsed_s", "jobs_per_s", "overhead_pct",
-              "events"});
-  csv.add("none").add(jobs).add(base_s)
-      .add(static_cast<double>(jobs) / base_s).add(0.0)
-      .add(std::int64_t{-1});
-  csv.end_row();
-  csv.add("null-full").add(jobs).add(null_s)
-      .add(static_cast<double>(jobs) / null_s).add(null_pct)
-      .add(std::int64_t{-1});
-  csv.end_row();
-  csv.add("lifecycle").add(jobs).add(life_s)
-      .add(static_cast<double>(jobs) / life_s).add(life_pct)
-      .add(std::int64_t{-1});
-  csv.end_row();
-  csv.add("sched").add(jobs).add(sched_s)
-      .add(static_cast<double>(jobs) / sched_s).add(sched_pct)
-      .add(std::int64_t{-1});
-  csv.end_row();
-  csv.add("full").add(jobs).add(rec_s)
-      .add(static_cast<double>(jobs) / rec_s).add(rec_pct).add(recorded);
-  csv.end_row();
-  csv.add("perfetto").add(jobs).add(json_s)
-      .add(static_cast<double>(jobs) / json_s).add(json_pct)
-      .add(json_events);
-  csv.end_row();
-
-  if (life_s > base_s * 1.05) {
+  if (life_pct > 5.0) {
     std::fprintf(stderr,
                  "FATAL: attached-sink overhead %.1f%% at lifecycle detail "
-                 "exceeds the 5%% budget (base %.3fs, traced %.3fs at %zu "
-                 "jobs)\n",
-                 life_pct, base_s, life_s, jobs);
+                 "exceeds the 5%% budget (%zu jobs, %zu reps; A/A spread "
+                 "%.2f%%)\n",
+                 life_pct, jobs, reps, std::abs(aa_pct));
     return false;
   }
   return true;

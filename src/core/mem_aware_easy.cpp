@@ -262,33 +262,36 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       break;
   }
 
+  // One scratch plan serves every candidate (compute_take overwrites it).
+  TakePlan take;
   std::size_t examined = 0;
   for (JobId cid : candidates) {
     if (examined >= options_.backfill_window) break;
     ++examined;
     ++stats_.jobs_examined;
     const Job& cand = ctx.job(cid);
-    const ResourceState state_now = profile_.state_at(now);
     ++stats_.plans_attempted;
-    auto take = compute_take(state_now, config, cand, planning);
-    if (!take) continue;
+    {
+      // The row at now, by reference: it dies at the profile's next query.
+      const ResourceState& state_now = profile_.state_at(now);
+      if (!compute_take(state_now, config, cand, planning, take)) continue;
 
-    // Tier-headroom shield: skip backfills that would drain a pool tier
-    // below the configured reserve (kept for the protected queue front).
-    if (options_.reserve_headroom > 0.0 &&
-        !take->far_per_node.is_zero() &&
-        !leaves_tier_headroom(ctx, state_now, *take,
-                              options_.reserve_headroom)) {
-      continue;
+      // Tier-headroom shield: skip backfills that would drain a pool tier
+      // below the configured reserve (kept for the protected queue front).
+      if (options_.reserve_headroom > 0.0 && !take.far_per_node.is_zero() &&
+          !leaves_tier_headroom(ctx, state_now, take,
+                                options_.reserve_headroom)) {
+        continue;
+      }
     }
 
     const double dil = ctx.slowdown().dilation_bytes(
-        take->rack_pool_total(), take->neighbor_pool_total(),
-        take->global_total(), cand.total_mem(), cand.sensitivity);
+        take.rack_pool_total(), take.neighbor_pool_total(),
+        take.global_total(), cand.total_mem(), cand.sensitivity);
 
     // Adaptive veto: skip a backfill that spills to the global tier when a
     // rack-pool-fed start later would finish sooner anyway.
-    if (options_.adaptive && !take->global_total().is_zero()) {
+    if (options_.adaptive && !take.global_total().is_zero()) {
       PlacementPolicy rack_only = planning;
       rack_only.routing = PoolRouting::kRackOnly;
       const auto alt = evaluate_fit(profile_, cand, ctx, rack_only);
@@ -301,7 +304,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
 
     const SimTime end_bound = now + cand.walltime.scaled(dil);
     const auto mark = profile_.mark();
-    profile_.add_hold(now, end_bound, *take);
+    profile_.add_hold(now, end_bound, take);
     // Fast path: a candidate that returns everything before the earliest
     // reservation begins cannot delay any reservation.
     bool accept = !baseline_.empty() && end_bound <= baseline_.front().start;
@@ -330,7 +333,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       const Allocation alloc = materialize(ctx.cluster(), cand, *physical);
       ctx.start_job(cid, alloc);
     } else {
-      const Allocation alloc = materialize(ctx.cluster(), cand, *take);
+      const Allocation alloc = materialize(ctx.cluster(), cand, take);
       ctx.start_job(cid, alloc);
     }
     any_start = true;

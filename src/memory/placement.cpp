@@ -54,8 +54,35 @@ struct RackKey {
   return a.major != b.major ? a.major < b.major : a.minor < b.minor;
 }
 
-/// Racks whose visit order fits on the stack; larger machines use the heap.
+/// Racks whose per-rack scratch fits on the stack; larger machines use the
+/// heap.
 constexpr std::size_t kInlineRacks = 64;
+
+/// One `T` per rack, every slot set to `init`: on the stack up to
+/// kInlineRacks racks, so the kernel's bookkeeping never allocates there.
+template <class T>
+class RackScratch {
+ public:
+  RackScratch(std::size_t racks, const T& init) {
+    if (racks > kInlineRacks) {
+      heap_.assign(racks, init);
+      slots_ = heap_;
+    } else {
+      slots_ = std::span<T>(inline_).first(racks);
+      std::fill(slots_.begin(), slots_.end(), init);
+    }
+  }
+  RackScratch(const RackScratch&) = delete;
+  RackScratch& operator=(const RackScratch&) = delete;
+
+  [[nodiscard]] std::span<T> slots() { return slots_; }
+  T& operator[](std::size_t r) { return slots_[r]; }
+
+ private:
+  std::array<T, kInlineRacks> inline_;
+  std::vector<T> heap_;
+  std::span<T> slots_;
+};
 
 /// Rack visit order under a selection policy, written into `keys` (one
 /// slot per rack). Deterministic: ties break on rack index.
@@ -142,15 +169,17 @@ std::int64_t greedy_capacity(const ResourceState& state, Bytes d,
 
 }  // namespace
 
-std::optional<TakePlan> compute_take(const ResourceState& state,
-                                     const ClusterConfig& config,
-                                     const Job& job, PlacementPolicy policy) {
+bool compute_take(const ResourceState& state, const ClusterConfig& config,
+                  const Job& job, PlacementPolicy policy, TakePlan& plan) {
   DMSCHED_ASSERT(state.free_nodes.size() ==
                      static_cast<std::size_t>(config.racks()),
                  "compute_take: state shape mismatch");
-  TakePlan plan;
+  // Overwrite every field before the first early return: `plan` may hold
+  // an earlier probe's result.
   plan.local_per_node = min(job.mem_per_node, config.local_mem_per_node);
   plan.far_per_node = job.mem_per_node - plan.local_per_node;
+  plan.bb_bytes = Bytes{0};
+  plan.takes.clear();
   const Bytes d = plan.far_per_node;
 
   // Optional axes. A policy blind to an axis plans as if the axis did not
@@ -158,7 +187,7 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
   // code path either way, so legacy traces are byte-identical.
   const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
   if (policy.axes.burst_buffer && job.bb_bytes > Bytes{0}) {
-    if (state.bb_free < job.bb_bytes) return std::nullopt;
+    if (state.bb_free < job.bb_bytes) return false;
     plan.bb_bytes = job.bb_bytes;
   }
 
@@ -172,16 +201,12 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
   // depend on the order (greedy_capacity), except in the neighbor stage.
   if ((d.is_zero() || !neighbor_ok) &&
       greedy_capacity(state, d, g, rack_ok, global_ok) < job.nodes) {
-    return std::nullopt;
+    return false;
   }
 
   const std::size_t racks_n = state.free_nodes.size();
-  std::array<RackKey, kInlineRacks> inline_keys{};
-  std::vector<RackKey> heap_keys;
-  if (racks_n > kInlineRacks) heap_keys.resize(racks_n);
-  const std::span<RackKey> order =
-      racks_n > kInlineRacks ? std::span<RackKey>(heap_keys)
-                             : std::span<RackKey>(inline_keys).first(racks_n);
+  RackScratch<RackKey> keys(racks_n, RackKey{});
+  const std::span<RackKey> order = keys.slots();
   rack_order(state, policy.selection, !d.is_zero(), order);
 
   std::int32_t remaining = job.nodes;
@@ -198,7 +223,7 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
       }
     }
     DMSCHED_ASSERT(remaining == 0, "compute_take: greedy_capacity disagrees");
-    return plan;
+    return true;
   }
 
   // Deficit job: nodes must be funded at d bytes each from some pool.
@@ -243,60 +268,65 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
   if (neighbor_ok && remaining > 0) {
     // Stage 2 of the distance-graded routing. Nodes first: the hosting set
     // must be final before any draw can be classified own-rack vs neighbor.
-    std::vector<std::int32_t> taken_nodes(racks_n, 0);
-    std::vector<Bytes> taken_pool(racks_n, Bytes{0});
-    std::vector<std::ptrdiff_t> slot(racks_n, -1);
+    // Per rack: nodes and pool bytes taken so far, and the rack's slice in
+    // plan.takes (-1 while it has none).
+    struct Tally {
+      std::int32_t nodes;
+      Bytes pool;
+      std::ptrdiff_t slot;
+    };
+    RackScratch<Tally> tally(racks_n, Tally{0, Bytes{0}, -1});
     for (std::size_t i = 0; i < plan.takes.size(); ++i) {
-      const auto idx = static_cast<std::size_t>(plan.takes[i].rack);
-      slot[idx] = static_cast<std::ptrdiff_t>(i);
-      taken_nodes[idx] = plan.takes[i].nodes;
-      taken_pool[idx] = plan.takes[i].rack_pool_bytes;
+      Tally& t = tally[static_cast<std::size_t>(plan.takes[i].rack)];
+      t = {plan.takes[i].nodes, plan.takes[i].rack_pool_bytes,
+           static_cast<std::ptrdiff_t>(i)};
     }
     const auto slice = [&](std::size_t idx) -> RackTake& {
-      if (slot[idx] < 0) {
+      std::ptrdiff_t& slot = tally[idx].slot;
+      if (slot < 0) {
         plan.takes.push_back({static_cast<RackId>(idx), 0, Bytes{0}, Bytes{0},
                               0, Bytes{0}});
-        slot[idx] = static_cast<std::ptrdiff_t>(plan.takes.size()) - 1;
+        slot = static_cast<std::ptrdiff_t>(plan.takes.size()) - 1;
       }
-      return plan.takes[static_cast<std::size_t>(slot[idx])];
+      return plan.takes[static_cast<std::size_t>(slot)];
     };
     std::int32_t placed = 0;
     for (const RackKey& k : order) {
       if (remaining == 0) break;
       const auto idx = static_cast<std::size_t>(k.rack);
-      const std::int32_t avail = gpu_clamped(state, idx, g) - taken_nodes[idx];
+      const std::int32_t avail = gpu_clamped(state, idx, g) - tally[idx].nodes;
       const std::int32_t take_n = std::min(avail, remaining);
       if (take_n <= 0) continue;
       slice(idx).nodes += take_n;
-      taken_nodes[idx] += take_n;
+      tally[idx].nodes += take_n;
       placed += take_n;
       remaining -= take_n;
     }
-    if (remaining > 0) return std::nullopt;
+    if (remaining > 0) return false;
     // Fund the stage-2 deficit outward by hop distance: hosting racks'
     // residual pools, then foreign (neighbor) racks' pools, then the
     // global tier. Rack-index order within each ring keeps it deterministic.
     Bytes deficit = d * placed;
     for (std::size_t idx = 0; idx < racks_n && deficit > Bytes{0}; ++idx) {
-      if (taken_nodes[idx] == 0) continue;
-      const Bytes use = min(state.pool_free[idx] - taken_pool[idx], deficit);
+      if (tally[idx].nodes == 0) continue;
+      const Bytes use = min(state.pool_free[idx] - tally[idx].pool, deficit);
       if (use > Bytes{0}) {
         slice(idx).rack_pool_bytes += use;
-        taken_pool[idx] += use;
+        tally[idx].pool += use;
         deficit -= use;
       }
     }
     for (std::size_t idx = 0; idx < racks_n && deficit > Bytes{0}; ++idx) {
-      if (taken_nodes[idx] != 0) continue;
-      const Bytes use = min(state.pool_free[idx] - taken_pool[idx], deficit);
+      if (tally[idx].nodes != 0) continue;
+      const Bytes use = min(state.pool_free[idx] - tally[idx].pool, deficit);
       if (use > Bytes{0}) {
         slice(idx).neighbor_pool_bytes += use;
-        taken_pool[idx] += use;
+        tally[idx].pool += use;
         deficit -= use;
       }
     }
     if (deficit > Bytes{0}) {
-      if (state.global_free < deficit) return std::nullopt;
+      if (state.global_free < deficit) return false;
       plan.takes.front().global_pool_bytes += deficit;
     }
     for (auto& t : plan.takes) {
@@ -304,6 +334,14 @@ std::optional<TakePlan> compute_take(const ResourceState& state,
     }
   }
 
+  return true;
+}
+
+std::optional<TakePlan> compute_take(const ResourceState& state,
+                                     const ClusterConfig& config,
+                                     const Job& job, PlacementPolicy policy) {
+  TakePlan plan;
+  if (!compute_take(state, config, job, policy, plan)) return std::nullopt;
   return plan;
 }
 

@@ -60,8 +60,17 @@ struct TakePlan {
   [[nodiscard]] std::int64_t gpu_total() const;
 };
 
-/// Plan a start of `job` against `state`. Returns nullopt when the job
-/// cannot start (insufficient nodes or pool capacity under `policy`).
+/// Plan a start of `job` against `state` into caller-owned `plan`. Returns
+/// false when the job cannot start (insufficient nodes or pool capacity
+/// under `policy`); `plan` then holds no usable plan. Every field of `plan`
+/// is overwritten, and `plan.takes` keeps its capacity, so one plan reused
+/// across probes allocates only when a plan outgrows every earlier one.
+[[nodiscard]] bool compute_take(const ResourceState& state,
+                                const ClusterConfig& config, const Job& job,
+                                PlacementPolicy policy, TakePlan& plan);
+
+/// The same kernel returning a fresh plan, or nullopt when the job cannot
+/// start: for cold callers that keep no scratch plan.
 [[nodiscard]] std::optional<TakePlan> compute_take(const ResourceState& state,
                                                    const ClusterConfig& config,
                                                    const Job& job,

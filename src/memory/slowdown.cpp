@@ -1,10 +1,29 @@
 #include "memory/slowdown.hpp"
 
 #include <cmath>
+#include <stdexcept>
+#include <utility>
 
 #include "common/assert.hpp"
+#include "common/str.hpp"
 
 namespace dmsched {
+
+void SlowdownModel::validate() const {
+  for (const auto& [field, beta] :
+       {std::pair{"beta_rack", beta_rack},
+        std::pair{"beta_neighbor", beta_neighbor},
+        std::pair{"beta_global", beta_global}}) {
+    if (!std::isfinite(beta) || beta < 0.0) {
+      throw std::invalid_argument(
+          strformat("%s = %g, must be finite and >= 0", field, beta));
+    }
+  }
+  if (!std::isfinite(gamma) || gamma <= 0.0) {
+    throw std::invalid_argument(
+        strformat("gamma = %g, must be finite and > 0", gamma));
+  }
+}
 
 double SlowdownModel::sensitivity_multiplier(MemSensitivity s) const {
   switch (s) {

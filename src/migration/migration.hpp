@@ -45,6 +45,10 @@ struct MigrationPolicy {
   double bandwidth_gibps = 0.0;
 
   [[nodiscard]] bool enabled() const { return check_interval > SimTime{}; }
+  /// Throws std::invalid_argument naming the first bad field: the demote
+  /// threshold must lie in (0, 1], the promote headroom in
+  /// [0, demote_threshold), the bandwidth be finite and >= 0.
+  void validate() const;
   /// Copy latency for `bytes` under the bandwidth knob (zero if unlimited).
   [[nodiscard]] SimTime latency_for(Bytes bytes) const;
 };

@@ -65,23 +65,22 @@ bool AvailabilityTimeline::has_release_in(SimTime after, SimTime upto) const {
 
 FreeProfile::FreeProfile(ResourceState base, SimTime now,
                          const ClusterConfig* config) {
-  reset(std::move(base), now, config);
+  reset(base, now, config);
 }
 
-void FreeProfile::reset(ResourceState base, SimTime now,
+void FreeProfile::reset(const ResourceState& base, SimTime now,
                         const ClusterConfig* config) {
   DMSCHED_ASSERT(config != nullptr, "FreeProfile: null config");
-  base_ = std::move(base);
+  base_ = base;
   now_ = now;
   config_ = config;
-  deltas_.clear();
+  // deltas_ is left to the caller: sync() overwrites its slots in place.
   ordered_.clear();
   base_mark_ = 0;
   from_timeline_ = false;
   timeline_id_ = 0;
   timeline_version_ = 0;
-  cache_times_.clear();
-  cache_states_.clear();
+  cache_times_.clear();  // cache_states_ stays: dead rows are storage
   cache_consumed_.clear();
 }
 
@@ -106,19 +105,24 @@ bool FreeProfile::sync(const SchedContext& ctx) {
   if (tl != nullptr) {
     reset(tl->free_now(), now, &tl->config());
     const auto& entries = tl->entries();
-    deltas_.reserve(entries.size());
+    // Each release is copy-assigned over the slot it held after the last
+    // rebuild, reusing that slot's plan storage.
+    deltas_.resize(entries.size());
     ordered_.reserve(entries.size());
-    for (const auto& e : entries) {
+    for (std::size_t i = 0; i < entries.size(); ++i) {
       // Timeline entries are already in delta_precedes order (all adds,
       // time-sorted), so ordered_ is just the identity — no sort.
-      deltas_.push_back({e.time, e.take, /*adds=*/true});
-      ordered_.push_back(static_cast<std::uint32_t>(ordered_.size()));
+      deltas_[i].time = entries[i].time;
+      deltas_[i].take = entries[i].take;
+      deltas_[i].adds = true;
+      ordered_.push_back(static_cast<std::uint32_t>(i));
     }
     from_timeline_ = true;
     timeline_id_ = tl->id();
     timeline_version_ = tl->version();
   } else {
     reset(snapshot(ctx.cluster()), now, &ctx.cluster().config());
+    deltas_.clear();
     for (const RunningJob& r : ctx.running_jobs()) {
       add_release(r.expected_end, r.take);
     }
@@ -179,9 +183,8 @@ void FreeProfile::invalidate_cache_from(SimTime t) const {
   const auto keep = static_cast<std::size_t>(it - cache_times_.begin());
   // Surviving rows only fold deltas with time < t; a delta inserted or
   // removed at time >= t sits after that prefix in ordered_, so the rows'
-  // consumed counts stay valid.
+  // consumed counts stay valid. Truncated states stay as storage.
   cache_times_.resize(keep);
-  cache_states_.resize(keep);
   cache_consumed_.resize(keep);
 }
 
@@ -189,7 +192,9 @@ bool FreeProfile::grow_row() const {
   const std::size_t k = cache_times_.size();
   std::size_t i = k == 0 ? 0 : cache_consumed_.back();
   if (i >= ordered_.size()) return false;
-  ResourceState state = row_state(k);
+  if (k == cache_states_.size()) cache_states_.emplace_back();
+  ResourceState& state = cache_states_[k];
+  state = row_state(k);  // copy-assign: reuses the dead row's vectors
   const SimTime time = deltas_[ordered_[i]].time;
   // Every delta at this time is folded (adds before subtracts, per
   // ordered_): intermediate same-time states are never observable, matching
@@ -199,7 +204,6 @@ bool FreeProfile::grow_row() const {
     apply_signed(state, d.take, d.adds);
   }
   cache_times_.push_back(time);
-  cache_states_.push_back(std::move(state));
   cache_consumed_.push_back(i);
   return true;
 }
@@ -213,7 +217,7 @@ std::size_t FreeProfile::rows_through(SimTime t) const {
   return n;
 }
 
-ResourceState FreeProfile::state_at(SimTime time) const {
+const ResourceState& FreeProfile::state_at(SimTime time) const {
   DMSCHED_ASSERT(time >= now_, "state_at: time in the past");
   return row_state(rows_through(time));
 }

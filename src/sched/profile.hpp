@@ -145,8 +145,9 @@ class FreeProfile {
   void add_hold(SimTime start, SimTime end, const TakePlan& take);
 
   /// Free state as of `time` (>= now): base plus all releases/holds with
-  /// effect time <= `time`.
-  [[nodiscard]] ResourceState state_at(SimTime time) const;
+  /// effect time <= `time`. The reference dies at the profile's next
+  /// query or mutation (either may grow or overwrite the row it names).
+  [[nodiscard]] const ResourceState& state_at(SimTime time) const;
 
   /// A start time and the plan the job gets there.
   struct Fit {
@@ -177,7 +178,8 @@ class FreeProfile {
   void rollback(Mark m);
 
  private:
-  void reset(ResourceState base, SimTime now, const ClusterConfig* config);
+  void reset(const ResourceState& base, SimTime now,
+             const ClusterConfig* config);
   void insert_delta(ProfileDelta d);
   /// Drop cached prefix states at or after `t` (a delta at `t` changed).
   void invalidate_cache_from(SimTime t) const;
@@ -186,10 +188,12 @@ class FreeProfile {
   // n means the first n rows lie at or before the instant being examined,
   // so row_state(n) is the state there and row n, the next row, is the
   // next breakpoint. Cursors are row indices, never references: growing
-  // the cache may move the rows.
+  // the cache may move the rows, and a truncated row's storage is
+  // overwritten by the next growth.
 
-  /// Fold every delta at the next distinct delta time into one new row.
-  /// False when every delta is already folded.
+  /// Fold every delta at the next distinct delta time into one new row,
+  /// copy-assigned into a dead row's storage when one is left. False when
+  /// every delta is already folded.
   bool grow_row() const;
   /// The cursor for `t`, growing the cache through every delta time <= `t`
   /// (and one row past it, the next breakpoint).
@@ -226,7 +230,10 @@ class FreeProfile {
   // time <= cache_times_[k] (one row per distinct delta time, ascending),
   // and cache_consumed_[k] counts the ordered_ entries folded in. Rows at
   // or after a mutated time are truncated; everything earlier survives
-  // across queries, holds, rollbacks, and clean syncs.
+  // across queries, holds, rollbacks, and clean syncs. Only the first
+  // cache_times_.size() entries of cache_states_ are live rows; the rest
+  // is storage that truncation and rebuilds leave behind for grow_row to
+  // reuse, so a warm profile folds rows without allocating.
   mutable std::vector<SimTime> cache_times_;
   mutable std::vector<ResourceState> cache_states_;
   mutable std::vector<std::size_t> cache_consumed_;
@@ -237,16 +244,18 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
     const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const {
   // One cursor walks the candidates; the continuity check walks a second
   // one forward from it. Each step reads the next row instead of searching.
+  // One scratch plan serves every candidate; it moves into the Fit.
   std::size_t n = rows_through(now_);
   SimTime t = now_;
+  TakePlan plan;
   for (;;) {
-    if (auto plan = compute_take(row_state(n), *config_, job, policy)) {
-      const SimTime end = t + duration_of(*plan);
+    if (compute_take(row_state(n), *config_, job, policy, plan)) {
+      const SimTime end = t + duration_of(plan);
       bool continuous = true;
       for (std::size_t k = n; continuous && row_time(k) < end; ++k) {
-        continuous = can_apply(cache_states_[k], *plan);
+        continuous = can_apply(cache_states_[k], plan);
       }
-      if (continuous) return Fit{t, std::move(*plan)};
+      if (continuous) return Fit{t, std::move(plan)};
     }
     t = row_time(n);
     if (t == kTimeInfinity) return std::nullopt;  // final state tested

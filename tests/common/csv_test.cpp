@@ -11,7 +11,11 @@ namespace {
 
 class CsvTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/csv_test.csv";
+  // One file per test: ctest runs the cases as parallel processes.
+  std::string path_ =
+      ::testing::TempDir() + "/csv_test_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".csv";
 
   std::string read_back() {
     std::ifstream in(path_);

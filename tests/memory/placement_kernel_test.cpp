@@ -6,6 +6,10 @@
 // the same inputs, for every NodeSelection × PoolRouting with the GPU and
 // burst-buffer axes on and off, on machines of 1, 3, 16 and 80 racks (past
 // the inline buffer).
+//
+// KernelReuse pins the caller-storage form: one TakePlan planned into over
+// and over must always equal a fresh plan, whatever the last probe left in
+// it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -350,6 +354,78 @@ TEST_P(KernelDiff, MatchesReferenceKernel) {
 
 INSTANTIATE_TEST_SUITE_P(RackCounts, KernelDiff,
                          ::testing::Values(1, 3, 16, 80));
+
+// --- One plan reused across probes -------------------------------------------
+
+/// What a reused plan must survive: the previous probe's fields left behind.
+struct ReuseCounts {
+  int fits = 0;
+  int rejects = 0;
+  int fit_after_reject = 0;
+  int fits_per_routing[4] = {};
+  int neighbor_draws = 0;  // the distance-graded stage 2 ran
+  int bb = 0;
+  int gpus = 0;
+  int deficit = 0;
+  int plain = 0;  // no burst buffer, GPU or deficit request
+  int bb_then_none = 0;  // a burst-buffer fit, then a fit without one
+};
+
+TEST(KernelReuse, ReusedPlanEqualsFreshPlan) {
+  Rng rng(20261017);
+  ReuseCounts counts;
+  TakePlan reused;
+  bool last_rejected = false;
+  bool last_had_bb = false;
+  constexpr std::int32_t kRacks[] = {1, 3, 16, 80};
+  for (int round = 0; round < 600; ++round) {
+    const Shape shape{kRacks[rng.uniform_int(0, 3)], rng.bernoulli(0.5),
+                      rng.bernoulli(0.5)};
+    const ClusterConfig c = random_machine(rng, shape);
+    const ResourceState s = random_state(rng, c);
+    for (int k = 0; k < 6; ++k) {
+      const Job j = random_job(rng, c);
+      const auto route_idx = static_cast<std::size_t>(rng.uniform_int(0, 3));
+      const PlacementPolicy policy{
+          kSelections[rng.uniform_int(0, 3)], kRoutings[route_idx],
+          rng.bernoulli(0.5) ? ResourceAxes::all()
+                             : ResourceAxes::memory_only()};
+      const bool fits = compute_take(s, c, j, policy, reused);
+      const auto fresh = compute_take(s, c, j, policy);
+      ASSERT_EQ(fits, fresh.has_value()) << "round " << round << " probe " << k;
+      if (!fits) {
+        ++counts.rejects;
+        last_rejected = true;
+        continue;
+      }
+      ASSERT_EQ(reused, *fresh) << "round " << round << " probe " << k;
+      ++counts.fits;
+      ++counts.fits_per_routing[route_idx];
+      if (last_rejected) ++counts.fit_after_reject;
+      if (last_had_bb && reused.bb_bytes.is_zero()) ++counts.bb_then_none;
+      last_rejected = false;
+      last_had_bb = !reused.bb_bytes.is_zero();
+      if (!reused.neighbor_pool_total().is_zero()) ++counts.neighbor_draws;
+      if (last_had_bb) ++counts.bb;
+      if (reused.gpu_total() > 0) ++counts.gpus;
+      if (!reused.far_per_node.is_zero()) ++counts.deficit;
+      if (!last_had_bb && reused.gpu_total() == 0 &&
+          reused.far_per_node.is_zero()) {
+        ++counts.plain;
+      }
+    }
+  }
+  // Every routing, request mix and stale-field hazard was exercised.
+  for (const int n : counts.fits_per_routing) EXPECT_GT(n, 100);
+  EXPECT_GT(counts.rejects, 300);
+  EXPECT_GT(counts.fit_after_reject, 100);
+  EXPECT_GT(counts.neighbor_draws, 10);
+  EXPECT_GT(counts.bb, 50);
+  EXPECT_GT(counts.gpus, 50);
+  EXPECT_GT(counts.deficit, 100);
+  EXPECT_GT(counts.plain, 50);
+  EXPECT_GT(counts.bb_then_none, 30);
+}
 
 }  // namespace
 }  // namespace dmsched

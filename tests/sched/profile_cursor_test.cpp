@@ -14,14 +14,22 @@
 //    grow across calls and in the middle of a sweep.
 // A cursor that skips a row or reads a row state from before the cache
 // grew returns a different start or plan than the oracle.
+//
+// ProfileRows re-syncs one FreeProfile against two machines of different
+// shapes, so rows and delta slots left over from one are overwritten with
+// the other's states: a reused row that keeps a stale vector length or value
+// disagrees with the oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "memory/placement.hpp"
 #include "sched/profile.hpp"
 #include "testing/builders.hpp"
+#include "testing/fake_context.hpp"
 #include "testing/profile_oracle.hpp"
 
 namespace dmsched {
@@ -202,6 +210,197 @@ TEST(ProfileCursor, MatchesBreakpointSweepOnRandomProfiles) {
   EXPECT_GT(counts.tie_holds, 50);
   EXPECT_GT(counts.overdue, 50);
   EXPECT_GT(counts.rollbacks, 100);
+}
+
+// --- One profile re-synced across machine shapes -----------------------------
+
+/// A machine the shared profile syncs against: a context with the engine's
+/// availability timeline, and a pool of jobs to start and finish on it.
+struct Site {
+  Site(ClusterConfig config, Rng& rng) : ctx(config, random_jobs(config, rng)) {
+    ctx.enable_timeline();
+  }
+
+  static std::vector<Job> random_jobs(const ClusterConfig& c, Rng& rng) {
+    std::vector<Job> jobs;
+    for (JobId id = 0; id < 200; ++id) {
+      Job j = testing::job(id)
+                  .nodes(static_cast<std::int32_t>(
+                      rng.uniform_int(1, c.total_nodes / 3)))
+                  .mem_gib(static_cast<double>(rng.uniform_int(16, 160)))
+                  .walltime_h(static_cast<double>(rng.uniform_int(1, 8)));
+      if (c.has_gpus() && rng.bernoulli(0.6)) {
+        j.gpus_per_node = static_cast<std::int32_t>(rng.uniform_int(1, 4));
+      }
+      if (c.has_burst_buffer() && rng.bernoulli(0.5)) {
+        j.bb_bytes = gib(rng.uniform_int(8, 96));
+      }
+      jobs.push_back(j);
+    }
+    return jobs;
+  }
+
+  /// Start the next pool job if it fits now, else finish a running one.
+  /// False when neither was possible (the timeline did not move).
+  bool move(Rng& rng) {
+    const JobId id = next_job++ % 200;
+    if (ctx.running_record(id) == nullptr &&
+        plan_start(ctx.cluster(), ctx.job(id), ctx.placement())) {
+      ctx.force_run(id);
+      return true;
+    }
+    const auto running = ctx.running_jobs();
+    if (running.empty()) return false;
+    ctx.finish(running[static_cast<std::size_t>(rng.uniform_int(
+                           0, static_cast<std::int64_t>(running.size()) - 1))]
+                   .id);
+    return true;
+  }
+
+  testing::FakeContext ctx;
+  JobId next_job = 0;
+};
+
+ClusterConfig three_racks_without_gpus() {
+  return testing::machine(12, 64, /*rack_pool_gib=*/128,
+                          /*global_pool_gib=*/256);
+}
+
+ClusterConfig sixteen_racks_with_gpus() {
+  ClusterConfig c = testing::machine(64, 64, /*rack_pool_gib=*/128,
+                                     /*global_pool_gib=*/512);
+  c.gpus_per_node = 4;
+  c.bb_capacity = gib(std::int64_t{256});
+  return c;
+}
+
+struct RowCounts {
+  int rebuilds[2] = {};
+  int clean_syncs = 0;
+  int holds = 0;
+  int rollbacks = 0;
+  int drops = 0;
+  int fits = 0;
+  int states = 0;
+};
+
+/// Every breakpoint's state, and window fits for a few jobs, equal the
+/// oracle's from-scratch answers.
+void expect_matches_oracle(const ProfileOracle& oracle, Site& site, Rng& rng,
+                           PlacementPolicy policy, RowCounts& counts) {
+  for (const SimTime t : oracle.breakpoints()) {
+    const ResourceState& got = oracle.profile().state_at(t);
+    const ResourceState want = oracle.state_at(t);
+    EXPECT_EQ(got.free_nodes, want.free_nodes) << "at " << t.seconds();
+    EXPECT_EQ(got.pool_free, want.pool_free) << "at " << t.seconds();
+    EXPECT_EQ(got.free_gpus, want.free_gpus) << "at " << t.seconds();
+    EXPECT_EQ(got.global_free, want.global_free) << "at " << t.seconds();
+    EXPECT_EQ(got.bb_free, want.bb_free) << "at " << t.seconds();
+    ++counts.states;
+  }
+  const auto duration_of = [](const TakePlan& plan) {
+    return plan.global_total() > Bytes{0} ? hours(3) : hours(2);
+  };
+  for (int k = 0; k < 3; ++k) {
+    const Job& j = site.ctx.job(static_cast<JobId>(rng.uniform_int(0, 199)));
+    const auto got =
+        oracle.profile().earliest_fit_window(j, policy, duration_of);
+    const auto want = oracle.earliest_fit_window(j, policy, duration_of);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!got) continue;
+    EXPECT_EQ(got->time, want->time);
+    EXPECT_EQ(got->plan, want->plan);
+    ++counts.fits;
+  }
+}
+
+TEST(ProfileRows, ReusedAcrossMachineShapesMatchesOracle) {
+  Rng rng(20261017);
+  Site sites[2] = {Site(three_racks_without_gpus(), rng),
+                   Site(sixteen_racks_with_gpus(), rng)};
+  FreeProfile profile;  // the one profile under test, never rebuilt from new
+  std::optional<ProfileOracle> oracle;
+  int last = -1;
+  RowCounts counts;
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    // Stay on the last site, or switch to the other one (always at first).
+    const int at =
+        last >= 0 && !rng.bernoulli(0.3) ? last : (last == 1 ? 0 : 1);
+    Site& site = sites[at];
+    const PlacementPolicy policy{
+        kSelections[rng.uniform_int(0, 3)], kRoutings[rng.uniform_int(0, 3)]};
+
+    // Maybe move the timeline (a start or a finish: the sync must rebuild),
+    // then advance the clock, often to just before the next breakpoint (the
+    // sync stays clean unless something else forces a rebuild).
+    bool expect_clean = at == last;
+    if (rng.bernoulli(0.3) && site.move(rng)) expect_clean = false;
+    const SimTime now = site.ctx.now();
+    std::optional<SimTime> next;
+    if (expect_clean) {
+      for (const SimTime t : oracle->breakpoints()) {
+        if (t > now) {
+          next = t;
+          break;
+        }
+      }
+    }
+    const SimTime step_to = next.value_or(now + hours(4));
+    if (rng.bernoulli(0.6)) {
+      site.ctx.set_now(now + usec((step_to - now).usec() / 2));
+    } else if (rng.bernoulli(0.5)) {
+      site.ctx.set_now(step_to);
+      if (next) expect_clean = false;  // landed on a breakpoint: crossed it
+    }
+
+    const bool clean = profile.sync(site.ctx);
+    EXPECT_EQ(clean, expect_clean);
+    if (clean) {
+      oracle->advance(site.ctx.now());
+      ++counts.clean_syncs;
+    } else {
+      oracle.emplace(profile, *site.ctx.timeline(), site.ctx.now());
+      ++counts.rebuilds[at];
+    }
+    last = at;
+
+    // Holds, rollbacks and dropped holds between syncs, checked as they go.
+    const FreeProfile::Mark start = oracle->mark();
+    for (int op = 0; op < 4; ++op) {
+      const double r = rng.uniform();
+      if (r < 0.6) {
+        const Job& j =
+            site.ctx.job(static_cast<JobId>(rng.uniform_int(0, 199)));
+        const SimTime len = hours(rng.uniform_int(1, 6));
+        const auto fit = oracle->earliest_fit_window(
+            j, policy, [&](const TakePlan&) { return len; });
+        if (!fit) continue;
+        oracle->add_hold(fit->time, fit->time + len, fit->plan);
+        ++counts.holds;
+      } else if (r < 0.8) {
+        // Back to a mark taken since the sync (a drop may have gone below).
+        const auto lo =
+            static_cast<std::int64_t>(std::min(start, oracle->mark()));
+        oracle->rollback(static_cast<FreeProfile::Mark>(rng.uniform_int(
+            lo, static_cast<std::int64_t>(oracle->mark()))));
+        ++counts.rollbacks;
+      } else {
+        oracle->drop_holds();
+        ++counts.drops;
+      }
+      expect_matches_oracle(*oracle, site, rng, policy, counts);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(counts.rebuilds[0], 30);
+  EXPECT_GT(counts.rebuilds[1], 30);
+  EXPECT_GT(counts.clean_syncs, 30);
+  EXPECT_GT(counts.holds, 300);
+  EXPECT_GT(counts.rollbacks, 100);
+  EXPECT_GT(counts.drops, 100);
+  EXPECT_GT(counts.fits, 1000);
+  EXPECT_GT(counts.states, 3000);
 }
 
 }  // namespace

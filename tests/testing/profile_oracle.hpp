@@ -7,6 +7,11 @@
 // queries with the plain step-by-breakpoint sweep: test every breakpoint,
 // and for a candidate start re-check the plan at every later breakpoint
 // inside its window. The profile's row cursor must agree with it exactly.
+//
+// An oracle either owns a fresh profile or mirrors one the test keeps
+// re-syncing: constructed right after a rebuilding sync(), it logs the
+// timeline's releases as the profile did, so a profile reused across
+// rebuilds is checked against the same from-scratch fold.
 #pragma once
 
 #include <algorithm>
@@ -24,33 +29,62 @@ class ProfileOracle {
  public:
   using Fit = FreeProfile::Fit;
 
+  /// Owns a fresh profile over `base`.
   ProfileOracle(ResourceState base, SimTime now, const ClusterConfig* config)
-      : profile_(base, now, config),
+      : owned_(base, now, config),
         base_(std::move(base)),
         now_(now),
         config_(config) {}
 
+  /// Mirrors `profile` right after it rebuilt from `timeline` at `now`
+  /// (a sync() that returned false).
+  ProfileOracle(FreeProfile& profile, const AvailabilityTimeline& timeline,
+                SimTime now)
+      : profile_(&profile),
+        base_(timeline.free_now()),
+        now_(now),
+        config_(&timeline.config()) {
+    for (const auto& e : timeline.entries()) {
+      log_.push_back({e.time, e.take, /*adds=*/true});
+    }
+    releases_ = log_.size();
+    DMSCHED_ASSERT(profile.mark() == releases_, "profile did not rebuild");
+  }
+
+  ProfileOracle(const ProfileOracle&) = delete;
+  ProfileOracle& operator=(const ProfileOracle&) = delete;
+
   // Mutators: applied to the profile and to the log alike.
   void add_release(SimTime time, const TakePlan& take) {
-    profile_.add_release(time, take);
+    profile_->add_release(time, take);
     log_.push_back({time, take, /*adds=*/true});
   }
   void add_hold(SimTime start, SimTime end, const TakePlan& take) {
-    profile_.add_hold(start, end, take);
+    profile_->add_hold(start, end, take);
     log_.push_back({start, take, /*adds=*/false});
     log_.push_back({end, take, /*adds=*/true});
   }
   [[nodiscard]] FreeProfile::Mark mark() const {
-    DMSCHED_ASSERT(profile_.mark() == log_.size(), "oracle log out of step");
-    return profile_.mark();
+    DMSCHED_ASSERT(profile_->mark() == log_.size(), "oracle log out of step");
+    return profile_->mark();
   }
   void rollback(FreeProfile::Mark m) {
-    profile_.rollback(m);
+    profile_->rollback(m);
     log_.resize(m);
+  }
+  /// Drops every hold, keeping the releases the profile was built from.
+  void drop_holds() {
+    profile_->drop_holds();
+    log_.resize(releases_);
+  }
+  /// The profile's clock moved to `now` by a clean sync().
+  void advance(SimTime now) {
+    DMSCHED_ASSERT(profile_->now() == now, "profile did not advance");
+    now_ = now;
   }
 
   /// The profile under test. Query it directly; mutate through the oracle.
-  [[nodiscard]] const FreeProfile& profile() const { return profile_; }
+  [[nodiscard]] const FreeProfile& profile() const { return *profile_; }
   [[nodiscard]] SimTime now() const { return now_; }
 
   /// now() plus every delta time at or after it, sorted and deduplicated.
@@ -104,12 +138,15 @@ class ProfileOracle {
   }
 
  private:
-  FreeProfile profile_;
+  FreeProfile owned_;
+  FreeProfile* profile_ = &owned_;
   ResourceState base_;
   SimTime now_;
   const ClusterConfig* config_;
   /// Every delta in insertion order: the mark()/rollback() domain.
   std::vector<ProfileDelta> log_;
+  /// Leading log entries that are releases (the drop_holds() floor).
+  std::size_t releases_ = 0;
 };
 
 }  // namespace dmsched::testing

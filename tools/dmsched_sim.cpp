@@ -129,6 +129,31 @@ int unknown_value(const char* flag, const std::string& value,
   return 1;
 }
 
+/// Print the diagnostic for a model field a `validate()` rejected (its
+/// message starts with the field name), naming the flag that set the field,
+/// and return main's exit code for it.
+int bad_model_value(const std::invalid_argument& e) {
+  static constexpr std::pair<std::string_view, const char*> kFlags[] = {
+      {"beta_rack", "beta-rack"},
+      {"beta_neighbor", "beta-neighbor"},
+      {"beta_global", "beta-global"},
+      {"gamma", "gamma"},
+      {"demote_threshold", "migrate-demote-frac"},
+      {"promote_headroom", "migrate-hysteresis"},
+      {"bandwidth_gibps", "migrate-gibps"},
+  };
+  const std::string_view what = e.what();
+  const std::string_view field = what.substr(0, what.find(' '));
+  for (const auto& [name, flag] : kFlags) {
+    if (field == name) {
+      std::fprintf(stderr, "error: --%s: %s\n", flag, e.what());
+      return 1;
+    }
+  }
+  std::fprintf(stderr, "error: %s\n", e.what());
+  return 1;
+}
+
 /// Look `value` up among a flag's (name, choice) pairs; on a miss, report it
 /// with the known names via unknown_value.
 template <typename T>
@@ -466,6 +491,19 @@ int main(int argc, char** argv) {
   config.engine.slowdown.beta_neighbor = cli.get_double("beta-neighbor");
   config.engine.slowdown.beta_global = cli.get_double("beta-global");
   config.engine.slowdown.gamma = cli.get_double("gamma");
+  // The migration knobs are checked even while migration is off: a bad
+  // value is an error, not silently ignored.
+  config.engine.migration.demote_threshold =
+      cli.get_double("migrate-demote-frac");
+  config.engine.migration.promote_headroom =
+      cli.get_double("migrate-hysteresis");
+  config.engine.migration.bandwidth_gibps = cli.get_double("migrate-gibps");
+  try {
+    config.engine.slowdown.validate();
+    config.engine.migration.validate();
+  } catch (const std::invalid_argument& e) {
+    return bad_model_value(e);
+  }
   if (scenario || stream) {
     config.engine.slowdown = config.engine.slowdown.with_remote_penalty(
         scenario ? scenario->remote_penalty : stream->remote_penalty);
@@ -483,11 +521,6 @@ int main(int argc, char** argv) {
   if (cli.get_int("migrate-interval-min") > 0) {
     config.engine.migration.check_interval =
         minutes(cli.get_int("migrate-interval-min"));
-    config.engine.migration.demote_threshold =
-        cli.get_double("migrate-demote-frac");
-    config.engine.migration.promote_headroom =
-        cli.get_double("migrate-hysteresis");
-    config.engine.migration.bandwidth_gibps = cli.get_double("migrate-gibps");
   }
 
   Trace trace;
