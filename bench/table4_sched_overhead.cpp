@@ -47,16 +47,13 @@ void BM_FullSimulation(benchmark::State& state) {
 /// start_job is a no-op counter, so one pass can be timed repeatedly
 /// without the machine moving between passes.
 ///
-/// With `incremental`, the context also exposes an AvailabilityTimeline and
-/// a stable queue (the push-based invalidation contract the engine offers) —
-/// the stuck queue then is exactly the steady state the schedulers' warm
-/// fast paths are built for.
+/// Like the engine, the context exposes an AvailabilityTimeline and a
+/// stable queue (the push-based invalidation contract) — the stuck queue is
+/// exactly the steady state the schedulers' warm fast paths are built for.
 class PassContext final : public SchedContext {
  public:
-  PassContext(const ClusterConfig& config, std::size_t depth,
-              bool incremental = false)
-      : config_(config), cluster_(config), timeline_(config_),
-        incremental_(incremental) {
+  PassContext(const ClusterConfig& config, std::size_t depth)
+      : config_(config), cluster_(config), timeline_(config_) {
     Rng rng(99);
     // Fill half the machine with running jobs of varied shapes.
     JobId next_id = 0;
@@ -86,8 +83,7 @@ class PassContext final : public SchedContext {
     // rule: only jobs that fit an empty machine may be queued (schedulers
     // rely on that contract).
     const std::int64_t min_nodes = cluster_.free_nodes_total() + 1;
-    const std::int64_t max_nodes =
-        incremental_ ? config_.total_nodes : 512;
+    const std::int64_t max_nodes = config_.total_nodes;
     while (queue_.size() < depth) {
       Job j;
       j.id = next_id;
@@ -125,11 +121,9 @@ class PassContext final : public SchedContext {
   void start_job(JobId, const Allocation&) override { ++starts_; }
 
   [[nodiscard]] const AvailabilityTimeline* timeline() const override {
-    return incremental_ ? &timeline_ : nullptr;
+    return &timeline_;
   }
-  [[nodiscard]] bool queue_order_stable() const override {
-    return incremental_;
-  }
+  [[nodiscard]] bool queue_order_stable() const override { return true; }
   [[nodiscard]] std::uint64_t queue_tail_epoch() const override {
     return queue_.size();
   }
@@ -146,7 +140,6 @@ class PassContext final : public SchedContext {
   Cluster cluster_;
   Topology topology_{config_};
   AvailabilityTimeline timeline_;
-  bool incremental_;
   SimTime now_{};
   PlacementPolicy placement_{};
   SlowdownModel slowdown_{};
@@ -156,13 +149,14 @@ class PassContext final : public SchedContext {
   std::size_t starts_ = 0;
 };
 
+/// A full pass: the scheduler is created afresh each pass, so no warm cache
+/// from an earlier pass can shortcut it.
 void BM_SchedulingPass(benchmark::State& state) {
   const auto kind = static_cast<SchedulerKind>(state.range(0));
   const auto depth = static_cast<std::size_t>(state.range(1));
   PassContext ctx(disaggregated_config(128, 2048), depth);
-  const auto scheduler = make_scheduler(kind);
   for (auto _ : state) {
-    scheduler->schedule(ctx);
+    make_scheduler(kind)->schedule(ctx);
     benchmark::DoNotOptimize(ctx.starts());
   }
   state.SetLabel(strformat("%s, queue=%zu", to_string(kind), depth));
@@ -178,8 +172,7 @@ void BM_SchedulingPassWarm(benchmark::State& state) {
   const auto kind = static_cast<SchedulerKind>(state.range(0));
   const auto depth = static_cast<std::size_t>(state.range(1));
   const bool warm = state.range(2) != 0;
-  PassContext ctx(disaggregated_config(128, 2048), depth,
-                  /*incremental=*/true);
+  PassContext ctx(disaggregated_config(128, 2048), depth);
   auto scheduler = make_scheduler(kind);
   scheduler->schedule(ctx);  // prime the caches
   for (auto _ : state) {
@@ -201,14 +194,13 @@ void register_benchmarks() {
         ->Unit(benchmark::kMillisecond)
         ->MinTime(0.2);
   }
+  // Full passes at depths 64 and 256 are Table IV.3's cold arm.
   for (const SchedulerKind kind : all_scheduler_kinds()) {
-    for (const std::int64_t depth : {16, 64, 256}) {
-      benchmark::RegisterBenchmark("Table IV.2/scheduling_pass",
-                                   BM_SchedulingPass)
-          ->Args({static_cast<std::int64_t>(kind), depth})
-          ->Unit(benchmark::kMicrosecond)
-          ->MinTime(0.1);
-    }
+    benchmark::RegisterBenchmark("Table IV.2/scheduling_pass",
+                                 BM_SchedulingPass)
+        ->Args({static_cast<std::int64_t>(kind), 16})
+        ->Unit(benchmark::kMicrosecond)
+        ->MinTime(0.1);
   }
   for (const SchedulerKind kind : all_scheduler_kinds()) {
     for (const std::int64_t depth : {64, 256}) {

@@ -155,10 +155,16 @@ const Cluster& SchedulingSimulation::cluster() const { return cluster_; }
 const Job& SchedulingSimulation::job(JobId id) const { return ring_[id].job; }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs() const {
+  // The list is already in FCFS order — see queue_token_ — so only the
+  // re-ranking orders sort.
   std::vector<JobId> ids = queue_.to_vector(ring_);
-  order_queue(
-      ids, [this](JobId id) -> const Job& { return job(id); },
-      options_.queue_order, engine_.now());
+  const QueueOrder order = options_.queue_order;
+  if (order != QueueOrder::kFcfs) {
+    const SimTime now = engine_.now();
+    std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
+      return queue_precedes(ring_[a].job, ring_[b].job, order, now);
+    });
+  }
   return ids;
 }
 
@@ -198,21 +204,21 @@ bool SchedulingSimulation::queue_order_stable() const {
 }
 
 std::uint64_t SchedulingSimulation::queue_tail_epoch() const {
-  return queue_appends_.size();
+  return queue_token_;
 }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs_after(
     std::uint64_t epoch) const {
-  DMSCHED_ASSERT(epoch <= queue_appends_.size(),
+  DMSCHED_ASSERT(epoch <= queue_token_,
                  "queued_jobs_after: epoch from the future");
+  // Ids rise from head to tail, so the jobs appended since `epoch` are the
+  // list's suffix of ids >= epoch.
   std::vector<JobId> out;
-  for (std::size_t i = epoch; i < queue_appends_.size(); ++i) {
-    // Retired ids are terminal, so never queued.
-    const JobId id = queue_appends_[i];
-    if (ring_.live(id) && ring_[id].rt.state == JobState::kQueued) {
-      out.push_back(id);
-    }
+  for (JobId j = queue_.tail; j != kInvalidJobId && j >= epoch;
+       j = ring_[j].rt.list_prev) {
+    out.push_back(j);
   }
+  std::reverse(out.begin(), out.end());
   return out;
 }
 
@@ -654,8 +660,9 @@ void SchedulingSimulation::handle_submit(JobId id) {
     return;
   }
   r.state = JobState::kQueued;
+  DMSCHED_ASSERT(id >= queue_token_, "queue append out of id order");
   queue_.push_back(ring_, id);
-  queue_appends_.push_back(id);
+  queue_token_ = std::uint64_t{id} + 1;
   if (options_.sink != nullptr) {
     obs::JobQueued ev;
     ev.job = id;

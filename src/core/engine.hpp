@@ -305,9 +305,14 @@ class SchedulingSimulation final : public SchedContext {
   /// Persistent availability view, updated push-style on start/finish —
   /// the structure incremental scheduler passes key their caches on.
   AvailabilityTimeline timeline_;
-  /// Lifetime log of queue appends (never shrinks); its size is the queue
-  /// tail epoch, and suffixes of it answer queued_jobs_after.
-  std::vector<JobId> queue_appends_;
+  /// One past the last id appended to queue_: the queue tail epoch. Appends
+  /// happen only in handle_submit, whose events fire in pull order (equal
+  /// submit times pop by seq, and pull_one schedules them in pull order),
+  /// so queue ids rise from head to tail; starts only unlink. Pull order is
+  /// (submit, id) order — pull_one rejects a decreasing submit — so the
+  /// list is always in FCFS order and queued_jobs_after(t) is its suffix
+  /// of ids >= t. handle_submit asserts the rising ids.
+  std::uint64_t queue_token_ = 0;
   JobRing ring_;
   JobList queue_{.id = JobListId::kQueue};      // waiting, insertion order
   JobList running_{.id = JobListId::kRunning};  // running, insertion order

@@ -345,7 +345,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   // (loser-fit comparisons are not time-shift-invariant), the reservation
   // window is fully populated (a new arrival must never become reserved),
   // and every baseline reservation starts strictly after now.
-  if (!any_start && ctx.timeline() != nullptr && ctx.queue_order_stable() &&
+  if (!any_start && ctx.queue_order_stable() &&
       options_.order == BackfillOrder::kQueueOrder && !options_.adaptive &&
       reserved_jobs_.size() == options_.reservation_depth &&
       std::all_of(baseline_.begin(), baseline_.end(),

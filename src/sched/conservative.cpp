@@ -20,8 +20,8 @@ void ConservativeScheduler::schedule(SchedContext& ctx) {
   // reservation is exactly what recomputing it would yield (its start time
   // is a breakpoint, none of which crossed now) — only arrivals since the
   // cached tail epoch still need a slot. Anything else (resource movement,
-  // re-ranked queue order, a hand-built context) falls back to recomputing
-  // every reservation against a freshly synced profile.
+  // re-ranked queue order) falls back to recomputing every reservation
+  // against a freshly synced profile.
   std::vector<JobId> todo;
   const bool fast = clean && cache_valid_ && ctx.queue_order_stable() &&
                     now >= last_now_;
@@ -78,8 +78,7 @@ void ConservativeScheduler::schedule(SchedContext& ctx) {
     }
   }
 
-  cache_valid_ = !any_start && ctx.timeline() != nullptr &&
-                 ctx.queue_order_stable();
+  cache_valid_ = !any_start && ctx.queue_order_stable();
   tail_epoch_ = ctx.queue_tail_epoch();
   last_now_ = now;
 }

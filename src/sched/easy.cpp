@@ -8,10 +8,9 @@
 namespace dmsched {
 
 bool EasyScheduler::try_fast_pass(SchedContext& ctx) {
-  const AvailabilityTimeline* tl = ctx.timeline();
-  if (tl == nullptr || !cache_valid_ || !ctx.queue_order_stable() ||
-      tl->id() != timeline_id_ || tl->version() != timeline_version_ ||
-      ctx.now() < cached_now_) {
+  const AvailabilityTimeline& tl = *ctx.timeline();
+  if (!cache_valid_ || !ctx.queue_order_stable() || tl.id() != timeline_id_ ||
+      tl.version() != timeline_version_ || ctx.now() < cached_now_) {
     return false;
   }
   // Unchanged timeline version ⇒ no start or finish since the cached pass:
@@ -63,7 +62,7 @@ bool EasyScheduler::try_fast_pass(SchedContext& ctx) {
     cache_valid_ = false;
     return true;
   }
-  timeline_version_ = tl->version();
+  timeline_version_ = tl.version();
   tail_epoch_ = ctx.queue_tail_epoch();
   cached_now_ = now;
   extra_ = cache_extra;
@@ -176,11 +175,11 @@ void EasyScheduler::schedule(SchedContext& ctx) {
   // new arrivals (a start releasing by the shadow leaves the crossing point
   // where it was; one running past it only consumed margin — unless the
   // margin ran out, in which case the shadow moved and the cache is dead).
-  const AvailabilityTimeline* tl = ctx.timeline();
-  if (cache_ok && tl != nullptr && ctx.queue_order_stable()) {
+  if (cache_ok && ctx.queue_order_stable()) {
+    const AvailabilityTimeline& tl = *ctx.timeline();
     cache_valid_ = true;
-    timeline_id_ = tl->id();
-    timeline_version_ = tl->version();
+    timeline_id_ = tl.id();
+    timeline_version_ = tl.version();
     tail_epoch_ = ctx.queue_tail_epoch();
     cached_now_ = ctx.now();
     shadow_is_now_ = shadow_is_now;

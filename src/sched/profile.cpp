@@ -77,56 +77,39 @@ void FreeProfile::reset(const ResourceState& base, SimTime now,
   // deltas_ is left to the caller: sync() overwrites its slots in place.
   ordered_.clear();
   base_mark_ = 0;
-  from_timeline_ = false;
   timeline_id_ = 0;
   timeline_version_ = 0;
   cache_times_.clear();  // cache_states_ stays: dead rows are storage
   cache_consumed_.clear();
 }
 
-FreeProfile FreeProfile::from_context(const SchedContext& ctx) {
-  FreeProfile profile;
-  profile.sync(ctx);
-  return profile;
-}
-
 bool FreeProfile::sync(const SchedContext& ctx) {
-  const AvailabilityTimeline* tl = ctx.timeline();
+  const AvailabilityTimeline& tl = *ctx.timeline();
   const SimTime now = ctx.now();
-  if (tl != nullptr && from_timeline_ && timeline_id_ == tl->id() &&
-      timeline_version_ == tl->version() && now >= now_ &&
-      row_time(rows_through(now_)) > now) {
+  if (timeline_id_ == tl.id() && timeline_version_ == tl.version() &&
+      now >= now_ && row_time(rows_through(now_)) > now) {
     // Clean: no resources moved and no delta (release or hold boundary)
     // crossed now since the last pass — the profile, its holds, and the
     // prefix-state cache all stay valid; only the clock advances.
     now_ = now;
     return true;
   }
-  if (tl != nullptr) {
-    reset(tl->free_now(), now, &tl->config());
-    const auto& entries = tl->entries();
-    // Each release is copy-assigned over the slot it held after the last
-    // rebuild, reusing that slot's plan storage.
-    deltas_.resize(entries.size());
-    ordered_.reserve(entries.size());
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      // Timeline entries are already in delta_precedes order (all adds,
-      // time-sorted), so ordered_ is just the identity — no sort.
-      deltas_[i].time = entries[i].time;
-      deltas_[i].take = entries[i].take;
-      deltas_[i].adds = true;
-      ordered_.push_back(static_cast<std::uint32_t>(i));
-    }
-    from_timeline_ = true;
-    timeline_id_ = tl->id();
-    timeline_version_ = tl->version();
-  } else {
-    reset(snapshot(ctx.cluster()), now, &ctx.cluster().config());
-    deltas_.clear();
-    for (const RunningJob& r : ctx.running_jobs()) {
-      add_release(r.expected_end, r.take);
-    }
+  reset(tl.free_now(), now, &tl.config());
+  const auto& entries = tl.entries();
+  // Each release is copy-assigned over the slot it held after the last
+  // rebuild, reusing that slot's plan storage.
+  deltas_.resize(entries.size());
+  ordered_.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    // Timeline entries are already in delta_precedes order (all adds,
+    // time-sorted), so ordered_ is just the identity — no sort.
+    deltas_[i].time = entries[i].time;
+    deltas_[i].take = entries[i].take;
+    deltas_[i].adds = true;
+    ordered_.push_back(static_cast<std::uint32_t>(i));
   }
+  timeline_id_ = tl.id();
+  timeline_version_ = tl.version();
   base_mark_ = deltas_.size();
   return false;
 }

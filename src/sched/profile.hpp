@@ -118,11 +118,6 @@ class FreeProfile {
   /// `base` is the free state at `now` (normally `snapshot(cluster)`).
   FreeProfile(ResourceState base, SimTime now, const ClusterConfig* config);
 
-  /// Convenience: base state and releases of all running jobs (via the
-  /// context's timeline when it has one, else rebuilt from the running
-  /// list — both produce identical profiles).
-  static FreeProfile from_context(const SchedContext& ctx);
-
   /// Incremental re-sync against the context. Returns true on the *clean*
   /// path — the context's timeline is the one this profile was built from,
   /// its version is unchanged, and no delta (release or hold boundary) lies
@@ -221,8 +216,8 @@ class FreeProfile {
   /// Number of leading deltas_ that are timeline releases (drop_holds floor).
   Mark base_mark_ = 0;
 
-  // sync() bookkeeping: which timeline state this profile mirrors.
-  bool from_timeline_ = false;
+  // sync() bookkeeping: which timeline state this profile mirrors (id 0:
+  // none — timeline ids start at 1).
   std::uint64_t timeline_id_ = 0;
   std::uint64_t timeline_version_ = 0;
 

@@ -1,9 +1,6 @@
 #include "sched/queue_policy.hpp"
 
 #include <algorithm>
-#include <cmath>
-
-#include "common/assert.hpp"
 
 namespace dmsched {
 
@@ -17,52 +14,32 @@ const char* to_string(QueueOrder order) {
   return "?";
 }
 
-void order_queue(std::vector<JobId>& ids, const JobLookup& get,
-                 QueueOrder order, SimTime now) {
-  DMSCHED_ASSERT(get != nullptr, "order_queue: null job lookup");
-  auto tie = [&](JobId a, JobId b) {
-    const Job& ja = get(a);
-    const Job& jb = get(b);
-    if (ja.submit != jb.submit) return ja.submit < jb.submit;
-    return a < b;
-  };
+bool queue_precedes(const Job& a, const Job& b, QueueOrder order,
+                    SimTime now) {
   switch (order) {
     case QueueOrder::kFcfs:
-      std::sort(ids.begin(), ids.end(), tie);
       break;
     case QueueOrder::kShortestFirst:
-      std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-        if (get(a).walltime != get(b).walltime) {
-          return get(a).walltime < get(b).walltime;
-        }
-        return tie(a, b);
-      });
+      if (a.walltime != b.walltime) return a.walltime < b.walltime;
       break;
     case QueueOrder::kLargestFirst:
-      std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-        if (get(a).nodes != get(b).nodes) {
-          return get(a).nodes > get(b).nodes;
-        }
-        return tie(a, b);
-      });
+      if (a.nodes != b.nodes) return a.nodes > b.nodes;
       break;
     case QueueOrder::kWfp: {
-      auto score = [&](JobId id) {
-        const Job& j = get(id);
+      const auto score = [now](const Job& j) {
         const double wait = (now - j.submit).seconds();
         const double wall = std::max(j.walltime.seconds(), 1.0);
         const double r = wait / wall;
         return r * r * r * static_cast<double>(j.nodes);
       };
-      std::sort(ids.begin(), ids.end(), [&](JobId a, JobId b) {
-        const double sa = score(a);
-        const double sb = score(b);
-        if (sa != sb) return sa > sb;
-        return tie(a, b);
-      });
+      const double sa = score(a);
+      const double sb = score(b);
+      if (sa != sb) return sa > sb;
       break;
     }
   }
+  if (a.submit != b.submit) return a.submit < b.submit;
+  return a.id < b.id;
 }
 
 }  // namespace dmsched

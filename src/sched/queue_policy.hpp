@@ -1,9 +1,6 @@
 // Queue ordering policies: who is at the head of the line.
 #pragma once
 
-#include <functional>
-#include <vector>
-
 #include "workload/job.hpp"
 
 namespace dmsched {
@@ -19,13 +16,10 @@ enum class QueueOrder {
 
 [[nodiscard]] const char* to_string(QueueOrder order);
 
-/// Resolves a job id to its record.
-using JobLookup = std::function<const Job&(JobId)>;
-
-/// Sort job ids into queue order, resolving each id through `lookup`. `now`
-/// is needed for wait-dependent policies (WFP). Ties always break on
-/// submission then id, so the order is total and deterministic.
-void order_queue(std::vector<JobId>& ids, const JobLookup& lookup,
-                 QueueOrder order, SimTime now);
+/// True when `a` is ahead of `b` in queue order `order` at `now` (WFP's
+/// score depends on wait time). Ties always break on submission then
+/// `Job::id`, so the order is total and deterministic.
+[[nodiscard]] bool queue_precedes(const Job& a, const Job& b,
+                                  QueueOrder order, SimTime now);
 
 }  // namespace dmsched

@@ -55,38 +55,30 @@ class SchedContext {
   [[nodiscard]] virtual MigrationPolicy migration() const { return {}; }
 
   // --- incremental-pass contract (push-based invalidation) ------------------
-  // A context MAY expose the engine's persistent availability timeline plus
-  // an append-only view of the queue. Schedulers use these to skip work that
-  // a full pass would provably repeat: an unchanged timeline version means
-  // no resources moved since the cached pass, and `queued_jobs_after` names
-  // the only candidates a previously-converged pass has not yet judged. The
-  // defaults (no timeline, unstable order, full queue) make every cached
-  // fast path disable itself, so hand-rolled contexts stay correct unopted.
+  // Every context exposes the availability timeline it maintains plus an
+  // append-only view of the queue; there is no timeline-less mode. Schedulers
+  // use these to skip work that a full pass would provably repeat: an
+  // unchanged timeline version means no resources moved since the cached
+  // pass, and `queued_jobs_after` names the only candidates a previously
+  // converged pass has not yet judged.
 
-  /// The persistent release timeline, or nullptr when the context does not
-  /// maintain one (schedulers then rebuild profiles from the running list).
-  [[nodiscard]] virtual const AvailabilityTimeline* timeline() const {
-    return nullptr;
-  }
+  /// The persistent release timeline, never null. It must track every start
+  /// and finish the context's cluster sees.
+  [[nodiscard]] virtual const AvailabilityTimeline* timeline() const = 0;
 
   /// True when queued_jobs() order is append-stable: new arrivals only ever
   /// append, and the relative order of already-queued jobs never changes
   /// between passes (FCFS). Priority/SJF orders re-rank on every pass, so
   /// incremental queue suffixes are meaningless there.
-  [[nodiscard]] virtual bool queue_order_stable() const { return false; }
+  [[nodiscard]] virtual bool queue_order_stable() const = 0;
 
-  /// Monotone counter of lifetime queue appends (not current length —
-  /// starts do not decrease it). Epoch E captured after a pass means that
-  /// pass saw every job appended before E.
-  [[nodiscard]] virtual std::uint64_t queue_tail_epoch() const { return 0; }
+  /// Monotone token over queue appends: a token T captured after a pass
+  /// means that pass saw every job appended before T was taken.
+  [[nodiscard]] virtual std::uint64_t queue_tail_epoch() const = 0;
 
-  /// Still-queued jobs appended at or after `epoch`, in append order. The
-  /// default returns the whole queue — always correct, never incremental.
+  /// Still-queued jobs appended since `epoch` was taken, in append order.
   [[nodiscard]] virtual std::vector<JobId> queued_jobs_after(
-      std::uint64_t epoch) const {
-    (void)epoch;
-    return queued_jobs();
-  }
+      std::uint64_t epoch) const = 0;
 
   /// Commit `alloc` for `job`, schedule its completion, remove it from the
   /// queue. The allocation must have been planned against the current

@@ -1,0 +1,214 @@
+// The incremental-pass contract, end to end through the engine.
+//
+// Caching schedulers skip work a full pass would provably repeat, keyed on
+// the context's availability timeline and its append-only queue view
+// (sched/scheduler.hpp). Two checks pin that down:
+//  - warm equals cold: on every paper-regime scenario, under every queue
+//    order, a cached policy produces the same semantic event digest as the
+//    same policy rebuilt from scratch for every pass;
+//  - the queue view: at every pass, queued_jobs() is the queue comparator's
+//    order and queued_jobs_after(token) names exactly the jobs that arrived
+//    since the pass that took the token.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "cluster/system_config.hpp"
+#include "common/rng.hpp"
+#include "core/engine.hpp"
+#include "core/experiment.hpp"
+#include "core/factory.hpp"
+#include "sched/queue_policy.hpp"
+#include "testing/builders.hpp"
+#include "workload/scenarios.hpp"
+
+namespace dmsched {
+namespace {
+
+const SchedulerKind kCachingKinds[] = {
+    SchedulerKind::kEasy, SchedulerKind::kConservative,
+    SchedulerKind::kMemAwareEasy, SchedulerKind::kAdaptive};
+
+const QueueOrder kOrders[] = {QueueOrder::kFcfs, QueueOrder::kShortestFirst,
+                              QueueOrder::kLargestFirst, QueueOrder::kWfp};
+
+/// Builds a fresh policy for every pass, so no cache survives between
+/// passes: each pass is the full recompute a warm fast path must equal.
+class FreshEachPass final : public Scheduler {
+ public:
+  FreshEachPass(SchedulerKind kind, MemAwareOptions mem)
+      : kind_(kind), mem_(mem) {}
+  [[nodiscard]] const char* name() const override { return "fresh-each-pass"; }
+  void schedule(SchedContext& ctx) override {
+    make_scheduler(kind_, mem_)->schedule(ctx);
+  }
+
+ private:
+  SchedulerKind kind_;
+  MemAwareOptions mem_;
+};
+
+struct CellRun {
+  std::uint64_t digest = 0;
+  std::uint64_t fast_passes = 0;
+};
+
+CellRun run_scenario_cell(const Scenario& scenario, SchedulerKind kind,
+                          QueueOrder order, bool fresh) {
+  ExperimentConfig cfg = scenario_experiment(scenario, kind);
+  cfg.engine.queue_order = order;
+  std::unique_ptr<Scheduler> scheduler =
+      fresh ? std::make_unique<FreshEachPass>(kind, cfg.mem_options)
+            : make_scheduler(kind, cfg.mem_options);
+  const SchedulerStats* stats = scheduler->stats();
+  EagerTraceSource source(scenario.trace);
+  SchedulingSimulation sim(cfg.cluster, source, std::move(scheduler),
+                           cfg.engine);
+  sim.run();
+  return {sim.event_digest(), stats != nullptr ? stats->fast_passes : 0};
+}
+
+std::vector<std::string> paper_scenarios() {
+  std::vector<std::string> names;
+  for (const std::string& name : scenario_names()) {
+    if (!scenario_info(name).infrastructure) names.push_back(name);
+  }
+  return names;
+}
+
+class WarmEqualsCold : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(WarmEqualsCold, CachedPolicyMatchesAFreshPolicyEveryPass) {
+  const Scenario scenario = make_scenario(GetParam(), {.jobs = 250});
+  std::uint64_t fast_passes = 0;
+  for (const SchedulerKind kind : kCachingKinds) {
+    for (const QueueOrder order : kOrders) {
+      SCOPED_TRACE(std::string(to_string(kind)) + "/" + to_string(order));
+      const CellRun warm = run_scenario_cell(scenario, kind, order, false);
+      const CellRun cold = run_scenario_cell(scenario, kind, order, true);
+      EXPECT_EQ(warm.digest, cold.digest);
+      fast_passes += warm.fast_passes;
+    }
+  }
+  // The warm arm must actually have taken fast paths for the comparison
+  // to mean anything.
+  EXPECT_GT(fast_passes, 0U);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperScenarios, WarmEqualsCold, ::testing::ValuesIn(paper_scenarios()),
+    [](const ::testing::TestParamInfo<std::string>& info) {
+      std::string name = info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
+
+// --- queue view --------------------------------------------------------------
+
+/// Checks the context's queue view at the start of every pass, then hands
+/// the pass to a cached policy.
+class QueueViewProbe final : public Scheduler {
+ public:
+  QueueViewProbe(std::unique_ptr<Scheduler> inner, QueueOrder order)
+      : inner_(std::move(inner)), order_(order) {}
+  [[nodiscard]] const char* name() const override { return "queue-view"; }
+
+  void schedule(SchedContext& ctx) override {
+    ++passes;
+    const std::vector<JobId> queue = ctx.queued_jobs();
+    std::vector<JobId> sorted = queue;
+    std::sort(sorted.begin(), sorted.end(), [&](JobId a, JobId b) {
+      return queue_precedes(ctx.job(a), ctx.job(b), order_, ctx.now());
+    });
+    if (queue != sorted) ++order_mismatches;
+
+    // Queued now but not at the end of the last pass: the arrivals since.
+    // The engine appends in id order, so append order is ascending id.
+    std::vector<JobId> arrived;
+    for (const JobId id : queue) {
+      if (left_queued_.count(id) == 0) arrived.push_back(id);
+    }
+    std::sort(arrived.begin(), arrived.end());
+    if (ctx.queued_jobs_after(token_) != arrived) ++suffix_mismatches;
+    if (arrived.size() > 1) ++multi_arrival_passes;
+    if (ctx.queue_tail_epoch() < token_) ++token_regressions;
+
+    inner_->schedule(ctx);
+    token_ = ctx.queue_tail_epoch();
+    const std::vector<JobId> left = ctx.queued_jobs();
+    left_queued_ = std::set<JobId>(left.begin(), left.end());
+  }
+
+  std::size_t passes = 0;
+  std::size_t order_mismatches = 0;
+  std::size_t suffix_mismatches = 0;
+  std::size_t token_regressions = 0;
+  std::size_t multi_arrival_passes = 0;
+
+ private:
+  std::unique_ptr<Scheduler> inner_;
+  QueueOrder order_;
+  std::uint64_t token_ = 0;
+  std::set<JobId> left_queued_;
+};
+
+/// Jobs arriving in bursts of eight with equal submit times, so FCFS order
+/// rests on the id tie-break and passes see several arrivals at once.
+Trace equal_submit_trace() {
+  Rng rng(16);
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < 240; ++id) {
+    const double runtime_h = rng.uniform(0.2, 4.0);
+    const auto nodes = static_cast<std::int32_t>(rng.uniform_int(1, 12));
+    jobs.push_back(testing::job(id)
+                       .at_h(0.5 * static_cast<double>(id / 8))
+                       .nodes(nodes)
+                       .mem_gib(rng.uniform(16.0, 120.0))
+                       .runtime_h(runtime_h)
+                       .walltime_h(runtime_h * rng.uniform(1.0, 2.0)));
+  }
+  return testing::trace_of(std::move(jobs), "equal-submits");
+}
+
+class QueueView : public ::testing::TestWithParam<QueueOrder> {};
+
+TEST_P(QueueView, MatchesTheComparatorAndTheArrivalsAtEveryPass) {
+  const Trace trace = equal_submit_trace();
+  const ClusterConfig machine = custom_config(
+      32, 8, gib(std::int64_t{64}), gib(std::int64_t{256}),
+      gib(std::int64_t{512}));
+  for (const std::size_t lookahead : {std::size_t{1}, std::size_t{0}}) {
+    for (const SchedulerKind kind : kCachingKinds) {
+      SCOPED_TRACE(std::string(to_string(kind)) +
+                   " lookahead=" + std::to_string(lookahead));
+      EngineOptions options;
+      options.queue_order = GetParam();
+      options.submit_lookahead = lookahead;
+      auto probe =
+          std::make_unique<QueueViewProbe>(make_scheduler(kind), GetParam());
+      const QueueViewProbe& seen = *probe;
+      EagerTraceSource source(trace);
+      SchedulingSimulation sim(machine, source, std::move(probe), options);
+      const RunMetrics m = sim.run();
+      EXPECT_EQ(m.completed, trace.size());
+      EXPECT_GT(seen.passes, 100U);
+      EXPECT_GT(seen.multi_arrival_passes, 0U);
+      EXPECT_EQ(seen.order_mismatches, 0U);
+      EXPECT_EQ(seen.suffix_mismatches, 0U);
+      EXPECT_EQ(seen.token_regressions, 0U);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllOrders, QueueView, ::testing::ValuesIn(kOrders),
+    [](const ::testing::TestParamInfo<QueueOrder>& info) {
+      return std::string(to_string(info.param));
+    });
+
+}  // namespace
+}  // namespace dmsched

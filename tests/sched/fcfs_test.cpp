@@ -51,11 +51,11 @@ TEST(Fcfs, ProcessesQueueInPolicyOrder) {
   FakeContext ctx(tiny_cluster(), {job(0).at_h(2.0).nodes(2),
                                    job(1).at_h(1.0).nodes(2)});
   ctx.set_now(hours(3));
-  ctx.enqueue(0);
   ctx.enqueue(1);
+  ctx.enqueue(0);
   FcfsScheduler sched;
   sched.schedule(ctx);
-  // job 1 submitted earlier: starts first
+  // job 1 submitted earlier: starts first despite its higher id
   EXPECT_EQ(ctx.started(), (std::vector<JobId>{1, 0}));
 }
 

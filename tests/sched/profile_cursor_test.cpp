@@ -217,9 +217,8 @@ TEST(ProfileCursor, MatchesBreakpointSweepOnRandomProfiles) {
 /// A machine the shared profile syncs against: a context with the engine's
 /// availability timeline, and a pool of jobs to start and finish on it.
 struct Site {
-  Site(ClusterConfig config, Rng& rng) : ctx(config, random_jobs(config, rng)) {
-    ctx.enable_timeline();
-  }
+  Site(ClusterConfig config, Rng& rng)
+      : ctx(config, random_jobs(config, rng)) {}
 
   static std::vector<Job> random_jobs(const ClusterConfig& c, Rng& rng) {
     std::vector<Job> jobs;

@@ -271,7 +271,6 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
 TEST(FreeProfileSync, CleanSyncCarriesHoldsAndRebuildDropsThem) {
   FakeContext ctx(machine(8, 64),
                   {job(0).nodes(4).walltime_h(2.0), job(1)});
-  ctx.enable_timeline();
   ctx.force_run(0);
 
   FreeProfile profile;
@@ -311,7 +310,6 @@ TEST(EasyIncremental, FastPassMatchesFreshScheduler) {
       job(3).nodes(2).walltime_h(5.0),  // late arrival: fits the extra budget
   };
   FakeContext ctx(machine(8, 64), jobs);
-  ctx.enable_timeline();
   ctx.force_run(0);
   ctx.enqueue(1);
   ctx.enqueue(2);
@@ -355,7 +353,6 @@ TEST(ConservativeIncremental, FastPassFitsOnlyNewArrivals) {
       job(3).nodes(2).walltime_h(6.0),  // arrival: does not fit now
   };
   FakeContext ctx(machine(8, 64), jobs);
-  ctx.enable_timeline();
   ctx.force_run(0);
   ctx.enqueue(1);
 
@@ -373,17 +370,16 @@ TEST(ConservativeIncremental, FastPassFitsOnlyNewArrivals) {
   sched.schedule(ctx);
   EXPECT_EQ(ctx.started(), (std::vector<JobId>{2}));
 
-  // Replaying the same sequence against a non-incremental context (no
-  // timeline => every pass recomputes) must decide identically.
+  // Replaying the same sequence with a fresh scheduler each pass (no cache
+  // => every pass recomputes) must decide identically.
   FakeContext ref(machine(8, 64), jobs);
   ref.force_run(0);
   ref.enqueue(1);
-  ConservativeScheduler full;
-  full.schedule(ref);
+  ConservativeScheduler{}.schedule(ref);
   ref.enqueue(2);
-  full.schedule(ref);
+  ConservativeScheduler{}.schedule(ref);
   ref.enqueue(3);
-  full.schedule(ref);
+  ConservativeScheduler{}.schedule(ref);
   EXPECT_EQ(ref.started(), ctx.started());
 }
 

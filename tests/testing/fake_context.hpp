@@ -27,14 +27,15 @@ class FakeContext final : public SchedContext {
   void set_slowdown(SlowdownModel m) { slowdown_ = m; }
   void set_queue_order(QueueOrder order) { order_ = order; }
 
-  /// Opt in to the incremental-pass contract: expose the maintained
-  /// availability timeline and the append-stable queue view, like the engine
-  /// does. Tests that enable this must not hand-mutate the cluster through
-  /// mutable_cluster() — the timeline only tracks admit()/finish().
-  void enable_timeline() { use_timeline_ = true; }
-
-  /// Put a job in the waiting queue.
+  /// Put a job in the waiting queue. Under FCFS, appends must come in
+  /// (submit, id) order, as the engine's do: the incremental passes read
+  /// new arrivals in append order.
   void enqueue(JobId id) {
+    DMSCHED_ASSERT(order_ != QueueOrder::kFcfs || append_log_.empty() ||
+                       queue_precedes(job(append_log_.back()), job(id),
+                                      QueueOrder::kFcfs, now_),
+                   "FakeContext::enqueue: FCFS appends must arrive in "
+                   "(submit, id) order");
     queue_.push_back(id);
     append_log_.push_back(id);
   }
@@ -53,7 +54,6 @@ class FakeContext final : public SchedContext {
   [[nodiscard]] bool was_started(JobId id) const {
     return std::find(started_.begin(), started_.end(), id) != started_.end();
   }
-  [[nodiscard]] Cluster& mutable_cluster() { return cluster_; }
   [[nodiscard]] const RunningJob* running_record(JobId id) const {
     for (const auto& r : running_) {
       if (r.id == id) return &r;
@@ -86,8 +86,9 @@ class FakeContext final : public SchedContext {
   }
   [[nodiscard]] std::vector<JobId> queued_jobs() const override {
     std::vector<JobId> ids = queue_;
-    order_queue(
-        ids, [this](JobId id) -> const Job& { return job(id); }, order_, now_);
+    std::sort(ids.begin(), ids.end(), [this](JobId a, JobId b) {
+      return queue_precedes(job(a), job(b), order_, now_);
+    });
     return ids;
   }
   [[nodiscard]] std::vector<RunningJob> running_jobs() const override {
@@ -111,10 +112,10 @@ class FakeContext final : public SchedContext {
   }
 
   [[nodiscard]] const AvailabilityTimeline* timeline() const override {
-    return use_timeline_ ? &timeline_ : nullptr;
+    return &timeline_;
   }
   [[nodiscard]] bool queue_order_stable() const override {
-    return use_timeline_ && order_ == QueueOrder::kFcfs;
+    return order_ == QueueOrder::kFcfs;
   }
   [[nodiscard]] std::uint64_t queue_tail_epoch() const override {
     return append_log_.size();
@@ -155,7 +156,6 @@ class FakeContext final : public SchedContext {
   SlowdownModel slowdown_{};
   QueueOrder order_ = QueueOrder::kFcfs;
   AvailabilityTimeline timeline_{config_};
-  bool use_timeline_ = false;
   std::vector<JobId> queue_;
   std::vector<JobId> append_log_;
   std::vector<RunningJob> running_;
