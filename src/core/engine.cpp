@@ -138,7 +138,8 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
       cluster_(config_),
       migration_(options_.migration),
       topology_(config_),
-      timeline_(config_) {
+      timeline_(config_),
+      admission_state_(empty_state(config_)) {
   DMSCHED_ASSERT(scheduler_ != nullptr, "simulation needs a scheduler");
   // Look-ahead 0 pulls every job before the first event, so the advisory
   // size fits the ring exactly; a bounded window's ring doubles as needed.
@@ -643,7 +644,8 @@ void SchedulingSimulation::handle_submit(JobId id) {
   JobRuntime& r = slot.rt;
   DMSCHED_ASSERT(r.state == JobState::kPending, "double submission");
   const Job& j = slot.job;
-  if (!feasible_on_empty(config_, j, options_.placement)) {
+  if (!compute_take(admission_state_, config_, j, options_.placement,
+                    admission_plan_)) {
     // The job cannot run on this machine shape at all (e.g. footprint above
     // local memory and no pool big enough). Table III counts these.
     r.state = JobState::kRejected;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <map>
 #include <span>
 #include <utility>
 
@@ -137,34 +136,74 @@ std::int32_t gpu_clamped(const ResourceState& state, std::size_t idx,
 }
 
 /// Nodes the greedy in compute_take places before it runs out of
-/// resources, whatever the rack order. Not valid for the distance-graded
-/// routing's neighbor stage.
+/// resources, whatever the rack order, for a deficit job (`d > 0`) whose
+/// routing funds nodes from their own rack's pool: kRackOnly (`global_ok`
+/// false) or kRackThenGlobal.
 ///
 /// A rack with f takeable nodes funds c = min(f, pool / d) of them from its
-/// own pool (c = 0 without rack routing), then up to f - c more from the
-/// global budget. A visit that does not finish the job takes all c, plus
-/// min(f - c, budget left); those global takes sum to min(G, L) in any
-/// order, where G = global / d (0 without global routing) and L = Σ(f - c).
-/// So a greedy that never finishes places R + min(G, L) nodes, R = Σc, and
-/// it finishes exactly when that reaches the job's node count. Without a
-/// deficit every takeable node counts.
+/// own pool, then up to f - c more from the global budget. A visit that does
+/// not finish the job takes all c, plus min(f - c, budget left); those
+/// global takes sum to min(G, L) in any order, where G = global / d (0
+/// without global routing) and L = Σ(f - c). So a greedy that never
+/// finishes places R + min(G, L) nodes, R = Σc, and it finishes exactly
+/// when that reaches the job's node count.
 std::int64_t greedy_capacity(const ResourceState& state, Bytes d,
-                             std::int32_t g, bool rack_ok, bool global_ok) {
+                             std::int32_t g, bool global_ok) {
   std::int64_t via_rack = 0;
   std::int64_t leftover = 0;
   for (std::size_t idx = 0; idx < state.free_nodes.size(); ++idx) {
     const std::int64_t free = gpu_clamped(state, idx, g);
     const std::int64_t c =
-        (rack_ok && !d.is_zero())
-            ? std::min(free, state.pool_free[idx].count() / d.count())
-            : 0;
+        std::min(free, state.pool_free[idx].count() / d.count());
     via_rack += c;
     leftover += free - c;
   }
-  if (d.is_zero()) return leftover;
   const std::int64_t global_nodes =
       global_ok ? state.global_free.count() / d.count() : 0;
   return via_rack + std::min(global_nodes, leftover);
+}
+
+/// Whether the greedy in compute_take places and funds all of `job`,
+/// decided from per-tier sums before any rack is ordered. Let N = Σf, the
+/// takeable nodes, and B the free bytes of the tiers the routing may use
+/// (Σ rack pools unless kGlobalOnly, plus the global tier unless
+/// kRackOnly). N >= nodes and B >= d·nodes are necessary under every
+/// routing. They are also sufficient, so the sums are the exact answer:
+///  - d == 0: the greedy takes min(f, remaining) per rack in any order, so
+///    it places every node iff N >= nodes; no tier is drawn.
+///  - kGlobalOnly: each rack takes min(f, budget left, remaining) from a
+///    budget of global / d nodes, so the greedy places min(global / d, N,
+///    nodes) in any order, and global / d >= nodes iff global >= d·nodes.
+///  - kRackNeighborGlobal: stage 1 and stage 2 together may take all f of
+///    every rack, so stage 2 places the rest iff N >= nodes. Stage 1 drew
+///    d·n1 bytes from its racks' own pools; stage 2 then funds d·n2 bytes
+///    (n1 + n2 = nodes) from any rack's residual pool (hosting racks first,
+///    then neighbors) and then from the global tier. Residual pools sum to
+///    Σpool - d·n1, so the global tier is left max(0, d·nodes - Σpool)
+///    bytes, which it covers iff B >= d·nodes.
+/// kRackOnly and kRackThenGlobal deficit jobs cannot move bytes between
+/// racks, so for them the sums only pre-filter and greedy_capacity decides.
+/// B is summed in 128 bits: ClusterConfig bounds no rack count or pool size.
+bool greedy_fits(const ResourceState& state, const Job& job, Bytes d,
+                 std::int32_t g, bool rack_ok, bool global_ok,
+                 bool neighbor_ok) {
+  std::int64_t takeable = 0;
+  if (g == 0) {
+    for (const std::int32_t free : state.free_nodes) takeable += free;
+  } else {
+    for (std::size_t idx = 0; idx < state.free_nodes.size(); ++idx) {
+      takeable += gpu_clamped(state, idx, g);
+    }
+  }
+  if (takeable < job.nodes) return false;
+  if (d.is_zero()) return true;
+  __int128 tier_bytes = global_ok ? state.global_free.count() : 0;
+  if (rack_ok) {
+    for (const Bytes pool : state.pool_free) tier_bytes += pool.count();
+  }
+  if (tier_bytes < static_cast<__int128>(d.count()) * job.nodes) return false;
+  if (neighbor_ok || !rack_ok) return true;
+  return greedy_capacity(state, d, g, global_ok) >= job.nodes;
 }
 
 }  // namespace
@@ -197,10 +236,10 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
   // behind foreign rack pools, so the main loop funds rack-only and stage 2
   // below walks the remaining deficit outward by hop distance.
   const bool neighbor_ok = policy.routing == PoolRouting::kRackNeighborGlobal;
-  // Reject before ordering racks: the greedy's placed-node count does not
-  // depend on the order (greedy_capacity), except in the neighbor stage.
-  if ((d.is_zero() || !neighbor_ok) &&
-      greedy_capacity(state, d, g, rack_ok, global_ok) < job.nodes) {
+  // Decide before ordering racks: whether the greedy below places and funds
+  // every node does not depend on the order (greedy_fits), so past this
+  // point the kernel cannot fail.
+  if (!greedy_fits(state, job, d, g, rack_ok, global_ok, neighbor_ok)) {
     return false;
   }
 
@@ -222,7 +261,7 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
         remaining -= take;
       }
     }
-    DMSCHED_ASSERT(remaining == 0, "compute_take: greedy_capacity disagrees");
+    DMSCHED_ASSERT(remaining == 0, "compute_take: greedy_fits disagrees");
     return true;
   }
 
@@ -263,7 +302,7 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
     }
   }
   DMSCHED_ASSERT(neighbor_ok || remaining == 0,
-                 "compute_take: greedy_capacity disagrees");
+                 "compute_take: greedy_fits disagrees");
 
   if (neighbor_ok && remaining > 0) {
     // Stage 2 of the distance-graded routing. Nodes first: the hosting set
@@ -302,7 +341,7 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
       placed += take_n;
       remaining -= take_n;
     }
-    if (remaining > 0) return false;
+    DMSCHED_ASSERT(remaining == 0, "compute_take: greedy_fits disagrees");
     // Fund the stage-2 deficit outward by hop distance: hosting racks'
     // residual pools, then foreign (neighbor) racks' pools, then the
     // global tier. Rack-index order within each ring keeps it deterministic.
@@ -326,7 +365,8 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
       }
     }
     if (deficit > Bytes{0}) {
-      if (state.global_free < deficit) return false;
+      DMSCHED_ASSERT(state.global_free >= deficit,
+                     "compute_take: greedy_fits disagrees");
       plan.takes.front().global_pool_bytes += deficit;
     }
     for (auto& t : plan.takes) {
@@ -444,12 +484,21 @@ TakePlan take_from(const Allocation& alloc, const ClusterConfig& config) {
   take.local_per_node = alloc.local_per_node;
   take.far_per_node = alloc.far_per_node;
   take.bb_bytes = alloc.bb_bytes;
-  // Group nodes by rack, then attach this allocation's pool draws.
-  std::map<RackId, RackTake> per_rack;
+  // Group nodes by rack, then attach this allocation's pool draws. A slot
+  // keeps rack == kGlobalPoolRack until the allocation touches its rack.
+  const auto racks_n = static_cast<std::size_t>(config.racks());
+  RackScratch<RackTake> per_rack(racks_n, RackTake{kGlobalPoolRack});
+  std::size_t used = 0;
+  const auto slot = [&](RackId r) -> RackTake& {
+    RackTake& t = per_rack[static_cast<std::size_t>(r)];
+    if (t.rack == kGlobalPoolRack) {
+      t.rack = r;
+      ++used;
+    }
+    return t;
+  };
   for (NodeId n : alloc.nodes) {
-    const RackId r = config.rack_of(n);
-    auto& t = per_rack[r];
-    t.rack = r;
+    RackTake& t = slot(config.rack_of(n));
     ++t.nodes;
     t.gpus += alloc.gpus_per_node;
   }
@@ -460,22 +509,23 @@ TakePlan take_from(const Allocation& alloc, const ClusterConfig& config) {
     } else if (d.neighbor) {
       // A neighbor draw's source rack hosts none of the job's nodes; it
       // gets its own node-less slice so profiles debit the right pool.
-      auto& t = per_rack[d.rack];
+      RackTake& t = slot(d.rack);
       DMSCHED_ASSERT(t.nodes == 0,
                      "neighbor draw from a rack hosting the allocation's nodes");
-      t.rack = d.rack;
       t.neighbor_pool_bytes += d.bytes;
     } else {
-      auto it = per_rack.find(d.rack);
-      DMSCHED_ASSERT(it != per_rack.end() && it->second.nodes > 0,
+      RackTake& t = per_rack[static_cast<std::size_t>(d.rack)];
+      DMSCHED_ASSERT(t.nodes > 0,
                      "allocation draws from a rack hosting none of its nodes");
-      it->second.rack_pool_bytes += d.bytes;
+      t.rack_pool_bytes += d.bytes;
     }
   }
-  // The global draw is accounted on the first rack slice: profiles only use
-  // the global *total*, which is preserved.
-  take.takes.reserve(per_rack.size());
-  for (auto& [r, t] : per_rack) take.takes.push_back(t);
+  // Slices in ascending rack order. The global draw is accounted on the
+  // first one: profiles only use the global *total*, which is preserved.
+  take.takes.reserve(used);
+  for (const RackTake& t : per_rack.slots()) {
+    if (t.rack != kGlobalPoolRack) take.takes.push_back(t);
+  }
   if (global_bytes > Bytes{0}) {
     DMSCHED_ASSERT(!take.takes.empty(), "allocation with draws but no nodes");
     take.takes.front().global_pool_bytes = global_bytes;

@@ -61,9 +61,13 @@ struct TakePlan {
 };
 
 /// Plan a start of `job` against `state` into caller-owned `plan`. Returns
-/// false when the job cannot start (insufficient nodes or pool capacity
-/// under `policy`); `plan` then holds no usable plan. Every field of `plan`
-/// is overwritten, and `plan.takes` keeps its capacity, so one plan reused
+/// false when the job cannot start (insufficient burst buffer, nodes or
+/// pool capacity under `policy`); `plan` then holds no usable plan. That
+/// answer is decided by an order-free test (per-tier sums, plus one
+/// per-rack pass for rack-only and rack-then-global deficit jobs) before
+/// any rack is ordered: a rejected probe never orders racks, and once the
+/// test passes, building the plan cannot fail. Every field of `plan` is
+/// overwritten, and `plan.takes` keeps its capacity, so one plan reused
 /// across probes allocates only when a plan outgrows every earlier one.
 [[nodiscard]] bool compute_take(const ResourceState& state,
                                 const ClusterConfig& config, const Job& job,
@@ -85,8 +89,9 @@ void apply_take(ResourceState& state, const TakePlan& plan);
 /// Return a plan's resources to `state`.
 void release_take(ResourceState& state, const TakePlan& plan);
 
-/// True when `job` could start on an *empty* machine of this shape — the
-/// admission check ("runnable at all").
+/// True when `job` could start on an *empty* machine of this shape ("runnable
+/// at all"). The engine's admission keeps its own empty state and scratch
+/// plan instead, so it allocates nothing per submit.
 [[nodiscard]] bool feasible_on_empty(const ClusterConfig& config,
                                      const Job& job, PlacementPolicy policy);
 

@@ -1,11 +1,16 @@
 // Differential test of the placement kernel: compute_take (order-free
-// early reject, stable insertion sort over an inline key buffer) against
+// feasibility test, stable insertion sort over an inline key buffer) against
 // the previous kernel, kept here as the reference. The reference allocates
 // and std::stable_sort()s a rack vector on every probe and rejects only
 // after walking the racks. Both must return identical plans, and nullopt on
 // the same inputs, for every NodeSelection × PoolRouting with the GPU and
 // burst-buffer axes on and off, on machines of 1, 3, 16 and 80 racks (past
 // the inline buffer).
+//
+// KernelBoundary puts both sums of the order-free test exactly on their
+// boundaries, which random states rarely hit, and checks the routings where
+// the sums alone decide; KernelSplit pins a distance-graded job that needs
+// all three funding grades.
 //
 // KernelReuse pins the caller-storage form: one TakePlan planned into over
 // and over must always equal a fresh plan, whatever the last probe left in
@@ -15,6 +20,7 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -354,6 +360,164 @@ TEST_P(KernelDiff, MatchesReferenceKernel) {
 
 INSTANTIATE_TEST_SUITE_P(RackCounts, KernelDiff,
                          ::testing::Values(1, 3, 16, 80));
+
+// --- Boundaries of the order-free feasibility test ---------------------------
+
+/// Takeable nodes: Σ per-rack free nodes, clamped by GPUs when g > 0.
+std::int64_t takeable_nodes(const ResourceState& s, std::int32_t g) {
+  std::int64_t n = 0;
+  for (std::size_t r = 0; r < s.free_nodes.size(); ++r) {
+    n += g > 0 ? std::min<std::int64_t>(s.free_nodes[r], s.free_gpus_in(r) / g)
+               : s.free_nodes[r];
+  }
+  return n;
+}
+
+/// Sets the free bytes of the tiers `route` may draw from to exactly
+/// `total`, split at random between rack pools and the global tier.
+void set_tier_bytes(Rng& rng, ResourceState& s, PoolRouting route,
+                    std::int64_t total) {
+  const bool rack_ok = route != PoolRouting::kGlobalOnly;
+  const bool global_ok = route != PoolRouting::kRackOnly;
+  std::int64_t left = total;
+  if (global_ok) {
+    s.global_free = Bytes{rack_ok ? rng.uniform_int(0, left) : left};
+    left -= s.global_free.count();
+  }
+  if (!rack_ok) return;
+  for (std::size_t r = 0; r + 1 < s.pool_free.size(); ++r) {
+    s.pool_free[r] = Bytes{rng.bernoulli(0.3) ? 0 : rng.uniform_int(0, left)};
+    left -= s.pool_free[r].count();
+  }
+  s.pool_free.back() = Bytes{left};
+  // Spread the last rack's remainder so no rack is always the rich one.
+  std::swap(s.pool_free.back(),
+            s.pool_free[static_cast<std::size_t>(
+                rng.uniform_int(0, static_cast<std::int64_t>(
+                                       s.pool_free.size()) - 1))]);
+}
+
+/// Both sums of the test on their boundaries: takeable nodes N at
+/// nodes - 1, nodes and nodes + 1, and the routing's tier bytes at
+/// d·nodes - 1, d·nodes and d·nodes + 1. Local-only jobs (d == 0) and the
+/// kGlobalOnly and kRackNeighborGlobal routings fit exactly when both sums
+/// suffice; kRackOnly and kRackThenGlobal must at least reject when either
+/// falls short. The reference kernel must agree on every probe.
+class KernelBoundary : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(KernelBoundary, SumsDecideExactlyWhereProved) {
+  const std::int32_t racks = GetParam();
+  Rng rng(static_cast<std::uint64_t>(9001 + racks));
+  int fits = 0;
+  int rejects = 0;
+  int exact_probes = 0;
+  for (int round = 0; round < 40; ++round) {
+    const bool gpu_machine = rng.bernoulli(0.5);
+    const ClusterConfig c = random_machine(rng, Shape{racks, gpu_machine, false});
+    for (const bool all_axes : {false, true}) {
+      const ResourceAxes axes =
+          all_axes ? ResourceAxes::all() : ResourceAxes::memory_only();
+      for (const PoolRouting route : kRoutings) {
+        for (const NodeSelection sel : kSelections) {
+          const PlacementPolicy policy{sel, route, axes};
+          ResourceState s = random_state(rng, c);
+          Job j = testing::job(0);
+          if (c.has_gpus() && rng.bernoulli(0.7)) {
+            j.gpus_per_node = static_cast<std::int32_t>(rng.uniform_int(1, 3));
+          }
+          const std::int32_t g = axes.gpus ? j.gpus_per_node : 0;
+          const std::int64_t n = takeable_nodes(s, g);
+          for (const int dn : {-1, 0, 1}) {
+            // N = nodes + dn.
+            const std::int64_t nodes = n - dn;
+            if (nodes < 1) continue;
+            j.nodes = static_cast<std::int32_t>(nodes);
+            for (const bool deficit : {false, true}) {
+              const std::int64_t d =
+                  deficit ? rng.uniform_int(1, 3) * kGiB.count() +
+                                rng.uniform_int(0, 1)
+                          : 0;
+              j.mem_per_node = c.local_mem_per_node + Bytes{d};
+              for (const int db : {-1, 0, 1}) {
+                if (!deficit && db != 0) continue;
+                // Tier bytes = d·nodes + db.
+                if (deficit) set_tier_bytes(rng, s, route, d * nodes + db);
+                const auto got = compute_take(s, c, j, policy);
+                const auto want = reference_take(s, c, j, policy);
+                const std::string where =
+                    "round " + std::to_string(round) + " " + to_string(sel) +
+                    "/" + to_string(route) + " axes=" +
+                    std::to_string(all_axes) + " dN=" + std::to_string(dn) +
+                    " dB=" + std::to_string(db) + " d=" + std::to_string(d);
+                ASSERT_EQ(got.has_value(), want.has_value()) << where;
+                if (got) {
+                  ++fits;
+                  EXPECT_EQ(*got, *want) << where;
+                } else {
+                  ++rejects;
+                }
+                const bool sums_fit = dn >= 0 && db >= 0;
+                if (!sums_fit) {
+                  EXPECT_FALSE(got.has_value()) << where;
+                }
+                if (!deficit || route == PoolRouting::kGlobalOnly ||
+                    route == PoolRouting::kRackNeighborGlobal) {
+                  ++exact_probes;
+                  EXPECT_EQ(got.has_value(), sums_fit) << where;
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(fits, 200);
+  EXPECT_GT(rejects, 200);
+  EXPECT_GT(exact_probes, 500);
+}
+
+INSTANTIATE_TEST_SUITE_P(RackCounts, KernelBoundary,
+                         ::testing::Values(1, 16, 80));
+
+/// A shared-neighbors job that fits only by funding its deficit from all
+/// three grades: its hosting rack's pool, a neighbor rack's pool and the
+/// global tier. One byte less anywhere and no order can place it.
+TEST(KernelSplit, SharedNeighborsFundsFromAllThreeGrades) {
+  const ClusterConfig c = testing::machine(12, 64.0, 32.0, 64.0);  // 3 racks
+  ResourceState s = empty_state(c);
+  s.free_nodes = {4, 0, 0};  // only rack 0 can host
+  s.pool_free = {gib(10.0), gib(20.0), Bytes{0}};
+  s.global_free = gib(30.0);
+  // 4 nodes × 15 GiB far = 60 GiB = 10 (own rack) + 20 (neighbor) + 30.
+  const Job j = testing::job(0).nodes(4).mem_gib(64.0 + 15.0);
+  for (const NodeSelection sel : kSelections) {
+    const PlacementPolicy policy{sel, PoolRouting::kRackNeighborGlobal,
+                                 ResourceAxes::memory_only()};
+    const auto got = compute_take(s, c, j, policy);
+    ASSERT_TRUE(got.has_value()) << to_string(sel);
+    EXPECT_EQ(got, reference_take(s, c, j, policy)) << to_string(sel);
+    ASSERT_EQ(got->takes.size(), 2U);
+    EXPECT_EQ(got->takes[0],
+              (RackTake{0, 4, gib(10.0), gib(30.0), 0, Bytes{0}}));
+    EXPECT_EQ(got->takes[1], (RackTake{1, 0, Bytes{0}, Bytes{0}, 0, gib(20.0)}));
+    // Every grade is needed: one byte short on any of them rejects.
+    for (Bytes* tier : {&s.pool_free[0], &s.pool_free[1], &s.global_free}) {
+      *tier -= Bytes{1};
+      EXPECT_FALSE(compute_take(s, c, j, policy).has_value()) << to_string(sel);
+      EXPECT_FALSE(reference_take(s, c, j, policy).has_value())
+          << to_string(sel);
+      *tier += Bytes{1};
+    }
+    // No routing without neighbor draws can fund it.
+    for (const PoolRouting route :
+         {PoolRouting::kRackOnly, PoolRouting::kRackThenGlobal,
+          PoolRouting::kGlobalOnly}) {
+      const PlacementPolicy other{sel, route, ResourceAxes::memory_only()};
+      EXPECT_FALSE(compute_take(s, c, j, other).has_value()) << to_string(sel);
+    }
+  }
+}
 
 // --- One plan reused across probes -------------------------------------------
 
