@@ -83,38 +83,44 @@ class RackScratch {
   std::span<T> slots_;
 };
 
+/// Rack `r`'s key in the visit order under a selection policy, written
+/// into `k`.
+void rack_key(const ResourceState& state, NodeSelection selection,
+              bool has_deficit, std::size_t r, RackKey& k) {
+  k = {0, 0, static_cast<RackId>(r)};
+  const std::int64_t free = state.free_nodes[r];
+  const std::int64_t pool = state.pool_free[r].count();
+  switch (selection) {
+    case NodeSelection::kFirstFit:
+      break;  // index order
+    case NodeSelection::kPackRacks:
+      // Most free nodes first => job spans the fewest racks.
+      k.major = -free;
+      break;
+    case NodeSelection::kSpreadRacks:
+      // Fewest free nodes first, so wide jobs spread over many racks.
+      k.major = free;
+      break;
+    case NodeSelection::kPoolAware:
+      if (has_deficit) {
+        // Deficit jobs chase pool-rich racks to avoid the global tier.
+        k.major = -pool;
+      } else {
+        // Local jobs keep away from pool-rich racks, preserving them for
+        // deficit jobs; among equals prefer fuller racks (packing).
+        k.major = pool;
+        k.minor = -free;
+      }
+      break;
+  }
+}
+
 /// Rack visit order under a selection policy, written into `keys` (one
 /// slot per rack). Deterministic: ties break on rack index.
 void rack_order(const ResourceState& state, NodeSelection selection,
                 bool has_deficit, std::span<RackKey> keys) {
   for (std::size_t r = 0; r < keys.size(); ++r) {
-    RackKey& k = keys[r];
-    k = {0, 0, static_cast<RackId>(r)};
-    const std::int64_t free = state.free_nodes[r];
-    const std::int64_t pool = state.pool_free[r].count();
-    switch (selection) {
-      case NodeSelection::kFirstFit:
-        break;  // index order
-      case NodeSelection::kPackRacks:
-        // Most free nodes first => job spans the fewest racks.
-        k.major = -free;
-        break;
-      case NodeSelection::kSpreadRacks:
-        // Fewest free nodes first, so wide jobs spread over many racks.
-        k.major = free;
-        break;
-      case NodeSelection::kPoolAware:
-        if (has_deficit) {
-          // Deficit jobs chase pool-rich racks to avoid the global tier.
-          k.major = -pool;
-        } else {
-          // Local jobs keep away from pool-rich racks, preserving them for
-          // deficit jobs; among equals prefer fuller racks (packing).
-          k.major = pool;
-          k.minor = -free;
-        }
-        break;
-    }
+    rack_key(state, selection, has_deficit, r, keys[r]);
   }
   if (selection == NodeSelection::kFirstFit) return;
   // Stable insertion sort: a key moves only past strictly greater keys.
@@ -125,6 +131,48 @@ void rack_order(const ResourceState& state, NodeSelection selection,
     keys[j] = k;
   }
 }
+
+/// The total order the stable sort realizes: (major, minor, rack index).
+[[nodiscard]] bool visited_after(const RackKey& a, const RackKey& b) {
+  if (a.major != b.major) return a.major > b.major;
+  if (a.minor != b.minor) return a.minor > b.minor;
+  return a.rack > b.rack;
+}
+
+}  // namespace
+
+bool keeps_plan(const ResourceState& built_on, const TakePlan& plan,
+                PlacementPolicy policy, const TakePlan& delta,
+                const ResourceState& after) {
+  // Stage 2 of the distance-graded routing reads every rack.
+  if (policy.routing == PoolRouting::kRackNeighborGlobal ||
+      plan.takes.empty()) {
+    return false;
+  }
+  if (!plan.bb_bytes.is_zero() && !delta.bb_bytes.is_zero()) return false;
+  const bool has_deficit = !plan.far_per_node.is_zero();
+  // The greedy's global node budget: read by deficit jobs that may draw
+  // from the global tier.
+  const bool reads_global =
+      has_deficit && policy.routing != PoolRouting::kRackOnly;
+  // The greedy visits racks in key order and stops at the rack of the
+  // plan's last slice: the racks it read are those keyed at or before it.
+  RackKey last{};
+  rack_key(built_on, policy.selection, has_deficit,
+           static_cast<std::size_t>(plan.takes.back().rack), last);
+  for (const RackTake& t : delta.takes) {
+    if (reads_global && !t.global_pool_bytes.is_zero()) return false;
+    const auto r = static_cast<std::size_t>(t.rack);
+    RackKey key{};
+    rack_key(built_on, policy.selection, has_deficit, r, key);
+    if (!visited_after(key, last)) return false;  // the greedy read it
+    rack_key(after, policy.selection, has_deficit, r, key);
+    if (!visited_after(key, last)) return false;  // now it would
+  }
+  return true;
+}
+
+namespace {
 
 /// Nodes rack `idx` can host when each draws `g` devices from its GPU pool.
 std::int32_t gpu_clamped(const ResourceState& state, std::size_t idx,

@@ -80,6 +80,23 @@ struct TakePlan {
                                                    const Job& job,
                                                    PlacementPolicy policy);
 
+/// Whether compute_take still returns `plan` once `delta` is folded in, so
+/// a caller can reuse a plan across states instead of rebuilding it.
+/// `plan` is what compute_take returned on `built_on`, and `after` is
+/// `built_on` with `delta` and possibly other deltas folded. True when the
+/// delta touches no rack the greedy read on `built_on` (those keyed at or
+/// before the rack of the plan's last slice), every rack it touches still
+/// orders after that rack on `after`, and it moves no global bytes a
+/// deficit job's global budget reads and no burst-buffer bytes the plan
+/// holds. So compute_take returns `plan` on a later state when this held
+/// for every delta folded since `built_on`, each checked against the state
+/// just after its own fold. Always false under kRackNeighborGlobal, whose
+/// stage 2 reads every rack.
+[[nodiscard]] bool keeps_plan(const ResourceState& built_on,
+                              const TakePlan& plan, PlacementPolicy policy,
+                              const TakePlan& delta,
+                              const ResourceState& after);
+
 /// True when `plan` could be subtracted from `state` without going
 /// negative (non-mutating feasibility probe for interval fitting).
 [[nodiscard]] bool can_apply(const ResourceState& state, const TakePlan& plan);

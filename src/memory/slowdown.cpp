@@ -23,6 +23,16 @@ void SlowdownModel::validate() const {
     throw std::invalid_argument(
         strformat("gamma = %g, must be finite and > 0", gamma));
   }
+  // A negative multiplier would shrink a dilation below 1.
+  for (const auto& [field, sens] :
+       {std::pair{"sens_compute", sens_compute},
+        std::pair{"sens_balanced", sens_balanced},
+        std::pair{"sens_bandwidth", sens_bandwidth}}) {
+    if (!std::isfinite(sens) || sens < 0.0) {
+      throw std::invalid_argument(
+          strformat("%s = %g, must be finite and >= 0", field, sens));
+    }
+  }
 }
 
 double SlowdownModel::sensitivity_multiplier(MemSensitivity s) const {

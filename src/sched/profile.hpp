@@ -28,6 +28,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "memory/placement.hpp"
 #include "sched/scheduler.hpp"
 
@@ -157,8 +158,10 @@ class FreeProfile {
   /// make availability non-monotone. `duration_of` maps the plan chosen at
   /// the candidate start to the job's walltime bound (dilation depends on
   /// where the memory comes from); a zero duration asks for an
-  /// instantaneous fit. Returns nullopt only if no breakpoint, the last
-  /// included, admits the job.
+  /// instantaneous fit. It must be a pure function of the plan: a
+  /// candidate that would rebuild a plan which already failed continuity
+  /// is skipped on the strength of that plan's window length. Returns
+  /// nullopt only if no breakpoint, the last included, admits the job.
   template <class DurationFn>
   [[nodiscard]] std::optional<Fit> earliest_fit_window(
       const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const;
@@ -240,21 +243,62 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
   // One cursor walks the candidates; the continuity check walks a second
   // one forward from it. Each step reads the next row instead of searching.
   // One scratch plan serves every candidate; it moves into the Fit.
+  //
+  // A failed candidate's verdict is kept: `plan`, built on row_state(built),
+  // broke continuity at row `failed`. While every delta folded since keeps
+  // that plan (keeps_plan), a candidate up to `failed` would rebuild it, and
+  // since its window has the same length and a later start, it still
+  // covers `failed` and fails there too: it is skipped unbuilt.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   std::size_t n = rows_through(now_);
   SimTime t = now_;
   TakePlan plan;
+  std::size_t built = 0;
+  std::size_t failed = kNone;
+  bool repeats = false;  // `plan` is what compute_take returns at row n
   for (;;) {
-    if (compute_take(row_state(n), *config_, job, policy, plan)) {
+    if (repeats) {
+#ifndef NDEBUG
+      TakePlan shadow;
+      DMSCHED_ASSERT(
+          compute_take(row_state(n), *config_, job, policy, shadow) &&
+              shadow == plan,
+          "earliest_fit_window: a skipped candidate builds another plan");
+      DMSCHED_ASSERT(row_time(failed) < t + duration_of(plan) &&
+                         !can_apply(cache_states_[failed], plan),
+                     "earliest_fit_window: a skipped candidate is continuous");
+#endif
+    } else if (compute_take(row_state(n), *config_, job, policy, plan)) {
       const SimTime end = t + duration_of(plan);
-      bool continuous = true;
-      for (std::size_t k = n; continuous && row_time(k) < end; ++k) {
-        continuous = can_apply(cache_states_[k], plan);
+      // The last failing row first when this window covers it: the same
+      // contended rack usually fails again, and continuity is a
+      // conjunction, so the order of the tests cannot change the verdict.
+      std::size_t k = failed;
+      if (failed == kNone || failed < n || row_time(failed) >= end ||
+          can_apply(cache_states_[failed], plan)) {
+        for (k = n; row_time(k) < end && can_apply(cache_states_[k], plan);
+             ++k) {
+        }
+        if (row_time(k) >= end) return Fit{t, std::move(plan)};
       }
-      if (continuous) return Fit{t, std::move(plan)};
+      built = n;
+      failed = k;
+      repeats = true;
     }
     t = row_time(n);
     if (t == kTimeInfinity) return std::nullopt;  // final state tested
     ++n;
+    // Check the deltas of the row just crossed against the kept plan.
+    if (!repeats || n > failed) {
+      repeats = false;
+      continue;
+    }
+    const std::size_t last = cache_consumed_[n - 1];
+    for (std::size_t i = n == 1 ? 0 : cache_consumed_[n - 2];
+         repeats && i < last; ++i) {
+      repeats = keeps_plan(row_state(built), plan, policy,
+                           deltas_[ordered_[i]].take, row_state(n));
+    }
   }
 }
 

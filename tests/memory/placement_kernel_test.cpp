@@ -15,6 +15,10 @@
 // KernelReuse pins the caller-storage form: one TakePlan planned into over
 // and over must always equal a fresh plan, whatever the last probe left in
 // it.
+//
+// KeepsPlan checks keeps_plan, the rule that lets a window fit reuse a plan
+// across rows: whenever it says a run of deltas leaves a plan unchanged,
+// compute_take on the new state must return exactly that plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -589,6 +593,150 @@ TEST(KernelReuse, ReusedPlanEqualsFreshPlan) {
   EXPECT_GT(counts.deficit, 100);
   EXPECT_GT(counts.plain, 50);
   EXPECT_GT(counts.bb_then_none, 30);
+}
+
+// --- Plans kept across deltas -----------------------------------------------
+
+/// Up to `hi` in steps drawn from a few levels, so amounts that exactly
+/// empty or refill a rack are common.
+std::int64_t some(Rng& rng, std::int64_t hi) {
+  if (hi <= 0) return 0;
+  return rng.bernoulli(0.5) ? leveled(rng, hi) : rng.uniform_int(0, hi);
+}
+
+/// A random change to `s` within the machine's capacities: resources taken
+/// (`adds` false) or returned, on a few racks, sometimes with global or
+/// burst-buffer bytes. The returned delta has been folded into `s`.
+TakePlan random_delta(Rng& rng, const ClusterConfig& c, ResourceState& s,
+                      bool adds) {
+  const ResourceState cap = empty_state(c);
+  TakePlan delta;
+  const auto racks = static_cast<std::int64_t>(s.free_nodes.size());
+  const std::int64_t slices = rng.uniform_int(rng.bernoulli(0.1) ? 0 : 1, 3);
+  for (std::int64_t i = 0; i < slices; ++i) {
+    const auto r = static_cast<std::size_t>(rng.uniform_int(0, racks - 1));
+    const bool again = std::any_of(
+        delta.takes.begin(), delta.takes.end(),
+        [r](const RackTake& t) {
+          return static_cast<std::size_t>(t.rack) == r;
+        });
+    if (again) continue;
+    RackTake t{static_cast<RackId>(r)};
+    const auto room = [&](std::int64_t free, std::int64_t capacity) {
+      return some(rng, adds ? capacity - free : free);
+    };
+    t.nodes = static_cast<std::int32_t>(
+        room(s.free_nodes[r], cap.free_nodes[r]));
+    t.rack_pool_bytes =
+        Bytes{room(s.pool_free[r].count(), cap.pool_free[r].count())};
+    if (c.has_gpus()) t.gpus = room(s.free_gpus[r], cap.free_gpus[r]);
+    delta.takes.push_back(t);
+  }
+  if (!delta.takes.empty() && rng.bernoulli(0.3)) {
+    delta.takes.front().global_pool_bytes = Bytes{
+        some(rng, adds ? cap.global_free.count() - s.global_free.count()
+                       : s.global_free.count())};
+  }
+  if (c.has_burst_buffer() && rng.bernoulli(0.3)) {
+    delta.bb_bytes =
+        Bytes{some(rng, adds ? cap.bb_free.count() - s.bb_free.count()
+                             : s.bb_free.count())};
+  }
+  if (adds) {
+    release_take(s, delta);
+  } else {
+    apply_take(s, delta);
+  }
+  return delta;
+}
+
+struct KeepCounts {
+  int plans = 0;
+  int kept = 0;           // every delta of the run kept the plan
+  int kept_touched = 0;   // ... and at least one touched a rack
+  int changed = 0;        // compute_take's answer moved (or it rejected)
+};
+
+/// For each fitting plan, fold a run of one to three random deltas, asking
+/// keeps_plan after each fold. When every answer is yes, compute_take on the
+/// final state must return the plan unchanged.
+class KeepsPlan : public ::testing::TestWithParam<std::int32_t> {};
+
+TEST_P(KeepsPlan, UnchangedVerdictMeansComputeTakeRepeats) {
+  const std::int32_t racks = GetParam();
+  Rng rng(static_cast<std::uint64_t>(777 + racks));
+  KeepCounts counts;
+  constexpr PoolRouting kKeptRoutings[] = {PoolRouting::kRackOnly,
+                                           PoolRouting::kRackThenGlobal,
+                                           PoolRouting::kGlobalOnly};
+  for (int round = 0; round < 120; ++round) {
+    const Shape shape{racks, rng.bernoulli(0.5), rng.bernoulli(0.5)};
+    const ClusterConfig c = random_machine(rng, shape);
+    const ResourceState s = random_state(rng, c);
+    for (int k = 0; k < 6; ++k) {
+      const Job j = random_job(rng, c);
+      for (const NodeSelection sel : kSelections) {
+        for (const PoolRouting route : kKeptRoutings) {
+          for (const bool all_axes : {false, true}) {
+            const PlacementPolicy policy{
+                sel, route,
+                all_axes ? ResourceAxes::all() : ResourceAxes::memory_only()};
+            const auto plan = compute_take(s, c, j, policy);
+            if (!plan) continue;
+            ++counts.plans;
+            ResourceState after = s;
+            bool kept = true;
+            bool touched = false;
+            const std::int64_t folds =
+                rng.bernoulli(0.7) ? 1 : rng.uniform_int(2, 3);
+            for (std::int64_t f = 0; f < folds; ++f) {
+              const TakePlan delta =
+                  random_delta(rng, c, after, rng.bernoulli(0.5));
+              touched = touched || !delta.takes.empty();
+              kept = kept && keeps_plan(s, *plan, policy, delta, after);
+            }
+            const auto again = compute_take(after, c, j, policy);
+            if (again != plan) ++counts.changed;
+            if (!kept) continue;
+            ++counts.kept;
+            if (touched) ++counts.kept_touched;
+            ASSERT_EQ(again, plan)
+                << "round " << round << " " << to_string(sel) << "/"
+                << to_string(route) << " axes=" << all_axes;
+          }
+        }
+      }
+    }
+  }
+  // Both verdicts are common, and so are deltas that move the plan. On one
+  // rack every slice lands on the rack the greedy read, so only slice-less
+  // deltas (burst buffer alone) are kept.
+  EXPECT_GT(counts.plans, 1000);
+  EXPECT_GT(counts.changed * 10, counts.plans);
+  if (racks == 1) {
+    EXPECT_GT(counts.kept, 20);
+    EXPECT_EQ(counts.kept_touched, 0);
+  } else {
+    EXPECT_GT(counts.kept * 5, counts.plans);
+    EXPECT_GT(counts.kept_touched * 5, counts.plans);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RackCounts, KeepsPlan, ::testing::Values(1, 16, 80));
+
+/// The distance-graded routing's stage 2 reads every rack: never kept, not
+/// even across an empty delta.
+TEST(KeepsPlanRouting, SharedNeighborsNeverKeeps) {
+  const ClusterConfig c = testing::machine(12, 64.0, 32.0, 64.0);
+  const ResourceState s = empty_state(c);
+  const Job j = testing::job(0).nodes(2).mem_gib(80.0);
+  for (const NodeSelection sel : kSelections) {
+    const PlacementPolicy policy{sel, PoolRouting::kRackNeighborGlobal,
+                                 ResourceAxes::memory_only()};
+    const auto plan = compute_take(s, c, j, policy);
+    ASSERT_TRUE(plan.has_value());
+    EXPECT_FALSE(keeps_plan(s, *plan, policy, TakePlan{}, s));
+  }
 }
 
 }  // namespace

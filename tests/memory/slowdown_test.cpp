@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+
 #include "testing/builders.hpp"
 
 namespace dmsched {
@@ -124,6 +129,36 @@ TEST(Slowdown, SensitivityMultiplierAccessors) {
                    m.sens_balanced);
   EXPECT_DOUBLE_EQ(m.sensitivity_multiplier(MemSensitivity::kBandwidthBound),
                    m.sens_bandwidth);
+}
+
+TEST(Slowdown, ValidateAcceptsDefaultsAndZeroMultipliers) {
+  SlowdownModel m;
+  EXPECT_NO_THROW(m.validate());
+  m.sens_compute = 0.0;
+  m.sens_balanced = 0.0;
+  m.sens_bandwidth = 0.0;
+  EXPECT_NO_THROW(m.validate());
+}
+
+TEST(Slowdown, ValidateRejectsBadMultipliersNamingTheField) {
+  constexpr double kBad[] = {-0.1, std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity()};
+  for (const auto& [field, member] :
+       {std::pair{"sens_compute", &SlowdownModel::sens_compute},
+        std::pair{"sens_balanced", &SlowdownModel::sens_balanced},
+        std::pair{"sens_bandwidth", &SlowdownModel::sens_bandwidth}}) {
+    for (const double bad : kBad) {
+      SlowdownModel m;
+      m.*member = bad;
+      try {
+        m.validate();
+        ADD_FAILURE() << field << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -15,6 +15,13 @@
 // A cursor that skips a row or reads a row state from before the cache
 // grew returns a different start or plan than the oracle.
 //
+// ProfileRepeats blocks the rack a job's plan starts on with a hold in the
+// middle of its windows, so consecutive candidates rebuild a plan that
+// fails continuity at the same row: the rows a window fit skips without
+// rebuilding the plan. A skip that reuses a plan the kernel would no
+// longer build, or that skips past the row where the plan failed, returns
+// a different start or plan than the oracle.
+//
 // ProfileRows re-syncs one FreeProfile against two machines of different
 // shapes, so rows and delta slots left over from one are overwritten with
 // the other's states: a reused row that keeps a stale vector length or value
@@ -210,6 +217,125 @@ TEST(ProfileCursor, MatchesBreakpointSweepOnRandomProfiles) {
   EXPECT_GT(counts.tie_holds, 50);
   EXPECT_GT(counts.overdue, 50);
   EXPECT_GT(counts.rollbacks, 100);
+}
+
+// --- Candidates that repeat a failing plan -----------------------------------
+
+/// Candidates of the oracle's plain sweep that rebuild the previous
+/// candidate's plan while its window still covers the breakpoint where
+/// that plan failed: the candidates a window fit may skip.
+template <class DurationFn>
+int repeated_failures(const ProfileOracle& p, const ClusterConfig& c,
+                      const Job& job, PlacementPolicy policy,
+                      DurationFn&& duration_of) {
+  const std::vector<SimTime> points = p.breakpoints();
+  int repeats = 0;
+  std::optional<TakePlan> last;
+  std::size_t last_failed = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    auto plan = compute_take(p.state_at(points[i]), c, job, policy);
+    if (!plan) {
+      last.reset();
+      continue;
+    }
+    const SimTime end = points[i] + duration_of(*plan);
+    std::size_t failed = i + 1;
+    while (failed < points.size() && points[failed] < end &&
+           can_apply(p.state_at(points[failed]), *plan)) {
+      ++failed;
+    }
+    if (failed == points.size() || points[failed] >= end) return repeats;
+    if (last && *last == *plan && last_failed > i) ++repeats;
+    last = std::move(plan);
+    last_failed = failed;
+  }
+  return repeats;
+}
+
+TEST(ProfileRepeats, BlockedRackMatchesBreakpointSweep) {
+  Rng rng(20261018);
+  int queries = 0;
+  int skippable[4][4] = {};  // per selection and routing
+  for (int round = 0; round < 150; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    ClusterConfig c = random_machine(rng);
+    c.total_nodes = c.nodes_per_rack * static_cast<std::int32_t>(
+                                           rng.uniform_int(3, 8));
+    const SimTime now = seconds(kStepSec * 4);
+    const auto grid = [&](std::int64_t lo, std::int64_t hi) {
+      return now + seconds(kStepSec * rng.uniform_int(lo, hi));
+    };
+    for (std::size_t si = 0; si < 4; ++si) {
+      for (std::size_t ri = 0; ri < 4; ++ri) {
+        const PlacementPolicy policy{kSelections[si], kRoutings[ri]};
+        // Running jobs spread over the racks, released on a fine grid so
+        // windows hold many candidate rows.
+        ResourceState busy = empty_state(c);
+        std::vector<std::pair<SimTime, TakePlan>> running;
+        for (int k = 0; k < 10; ++k) {
+          const auto plan = compute_take(busy, c, random_job(rng, c), policy);
+          if (!plan) continue;
+          apply_take(busy, *plan);
+          running.emplace_back(grid(0, 12), *plan);
+        }
+        ProfileOracle p(busy, now, &c);
+        for (const auto& [t, plan] : running) p.add_release(t, plan);
+
+        const SimTime len = seconds(kStepSec * rng.uniform_int(3, 8));
+        const auto duration_of = [&](const TakePlan& plan) {
+          return plan.global_total() > Bytes{0} ? len + seconds(kStepSec / 2)
+                                                : len;
+        };
+        for (int k = 0; k < 6; ++k) {
+          const Job j = random_job(rng, c);
+          // Block the rack this job's plan starts on, from a start inside
+          // its window: every candidate before the block that rebuilds the
+          // plan fails there.
+          const auto first = p.earliest_fit(j, policy);
+          if (first && !first->plan.takes.empty()) {
+            const auto r =
+                static_cast<std::size_t>(first->plan.takes.front().rack);
+            const SimTime from = first->time + seconds(kStepSec *
+                                                       rng.uniform_int(1, 4));
+            const SimTime to = from + seconds(kStepSec * rng.uniform_int(1, 6));
+            // Take the rack's nodes that stay free over the whole block.
+            std::int32_t nodes = p.state_at(from).free_nodes[r];
+            for (const SimTime u : p.breakpoints()) {
+              if (u > from && u < to) {
+                nodes = std::min(nodes, p.state_at(u).free_nodes[r]);
+              }
+            }
+            if (nodes > 0) {
+              TakePlan block;
+              block.takes.push_back({static_cast<RackId>(r), nodes});
+              p.add_hold(from, to, block);
+            }
+          }
+          const auto got =
+              p.profile().earliest_fit_window(j, policy, duration_of);
+          const auto want = p.earliest_fit_window(j, policy, duration_of);
+          ++queries;
+          ASSERT_EQ(got.has_value(), want.has_value()) << "query " << k;
+          if (!got) continue;
+          EXPECT_EQ(got->time, want->time) << "query " << k;
+          EXPECT_EQ(got->plan, want->plan) << "query " << k;
+          const int repeats =
+              repeated_failures(p, c, j, policy, duration_of);
+          skippable[si][ri] += repeats;
+          // Reserve it, as conservative backfilling does.
+          p.add_hold(want->time, want->time + duration_of(want->plan),
+                     want->plan);
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(queries, 10000);
+  // Every selection under every routing, shared-neighbors (which never
+  // skips) included, met candidates that repeat a failing plan.
+  for (const auto& per_routing : skippable) {
+    for (const int n : per_routing) EXPECT_GT(n, 30);
+  }
 }
 
 // --- One profile re-synced across machine shapes -----------------------------
