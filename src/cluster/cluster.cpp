@@ -1,22 +1,35 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/str.hpp"
 
 namespace dmsched {
 
 void ClusterConfig::validate() const {
-  DMSCHED_ASSERT(total_nodes > 0, "ClusterConfig: no nodes");
-  DMSCHED_ASSERT(nodes_per_rack > 0, "ClusterConfig: empty racks");
-  DMSCHED_ASSERT(local_mem_per_node > Bytes{0},
-                 "ClusterConfig: nodes need local memory");
-  DMSCHED_ASSERT(pool_per_rack >= Bytes{0} && global_pool >= Bytes{0},
-                 "ClusterConfig: negative pool");
-  DMSCHED_ASSERT(gpus_per_node >= 0, "ClusterConfig: negative GPU count");
-  DMSCHED_ASSERT(bb_capacity >= Bytes{0},
-                 "ClusterConfig: negative burst-buffer capacity");
+  struct Bound {
+    const char* field;
+    std::int64_t value;
+    std::int64_t min;
+  };
+  for (const Bound& b :
+       {Bound{"total_nodes", total_nodes, 1},
+        Bound{"nodes_per_rack", nodes_per_rack, 1},
+        Bound{"local_mem_per_node", local_mem_per_node.count(), 1},
+        Bound{"pool_per_rack", pool_per_rack.count(), 0},
+        Bound{"global_pool", global_pool.count(), 0},
+        Bound{"gpus_per_node", gpus_per_node, 0},
+        Bound{"bb_capacity", bb_capacity.count(), 0}}) {
+    if (b.value < b.min) {
+      throw std::invalid_argument(strformat(
+          "%s = %lld, must be >= %lld", b.field,
+          static_cast<long long>(b.value), static_cast<long long>(b.min)));
+    }
+  }
 }
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {

@@ -37,17 +37,19 @@ struct FitChoice {
 
 /// Estimated-finish evaluation of the earliest *window* fit under `policy`.
 /// Window fitting is required once reservations (future holds) are in the
-/// profile; on a monotone profile it equals the instantaneous fit.
+/// profile; on a monotone profile it equals the instantaneous fit. A fit
+/// starting after `not_after` comes back as nullopt.
 std::optional<FitChoice> evaluate_fit(const FreeProfile& profile,
                                       const Job& job, const SchedContext& ctx,
-                                      PlacementPolicy policy) {
+                                      PlacementPolicy policy,
+                                      SimTime not_after = kTimeInfinity) {
   const auto duration_of = [&](const TakePlan& plan) {
     const double dil = ctx.slowdown().dilation_bytes(
         plan.rack_pool_total(), plan.neighbor_pool_total(),
         plan.global_total(), job.total_mem(), job.sensitivity);
     return job.walltime.scaled(dil);
   };
-  auto fit = profile.earliest_fit_window(job, policy, duration_of);
+  auto fit = profile.earliest_fit_window(job, policy, duration_of, not_after);
   if (!fit) return std::nullopt;
   const double dil = ctx.slowdown().dilation_bytes(
       fit->plan.rack_pool_total(), fit->plan.neighbor_pool_total(),
@@ -61,14 +63,20 @@ std::optional<FitChoice> evaluate_fit(const FreeProfile& profile,
 /// also evaluate a rack-pool-only start and pick whichever finishes sooner
 /// (deferral must win by the configured margin). `base` is the planning
 /// policy — the context's placement with this scheduler's axes applied.
+/// When only the primary fit counts (plain mode or rack-only routing), a
+/// fit starting after `not_after` comes back as nullopt and the sweep stops
+/// there; the adaptive comparison ignores the bound.
 std::optional<FitChoice> choose_fit(const FreeProfile& profile, const Job& job,
                                     const SchedContext& ctx,
                                     const MemAwareOptions& opts,
-                                    const PlacementPolicy& base) {
-  auto primary = evaluate_fit(profile, job, ctx, base);
+                                    const PlacementPolicy& base,
+                                    SimTime not_after = kTimeInfinity) {
   if (!opts.adaptive || base.routing == PoolRouting::kRackOnly) {
-    return primary;
+    return evaluate_fit(profile, job, ctx, base, not_after);
   }
+  // Both sweeps run unbounded: a primary fit past `not_after` can still win
+  // the comparison against an in-bound rack-only fit.
+  auto primary = evaluate_fit(profile, job, ctx, base);
   PlacementPolicy rack_only = base;
   rack_only.routing = PoolRouting::kRackOnly;
   auto alt = evaluate_fit(profile, job, ctx, rack_only);
@@ -132,8 +140,32 @@ bool leaves_tier_headroom(const SchedContext& ctx, const ResourceState& state,
   return true;
 }
 
-/// True when `fresh` does not delay any job relative to `baseline`
-/// (pairwise by index: same jobs, same order).
+/// The backfill what-if: re-fit the reserved jobs in order on `profile`
+/// (which holds the candidate) and report whether each keeps its baseline
+/// start and finish bound. Each sweep stops at its job's baseline start and
+/// the re-fit stops at the first delayed reservation: past either point
+/// the verdict is "delayed", whatever the rest would compute. The re-fit
+/// holds stay in `profile`; the caller rolls them back.
+bool keeps_baseline(FreeProfile& profile,
+                    const std::vector<Reservation>& baseline,
+                    const SchedContext& ctx, const MemAwareOptions& opts,
+                    const PlacementPolicy& planning) {
+  for (const Reservation& base : baseline) {
+    const auto choice =
+        choose_fit(profile, ctx.job(base.id), ctx, opts, planning, base.start);
+    if (!choice || choice->fit.time > base.start ||
+        choice->finish_bound > base.finish_bound) {
+      return false;
+    }
+    profile.add_hold(choice->fit.time, choice->finish_bound,
+                     choice->fit.plan);
+  }
+  return true;
+}
+
+#ifndef NDEBUG
+/// The full recompute keeps_baseline replaces: true when `fresh` does not
+/// delay any job relative to `baseline` (pairwise by index).
 bool no_regression(const std::vector<Reservation>& baseline,
                    const std::vector<Reservation>& fresh) {
   DMSCHED_ASSERT(baseline.size() == fresh.size(),
@@ -144,6 +176,7 @@ bool no_regression(const std::vector<Reservation>& baseline,
   }
   return true;
 }
+#endif
 
 }  // namespace
 
@@ -309,13 +342,21 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
     // reservation begins cannot delay any reservation.
     bool accept = !baseline_.empty() && end_bound <= baseline_.front().start;
     if (!accept) {
-      // What-if: recompute all reservations with the candidate held and
-      // require that none regresses.
+      // What-if: re-fit the reservations with the candidate held and
+      // require that none is delayed.
       const auto what_if_mark = profile_.mark();
+      accept = keeps_baseline(profile_, baseline_, ctx, options_, planning);
+      profile_.rollback(what_if_mark);
+#ifndef NDEBUG
+      // Shadow: the full recompute of every reservation reaches the same
+      // verdict.
       const std::vector<Reservation> fresh =
           place_reservations(profile_, reserved_jobs_, ctx, options_, planning);
       profile_.rollback(what_if_mark);
-      accept = no_regression(baseline_, fresh);
+      DMSCHED_ASSERT(no_regression(baseline_, fresh) == accept,
+                     "mem-easy: the bounded what-if disagrees with the full "
+                     "recompute");
+#endif
     }
     if (!accept) {
       profile_.rollback(mark);

@@ -9,7 +9,10 @@
 //     reservation is accepted only if re-fitting the head *with the
 //     candidate's resources held* does not delay the head. This check is in
 //     the same 2-D space, so backfills can no longer starve the head of
-//     pool bytes (the baseline's failure mode).
+//     pool bytes (the baseline's failure mode). The what-if stops as soon
+//     as its answer is known: each reservation's re-fit sweeps no start
+//     later than its baseline start, and the re-fit of the reserved prefix
+//     stops at the first reservation that starts or finishes later.
 //  3. Optionally (adaptive mode), every start decision minimizes *estimated
 //     completion*: starting now with expensive global-pool spillage is
 //     weighed against reserving a later start fed by cheaper rack-local

@@ -160,11 +160,16 @@ class FreeProfile {
   /// where the memory comes from); a zero duration asks for an
   /// instantaneous fit. It must be a pure function of the plan: a
   /// candidate that would rebuild a plan which already failed continuity
-  /// is skipped on the strength of that plan's window length. Returns
-  /// nullopt only if no breakpoint, the last included, admits the job.
+  /// is skipped on the strength of that plan's window length. The sweep
+  /// examines no candidate start later than `not_after`: a caller that only
+  /// needs to know whether the job fits by then gets nullopt as soon as the
+  /// next candidate lies past it. Returns the unbounded sweep's fit when
+  /// that fit starts at or before `not_after`, and nullopt otherwise
+  /// (unbounded: only if no breakpoint, the last included, admits the job).
   template <class DurationFn>
   [[nodiscard]] std::optional<Fit> earliest_fit_window(
-      const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const;
+      const Job& job, PlacementPolicy policy, DurationFn&& duration_of,
+      SimTime not_after = kTimeInfinity) const;
 
   [[nodiscard]] SimTime now() const { return now_; }
 
@@ -239,7 +244,8 @@ class FreeProfile {
 
 template <class DurationFn>
 std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
-    const Job& job, PlacementPolicy policy, DurationFn&& duration_of) const {
+    const Job& job, PlacementPolicy policy, DurationFn&& duration_of,
+    SimTime not_after) const {
   // One cursor walks the candidates; the continuity check walks a second
   // one forward from it. Each step reads the next row instead of searching.
   // One scratch plan serves every candidate; it moves into the Fit.
@@ -250,6 +256,7 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
   // since its window has the same length and a later start, it still
   // covers `failed` and fails there too: it is skipped unbuilt.
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  if (now_ > not_after) return std::nullopt;
   std::size_t n = rows_through(now_);
   SimTime t = now_;
   TakePlan plan;
@@ -286,7 +293,8 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
       repeats = true;
     }
     t = row_time(n);
-    if (t == kTimeInfinity) return std::nullopt;  // final state tested
+    // Past the final state (tested) or past the caller's bound.
+    if (t == kTimeInfinity || t > not_after) return std::nullopt;
     ++n;
     // Check the deltas of the row just crossed against the kept plan.
     if (!repeats || n > failed) {

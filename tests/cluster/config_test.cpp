@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 namespace dmsched {
 namespace {
 
@@ -52,17 +55,29 @@ TEST(ClusterConfig, TotalMemoryIncludesLocal) {
 }
 
 TEST(ClusterConfig, ValidateAcceptsSane) {
-  shape(64, 16).validate();  // must not abort
+  shape(64, 16).validate();  // must not throw
+}
+
+/// The message `config.validate()` throws, or "" when it accepts.
+std::string validate_error(const ClusterConfig& config) {
+  try {
+    config.validate();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
 }
 
 TEST(ClusterConfig, ValidateRejectsZeroNodes) {
-  EXPECT_DEATH(shape(0, 16).validate(), "no nodes");
+  EXPECT_THROW(shape(0, 16).validate(), std::invalid_argument);
+  EXPECT_EQ(validate_error(shape(0, 16)).rfind("total_nodes ", 0), 0U);
 }
 
 TEST(ClusterConfig, ValidateRejectsZeroLocalMemory) {
   ClusterConfig c = shape(4, 2);
   c.local_mem_per_node = Bytes{0};
-  EXPECT_DEATH(c.validate(), "local memory");
+  EXPECT_THROW(c.validate(), std::invalid_argument);
+  EXPECT_EQ(validate_error(c).rfind("local_mem_per_node ", 0), 0U);
 }
 
 }  // namespace

@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <memory>
+#include <string>
+
 #include "cluster/system_config.hpp"
+#include "core/engine.hpp"
+#include "core/experiment.hpp"
 #include "testing/builders.hpp"
 #include "testing/fake_context.hpp"
 #include "testing/lifecycle.hpp"
+#include "topology/placement_policy.hpp"
+#include "workload/trace_source.hpp"
 
 namespace dmsched {
 namespace {
@@ -422,6 +430,64 @@ TEST(MemAwareEasy, ReserveHeadroomShieldsTheGlobalTierSeparately) {
     sched.schedule(ctx);
     EXPECT_TRUE(ctx.started().empty())
         << "backfill drained the global tier below the reserve";
+  }
+}
+
+// --- pinned runs across reservation depths ----------------------------------
+
+/// One pinned cell: mem-easy at a reservation depth under a placement.
+struct DepthPin {
+  PlacementStrategy placement;
+  std::size_t depth;
+  bool adaptive;
+  std::uint64_t digest;
+};
+
+// Event digests on a small disaggregated machine, recorded with a backfill
+// what-if that recomputed every reservation in full: at every depth and
+// under every routing, a what-if that stops early must accept and reject
+// exactly the same backfills.
+constexpr DepthPin kDepthPins[] = {
+    {PlacementStrategy::kLocalFirst, 1, false, 10755298620274347889ULL},
+    {PlacementStrategy::kLocalFirst, 2, false, 4244615361540703901ULL},
+    {PlacementStrategy::kLocalFirst, 4, false, 18130721625505835267ULL},
+    {PlacementStrategy::kBalanced, 1, false, 18249737031496051478ULL},
+    {PlacementStrategy::kBalanced, 2, false, 9837208834498919289ULL},
+    {PlacementStrategy::kBalanced, 4, false, 8440539841140511908ULL},
+    {PlacementStrategy::kGlobalFallback, 1, false, 10682114945461566672ULL},
+    {PlacementStrategy::kGlobalFallback, 2, false, 17046211143959332866ULL},
+    {PlacementStrategy::kGlobalFallback, 4, false, 2116386518998897081ULL},
+    {PlacementStrategy::kSharedNeighbors, 1, false, 4293941247934402904ULL},
+    {PlacementStrategy::kSharedNeighbors, 2, false, 992920761508892520ULL},
+    {PlacementStrategy::kSharedNeighbors, 4, false, 17634278064939137778ULL},
+    {PlacementStrategy::kGlobalFallback, 2, true, 9399845636605672059ULL},
+};
+
+TEST(MemAwareEasy, DigestPinnedAcrossReservationDepths) {
+  ExperimentConfig cfg;
+  // 128 nodes in 4 racks of 32, half the reference node's memory local.
+  cfg.cluster = custom_config(128, 32, gib(std::int64_t{128}),
+                              gib(std::int64_t{1024}),
+                              gib(std::int64_t{1024}));
+  cfg.jobs = 400;
+  cfg.seed = 7;
+  cfg.target_load = 1.1;
+  const Trace trace = make_workload(cfg);
+  for (const DepthPin& pin : kDepthPins) {
+    SCOPED_TRACE(std::string(to_string(pin.placement)) + " depth " +
+                 std::to_string(pin.depth) +
+                 (pin.adaptive ? " adaptive" : ""));
+    MemAwareOptions opts;
+    opts.reservation_depth = pin.depth;
+    opts.adaptive = pin.adaptive;
+    EngineOptions engine;
+    engine.placement = make_placement(pin.placement);
+    EagerTraceSource source(trace);
+    SchedulingSimulation sim(cfg.cluster, source,
+                             std::make_unique<MemAwareEasyScheduler>(opts),
+                             engine);
+    sim.run();
+    EXPECT_EQ(sim.event_digest(), pin.digest);
   }
 }
 

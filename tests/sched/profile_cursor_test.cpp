@@ -22,6 +22,11 @@
 // longer build, or that skips past the row where the plan failed, returns
 // a different start or plan than the oracle.
 //
+// ProfileBound stops window fits at a latest start (`not_after`): before
+// now, on a breakpoint, between two, at the unbounded fit's start, just
+// before it, and at kTimeInfinity. The bounded fit must be the oracle's
+// when that starts in bound, and nullopt otherwise.
+//
 // ProfileRows re-syncs one FreeProfile against two machines of different
 // shapes, so rows and delta slots left over from one are overwritten with
 // the other's states: a reused row that keeps a stale vector length or value
@@ -335,6 +340,92 @@ TEST(ProfileRepeats, BlockedRackMatchesBreakpointSweep) {
   // skips) included, met candidates that repeat a failing plan.
   for (const auto& per_routing : skippable) {
     for (const int n : per_routing) EXPECT_GT(n, 30);
+  }
+}
+
+// --- Sweeps bounded by a latest start ----------------------------------------
+
+/// Bounds to test a query against: before now, on a breakpoint, between two
+/// breakpoints, none, and on the unbounded fit's start and the breakpoint
+/// just before it.
+std::vector<SimTime> bounds_for(const ProfileOracle& p, Rng& rng,
+                                const std::optional<FreeProfile::Fit>& fit) {
+  const std::vector<SimTime> points = p.breakpoints();
+  const SimTime on_row = points[static_cast<std::size_t>(
+      rng.uniform_int(0, static_cast<std::int64_t>(points.size()) - 1))];
+  std::vector<SimTime> bounds = {p.now() - seconds(kStepSec), on_row,
+                                 on_row + seconds(std::int64_t{1}), kTimeInfinity};
+  if (fit) {
+    bounds.push_back(fit->time);
+    const auto at = std::lower_bound(points.begin(), points.end(), fit->time);
+    if (at != points.begin()) bounds.push_back(*(at - 1));
+  }
+  return bounds;
+}
+
+TEST(ProfileBound, NotAfterMatchesUnboundedSweep) {
+  Rng rng(20261019);
+  int cut[4][4] = {};   // bounded sweeps that stopped before the fit
+  int kept[4][4] = {};  // bounded sweeps that reached it
+  for (int round = 0; round < 60; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const ClusterConfig c = random_machine(rng);
+    const SimTime now = seconds(kStepSec * 4);
+    const auto grid = [&](std::int64_t lo, std::int64_t hi) {
+      return now + seconds(kStepSec * rng.uniform_int(lo, hi));
+    };
+    for (std::size_t si = 0; si < 4; ++si) {
+      for (std::size_t ri = 0; ri < 4; ++ri) {
+        const PlacementPolicy policy{kSelections[si], kRoutings[ri]};
+        ResourceState busy = empty_state(c);
+        std::vector<std::pair<SimTime, TakePlan>> running;
+        for (int k = 0; k < 6; ++k) {
+          const auto plan = compute_take(busy, c, random_job(rng, c), policy);
+          if (!plan) continue;
+          apply_take(busy, *plan);
+          running.emplace_back(grid(-2, 12), *plan);
+        }
+        ProfileOracle p(busy, now, &c);
+        for (const auto& [t, plan] : running) p.add_release(t, plan);
+
+        const SimTime len = seconds(kStepSec * rng.uniform_int(1, 6));
+        const auto duration_of = [&](const TakePlan& plan) {
+          return plan.global_total() > Bytes{0} ? len + seconds(kStepSec / 2)
+                                                : len;
+        };
+        for (int k = 0; k < 8; ++k) {
+          const Job j = random_job(rng, c);
+          const auto want = p.earliest_fit_window(j, policy, duration_of);
+          for (const SimTime not_after : bounds_for(p, rng, want)) {
+            const auto got = p.profile().earliest_fit_window(
+                j, policy, duration_of, not_after);
+            if (want && want->time <= not_after) {
+              ASSERT_TRUE(got.has_value()) << "query " << k;
+              EXPECT_EQ(got->time, want->time) << "query " << k;
+              EXPECT_EQ(got->plan, want->plan) << "query " << k;
+              ++kept[si][ri];
+            } else {
+              EXPECT_FALSE(got.has_value()) << "query " << k;
+              if (want) ++cut[si][ri];
+            }
+          }
+          // Reserve it or hold it and roll back, as the schedulers do, so
+          // the next bounded sweep reads rows a shorter one left ungrown.
+          if (!want) continue;
+          const FreeProfile::Mark mark = p.mark();
+          p.add_hold(want->time, want->time + duration_of(want->plan),
+                     want->plan);
+          if (rng.bernoulli(0.3)) p.rollback(mark);
+        }
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+  for (std::size_t si = 0; si < 4; ++si) {
+    for (std::size_t ri = 0; ri < 4; ++ri) {
+      EXPECT_GT(cut[si][ri], 20) << si << "/" << ri;
+      EXPECT_GT(kept[si][ri], 20) << si << "/" << ri;
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 //   dmsched-sim --scenario million-replay --stream --lookahead 256
 //               --checkpoint-interval-min 120 --csv-windows windows.csv
 //   dmsched-sim --list-scenarios
+#include <cmath>
 #include <cstdio>
 #include <initializer_list>
 #include <optional>
@@ -432,10 +433,20 @@ int main(int argc, char** argv) {
        {"best-mem-fit", BackfillOrder::kBestMemFit}});
   if (!backfill_order) return 1;
   config.mem_options.order = *backfill_order;
+  if (cli.get_int("reservation-depth") < 1) {
+    std::fprintf(stderr, "error: --reservation-depth must be >= 1\n");
+    return 1;
+  }
   config.mem_options.reservation_depth =
       static_cast<std::size_t>(cli.get_int("reservation-depth"));
   config.mem_options.adaptive_margin_sec =
       cli.get_double("adaptive-margin-sec");
+  if (!std::isfinite(config.mem_options.adaptive_margin_sec) ||
+      config.mem_options.adaptive_margin_sec < 0.0) {
+    std::fprintf(stderr,
+                 "error: --adaptive-margin-sec must be finite and >= 0\n");
+    return 1;
+  }
   config.mem_options.reserve_headroom = cli.get_double("reserve-headroom");
   if (config.mem_options.reserve_headroom < 0.0 ||
       config.mem_options.reserve_headroom >= 1.0) {
