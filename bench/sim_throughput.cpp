@@ -1,48 +1,5 @@
-// Simulation-core throughput: the indexed d-ary event queue vs. the old
-// lazy-tombstone binary heap, at large-trace scale.
-//
-// The paper's tables replay full SWF traces, and related work evaluates
-// disaggregation on month-scale production traces, so the event core must
-// sustain 10^5–10^6-job replays. Until this bench's PR the core was
-// quadratic under cancellation: EventQueue::cancel probed the whole heap
-// (std::any_of) to answer "already fired?", and next_time() rescanned
-// tombstoned fronts. This bench quantifies the rewrite two ways:
-//
-//   queue replay  — the two queue implementations (legacy = a faithful
-//                   local copy of the tombstone heap, indexed = the live
-//                   sim/ EventQueue) drive identical event scripts derived
-//                   from the large-replay scenario: all submissions pushed
-//                   up front (exactly what SchedulingSimulation::run does),
-//                   then one cancel per job in two shapes —
-//                     walltime-kill: the completion cancels a kill scheduled
-//                       just after it. The kill is among the *earliest*
-//                       pending events, so the legacy any_of probe finds it
-//                       within a few entries: legacy's best case.
-//                     reservation churn: the completion cancels a
-//                       far-future reservation (the job's planned start
-//                       under a month-deep backlog, conservative-backfill
-//                       style). Far-future entries live in the leaf half of
-//                       the legacy heap vector, so every cancel scans ~n/2
-//                       of a 10^5-entry heap — the quadratic regime the
-//                       indexed heap removes.
-//                   Reported as events/sec with a cross-checked drain
-//                   checksum, so a semantic drift between the two
-//                   implementations fails loudly instead of benchmarking
-//                   different work.
-//   end-to-end    — full SchedulingSimulation replays (EASY) of large-replay
-//                   prefixes, reported as jobs/sec: what a user of sweeps
-//                   and benches actually experiences.
-//   scheduler-pass — the incremental-profile rewrite, measured the same
-//                   honest way as the queue replay: a faithful bench-local
-//                   copy of the pre-incremental EASY pass (full queue walk
-//                   every pass, shadow recomputed from scratch) against the
-//                   live cached-pass scheduler, both driving complete
-//                   simulations of large-replay at load 1.5 — above
-//                   saturation, where the queue is deep and scheduler passes
-//                   dominate the run. RunMetrics are cross-checked field by
-//                   field, so a behavioural drift between the two passes
-//                   fails the bench instead of benchmarking different
-//                   schedules.
+// Simulation-core infrastructure bench: streaming ingestion and tracing
+// overhead, each with its correctness gates.
 //
 //   streaming ingestion — the million-replay scenario pulled from its
 //                   streaming source at a bounded submission look-ahead vs.
@@ -54,42 +11,39 @@
 //                   engine's semantic event digest — FATAL on any drift —
 //                   and the bench *enforces* the bounded-memory claim: the
 //                   eager arm's peak id window must be ≥10× the streaming
-//                   arm's. Results go to million_replay.csv (uploaded by
-//                   CI, which runs `sim_throughput --smoke` for this
-//                   section only at a CI-sized job count).
+//                   arm's. Results go to million_replay.csv.
+//   tracing overhead — the same large-replay prefix untraced and with trace
+//                   sinks attached at each detail level; every arm must
+//                   reproduce the untraced run byte for byte, and an
+//                   in-memory sink at lifecycle detail must cost <5%.
+//                   Results go to tracing_overhead.csv.
 //
-// Results go to the console and sim_throughput.csv; bench/README.md records
-// representative numbers.
+// `--smoke` runs both sections at a CI-sized job count; the default run
+// takes the streaming comparison to a million jobs. End-to-end throughput
+// figures come from perfbench/; bench/README.md records representative
+// numbers for these two sections.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <ctime>
 #include <functional>
-#include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "bench_util.hpp"
-#include "common/assert.hpp"
 #include "core/experiment.hpp"
 #include "obs/counters.hpp"
 #include "obs/perfetto.hpp"
 #include "obs/recording_sink.hpp"
-#include "sim/event_queue.hpp"
 #include "workload/scenarios.hpp"
 
 namespace {
 
 using namespace dmsched;
 using namespace dmsched::bench;
-using sim::EventClass;
-using sim::EventFn;
-using sim::EventId;
 
 using Clock = std::chrono::steady_clock;
 
@@ -97,220 +51,26 @@ double sec_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// The pre-rewrite event queue, preserved verbatim: a binary heap with lazy
-/// cancellation. cancel() answers "pending?" with a full-heap std::any_of
-/// probe and next_time() linearly rescans when the front is a tombstone —
-/// the O(n)-per-operation behaviour the indexed heap replaces. This is the
-/// baseline; the live implementation is sim/event_queue.{hpp,cpp}.
-class LegacyTombstoneQueue {
- public:
-  EventId push(SimTime time, EventClass cls, EventFn fn) {
-    const EventId id = next_id_++;
-    heap_.push_back({time, cls, next_seq_++, id, std::move(fn)});
-    std::push_heap(heap_.begin(), heap_.end(), later);
-    ++live_;
-    return id;
+/// Where two runs' RunMetrics first differ, or "" when they are identical
+/// down to the last double: the run totals, then every job's outcome in
+/// order. Every arm of both sections must reproduce its reference exactly.
+std::string first_difference(const RunMetrics& a, const RunMetrics& b) {
+  if (a.makespan != b.makespan || a.completed != b.completed ||
+      a.killed != b.killed || a.rejected != b.rejected ||
+      a.mean_wait_hours != b.mean_wait_hours ||
+      a.p95_wait_hours != b.p95_wait_hours || a.mean_bsld != b.mean_bsld ||
+      a.mean_dilation != b.mean_dilation || a.jobs.size() != b.jobs.size()) {
+    return "run totals";
   }
-
-  bool cancel(EventId id) {
-    if (id >= next_id_) return false;
-    if (cancelled_.contains(id)) return false;
-    const bool pending = std::any_of(
-        heap_.begin(), heap_.end(),
-        [&](const Entry& e) { return e.id == id; });
-    if (!pending) return false;
-    cancelled_.insert(id);
-    --live_;
-    return true;
-  }
-
-  [[nodiscard]] bool empty() const { return live_ == 0; }
-
-  struct Fired {
-    EventId id;
-    SimTime time;
-    EventClass cls;
-    EventFn fn;
-  };
-  Fired pop() {
-    while (!heap_.empty() && cancelled_.contains(heap_.front().id)) {
-      cancelled_.erase(heap_.front().id);
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      heap_.pop_back();
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), later);
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    --live_;
-    return {e.id, e.time, e.cls, std::move(e.fn)};
-  }
-
- private:
-  struct Entry {
-    SimTime time;
-    EventClass cls;
-    std::uint64_t seq;
-    EventId id;
-    EventFn fn;
-  };
-  static bool later(const Entry& a, const Entry& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.cls != b.cls) return a.cls > b.cls;
-    return a.seq > b.seq;
-  }
-
-  std::vector<Entry> heap_;
-  std::unordered_set<EventId> cancelled_;
-  std::uint64_t next_seq_ = 0;
-  EventId next_id_ = 1;
-  std::size_t live_ = 0;
-};
-
-struct ReplayResult {
-  std::size_t events = 0;    // events drained (fired, not cancelled)
-  std::size_t cancels = 0;   // successful cancellations
-  std::uint64_t checksum = 0;  // order-sensitive digest of the drain
-  double elapsed_s = 0.0;
-};
-
-/// How far ahead of its submission a job's cancelled event is scheduled.
-enum class CancelShape {
-  /// Walltime kill: just after the completion — among the earliest pending
-  /// events, so even a linear probe finds it near the heap front.
-  kWalltimeKill,
-  /// Backfill-style reservation at the job's planned start under a deep
-  /// backlog: far beyond every near-term event, i.e. in the leaf half of a
-  /// binary heap's backing vector, where a linear probe scans ~n/2 entries.
-  kReservation,
-};
-
-constexpr std::int64_t kReservationHorizonUsec =
-    std::int64_t{30} * 24 * 3600 * 1'000'000;  // a month-deep backlog
-
-/// Drive one queue implementation through the trace-derived script: push
-/// every submission up front, let each submission schedule its completion
-/// plus one future event (per the shape), let each completion cancel that
-/// event. Identical for both queues; the checksum folds (id, time) of every
-/// fired event in drain order, so the two implementations must agree
-/// event-for-event.
-template <class Queue>
-ReplayResult replay(const Trace& trace, CancelShape shape) {
-  ReplayResult r;
-  Queue q;
-  const auto start = Clock::now();
-  for (const Job& j : trace.jobs()) {
-    q.push(j.submit, EventClass::kSubmission,
-           [&q, &j, &r, shape](SimTime now) {
-             const SimTime at =
-                 shape == CancelShape::kWalltimeKill
-                     ? j.submit + max(j.walltime, j.runtime)
-                     : j.submit + usec(kReservationHorizonUsec);
-             const EventId target = q.push(at, EventClass::kTimer,
-                                           [](SimTime) {});
-             q.push(now + j.runtime, EventClass::kCompletion,
-                    [&q, &r, target](SimTime) {
-                      if (q.cancel(target)) ++r.cancels;
-                    });
-           });
-  }
-  while (!q.empty()) {
-    auto f = q.pop();
-    ++r.events;
-    r.checksum = r.checksum * 1099511628211ULL ^
-                 (static_cast<std::uint64_t>(f.time.usec()) + f.id);
-    f.fn(f.time);
-  }
-  r.elapsed_s = sec_since(start);
-  return r;
-}
-
-/// The pre-incremental EASY pass, preserved verbatim: every pass re-walks
-/// the whole queue, re-plans every rejected candidate, and recomputes the
-/// head's shadow from a fresh sort of the running set — O(queue) plans per
-/// pass even when nothing changed. This is the baseline; the live
-/// implementation (sched/easy.{hpp,cpp}) caches the converged shadow/extra
-/// state against the engine's availability-timeline version and judges only
-/// new arrivals.
-class LegacyEasyScheduler final : public Scheduler {
- public:
-  [[nodiscard]] const char* name() const override { return "easy"; }
-  void schedule(SchedContext& ctx) override {
-    const auto queue = ctx.queued_jobs();
-    std::size_t qi = 0;
-    while (qi < queue.size()) {
-      auto alloc =
-          plan_start(ctx.cluster(), ctx.job(queue[qi]), ctx.placement());
-      if (!alloc) break;
-      ctx.start_job(queue[qi], *alloc);
-      ++qi;
-    }
-    if (qi >= queue.size()) return;
-
-    const Job& head = ctx.job(queue[qi]);
-    auto running = ctx.running_jobs();
-    std::sort(running.begin(), running.end(),
-              [](const RunningJob& a, const RunningJob& b) {
-                if (a.expected_end != b.expected_end) {
-                  return a.expected_end < b.expected_end;
-                }
-                return a.id < b.id;
-              });
-    std::int32_t avail = ctx.cluster().free_nodes_total();
-    SimTime shadow = kTimeInfinity;
-    std::int32_t extra = 0;
-    if (avail >= head.nodes) {
-      shadow = ctx.now();
-      extra = avail - head.nodes;
-    } else {
-      for (const RunningJob& r : running) {
-        avail += r.take.node_total();
-        if (avail >= head.nodes) {
-          shadow = r.expected_end;
-          extra = avail - head.nodes;
-          break;
-        }
-      }
-    }
-    DMSCHED_ASSERT(shadow < kTimeInfinity,
-                   "EASY: head job wider than the machine was not rejected");
-
-    for (std::size_t i = qi + 1; i < queue.size(); ++i) {
-      const Job& cand = ctx.job(queue[i]);
-      auto alloc = plan_start(ctx.cluster(), cand, ctx.placement());
-      if (!alloc) continue;
-      const bool ends_before_shadow = ctx.now() + cand.walltime <= shadow;
-      const bool within_extra = cand.nodes <= extra;
-      if (!ends_before_shadow && !within_extra) continue;
-      ctx.start_job(queue[i], *alloc);
-      if (!ends_before_shadow) extra -= cand.nodes;
+  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
+    const JobOutcome& x = a.jobs[i];
+    const JobOutcome& y = b.jobs[i];
+    if (x.fate != y.fate || x.submit != y.submit || x.start != y.start ||
+        x.end != y.end || x.dilation != y.dilation) {
+      return strformat("job %zu", i);
     }
   }
-};
-
-/// One full EASY simulation of `scenario`, with either the legacy bench
-/// copy or the live incremental scheduler.
-RunMetrics run_easy(const Scenario& scenario, bool legacy) {
-  const ExperimentConfig cfg =
-      scenario_experiment(scenario, SchedulerKind::kEasy);
-  std::unique_ptr<Scheduler> sched;
-  if (legacy) {
-    sched = std::make_unique<LegacyEasyScheduler>();
-  } else {
-    sched = make_scheduler(SchedulerKind::kEasy);
-  }
-  EagerTraceSource source(scenario.trace);
-  SchedulingSimulation sim(cfg.cluster, source, std::move(sched), cfg.engine);
-  return sim.run();
-}
-
-/// The pass rewrite must be a pure optimisation: identical decisions,
-/// identical metrics, down to the last double.
-bool same_schedule(const RunMetrics& a, const RunMetrics& b) {
-  return a.makespan == b.makespan && a.completed == b.completed &&
-         a.killed == b.killed && a.rejected == b.rejected &&
-         a.mean_wait_hours == b.mean_wait_hours &&
-         a.p95_wait_hours == b.p95_wait_hours &&
-         a.mean_bsld == b.mean_bsld && a.mean_dilation == b.mean_dilation;
+  return "";
 }
 
 // --- streaming ingestion (million-replay) -----------------------------------
@@ -380,20 +140,11 @@ bool arms_agree(std::size_t jobs, const IngestArm& stream,
                  static_cast<unsigned long long>(eager.digest));
     return false;
   }
-  if (!same_schedule(stream.metrics, eager.metrics) ||
-      stream.metrics.jobs.size() != eager.metrics.jobs.size()) {
-    std::fprintf(stderr, "FATAL: metrics drift at %zu jobs\n", jobs);
+  const std::string diff = first_difference(stream.metrics, eager.metrics);
+  if (!diff.empty()) {
+    std::fprintf(stderr, "FATAL: metrics drift at %zu jobs (%s)\n", jobs,
+                 diff.c_str());
     return false;
-  }
-  for (std::size_t i = 0; i < stream.metrics.jobs.size(); ++i) {
-    const JobOutcome& s = stream.metrics.jobs[i];
-    const JobOutcome& e = eager.metrics.jobs[i];
-    if (s.fate != e.fate || s.submit != e.submit || s.start != e.start ||
-        s.end != e.end || s.dilation != e.dilation) {
-      std::fprintf(stderr, "FATAL: outcome drift at %zu jobs (job %zu)\n",
-                   jobs, i);
-      return false;
-    }
   }
   return true;
 }
@@ -403,22 +154,6 @@ std::string rss_mib(std::int64_t kib) {
 }
 
 // --- tracing overhead -------------------------------------------------------
-
-/// RunMetrics must be *byte-identical* with a sink attached: same outcomes,
-/// same order, down to the last double. Anything else means the observer
-/// perturbed the run.
-bool identical_metrics(const RunMetrics& a, const RunMetrics& b) {
-  if (!same_schedule(a, b) || a.jobs.size() != b.jobs.size()) return false;
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    const JobOutcome& x = a.jobs[i];
-    const JobOutcome& y = b.jobs[i];
-    if (x.fate != y.fate || x.submit != y.submit || x.start != y.start ||
-        x.end != y.end || x.dilation != y.dilation) {
-      return false;
-    }
-  }
-  return true;
-}
 
 struct TracedArm {
   RunMetrics metrics;
@@ -539,7 +274,7 @@ bool run_tracing_overhead_section(std::size_t jobs) {
   // Untimed reference run; it also warms the caches and the allocator.
   const TracedArm reference = arms[kBase].run();
   const auto perturbed = [&](const TracedArm& got, const char* label) {
-    if (identical_metrics(reference.metrics, got.metrics) &&
+    if (first_difference(reference.metrics, got.metrics).empty() &&
         reference.digest == got.digest) {
       return false;
     }
@@ -699,9 +434,9 @@ bool run_streaming_section(const std::vector<std::size_t>& sizes) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // --smoke: CI mode — only the streaming-ingestion section, at a job count
-  // sized for a CI runner. The full default run covers all sections and
-  // takes the streaming comparison to a million jobs.
+  // --smoke: CI mode — both sections at a job count sized for a CI runner.
+  // The default run takes the streaming comparison to a million jobs and
+  // the tracing comparison to 100k.
   bool smoke = false;
   for (int i = 1; i < argc; ++i) {
     if (std::string(argv[i]) == "--smoke") smoke = true;
@@ -716,166 +451,5 @@ int main(int argc, char** argv) {
   // Tracing overhead runs in --smoke too: the <5% attached-sink budget and
   // the byte-identical-metrics cross-check are CI-enforced claims.
   if (!run_tracing_overhead_section(smoke ? 20000 : 100000)) return 1;
-  if (smoke) return 0;
-
-  const std::size_t kSizes[] = {1000, 10000, 100000};
-
-  ConsoleTable table(
-      "sim core throughput — tombstone heap vs. indexed d-ary heap");
-  table.columns({"shape", "jobs", "events", "cancels", "legacy (s)",
-                 "indexed (s)", "legacy ev/s", "indexed ev/s", "speedup"});
-  auto csv = csv_for("sim_throughput");
-  // One schema for both sections: queue-replay rows leave jobs_per_s at -1,
-  // end-to-end rows leave the legacy/cancel columns at -1 (there is no
-  // legacy arm for a full simulation — the live core is the only one).
-  csv.header({"workload", "jobs", "events", "cancels", "legacy_s",
-              "indexed_s", "legacy_events_per_s", "indexed_events_per_s",
-              "speedup", "jobs_per_s"});
-
-  const struct {
-    CancelShape shape;
-    const char* name;
-  } kShapes[] = {
-      {CancelShape::kWalltimeKill, "walltime-kill (near-front)"},
-      {CancelShape::kReservation, "reservation churn (deep)"},
-  };
-  for (const auto& [shape, shape_name] : kShapes) {
-    for (const std::size_t jobs : kSizes) {
-      const Scenario scenario = make_scenario("large-replay", {.jobs = jobs});
-      const ReplayResult legacy =
-          replay<LegacyTombstoneQueue>(scenario.trace, shape);
-      const ReplayResult indexed =
-          replay<sim::EventQueue>(scenario.trace, shape);
-      if (legacy.checksum != indexed.checksum ||
-          legacy.events != indexed.events ||
-          legacy.cancels != indexed.cancels) {
-        std::fprintf(stderr,
-                     "FATAL: drain mismatch (%s, %zu jobs; "
-                     "events %zu/%zu, cancels %zu/%zu)\n",
-                     shape_name, jobs, legacy.events, indexed.events,
-                     legacy.cancels, indexed.cancels);
-        return 1;
-      }
-      const double legacy_eps =
-          static_cast<double>(legacy.events) / legacy.elapsed_s;
-      const double indexed_eps =
-          static_cast<double>(indexed.events) / indexed.elapsed_s;
-      const double speedup = legacy.elapsed_s / indexed.elapsed_s;
-      table.row({shape_name, num(jobs), num(legacy.events),
-                 num(legacy.cancels), f3(legacy.elapsed_s),
-                 f3(indexed.elapsed_s), f1(legacy_eps), f1(indexed_eps),
-                 strformat("%.1fx", speedup)});
-      csv.add(shape_name)
-          .add(jobs)
-          .add(legacy.events)
-          .add(legacy.cancels)
-          .add(legacy.elapsed_s)
-          .add(indexed.elapsed_s)
-          .add(legacy_eps)
-          .add(indexed_eps)
-          .add(speedup)
-          .add(std::int64_t{-1});
-      csv.end_row();
-    }
-  }
-  table.print();
-
-  // End-to-end: full EASY replays of the same prefixes on the live core
-  // (scheduler + cluster + metrics included), the number sweep users feel.
-  ConsoleTable e2e("end-to-end replay (EASY on large-replay prefixes)");
-  e2e.columns({"jobs", "elapsed (s)", "jobs/s", "makespan (h)", "completed"});
-  for (const std::size_t jobs : kSizes) {
-    const Scenario scenario = make_scenario("large-replay", {.jobs = jobs});
-    const auto start = Clock::now();
-    const RunMetrics m = run_scenario(scenario, SchedulerKind::kEasy);
-    const double elapsed = sec_since(start);
-    e2e.row({num(jobs), f3(elapsed),
-             f1(static_cast<double>(jobs) / elapsed), f1(m.makespan.hours()),
-             num(m.completed)});
-    csv.add("end-to-end-easy")
-        .add(jobs)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(elapsed)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(static_cast<double>(jobs) / elapsed);
-    csv.end_row();
-  }
-  e2e.print();
-
-  // Scheduler-pass: legacy full-queue-walk EASY vs. the live incremental
-  // scheduler, complete simulations at load 1.5 — above saturation, so the
-  // queue stays deep and pass cost dominates. Metrics must agree exactly;
-  // the rewrite is only allowed to be faster, never different.
-  ConsoleTable sched(
-      "scheduler passes — legacy full-walk EASY vs. incremental "
-      "(large-replay, load 1.5)");
-  sched.columns({"jobs", "legacy (s)", "incremental (s)", "legacy jobs/s",
-                 "incremental jobs/s", "speedup"});
-  for (const std::size_t jobs : {std::size_t{1000}, std::size_t{3000},
-                                 std::size_t{10000}}) {
-    const Scenario scenario =
-        make_scenario("large-replay", {.jobs = jobs, .load = 1.5});
-    const auto lstart = Clock::now();
-    const RunMetrics lm = run_easy(scenario, /*legacy=*/true);
-    const double legacy_s = sec_since(lstart);
-    const auto istart = Clock::now();
-    const RunMetrics im = run_easy(scenario, /*legacy=*/false);
-    const double incr_s = sec_since(istart);
-    if (!same_schedule(lm, im)) {
-      std::fprintf(stderr,
-                   "FATAL: schedule drift at %zu jobs (legacy vs. "
-                   "incremental): makespan %lld/%lld usec, completed "
-                   "%zu/%zu, mean wait %.9f/%.9f h\n",
-                   jobs, static_cast<long long>(lm.makespan.usec()),
-                   static_cast<long long>(im.makespan.usec()), lm.completed,
-                   im.completed, lm.mean_wait_hours, im.mean_wait_hours);
-      return 1;
-    }
-    const double speedup = legacy_s / incr_s;
-    sched.row({num(jobs), f3(legacy_s), f3(incr_s),
-               f1(static_cast<double>(jobs) / legacy_s),
-               f1(static_cast<double>(jobs) / incr_s),
-               strformat("%.1fx", speedup)});
-    csv.add("sched-pass-easy")
-        .add(jobs)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(legacy_s)
-        .add(incr_s)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(speedup)
-        .add(static_cast<double>(jobs) / incr_s);
-    csv.end_row();
-  }
-  // The incremental pass alone at the scale the legacy walk cannot reach in
-  // reasonable time.
-  {
-    const std::size_t jobs = 100000;
-    const Scenario scenario =
-        make_scenario("large-replay", {.jobs = jobs, .load = 1.5});
-    const auto start = Clock::now();
-    const RunMetrics m = run_easy(scenario, /*legacy=*/false);
-    const double elapsed = sec_since(start);
-    sched.row({num(jobs), "-", f3(elapsed), "-",
-               f1(static_cast<double>(jobs) / elapsed), "-"});
-    csv.add("sched-pass-easy-incremental-only")
-        .add(jobs)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(elapsed)
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(std::int64_t{-1})
-        .add(static_cast<double>(jobs) / elapsed);
-    csv.end_row();
-    (void)m;
-  }
-  sched.print();
   return 0;
 }

@@ -17,6 +17,7 @@
 // more/fewer racks with more/less of it rack-local — the rack-scale vs
 // system-wide provisioning question.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 #include <vector>
@@ -177,6 +178,16 @@ int main(int argc, char** argv) {
   cli.add_double("tolerance", 0.10,
                  "acceptable bsld regression vs baseline (fraction)");
   if (!cli.parse(argc, argv)) return 1;
+  // Bad numbers end in an error line that names the flag, never an abort.
+  if (cli.get_int("jobs") < 1) {
+    std::fprintf(stderr, "error: --jobs must be >= 1\n");
+    return 1;
+  }
+  const double tolerance = cli.get_double("tolerance");
+  if (!std::isfinite(tolerance) || tolerance < 0.0) {
+    std::fprintf(stderr, "error: --tolerance must be finite and >= 0\n");
+    return 1;
+  }
 
   if (const std::string name = cli.get_string("scenario"); !name.empty()) {
     if (!scenario_exists(name)) {
@@ -234,8 +245,7 @@ int main(int argc, char** argv) {
   const auto results = run_sweep_on_trace(sweep, trace);
   const double baseline_bsld = results.front().mean_bsld;
   const std::size_t baseline_rejected = results.front().rejected;
-  const double budget =
-      baseline_bsld * (1.0 + cli.get_double("tolerance"));
+  const double budget = baseline_bsld * (1.0 + tolerance);
 
   ConsoleTable table("capacity planning, model=" +
                      std::string(to_string(model)));

@@ -6,6 +6,7 @@
 //
 // This is the 20-line tour of the public API: build a machine, pick a
 // scheduler, generate (or load) a workload, run, read RunMetrics.
+#include <cstdint>
 #include <cstdio>
 
 #include "cluster/system_config.hpp"
@@ -22,10 +23,32 @@ int main(int argc, char** argv) {
                  "fcfs|easy|conservative|mem-easy|adaptive");
   cli.add_int("seed", 42, "workload RNG seed");
   if (!cli.parse(argc, argv)) return 1;
-
-  ExperimentConfig config;
-  config.cluster = disaggregated_config(cli.get_int("local-gib"),
-                                        cli.get_int("pool-gib"));
+  // Bad numbers end in an error line that names the flag, never an abort.
+  // Capping memory at 1 PiB keeps every byte total of the 1024-node
+  // machine within int64.
+  constexpr std::int64_t kMaxGib = std::int64_t{1} << 20;
+  const std::int64_t jobs = cli.get_int("jobs");
+  const std::int64_t local_gib = cli.get_int("local-gib");
+  const std::int64_t pool_gib = cli.get_int("pool-gib");
+  const std::int64_t seed = cli.get_int("seed");
+  if (jobs < 1) {
+    std::fprintf(stderr, "error: --jobs must be >= 1\n");
+    return 1;
+  }
+  if (local_gib < 1 || local_gib > kMaxGib) {
+    std::fprintf(stderr, "error: --local-gib must be in [1, %lld]\n",
+                 static_cast<long long>(kMaxGib));
+    return 1;
+  }
+  if (pool_gib < 0 || pool_gib > kMaxGib) {
+    std::fprintf(stderr, "error: --pool-gib must be in [0, %lld]\n",
+                 static_cast<long long>(kMaxGib));
+    return 1;
+  }
+  if (seed < 0) {
+    std::fprintf(stderr, "error: --seed must be >= 0\n");
+    return 1;
+  }
   const auto scheduler =
       scheduler_kind_from_string(cli.get_string("scheduler"));
   if (!scheduler) {
@@ -35,10 +58,13 @@ int main(int argc, char** argv) {
                  cli.get_string("scheduler").c_str());
     return 1;
   }
+
+  ExperimentConfig config;
+  config.cluster = disaggregated_config(local_gib, pool_gib);
   config.scheduler = *scheduler;
   config.model = WorkloadModel::kMixed;
-  config.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
-  config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  config.jobs = static_cast<std::size_t>(jobs);
+  config.seed = static_cast<std::uint64_t>(seed);
   config.target_load = 0.9;
 
   const RunMetrics m = run_experiment(config);

@@ -473,16 +473,11 @@ void SchedulingSimulation::window_integrate(SimTime from, SimTime to) {
       cluster_.global_pool_used().gib() * dt;
 }
 
-void SchedulingSimulation::window_advance() {
+void SchedulingSimulation::window_close_through(SimTime t) {
   const SimTime w = options_.checkpoint_interval;
-  if (w <= SimTime{0}) return;
-  const SimTime now = engine_.now();
-  // Close every window whose boundary the clock has reached. State is
-  // integrated with pre-mutation values, which is why every handler calls
-  // this first.
   for (;;) {
     const SimTime boundary{(window_index_ + 1) * w.usec()};
-    if (boundary > now) break;
+    if (boundary > t) break;
     window_integrate(window_frontier_, boundary);
     window_acc_.start = SimTime{window_index_ * w.usec()};
     window_acc_.end = boundary;
@@ -491,27 +486,22 @@ void SchedulingSimulation::window_advance() {
     window_frontier_ = boundary;
     ++window_index_;
   }
-  window_integrate(window_frontier_, now);
-  window_frontier_ = now;
+  window_integrate(window_frontier_, t);
+  window_frontier_ = t;
+}
+
+void SchedulingSimulation::window_advance() {
+  // State is integrated with pre-mutation values, which is why every
+  // handler calls this first.
+  if (options_.checkpoint_interval <= SimTime{0}) return;
+  window_close_through(engine_.now());
 }
 
 void SchedulingSimulation::flush_final_window() {
   const SimTime w = options_.checkpoint_interval;
   if (w <= SimTime{0}) return;
   const SimTime end = max(last_end_, window_frontier_);
-  for (;;) {
-    const SimTime boundary{(window_index_ + 1) * w.usec()};
-    if (boundary > end) break;
-    window_integrate(window_frontier_, boundary);
-    window_acc_.start = SimTime{window_index_ * w.usec()};
-    window_acc_.end = boundary;
-    metrics_.windows.push_back(window_acc_);
-    window_acc_ = MetricsWindow{};
-    window_frontier_ = boundary;
-    ++window_index_;
-  }
-  window_integrate(window_frontier_, end);
-  window_frontier_ = end;
+  window_close_through(end);
   // The trailing partial window is emitted only if it has any content —
   // a run that ends exactly on a boundary produces no empty extra window.
   const SimTime start{window_index_ * w.usec()};

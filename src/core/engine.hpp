@@ -287,8 +287,10 @@ class SchedulingSimulation final : public SchedContext {
   // Windowed checkpoints (all no-ops when checkpoint_interval is 0):
   /// Integrate current system state over [from, to) into the open window.
   void window_integrate(SimTime from, SimTime to);
-  /// Emit every window whose boundary is <= now, then integrate up to now.
-  /// Must run before any state mutation at the current timestamp.
+  /// Close every window whose boundary is <= t, then integrate up to t.
+  void window_close_through(SimTime t);
+  /// Close windows through now. Must run before any state mutation at the
+  /// current timestamp.
   void window_advance();
   /// After the run: emit remaining complete windows and the final partial.
   void flush_final_window();

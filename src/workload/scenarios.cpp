@@ -479,8 +479,8 @@ Scenario build_mixed_swf(const ScenarioParams& p) {
 /// is exercised at the trace sizes the related work replays (month-scale
 /// production traces). The default load sits *below* saturation so the
 /// queue stays bounded and throughput measures the event core, not a
-/// scheduler walking an ever-growing backlog. bench/sim_throughput replays
-/// prefixes of this scenario at 1k/10k/100k jobs.
+/// scheduler walking an ever-growing backlog. bench/sim_throughput's
+/// tracing-overhead section replays a 100k-job prefix.
 Scenario build_large_replay(const ScenarioParams& p) {
   return swf_replay_scenario(p, "large-replay");
 }

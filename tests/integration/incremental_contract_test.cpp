@@ -5,7 +5,8 @@
 // (sched/scheduler.hpp). Two checks pin that down:
 //  - warm equals cold: on every paper-regime scenario, under every queue
 //    order, a cached policy produces the same semantic event digest as the
-//    same policy rebuilt from scratch for every pass;
+//    same policy rebuilt from scratch for every pass, and EASY does too on
+//    a deep-backlog large-replay prefix;
 //  - the queue view: at every pass, queued_jobs() is the queue comparator's
 //    order and queued_jobs_after(token) names exactly the jobs that arrived
 //    since the pass that took the token.
@@ -106,6 +107,21 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// A large-replay prefix above saturation backs the queue up to well over a
+// hundred jobs (about 90 on average over the run), so EASY's cached shadow
+// and spare-node state is reused across many passes over a long backlog:
+// the regime the 250-job paper cells above never reach.
+TEST(DeepBacklog, EasyWarmEqualsColdOnLargeReplayAtLoad15) {
+  const Scenario scenario =
+      make_scenario("large-replay", {.jobs = 1000, .load = 1.5});
+  const CellRun warm = run_scenario_cell(scenario, SchedulerKind::kEasy,
+                                         QueueOrder::kFcfs, false);
+  const CellRun cold = run_scenario_cell(scenario, SchedulerKind::kEasy,
+                                         QueueOrder::kFcfs, true);
+  EXPECT_EQ(warm.digest, cold.digest);
+  EXPECT_GT(warm.fast_passes, 0U);
+}
 
 // --- queue view --------------------------------------------------------------
 

@@ -371,8 +371,9 @@ TEST(MixedSwfScenario, EmbeddedFixtureMatchesTheBundledSwfFile) {
 }
 
 TEST(LargeReplayScenario, DefaultsToProductionScale) {
-  // The scenario exists to replay 10^5-job traces; the default must stay at
-  // that scale or bench/sim_throughput quietly stops measuring anything.
+  // The scenario exists to replay 10^5-job traces; its default is what
+  // `dmsched-sim --scenario large-replay` runs, so it must stay at that
+  // scale.
   const Scenario s = make_scenario("large-replay");
   EXPECT_GE(s.trace.size(), 100000u);
   // Below saturation by design: throughput measures the event core, not a
@@ -405,8 +406,9 @@ TEST(LargeReplayScenario, SharesTheMixedSwfMachineAndDay) {
 }
 
 TEST(LargeReplayScenario, CappedBuildsAreCheapAndExact) {
-  // bench/sim_throughput and the golden smoke test replay capped prefixes;
-  // the cap must hit the requested size exactly at any value.
+  // bench/sim_throughput, the golden smoke test and the deep-backlog
+  // incremental-contract case replay capped prefixes; the cap must hit the
+  // requested size exactly at any value.
   for (const std::size_t jobs : {1000u, 2500u, 10000u}) {
     SCOPED_TRACE(::testing::Message() << "jobs " << jobs);
     const Scenario s = make_scenario(
