@@ -5,8 +5,6 @@
 // series; the CSV regenerates the plot.
 #include "bench_util.hpp"
 
-#include "common/histogram.hpp"
-
 int main() {
   using namespace dmsched;
   using namespace dmsched::bench;

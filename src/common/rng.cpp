@@ -64,27 +64,14 @@ double Rng::normal() {
          std::cos(2.0 * std::numbers::pi * u2);
 }
 
-double Rng::normal(double mean, double stddev) {
-  return mean + stddev * normal();
-}
-
 double Rng::lognormal(double mu, double sigma) {
-  return std::exp(normal(mu, sigma));
+  return std::exp(mu + sigma * normal());
 }
 
 double Rng::exponential(double rate) {
   DMSCHED_ASSERT(rate > 0.0, "exponential(): rate must be positive");
   const double u = std::max(uniform(), 0x1.0p-53);
   return -std::log(u) / rate;
-}
-
-double Rng::bounded_pareto(double alpha, double lo, double hi) {
-  DMSCHED_ASSERT(alpha > 0.0 && lo > 0.0 && lo < hi,
-                 "bounded_pareto(): bad parameters");
-  const double u = uniform();
-  const double la = std::pow(lo, alpha);
-  const double ha = std::pow(hi, alpha);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
 std::size_t Rng::weighted_index(std::span<const double> weights) {

@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <span>
-#include <vector>
 
 namespace dmsched {
 
@@ -45,31 +44,16 @@ class Rng {
 
   /// Standard normal via Box–Muller (no cached spare: keeps state minimal).
   double normal();
-  /// Normal with the given mean and standard deviation.
-  double normal(double mean, double stddev);
   /// Lognormal: exp(N(mu, sigma)).
   double lognormal(double mu, double sigma);
   /// Exponential with the given rate (mean 1/rate).
   double exponential(double rate);
-  /// Bounded Pareto on [lo, hi] with shape `alpha` (heavy-tailed sizes).
-  double bounded_pareto(double alpha, double lo, double hi);
 
   /// Sample an index from unnormalized non-negative weights.
   std::size_t weighted_index(std::span<const double> weights);
 
   /// Derive an independent child stream; `tag` namespaces the purpose.
   [[nodiscard]] Rng fork(std::uint64_t tag) const;
-
-  /// Fisher–Yates shuffle.
-  template <typename T>
-  void shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      const auto j = static_cast<std::size_t>(
-          uniform_int(0, static_cast<std::int64_t>(i) - 1));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
 
  private:
   std::uint64_t s_[4];

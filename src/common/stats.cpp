@@ -1,55 +1,17 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/assert.hpp"
 
 namespace dmsched {
 
 void StreamingStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
-  sum_ += x;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(count_);
-  m2_ += delta * (x - mean_);
-}
-
-void StreamingStats::merge(const StreamingStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
+  mean_ += (x - mean_) / static_cast<double>(count_);
 }
 
 double StreamingStats::mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-double StreamingStats::variance() const {
-  return count_ < 2 ? 0.0 : m2_ / static_cast<double>(count_ - 1);
-}
-
-double StreamingStats::stddev() const { return std::sqrt(variance()); }
-
-double StreamingStats::min() const { return count_ == 0 ? 0.0 : min_; }
-
-double StreamingStats::max() const { return count_ == 0 ? 0.0 : max_; }
 
 void SampleStats::add(double x) {
   samples_.push_back(x);

@@ -6,31 +6,19 @@
 
 namespace dmsched {
 
-/// Welford online accumulator: count / mean / variance / min / max in O(1)
-/// memory. Used for per-metric aggregation where percentiles are not needed.
+/// Welford online mean in O(1) memory. Used for per-metric aggregation
+/// where percentiles are not needed.
 class StreamingStats {
  public:
   /// Incorporate one observation.
   void add(double x);
-  /// Merge another accumulator (parallel sweep reduction).
-  void merge(const StreamingStats& other);
 
   [[nodiscard]] std::size_t count() const { return count_; }
   [[nodiscard]] double mean() const;
-  /// Unbiased sample variance; 0 for fewer than two observations.
-  [[nodiscard]] double variance() const;
-  [[nodiscard]] double stddev() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double sum() const { return sum_; }
 
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double sum_ = 0.0;
 };
 
 /// Stores every observation; provides exact percentiles.

@@ -7,7 +7,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <string>
 
 namespace dmsched {
 
@@ -73,8 +72,5 @@ constexpr SimTime kTimeInfinity{INT64_MAX / 4};
 [[nodiscard]] constexpr SimTime max(SimTime a, SimTime b) {
   return a < b ? b : a;
 }
-
-/// Render as "[d-]hh:mm:ss" (walltime style), e.g. "1-02:33:07".
-[[nodiscard]] std::string format_duration(SimTime t);
 
 }  // namespace dmsched

@@ -1,7 +1,5 @@
 #include "core/experiment.hpp"
 
-#include "common/assert.hpp"
-
 namespace dmsched {
 
 Trace make_workload(const ExperimentConfig& config) {
@@ -61,12 +59,6 @@ ExperimentConfig scenario_experiment(const ScenarioStream& stream,
   c.engine.slowdown =
       c.engine.slowdown.with_remote_penalty(stream.remote_penalty);
   return c;
-}
-
-RunMetrics run_scenario(ScenarioStream& stream, SchedulerKind kind) {
-  DMSCHED_ASSERT(stream.source != nullptr,
-                 "run_scenario: stream has no source (already consumed?)");
-  return run_experiment(scenario_experiment(stream, kind), *stream.source);
 }
 
 }  // namespace dmsched

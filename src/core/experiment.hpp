@@ -61,12 +61,10 @@ struct ExperimentConfig {
 [[nodiscard]] RunMetrics run_scenario(const Scenario& scenario,
                                       SchedulerKind kind);
 
-/// Streaming counterparts: the experiment config for a scenario stream
-/// (`jobs` falls back to the source's size hint) and a one-shot run that
-/// consumes the stream's source.
+/// Streaming counterpart: the experiment config for a scenario stream
+/// (`jobs` falls back to the source's size hint); run it with
+/// `run_experiment(cfg, *stream.source)`.
 [[nodiscard]] ExperimentConfig scenario_experiment(
     const ScenarioStream& stream, SchedulerKind kind);
-[[nodiscard]] RunMetrics run_scenario(ScenarioStream& stream,
-                                      SchedulerKind kind);
 
 }  // namespace dmsched

@@ -175,15 +175,6 @@ void parallel_for_chunked(std::size_t count, const SweepOptions& options,
   }
 }
 
-std::vector<RunMetrics> run_sweep(const std::vector<ExperimentConfig>& configs,
-                                  const SweepOptions& options) {
-  std::vector<RunMetrics> results(configs.size());
-  parallel_for_chunked(configs.size(), options, [&](std::size_t i) {
-    results[i] = run_experiment(configs[i]);
-  });
-  return results;
-}
-
 std::vector<RunMetrics> run_sweep_on_trace(
     const std::vector<ExperimentConfig>& configs, const Trace& trace,
     const SweepOptions& options) {

@@ -57,12 +57,6 @@ struct SweepOptions {
 void parallel_for_chunked(std::size_t count, const SweepOptions& options,
                           const std::function<void(std::size_t)>& fn);
 
-/// Run every experiment (each generating its own workload) and return
-/// metrics in input order.
-[[nodiscard]] std::vector<RunMetrics> run_sweep(
-    const std::vector<ExperimentConfig>& configs,
-    const SweepOptions& options = {});
-
 /// Run every experiment against one shared trace (comparisons on identical
 /// workloads). The trace must outlive the call.
 [[nodiscard]] std::vector<RunMetrics> run_sweep_on_trace(

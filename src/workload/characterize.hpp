@@ -3,9 +3,7 @@
 
 #include <vector>
 
-#include "common/histogram.hpp"
 #include "workload/trace.hpp"
-#include "workload/trace_source.hpp"
 
 namespace dmsched {
 
@@ -44,16 +42,18 @@ struct TraceStats {
                                       Bytes reference_node_mem,
                                       std::int64_t machine_nodes);
 
-/// The same statistics from a pull-based source drain, without
-/// materializing a Trace. Identical to the eager overload on the same jobs
-/// (pinned by tests/workload/trace_source_test.cpp). Percentiles are exact,
-/// so this holds O(jobs) *doubles* — sample arrays, not whole Jobs; it is
-/// an analysis path, not a bounded-memory one.
-[[nodiscard]] TraceStats characterize(TraceSource& source,
-                                      Bytes reference_node_mem,
-                                      std::int64_t machine_nodes);
-
 /// Per-node memory footprints in GiB (input to CDF figures).
 [[nodiscard]] std::vector<double> memory_footprints_gib(const Trace& trace);
+
+/// One (x, F(x)) point of an empirical CDF.
+struct CdfPoint {
+  double x;
+  double cumulative_fraction;
+};
+
+/// Empirical CDF down-sampled to `points` evenly spaced quantiles —
+/// exactly what a paper's CDF figure plots.
+[[nodiscard]] std::vector<CdfPoint> empirical_cdf(std::vector<double> samples,
+                                                  std::size_t points);
 
 }  // namespace dmsched

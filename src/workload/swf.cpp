@@ -3,7 +3,7 @@
 #include <cmath>
 #include <fstream>
 #include <istream>
-#include <ostream>
+#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/str.hpp"
@@ -23,47 +23,42 @@ constexpr std::size_t kFieldStatus = 10;
 constexpr std::size_t kFieldUser = 11;
 constexpr std::size_t kFieldCount = 18;
 
-}  // namespace
+/// Classification of one SWF line.
+enum class LineKind : std::uint8_t {
+  kJob,        ///< parsed into the caller's Job
+  kBlank,      ///< empty line or ';' comment (not an error)
+  kMalformed,  ///< unparseable (too few fields, non-numeric field)
+  kFiltered,   ///< parseable but filtered (status, zero runtime/procs, ...)
+};
 
-SwfParsedLine parse_swf_line(std::string_view line,
-                             const SwfOptions& options) {
-  DMSCHED_ASSERT(options.procs_per_node > 0, "SwfOptions: procs_per_node");
-  SwfParsedLine out;
+/// Parse one SWF line; on kJob, `j` holds the job with its archive
+/// (absolute) submit time and no id.
+LineKind parse_line(std::string_view line, const SwfOptions& options,
+                    Job& j) {
   const std::string_view stripped = trim(line);
-  if (stripped.empty() || stripped.front() == ';') {
-    out.kind = SwfLineKind::kBlank;
-    return out;
-  }
+  if (stripped.empty() || stripped.front() == ';') return LineKind::kBlank;
 
   const auto fields = split_ws(stripped);
-  if (fields.size() < kFieldCount) {
-    out.kind = SwfLineKind::kMalformed;
-    return out;
-  }
+  if (fields.size() < kFieldCount) return LineKind::kMalformed;
   std::int64_t raw[kFieldCount];
   for (std::size_t i = 0; i < kFieldCount; ++i) {
     double v{};  // archive traces occasionally use decimals (avg CPU time)
-    if (!parse_double(fields[i], v)) {
-      out.kind = SwfLineKind::kMalformed;
-      return out;
-    }
+    if (!parse_double(fields[i], v)) return LineKind::kMalformed;
     raw[i] = static_cast<std::int64_t>(std::llround(v));
   }
 
   if (options.completed_only && raw[kFieldStatus] != 1 &&
       raw[kFieldStatus] != -1) {
-    out.kind = SwfLineKind::kFiltered;
-    return out;
+    return LineKind::kFiltered;
   }
   const std::int64_t runtime_sec = raw[kFieldRuntime];
   std::int64_t procs = raw[kFieldReqProcs] > 0 ? raw[kFieldReqProcs]
                                                : raw[kFieldAllocProcs];
   if (runtime_sec <= 0 || procs <= 0 || raw[kFieldSubmit] < 0) {
-    out.kind = SwfLineKind::kFiltered;
-    return out;
+    return LineKind::kFiltered;
   }
 
-  Job j;
+  j = Job{};
   j.submit = seconds(raw[kFieldSubmit]);
   j.nodes = static_cast<std::int32_t>(
       (procs + options.procs_per_node - 1) / options.procs_per_node);
@@ -89,10 +84,10 @@ SwfParsedLine parse_swf_line(std::string_view line,
   j.user = raw[kFieldUser] > 0 ? static_cast<std::int32_t>(raw[kFieldUser])
                                : 0;
   j.sensitivity = MemSensitivity::kBalanced;
-  out.kind = SwfLineKind::kJob;
-  out.job = j;
-  return out;
+  return LineKind::kJob;
 }
+
+}  // namespace
 
 SwfResult read_swf(std::istream& in, const SwfOptions& options,
                    std::string trace_name) {
@@ -100,20 +95,20 @@ SwfResult read_swf(std::istream& in, const SwfOptions& options,
   SwfResult result;
   std::vector<Job> jobs;
   std::string line;
+  Job job;
   while (std::getline(in, line)) {
     ++result.lines_total;
-    const SwfParsedLine parsed = parse_swf_line(line, options);
-    switch (parsed.kind) {
-      case SwfLineKind::kBlank:
+    switch (parse_line(line, options, job)) {
+      case LineKind::kBlank:
         break;
-      case SwfLineKind::kMalformed:
+      case LineKind::kMalformed:
         ++result.lines_malformed;
         break;
-      case SwfLineKind::kFiltered:
+      case LineKind::kFiltered:
         ++result.jobs_skipped;
         break;
-      case SwfLineKind::kJob:
-        jobs.push_back(parsed.job);
+      case LineKind::kJob:
+        jobs.push_back(job);
         ++result.jobs_accepted;
         break;
     }
@@ -138,29 +133,6 @@ SwfResult read_swf_file(const std::string& path, const SwfOptions& options) {
   std::string name =
       slash == std::string::npos ? path : path.substr(slash + 1);
   return read_swf(in, options, std::move(name));
-}
-
-void write_swf(std::ostream& out, const Trace& trace,
-               const SwfOptions& options) {
-  out << "; SWF export from DMSched\n";
-  out << "; MaxProcs unknown; memory written as KB per processor\n";
-  for (const Job& j : trace.jobs()) {
-    const std::int64_t procs =
-        static_cast<std::int64_t>(j.nodes) * options.procs_per_node;
-    const std::int64_t mem_kb_per_proc =
-        j.mem_per_node.count() / (1024 * options.procs_per_node);
-    out << strformat(
-        "%u %lld %lld %lld %lld -1 %lld %lld %lld %lld 1 %d -1 -1 -1 -1 -1 "
-        "-1\n",
-        j.id + 1, static_cast<long long>(j.submit.usec() / 1'000'000),
-        -1LL,  // wait time: scheduling output, not part of the description
-        static_cast<long long>(j.runtime.usec() / 1'000'000),
-        static_cast<long long>(procs),
-        static_cast<long long>(mem_kb_per_proc),
-        static_cast<long long>(procs),
-        static_cast<long long>(j.walltime.usec() / 1'000'000),
-        static_cast<long long>(mem_kb_per_proc), j.user);
-  }
 }
 
 }  // namespace dmsched

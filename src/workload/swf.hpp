@@ -1,4 +1,4 @@
-// Standard Workload Format (SWF) import/export.
+// Standard Workload Format (SWF) import.
 //
 // SWF is the Parallel Workloads Archive interchange format: one job per
 // line, 18 whitespace-separated fields, ';' comment headers. This reader
@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <string_view>
 
 #include "common/units.hpp"
 #include "workload/trace.hpp"
@@ -44,41 +43,15 @@ struct SwfResult {
   [[nodiscard]] bool ok() const { return error.empty(); }
 };
 
-/// Classification of one SWF line.
-enum class SwfLineKind : std::uint8_t {
-  kJob,        ///< parsed into SwfParsedLine::job
-  kBlank,      ///< empty line or ';' comment (not an error)
-  kMalformed,  ///< unparseable (too few fields, non-numeric field)
-  kFiltered,   ///< parseable but filtered (status, zero runtime/procs, ...)
-};
-
-/// Outcome of parsing one SWF line.
-struct SwfParsedLine {
-  SwfLineKind kind = SwfLineKind::kBlank;
-  /// Valid only when kind == kJob. The id is unset and the submit time is
-  /// the archive's absolute time — callers rebase and assign ids (read_swf
-  /// via Trace::make, StreamingSwfSource incrementally).
-  Job job;
-};
-
-/// Parse one SWF line. This is the single line-level parser both the eager
-/// reader and the streaming source are built on, so their acceptance and
-/// accounting semantics cannot drift apart.
-[[nodiscard]] SwfParsedLine parse_swf_line(std::string_view line,
-                                           const SwfOptions& options);
-
-/// Parse an SWF stream. Malformed lines are counted and skipped; only I/O
-/// failure is a hard error.
+/// Parse an SWF stream line by line: the one SWF reader. Malformed lines
+/// are counted and skipped; only I/O failure is a hard error. Accepted jobs
+/// are stably sorted by submit time (archives need not be in order) and
+/// rebased so the first submits at t=0.
 [[nodiscard]] SwfResult read_swf(std::istream& in, const SwfOptions& options,
                                  std::string trace_name);
 
 /// Parse an SWF file from disk.
 [[nodiscard]] SwfResult read_swf_file(const std::string& path,
                                       const SwfOptions& options);
-
-/// Serialize a trace to SWF (fields DMSched does not model are -1).
-/// Memory is written as KB per processor, inverse of the reader mapping.
-void write_swf(std::ostream& out, const Trace& trace,
-               const SwfOptions& options);
 
 }  // namespace dmsched

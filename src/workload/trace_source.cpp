@@ -1,10 +1,7 @@
 #include "workload/trace_source.hpp"
 
-#include <fstream>
-#include <istream>
 #include <stdexcept>
 #include <utility>
-#include <vector>
 
 #include "common/assert.hpp"
 
@@ -56,82 +53,6 @@ std::optional<Job> MappedTraceSource::next() {
   any_ = true;
   last_submit_ = mapped.submit;
   return mapped;
-}
-
-StreamingSwfSource::StreamingSwfSource(std::unique_ptr<std::istream> in,
-                                       SwfOptions options, std::string name)
-    : in_(std::move(in)), options_(options), name_(std::move(name)) {
-  DMSCHED_ASSERT(in_ != nullptr, "StreamingSwfSource: null stream");
-  DMSCHED_ASSERT(options_.procs_per_node > 0, "SwfOptions: procs_per_node");
-}
-
-StreamingSwfSource::~StreamingSwfSource() = default;
-
-std::optional<Job> StreamingSwfSource::next() {
-  if (done_) return std::nullopt;
-  std::string line;
-  while (std::getline(*in_, line)) {
-    ++lines_total_;
-    const SwfParsedLine parsed = parse_swf_line(line, options_);
-    switch (parsed.kind) {
-      case SwfLineKind::kBlank:
-        continue;
-      case SwfLineKind::kMalformed:
-        ++lines_malformed_;
-        continue;
-      case SwfLineKind::kFiltered:
-        ++jobs_skipped_;
-        continue;
-      case SwfLineKind::kJob:
-        break;
-    }
-    Job j = parsed.job;
-    if (!any_) {
-      // Rebase on the fly: read_swf applies .rebased() to the whole trace;
-      // the first accepted job defines the same epoch here.
-      epoch_ = j.submit;
-      any_ = true;
-    }
-    if (j.submit < epoch_ + last_submit_) {
-      done_ = true;
-      throw std::runtime_error(
-          "StreamingSwfSource \"" + name_ +
-          "\": archive jobs are not in submission order (the eager reader "
-          "sorts; a stream cannot — sort the archive or use read_swf)");
-    }
-    j.submit = j.submit - epoch_;
-    last_submit_ = j.submit;
-    ++jobs_accepted_;
-    return j;
-  }
-  done_ = true;
-  if (in_->bad()) {
-    error_ = "I/O error while reading SWF stream";
-  }
-  return std::nullopt;
-}
-
-std::unique_ptr<StreamingSwfSource> open_swf_source(const std::string& path,
-                                                    const SwfOptions& options) {
-  auto in = std::make_unique<std::ifstream>(path);
-  if (!*in) {
-    throw std::runtime_error("cannot open SWF file: " + path);
-  }
-  auto slash = path.find_last_of('/');
-  std::string name =
-      slash == std::string::npos ? path : path.substr(slash + 1);
-  return std::make_unique<StreamingSwfSource>(std::move(in), options,
-                                              std::move(name));
-}
-
-Trace drain_to_trace(TraceSource& source, std::string name) {
-  std::vector<Job> jobs;
-  if (auto hint = source.size_hint()) jobs.reserve(*hint);
-  while (std::optional<Job> j = source.next()) jobs.push_back(*j);
-  // The source contract guarantees submission order, so the stable sort in
-  // Trace::make is the identity and ids land in pull order.
-  return Trace::make(std::move(jobs),
-                     name.empty() ? source.name() : std::move(name));
 }
 
 }  // namespace dmsched

@@ -10,12 +10,10 @@
 
 #include <cstddef>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
 
-#include "workload/swf.hpp"
 #include "workload/trace.hpp"
 
 namespace dmsched {
@@ -119,64 +117,5 @@ class MappedTraceSource final : public TraceSource {
   bool any_ = false;
   SimTime last_submit_{};
 };
-
-/// Incremental SWF reader: one line parsed per pull via `parse_swf_line`
-/// (the same line-level parser `read_swf` uses), submit times rebased on
-/// the fly so the first accepted job submits at t=0 — month-scale archives
-/// stream at O(1) memory.
-///
-/// Accounting (`lines_total`/`jobs_accepted`/`jobs_skipped`/
-/// `lines_malformed`) matches read_swf's SwfResult for the same input and
-/// keeps the same non-fatal contract: malformed or filtered lines are
-/// counted and skipped, never thrown. Counts are cumulative up to the lines
-/// consumed so far (final after the source is exhausted). Divergence from
-/// the eager reader: read_swf sorts, a stream cannot — an archive whose
-/// completed jobs are not in submission order throws std::runtime_error.
-/// An I/O error (badbit) ends the stream early and sets error().
-class StreamingSwfSource final : public TraceSource {
- public:
-  /// Owns the stream. `name` mirrors read_swf's trace_name.
-  StreamingSwfSource(std::unique_ptr<std::istream> in, SwfOptions options,
-                     std::string name);
-  ~StreamingSwfSource() override;
-
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  std::optional<Job> next() override;
-
-  [[nodiscard]] std::size_t lines_total() const { return lines_total_; }
-  [[nodiscard]] std::size_t jobs_accepted() const { return jobs_accepted_; }
-  [[nodiscard]] std::size_t jobs_skipped() const { return jobs_skipped_; }
-  [[nodiscard]] std::size_t lines_malformed() const {
-    return lines_malformed_;
-  }
-  /// Non-empty after a hard I/O failure (mirrors SwfResult::error).
-  [[nodiscard]] const std::string& error() const { return error_; }
-  [[nodiscard]] bool ok() const { return error_.empty(); }
-
- private:
-  std::unique_ptr<std::istream> in_;
-  SwfOptions options_;
-  std::string name_;
-  std::size_t lines_total_ = 0;
-  std::size_t jobs_accepted_ = 0;
-  std::size_t jobs_skipped_ = 0;
-  std::size_t lines_malformed_ = 0;
-  std::string error_;
-  bool any_ = false;
-  SimTime epoch_{};        ///< first accepted submit (rebasing offset)
-  SimTime last_submit_{};  ///< last rebased submit (order check)
-  bool done_ = false;
-};
-
-/// Open an SWF file as a streaming source. Throws std::runtime_error when
-/// the file cannot be opened (the streaming analogue of
-/// read_swf_file's error result).
-[[nodiscard]] std::unique_ptr<StreamingSwfSource> open_swf_source(
-    const std::string& path, const SwfOptions& options);
-
-/// Materialize a source into a Trace (tests, small workloads). The result's
-/// ids/order match what any consumer of the source would assign.
-/// `name` overrides the source's name when non-empty.
-[[nodiscard]] Trace drain_to_trace(TraceSource& source, std::string name = {});
 
 }  // namespace dmsched

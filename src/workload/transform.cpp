@@ -15,27 +15,11 @@ SimTime round_up(SimTime t, SimTime rounding) {
 
 }  // namespace
 
-Trace filter_trace(const Trace& trace,
-                   const std::function<bool(const Job&)>& pred) {
-  std::vector<Job> kept;
-  for (const Job& j : trace.jobs()) {
-    if (pred(j)) kept.push_back(j);
-  }
-  return Trace::make(std::move(kept), trace.name());
-}
-
 Trace map_trace(const Trace& trace, const std::function<Job(Job)>& fn) {
   std::vector<Job> mapped;
   mapped.reserve(trace.size());
   for (const Job& j : trace.jobs()) mapped.push_back(fn(j));
   return Trace::make(std::move(mapped), trace.name());
-}
-
-Trace time_window(const Trace& trace, SimTime from, SimTime to) {
-  DMSCHED_ASSERT(from <= to, "time_window: inverted window");
-  return filter_trace(trace, [&](const Job& j) {
-    return j.submit >= from && j.submit < to;
-  });
 }
 
 Trace with_exact_walltimes(const Trace& trace, SimTime rounding) {

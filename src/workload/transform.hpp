@@ -1,9 +1,8 @@
-// Trace transformations: filtering and job-level rewriting.
+// Trace transformations: job-level rewriting.
 //
 // Experiments often need controlled variants of one workload ("the same
-// jobs but with exact walltime estimates", "only the narrow jobs", "the
-// first day"). These helpers keep that logic out of the benches and make
-// the variants deterministic and testable.
+// jobs but with exact walltime estimates"). These helpers keep that logic
+// out of the benches and make the variants deterministic and testable.
 #pragma once
 
 #include <functional>
@@ -13,16 +12,9 @@
 
 namespace dmsched {
 
-/// Jobs satisfying `pred`, re-id'd into a new trace.
-[[nodiscard]] Trace filter_trace(const Trace& trace,
-                                 const std::function<bool(const Job&)>& pred);
-
 /// Each job rewritten by `fn` (submit order re-established afterwards).
 [[nodiscard]] Trace map_trace(const Trace& trace,
                               const std::function<Job(Job)>& fn);
-
-/// Only jobs submitted in [from, to).
-[[nodiscard]] Trace time_window(const Trace& trace, SimTime from, SimTime to);
 
 /// The same jobs with perfectly accurate walltime requests (walltime =
 /// runtime rounded up to `rounding`). Upper bound for what better user

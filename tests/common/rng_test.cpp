@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
+#include <vector>
 
 namespace dmsched {
 namespace {
@@ -73,7 +73,7 @@ TEST(Rng, NormalMoments) {
   double sq = 0.0;
   constexpr int kN = 100'000;
   for (int i = 0; i < kN; ++i) {
-    const double x = rng.normal(10.0, 2.0);
+    const double x = 10.0 + 2.0 * rng.normal();
     sum += x;
     sq += x * x;
   }
@@ -97,15 +97,6 @@ TEST(Rng, LognormalMedian) {
   for (auto& x : xs) x = rng.lognormal(2.0, 0.8);
   std::nth_element(xs.begin(), xs.begin() + 10'000, xs.end());
   EXPECT_NEAR(xs[10'000], std::exp(2.0), 0.3);
-}
-
-TEST(Rng, BoundedParetoStaysInRange) {
-  Rng rng(37);
-  for (int i = 0; i < 10'000; ++i) {
-    const double x = rng.bounded_pareto(1.2, 1.0, 1000.0);
-    EXPECT_GE(x, 1.0);
-    EXPECT_LE(x, 1000.0);
-  }
 }
 
 TEST(Rng, WeightedIndexDistribution) {
@@ -136,17 +127,6 @@ TEST(Rng, ForkIndependence) {
   [[maybe_unused]] Rng c = parent2.fork(1);
   Rng parent3(55);
   EXPECT_EQ(parent2.next_u64(), parent3.next_u64());
-}
-
-TEST(Rng, ShufflePermutes) {
-  Rng rng(61);
-  std::vector<int> v(100);
-  std::iota(v.begin(), v.end(), 0);
-  auto shuffled = v;
-  rng.shuffle(shuffled);
-  EXPECT_NE(shuffled, v);
-  std::sort(shuffled.begin(), shuffled.end());
-  EXPECT_EQ(shuffled, v);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 namespace dmsched {
 namespace {
 
@@ -11,9 +9,6 @@ TEST(StreamingStats, EmptyIsZero) {
   StreamingStats s;
   EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 0.0);
-  EXPECT_DOUBLE_EQ(s.max(), 0.0);
 }
 
 TEST(StreamingStats, SingleValue) {
@@ -21,45 +16,13 @@ TEST(StreamingStats, SingleValue) {
   s.add(5.0);
   EXPECT_EQ(s.count(), 1u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 0.0);
-  EXPECT_DOUBLE_EQ(s.min(), 5.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
 }
 
 TEST(StreamingStats, KnownMoments) {
   StreamingStats s;
   for (double x : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) s.add(x);
+  EXPECT_EQ(s.count(), 8u);
   EXPECT_DOUBLE_EQ(s.mean(), 5.0);
-  EXPECT_NEAR(s.variance(), 32.0 / 7.0, 1e-12);  // unbiased
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
-}
-
-TEST(StreamingStats, MergeMatchesSequential) {
-  StreamingStats all, left, right;
-  for (int i = 0; i < 100; ++i) {
-    const double x = std::sin(i) * 10.0;
-    all.add(x);
-    (i < 37 ? left : right).add(x);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-9);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(StreamingStats, MergeWithEmpty) {
-  StreamingStats a, b;
-  a.add(1.0);
-  a.add(3.0);
-  a.merge(b);  // no-op
-  EXPECT_EQ(a.count(), 2u);
-  b.merge(a);  // copy
-  EXPECT_EQ(b.count(), 2u);
-  EXPECT_DOUBLE_EQ(b.mean(), 2.0);
 }
 
 TEST(SampleStats, PercentilesExact) {

@@ -46,21 +46,5 @@ TEST(SimTime, InfinityIsLargest) {
   EXPECT_LT(days(10000), kTimeInfinity);
 }
 
-TEST(SimTime, FormatShort) {
-  EXPECT_EQ(format_duration(seconds(std::int64_t{0})), "00:00:00");
-  EXPECT_EQ(format_duration(minutes(61) + seconds(std::int64_t{5})),
-            "01:01:05");
-}
-
-TEST(SimTime, FormatWithDays) {
-  EXPECT_EQ(format_duration(days(1) + hours(2) + minutes(33) +
-                            seconds(std::int64_t{7})),
-            "1-02:33:07");
-}
-
-TEST(SimTime, FormatNegative) {
-  EXPECT_EQ(format_duration(SimTime{} - minutes(5)), "-00:05:00");
-}
-
 }  // namespace
 }  // namespace dmsched

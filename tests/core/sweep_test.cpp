@@ -49,10 +49,11 @@ TEST(Sweep, ResultsMatchSequentialRuns) {
       small_config(SchedulerKind::kFcfs),
       small_config(SchedulerKind::kEasy),
       small_config(SchedulerKind::kMemAwareEasy)};
-  const auto parallel = run_sweep(configs, {.threads = 3});
+  const Trace trace = make_workload(configs[0]);
+  const auto parallel = run_sweep_on_trace(configs, trace, {.threads = 3});
   ASSERT_EQ(parallel.size(), 3u);
   for (std::size_t i = 0; i < configs.size(); ++i) {
-    const RunMetrics solo = run_experiment(configs[i]);
+    const RunMetrics solo = run_experiment(configs[i], trace);
     EXPECT_DOUBLE_EQ(parallel[i].mean_wait_hours, solo.mean_wait_hours) << i;
     EXPECT_DOUBLE_EQ(parallel[i].node_utilization, solo.node_utilization) << i;
     EXPECT_EQ(parallel[i].completed, solo.completed) << i;
@@ -73,7 +74,8 @@ TEST(Sweep, SharedTraceVariantUsesGivenTrace) {
 TEST(Sweep, LabelPropagates) {
   auto config = small_config(SchedulerKind::kFcfs);
   config.label = "my-label";
-  const auto results = run_sweep({config}, {.threads = 1});
+  const auto results =
+      run_sweep_on_trace({config}, make_workload(config), {.threads = 1});
   EXPECT_EQ(results[0].label, "my-label");
 }
 

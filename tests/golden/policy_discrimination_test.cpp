@@ -11,8 +11,8 @@
 //  2. the discrimination points the right way: every memory-aware policy
 //     (per the Scheduler::memory_aware() hook) waits less than the
 //     memory-unaware EASY baseline, and FCFS is worst overall;
-//  3. chunked run_sweep output is byte-identical between threads=1 and
-//     hardware concurrency, for several chunk sizes.
+//  3. chunked run_sweep_on_trace output is byte-identical between
+//     threads=1 and hardware concurrency, for several chunk sizes.
 //
 // As a side effect the suite writes fig6_policy_comparison.csv next to the
 // binary (one row per scheduler); CI uploads it as a workflow artifact so

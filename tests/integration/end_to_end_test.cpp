@@ -7,6 +7,7 @@
 #include "cluster/system_config.hpp"
 #include "core/sweep.hpp"
 #include "testing/builders.hpp"
+#include "testing/trace_io.hpp"
 #include "workload/swf.hpp"
 
 namespace dmsched {
@@ -150,7 +151,7 @@ TEST(EndToEnd, SwfRoundTripThroughFullPipeline) {
   const Trace original = make_workload(config);
   std::stringstream buffer;
   SwfOptions opts;
-  write_swf(buffer, original, opts);
+  testing::write_swf(buffer, original, opts);
   auto parsed = read_swf(buffer, opts, "rt");
   ASSERT_TRUE(parsed.ok());
   ASSERT_EQ(parsed.trace.size(), original.size());

@@ -69,5 +69,38 @@ TEST(Characterize, OfferedLoadMatchesTraceMethod) {
   EXPECT_DOUBLE_EQ(s.offered_load, t.offered_load(16));
 }
 
+TEST(Cdf, EmptyInput) {
+  EXPECT_TRUE(empirical_cdf({}, 10).empty());
+}
+
+TEST(Cdf, MonotoneNondecreasing) {
+  std::vector<double> xs;
+  for (int i = 0; i < 997; ++i) xs.push_back((i * 7919) % 1000 / 10.0);
+  const auto cdf = empirical_cdf(xs, 50);
+  ASSERT_EQ(cdf.size(), 50u);
+  for (std::size_t i = 1; i < cdf.size(); ++i) {
+    EXPECT_GE(cdf[i].x, cdf[i - 1].x);
+    EXPECT_GE(cdf[i].cumulative_fraction, cdf[i - 1].cumulative_fraction);
+  }
+  EXPECT_DOUBLE_EQ(cdf.back().cumulative_fraction, 1.0);
+}
+
+TEST(Cdf, EndpointsCoverRange) {
+  const auto cdf = empirical_cdf({5.0, 1.0, 3.0}, 3);
+  ASSERT_EQ(cdf.size(), 3u);
+  EXPECT_DOUBLE_EQ(cdf.front().x, 1.0);
+  EXPECT_DOUBLE_EQ(cdf.back().x, 5.0);
+}
+
+TEST(Cdf, UniformSamplesGiveLinearCdf) {
+  std::vector<double> xs;
+  for (int i = 0; i <= 1000; ++i) xs.push_back(static_cast<double>(i));
+  const auto cdf = empirical_cdf(xs, 11);
+  // F(x) ≈ x/1000
+  for (const auto& p : cdf) {
+    EXPECT_NEAR(p.cumulative_fraction, p.x / 1000.0, 0.01);
+  }
+}
+
 }  // namespace
 }  // namespace dmsched

@@ -1,20 +1,18 @@
-// SWF round-trip fuzz: randomized traces written by write_swf and read back
-// through the *streaming* reader must reproduce every job field exactly, at
+// SWF round-trip fuzz: randomized traces written by the write_swf oracle
+// and read back through read_swf must reproduce every job field exactly, at
 // multiple procs-per-node conversions. Plus the error-handling contract of
-// the incremental reader: malformed lines, truncation, and mid-line EOF are
-// counted (lines_malformed / jobs_skipped), never fatal, and the accounting
-// agrees with the eager read_swf on identical input.
+// the reader on a messy byte stream: malformed lines, truncation, and
+// mid-line EOF are counted (lines_malformed / jobs_skipped), never fatal.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "testing/trace_io.hpp"
 #include "workload/swf.hpp"
 #include "workload/trace.hpp"
-#include "workload/trace_source.hpp"
 
 namespace dmsched {
 namespace {
@@ -65,7 +63,7 @@ void expect_job_equal(const Job& a, const Job& b, std::size_t i) {
   EXPECT_EQ(a.user, b.user);
 }
 
-TEST(SwfRoundTripFuzz, StreamingReaderReproducesEveryField) {
+TEST(SwfRoundTripFuzz, ReaderReproducesEveryField) {
   for (const std::int32_t ppn : {1, 4}) {
     SwfOptions opts;
     opts.procs_per_node = ppn;
@@ -73,45 +71,19 @@ TEST(SwfRoundTripFuzz, StreamingReaderReproducesEveryField) {
       SCOPED_TRACE("ppn " + std::to_string(ppn) + " seed " +
                    std::to_string(seed));
       const Trace original = fuzz_trace(seed, 50, ppn);
-      auto buffer = std::make_unique<std::stringstream>();
-      write_swf(*buffer, original, opts);
-      StreamingSwfSource source(std::move(buffer), opts, "fuzz");
-      const Trace round = drain_to_trace(source, "fuzz");
-      ASSERT_TRUE(source.ok()) << source.error();
-      EXPECT_EQ(source.jobs_accepted(), original.size());
-      EXPECT_EQ(source.lines_malformed(), 0u);
-      EXPECT_EQ(source.jobs_skipped(), 0u);
-      ASSERT_EQ(round.size(), original.size());
+      std::stringstream buffer;
+      testing::write_swf(buffer, original, opts);
+      const SwfResult round = read_swf(buffer, opts, "fuzz");
+      ASSERT_TRUE(round.ok()) << round.error;
+      EXPECT_EQ(round.jobs_accepted, original.size());
+      EXPECT_EQ(round.lines_malformed, 0u);
+      EXPECT_EQ(round.jobs_skipped, 0u);
+      ASSERT_EQ(round.trace.size(), original.size());
       for (JobId i = 0; i < original.size(); ++i) {
-        expect_job_equal(original.job(i), round.job(i), i);
+        expect_job_equal(original.job(i), round.trace.job(i), i);
       }
     }
   }
-}
-
-TEST(SwfRoundTripFuzz, EagerAndStreamingReadersAgreeOnTheSameBytes) {
-  const Trace original = fuzz_trace(7, 40, 2);
-  SwfOptions opts;
-  opts.procs_per_node = 2;
-  std::stringstream eager_buf;
-  write_swf(eager_buf, original, opts);
-  const std::string bytes = eager_buf.str();
-
-  std::istringstream eager_in(bytes);
-  const SwfResult eager = read_swf(eager_in, opts, "fuzz");
-  ASSERT_TRUE(eager.ok());
-
-  StreamingSwfSource source(std::make_unique<std::istringstream>(bytes), opts,
-                            "fuzz");
-  const Trace streamed = drain_to_trace(source, "fuzz");
-  ASSERT_EQ(streamed.size(), eager.trace.size());
-  for (JobId i = 0; i < streamed.size(); ++i) {
-    expect_job_equal(eager.trace.job(i), streamed.job(i), i);
-  }
-  EXPECT_EQ(source.lines_total(), eager.lines_total);
-  EXPECT_EQ(source.jobs_accepted(), eager.jobs_accepted);
-  EXPECT_EQ(source.jobs_skipped(), eager.jobs_skipped);
-  EXPECT_EQ(source.lines_malformed(), eager.lines_malformed);
 }
 
 // --- error-handling contract -------------------------------------------------
@@ -121,79 +93,65 @@ constexpr const char* kGoodLine =
 constexpr const char* kLaterGoodLine =
     "2 60 -1 100 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1\n";
 
+SwfResult read_text(const std::string& input) {
+  std::istringstream in(input);
+  return read_swf(in, SwfOptions{}, "t");
+}
+
 TEST(StreamingSwfErrors, MalformedLinesAreCountedAndSkipped) {
-  const std::string input = std::string("garbage here\n") + kGoodLine +
-                            "1 2 3\n" + kLaterGoodLine;
-  StreamingSwfSource source(std::make_unique<std::istringstream>(input),
-                            SwfOptions{}, "t");
-  std::size_t accepted = 0;
-  while (source.next().has_value()) ++accepted;
-  EXPECT_TRUE(source.ok()) << source.error();  // malformed is never fatal
-  EXPECT_EQ(accepted, 2u);
-  EXPECT_EQ(source.jobs_accepted(), 2u);
-  EXPECT_EQ(source.lines_malformed(), 2u);
-  EXPECT_EQ(source.jobs_skipped(), 0u);
-  EXPECT_EQ(source.lines_total(), 4u);
+  const SwfResult r = read_text(std::string("garbage here\n") + kGoodLine +
+                                "1 2 3\n" + kLaterGoodLine);
+  EXPECT_TRUE(r.ok()) << r.error;  // malformed is never fatal
+  EXPECT_EQ(r.trace.size(), 2u);
+  EXPECT_EQ(r.jobs_accepted, 2u);
+  EXPECT_EQ(r.lines_malformed, 2u);
+  EXPECT_EQ(r.jobs_skipped, 0u);
+  EXPECT_EQ(r.lines_total, 4u);
 }
 
 TEST(StreamingSwfErrors, FilteredJobsCountAsSkippedNotMalformed) {
-  const std::string input =
+  const SwfResult r = read_text(
       std::string(kGoodLine) +
       "2 60 -1 100 4 -1 -1 4 200 -1 0 1 1 1 1 -1 -1 -1\n"   // failed status
-      "3 90 -1 0 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1\n";    // zero runtime
-  StreamingSwfSource source(std::make_unique<std::istringstream>(input),
-                            SwfOptions{}, "t");
-  std::size_t accepted = 0;
-  while (source.next().has_value()) ++accepted;
-  EXPECT_EQ(accepted, 1u);
-  EXPECT_EQ(source.jobs_skipped(), 2u);
-  EXPECT_EQ(source.lines_malformed(), 0u);
+      "3 90 -1 0 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1\n");   // zero runtime
+  EXPECT_EQ(r.trace.size(), 1u);
+  EXPECT_EQ(r.jobs_skipped, 2u);
+  EXPECT_EQ(r.lines_malformed, 0u);
 }
 
 TEST(StreamingSwfErrors, TruncatedFinalLineIsMalformedNotFatal) {
   // A file cut mid-record: the last line has only 5 of 18 fields and no
-  // trailing newline. Jobs before the cut still stream; the fragment is
-  // accounted as malformed; the stream ends cleanly.
-  const std::string input =
-      std::string(kGoodLine) + kLaterGoodLine + "3 120 -1 100 4";
-  StreamingSwfSource source(std::make_unique<std::istringstream>(input),
-                            SwfOptions{}, "t");
-  std::size_t accepted = 0;
-  while (source.next().has_value()) ++accepted;
-  EXPECT_EQ(accepted, 2u);
-  EXPECT_EQ(source.lines_malformed(), 1u);
-  EXPECT_TRUE(source.ok());
-  EXPECT_FALSE(source.next().has_value());  // exhausted stays exhausted
+  // trailing newline. Jobs before the cut still load; the fragment is
+  // accounted as malformed; the read ends cleanly.
+  const SwfResult r =
+      read_text(std::string(kGoodLine) + kLaterGoodLine + "3 120 -1 100 4");
+  EXPECT_EQ(r.trace.size(), 2u);
+  EXPECT_EQ(r.lines_malformed, 1u);
+  EXPECT_TRUE(r.ok()) << r.error;
 }
 
 TEST(StreamingSwfErrors, CompleteFinalLineWithoutNewlineParses) {
   // Mid-line EOF after a *complete* record: all 18 fields present, no '\n'.
-  const std::string input = std::string(kGoodLine) +
-                            "2 60 -1 100 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1";
-  StreamingSwfSource source(std::make_unique<std::istringstream>(input),
-                            SwfOptions{}, "t");
-  std::size_t accepted = 0;
-  while (source.next().has_value()) ++accepted;
-  EXPECT_EQ(accepted, 2u);
-  EXPECT_EQ(source.lines_malformed(), 0u);
+  const SwfResult r = read_text(
+      std::string(kGoodLine) +
+      "2 60 -1 100 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1");
+  EXPECT_EQ(r.trace.size(), 2u);
+  EXPECT_EQ(r.lines_malformed, 0u);
 }
 
-TEST(StreamingSwfErrors, AccountingMatchesEagerReaderOnMessyInput) {
-  const std::string input = std::string(";; header\n") + "not a job\n" +
-                            kGoodLine + "\n" +
-                            "2 60 -1 100 0 -1 -1 0 200 -1 1 1 1 1 1 -1 -1 -1\n" +
-                            kLaterGoodLine + "junk";
-  std::istringstream eager_in(input);
-  const SwfResult eager = read_swf(eager_in, SwfOptions{}, "t");
-  StreamingSwfSource source(std::make_unique<std::istringstream>(input),
-                            SwfOptions{}, "t");
-  while (source.next().has_value()) {
-  }
-  EXPECT_EQ(source.lines_total(), eager.lines_total);
-  EXPECT_EQ(source.jobs_accepted(), eager.jobs_accepted);
-  EXPECT_EQ(source.jobs_skipped(), eager.jobs_skipped);
-  EXPECT_EQ(source.lines_malformed(), eager.lines_malformed);
-  EXPECT_EQ(source.ok(), eager.ok());
+TEST(StreamingSwfErrors, AccountingIsExactOnMessyInput) {
+  // Every line lands in exactly one bucket: comments and blank lines count
+  // only toward lines_total.
+  const SwfResult r = read_text(
+      std::string(";; header\n") + "not a job\n" + kGoodLine + "\n" +
+      "2 60 -1 100 0 -1 -1 0 200 -1 1 1 1 1 1 -1 -1 -1\n" +  // zero procs
+      kLaterGoodLine + "junk");
+  EXPECT_TRUE(r.ok()) << r.error;
+  EXPECT_EQ(r.lines_total, 7u);
+  EXPECT_EQ(r.jobs_accepted, 2u);
+  EXPECT_EQ(r.jobs_skipped, 1u);
+  EXPECT_EQ(r.lines_malformed, 2u);
+  EXPECT_EQ(r.trace.size(), 2u);
 }
 
 }  // namespace

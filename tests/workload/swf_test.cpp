@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "testing/builders.hpp"
+#include "testing/trace_io.hpp"
 
 namespace dmsched {
 namespace {
@@ -177,7 +178,7 @@ TEST(Swf, RoundTripPreservesJobs) {
        job(1).at_h(1.0).nodes(1).mem_gib(100).runtime_h(0.5).walltime_h(1.0)});
   std::stringstream buffer;
   const SwfOptions opts;
-  write_swf(buffer, original, opts);
+  testing::write_swf(buffer, original, opts);
   const auto result = read_swf(buffer, opts, "roundtrip");
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result.trace.size(), original.size());

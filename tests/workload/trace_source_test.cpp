@@ -11,7 +11,6 @@
 
 #include <memory>
 #include <random>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,8 +18,8 @@
 #include "core/engine.hpp"
 #include "core/factory.hpp"
 #include "testing/builders.hpp"
+#include "testing/trace_io.hpp"
 #include "workload/scenarios.hpp"
-#include "workload/swf.hpp"
 
 namespace dmsched {
 namespace {
@@ -274,7 +273,8 @@ TEST(ScenarioStreams, EveryRegisteredStreamDrainsToTheEagerTrace) {
     EXPECT_EQ(stream.workload_reference_mem.count(),
               eager.workload_reference_mem.count());
     EXPECT_EQ(stream.remote_penalty, eager.remote_penalty);
-    const Trace drained = drain_to_trace(*stream.source, eager.trace.name());
+    const Trace drained =
+        testing::drain_to_trace(*stream.source, eager.trace.name());
     expect_jobs_field_equal(eager.trace, drained);
   }
 }
@@ -290,38 +290,6 @@ TEST(ScenarioStreams, SizeHintsMatchTheEagerJobCount) {
       EXPECT_EQ(*hint, eager.trace.size());
     }
   }
-}
-
-// --- streaming SWF reader ----------------------------------------------------
-
-TEST(StreamingSwf, MatchesEagerReaderOnTheBundledSample) {
-  const std::string path = std::string(DMSCHED_TEST_DATA_DIR) + "/sample.swf";
-  SwfOptions opts;
-  opts.procs_per_node = 4;
-  const SwfResult eager = read_swf_file(path, opts);
-  ASSERT_TRUE(eager.ok()) << eager.error;
-  auto source = open_swf_source(path, opts);
-  const Trace drained = drain_to_trace(*source, eager.trace.name());
-  ASSERT_TRUE(source->ok()) << source->error();
-  expect_jobs_field_equal(eager.trace, drained);
-  EXPECT_EQ(source->lines_total(), eager.lines_total);
-  EXPECT_EQ(source->jobs_accepted(), eager.jobs_accepted);
-  EXPECT_EQ(source->jobs_skipped(), eager.jobs_skipped);
-  EXPECT_EQ(source->lines_malformed(), eager.lines_malformed);
-}
-
-TEST(StreamingSwf, MissingFileThrows) {
-  EXPECT_THROW(open_swf_source("/no/such/file.swf", SwfOptions{}),
-               std::runtime_error);
-}
-
-TEST(StreamingSwf, OutOfOrderArchiveThrows) {
-  auto in = std::make_unique<std::istringstream>(
-      "1 100 -1 100 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1\n"
-      "2 50 -1 100 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1\n");
-  StreamingSwfSource source(std::move(in), SwfOptions{}, "t");
-  EXPECT_TRUE(source.next().has_value());
-  EXPECT_THROW(source.next(), std::runtime_error);
 }
 
 // --- source adapters ---------------------------------------------------------
@@ -343,7 +311,7 @@ TEST(GeneratorSource, YieldsUntilTheCallbackRunsDry) {
       },
       3);
   ASSERT_EQ(source.size_hint(), std::optional<std::size_t>{3});
-  const Trace t = drain_to_trace(source, "gen");
+  const Trace t = testing::drain_to_trace(source, "gen");
   ASSERT_EQ(t.size(), 3u);
   for (JobId id = 0; id < t.size(); ++id) {
     EXPECT_EQ(t.job(id).id, id);  // sequential ids in pull order
@@ -377,7 +345,7 @@ TEST(MappedSource, AppliesTheRewriteInStreamOrder) {
     j.nodes += 1;
     return j;
   });
-  const Trace out = drain_to_trace(mapped, "mapped");
+  const Trace out = testing::drain_to_trace(mapped, "mapped");
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out.job(0).nodes, 3);
   EXPECT_EQ(out.job(1).nodes, 5);

@@ -16,21 +16,6 @@ Trace sample() {
                    job(2).at_h(2.0).nodes(1).runtime_h(0.5).walltime_h(2.0)});
 }
 
-TEST(Transform, FilterKeepsMatchesAndReIds) {
-  const Trace t = filter_trace(sample(), [](const Job& j) {
-    return j.nodes <= 2;
-  });
-  ASSERT_EQ(t.size(), 2u);
-  EXPECT_EQ(t.job(0).id, 0u);
-  EXPECT_EQ(t.job(0).nodes, 2);
-  EXPECT_EQ(t.job(1).nodes, 1);
-}
-
-TEST(Transform, FilterAllOutIsEmpty) {
-  const Trace t = filter_trace(sample(), [](const Job&) { return false; });
-  EXPECT_TRUE(t.empty());
-}
-
 TEST(Transform, MapRewritesJobs) {
   const Trace t = map_trace(sample(), [](Job j) {
     j.nodes *= 2;
@@ -42,12 +27,6 @@ TEST(Transform, MapRewritesJobs) {
 
 TEST(Transform, MapPreservesName) {
   EXPECT_EQ(map_trace(sample(), [](Job j) { return j; }).name(), "test");
-}
-
-TEST(Transform, TimeWindowHalfOpen) {
-  const Trace t = time_window(sample(), hours(1), hours(2));
-  ASSERT_EQ(t.size(), 1u);
-  EXPECT_EQ(t.job(0).nodes, 8);  // the 1 h submission
 }
 
 TEST(Transform, ExactWalltimesHitAccuracyOne) {

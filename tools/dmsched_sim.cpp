@@ -13,6 +13,7 @@
 //               --checkpoint-interval-min 120 --csv-windows windows.csv
 //   dmsched-sim --list-scenarios
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <initializer_list>
 #include <optional>
@@ -339,6 +340,20 @@ int main(int argc, char** argv) {
   if (cli.get_int("seed") < 0) {
     std::fprintf(stderr, "error: --seed must be >= 0\n");
     return 1;
+  }
+  // Sizes are int64 byte counts: past this many GiB, gib() wraps.
+  constexpr std::int64_t kMaxGib = INT64_MAX / kGiB.count();
+  for (const char* flag :
+       {"local-gib", "pool-gib", "global-gib", "bb-capacity"}) {
+    const std::int64_t n = cli.get_int(flag);
+    if (n > kMaxGib || n < -kMaxGib) {
+      std::fprintf(stderr,
+                   "error: --%s %lld GiB overflows a 64-bit byte count "
+                   "(at most %lld)\n",
+                   flag, static_cast<long long>(n),
+                   static_cast<long long>(kMaxGib));
+      return 1;
+    }
   }
 
   std::optional<Scenario> scenario;
