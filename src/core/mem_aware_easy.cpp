@@ -35,6 +35,14 @@ struct FitChoice {
   SimTime finish_bound{};
 };
 
+/// The dilation `job` runs at when its memory comes from `plan`.
+double dilation_of(const SchedContext& ctx, const Job& job,
+                   const TakePlan& plan) {
+  return ctx.slowdown().dilation_bytes(
+      plan.rack_pool_total(), plan.neighbor_pool_total(), plan.global_total(),
+      job.total_mem(), job.sensitivity);
+}
+
 /// Estimated-finish evaluation of the earliest *window* fit under `policy`.
 /// Window fitting is required once reservations (future holds) are in the
 /// profile; on a monotone profile it equals the instantaneous fit. A fit
@@ -44,16 +52,11 @@ std::optional<FitChoice> evaluate_fit(const FreeProfile& profile,
                                       PlacementPolicy policy,
                                       SimTime not_after = kTimeInfinity) {
   const auto duration_of = [&](const TakePlan& plan) {
-    const double dil = ctx.slowdown().dilation_bytes(
-        plan.rack_pool_total(), plan.neighbor_pool_total(),
-        plan.global_total(), job.total_mem(), job.sensitivity);
-    return job.walltime.scaled(dil);
+    return job.walltime.scaled(dilation_of(ctx, job, plan));
   };
   auto fit = profile.earliest_fit_window(job, policy, duration_of, not_after);
   if (!fit) return std::nullopt;
-  const double dil = ctx.slowdown().dilation_bytes(
-      fit->plan.rack_pool_total(), fit->plan.neighbor_pool_total(),
-      fit->plan.global_total(), job.total_mem(), job.sensitivity);
+  const double dil = dilation_of(ctx, job, fit->plan);
   FitChoice choice{std::move(*fit), dil, SimTime{}};
   choice.finish_bound = choice.fit.time + job.walltime.scaled(dil);
   return choice;
@@ -89,28 +92,6 @@ std::optional<FitChoice> choose_fit(const FreeProfile& profile, const Job& job,
   return primary;
 }
 
-/// Compute reservations for `jobs` in order, adding each one's hold to the
-/// profile so later reservations (and backfill checks) respect it.
-std::vector<Reservation> place_reservations(FreeProfile& profile,
-                                            const std::vector<JobId>& jobs,
-                                            const SchedContext& ctx,
-                                            const MemAwareOptions& opts,
-                                            const PlacementPolicy& planning) {
-  std::vector<Reservation> reservations;
-  reservations.reserve(jobs.size());
-  for (const JobId id : jobs) {
-    const Job& job = ctx.job(id);
-    const auto choice = choose_fit(profile, job, ctx, opts, planning);
-    // Admitted jobs always fit once the profile drains.
-    DMSCHED_ASSERT(choice.has_value(),
-                   "mem-easy: admitted job has no reservation");
-    profile.add_hold(choice->fit.time, choice->finish_bound,
-                     choice->fit.plan);
-    reservations.push_back({id, choice->fit.time, choice->finish_bound});
-  }
-  return reservations;
-}
-
 /// Tier-headroom shield: true when starting `take` now would leave each
 /// pool tier at least `reserve` of its capacity free. Reads the remaining
 /// capacity through the topology model, so the check is about *tiers*, not
@@ -140,12 +121,43 @@ bool leaves_tier_headroom(const SchedContext& ctx, const ResourceState& state,
   return true;
 }
 
-/// The backfill what-if: re-fit the reserved jobs in order on `profile`
-/// (which holds the candidate) and report whether each keeps its baseline
-/// start and finish bound. Each sweep stops at its job's baseline start and
-/// the re-fit stops at the first delayed reservation: past either point
-/// the verdict is "delayed", whatever the rest would compute. The re-fit
-/// holds stay in `profile`; the caller rolls them back.
+#ifndef NDEBUG
+/// The full recompute keeps_baseline replaces: true when `fresh` does not
+/// delay any job relative to `baseline` (pairwise by index).
+bool no_regression(const std::vector<Reservation>& baseline,
+                   const std::vector<Reservation>& fresh) {
+  DMSCHED_ASSERT(baseline.size() == fresh.size(),
+                 "reservation recount mismatch");
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    if (fresh[i].start > baseline[i].start) return false;
+    if (fresh[i].finish_bound > baseline[i].finish_bound) return false;
+  }
+  return true;
+}
+#endif
+
+}  // namespace
+
+std::vector<Reservation> place_reservations(FreeProfile& profile,
+                                            const std::vector<JobId>& jobs,
+                                            const SchedContext& ctx,
+                                            const MemAwareOptions& opts,
+                                            const PlacementPolicy& planning) {
+  std::vector<Reservation> reservations;
+  reservations.reserve(jobs.size());
+  for (const JobId id : jobs) {
+    const Job& job = ctx.job(id);
+    const auto choice = choose_fit(profile, job, ctx, opts, planning);
+    // Admitted jobs always fit once the profile drains.
+    DMSCHED_ASSERT(choice.has_value(),
+                   "mem-easy: admitted job has no reservation");
+    profile.add_hold(choice->fit.time, choice->finish_bound,
+                     choice->fit.plan);
+    reservations.push_back({id, choice->fit.time, choice->finish_bound});
+  }
+  return reservations;
+}
+
 bool keeps_baseline(FreeProfile& profile,
                     const std::vector<Reservation>& baseline,
                     const SchedContext& ctx, const MemAwareOptions& opts,
@@ -163,22 +175,42 @@ bool keeps_baseline(FreeProfile& profile,
   return true;
 }
 
-#ifndef NDEBUG
-/// The full recompute keeps_baseline replaces: true when `fresh` does not
-/// delay any job relative to `baseline` (pairwise by index).
-bool no_regression(const std::vector<Reservation>& baseline,
-                   const std::vector<Reservation>& fresh) {
-  DMSCHED_ASSERT(baseline.size() == fresh.size(),
-                 "reservation recount mismatch");
-  for (std::size_t i = 0; i < baseline.size(); ++i) {
-    if (fresh[i].start > baseline[i].start) return false;
-    if (fresh[i].finish_bound > baseline[i].finish_bound) return false;
+// Why one kernel call at the baseline start B decides keeps_baseline for a
+// single reservation in non-adaptive mode, where the candidate holds `take`
+// over [now, end) with end > B (a candidate ending by B is accepted before
+// any what-if):
+//  - The profile holds only releases and holds that start at now (the
+//    candidates accepted so far this pass), so after now it never
+//    decreases: past now only adds remain.
+//  - On such a profile a plan subtractable at its start stays subtractable
+//    at every later row, so continuity cannot fail and the earliest window
+//    fit is the first row at which the kernel admits the head. The held
+//    profile is of the same kind (the hold's release lands at end > now).
+//  - Feasibility (totals_admit, greedy_fits and greedy_capacity) is
+//    monotone in every per-rack count and pool, the global tier, the GPUs
+//    and the burst buffer: lowering any of them never turns a reject into
+//    an admit.
+//  - B is the first row admitting the head on the profile the baseline was
+//    placed on, which had none of this pass's holds. Holds only lower rows,
+//    so no row before B admits the head now, with or without the
+//    candidate: the re-fit bounded by B starts at B exactly when the kernel
+//    admits the head on the held row at B, which is the row at B minus
+//    `take` (the hold covers B), and its plan there sets its finish bound.
+bool head_keeps_baseline(const FreeProfile& profile, const Reservation& base,
+                         const TakePlan& take, const SchedContext& ctx,
+                         const PlacementPolicy& planning, ResourceState& state,
+                         TakePlan& plan) {
+  const Job& head = ctx.job(base.id);
+  const ClusterConfig& config = ctx.cluster().config();
+  state = profile.state_at(base.start);  // copy-assign: reuses the vectors
+  apply_take(state, take);
+  if (!totals_admit(state, config, head, planning) ||
+      !compute_take(state, config, head, planning, plan)) {
+    return false;
   }
-  return true;
+  return base.start + head.walltime.scaled(dilation_of(ctx, head, plan)) <=
+         base.finish_bound;
 }
-#endif
-
-}  // namespace
 
 void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   ++stats_.passes;
@@ -295,8 +327,14 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       break;
   }
 
-  // One scratch plan serves every candidate (compute_take overwrites it).
+  // One scratch plan serves every candidate (compute_take overwrites it),
+  // and one state and plan every one-call what-if.
   TakePlan take;
+  ResourceState what_if_state;
+  TakePlan what_if_plan;
+  // The what-if is one kernel call for a single reservation outside
+  // adaptive mode (proof at head_keeps_baseline).
+  const bool direct_what_if = baseline_.size() == 1 && !options_.adaptive;
   std::size_t examined = 0;
   for (JobId cid : candidates) {
     if (examined >= options_.backfill_window) break;
@@ -307,7 +345,10 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
     {
       // The row at now, by reference: it dies at the profile's next query.
       const ResourceState& state_now = profile_.state_at(now);
-      if (!compute_take(state_now, config, cand, planning, take)) continue;
+      if (!totals_admit(state_now, config, cand, planning) ||
+          !compute_take(state_now, config, cand, planning, take)) {
+        continue;
+      }
 
       // Tier-headroom shield: skip backfills that would drain a pool tier
       // below the configured reserve (kept for the protected queue front).
@@ -318,9 +359,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       }
     }
 
-    const double dil = ctx.slowdown().dilation_bytes(
-        take.rack_pool_total(), take.neighbor_pool_total(),
-        take.global_total(), cand.total_mem(), cand.sensitivity);
+    const double dil = dilation_of(ctx, cand, take);
 
     // Adaptive veto: skip a backfill that spills to the global tier when a
     // rack-pool-fed start later would finish sooner anyway.
@@ -337,13 +376,27 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
 
     const SimTime end_bound = now + cand.walltime.scaled(dil);
     const auto mark = profile_.mark();
-    profile_.add_hold(now, end_bound, take);
     // Fast path: a candidate that returns everything before the earliest
     // reservation begins cannot delay any reservation.
     bool accept = !baseline_.empty() && end_bound <= baseline_.front().start;
-    if (!accept) {
+    if (!accept && direct_what_if) {
+      // One reservation: one kernel call at its start decides the what-if
+      // (head_keeps_baseline), so the candidate is held only if accepted.
+      accept = head_keeps_baseline(profile_, baseline_.front(), take, ctx,
+                                   planning, what_if_state, what_if_plan);
+#ifndef NDEBUG
+      // Shadow: the bounded re-fit with the candidate held agrees.
+      profile_.add_hold(now, end_bound, take);
+      DMSCHED_ASSERT(
+          keeps_baseline(profile_, baseline_, ctx, options_, planning) ==
+              accept,
+          "mem-easy: the one-call what-if disagrees with the re-fit");
+      profile_.rollback(mark);
+#endif
+    } else if (!accept) {
       // What-if: re-fit the reservations with the candidate held and
       // require that none is delayed.
+      profile_.add_hold(now, end_bound, take);
       const auto what_if_mark = profile_.mark();
       accept = keeps_baseline(profile_, baseline_, ctx, options_, planning);
       profile_.rollback(what_if_mark);
@@ -357,11 +410,10 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
                      "mem-easy: the bounded what-if disagrees with the full "
                      "recompute");
 #endif
-    }
-    if (!accept) {
       profile_.rollback(mark);
-      continue;
     }
+    if (!accept) continue;
+    profile_.add_hold(now, end_bound, take);
     if (revalidate) {
       // Replan against the live ledger with every axis on: a blind backfill
       // must not start on an exhausted GPU rack or a full burst buffer.

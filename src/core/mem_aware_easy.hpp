@@ -12,7 +12,9 @@
 //     pool bytes (the baseline's failure mode). The what-if stops as soon
 //     as its answer is known: each reservation's re-fit sweeps no start
 //     later than its baseline start, and the re-fit of the reserved prefix
-//     stops at the first reservation that starts or finishes later.
+//     stops at the first reservation that starts or finishes later. With
+//     one reservation and no adaptive mode it is one kernel call at the
+//     reservation's start (head_keeps_baseline).
 //  3. Optionally (adaptive mode), every start decision minimizes *estimated
 //     completion*: starting now with expensive global-pool spillage is
 //     weighed against reserving a later start fed by cheaper rack-local
@@ -115,5 +117,37 @@ class MemAwareEasyScheduler final : public Scheduler {
   std::vector<JobId> reserved_jobs_;
   std::vector<Reservation> baseline_;
 };
+
+// The backfill what-if, as the scheduler runs it (exposed for tests).
+
+/// Reservations for `jobs` in order, each one's hold added to `profile` so
+/// later reservations respect it. The holds stay; the caller rolls back.
+[[nodiscard]] std::vector<MemAwareEasyScheduler::Reservation>
+place_reservations(FreeProfile& profile, const std::vector<JobId>& jobs,
+                   const SchedContext& ctx, const MemAwareOptions& opts,
+                   const PlacementPolicy& planning);
+
+/// Re-fit the reserved jobs in order on `profile` (which holds the
+/// candidate) and report whether each keeps its baseline start and finish
+/// bound. Each sweep stops at its job's baseline start and the re-fit
+/// stops at the first delayed reservation: past either point the verdict
+/// is "delayed", whatever the rest would compute. The re-fit holds stay in
+/// `profile`; the caller rolls them back.
+[[nodiscard]] bool keeps_baseline(
+    FreeProfile& profile,
+    const std::vector<MemAwareEasyScheduler::Reservation>& baseline,
+    const SchedContext& ctx, const MemAwareOptions& opts,
+    const PlacementPolicy& planning);
+
+/// keeps_baseline for one reservation `base` in non-adaptive mode, in one
+/// kernel call: whether the head still starts at `base.start`, by its
+/// finish bound, once a candidate holds `take` from now() past that start.
+/// `profile` must not hold the candidate and must never decrease after
+/// now() (mem-easy's phase-3 profile: releases, and holds that start at
+/// now()). `state` and `plan` are caller-owned scratch.
+[[nodiscard]] bool head_keeps_baseline(
+    const FreeProfile& profile, const MemAwareEasyScheduler::Reservation& base,
+    const TakePlan& take, const SchedContext& ctx,
+    const PlacementPolicy& planning, ResourceState& state, TakePlan& plan);
 
 }  // namespace dmsched

@@ -212,11 +212,11 @@ std::int64_t greedy_capacity(const ResourceState& state, Bytes d,
 }
 
 /// Whether the greedy in compute_take places and funds all of `job`,
-/// decided from per-tier sums before any rack is ordered. Let N = Σf, the
-/// takeable nodes, and B the free bytes of the tiers the routing may use
-/// (Σ rack pools unless kGlobalOnly, plus the global tier unless
-/// kRackOnly). N >= nodes and B >= d·nodes are necessary under every
-/// routing. They are also sufficient, so the sums are the exact answer:
+/// decided before any rack is ordered. Let N = Σf, the takeable nodes, and
+/// B the free bytes of the tiers the routing may use (Σ rack pools unless
+/// kGlobalOnly, plus the global tier unless kRackOnly). N >= nodes and
+/// B >= d·nodes are necessary under every routing. They are also
+/// sufficient, so the sums are the exact answer:
 ///  - d == 0: the greedy takes min(f, remaining) per rack in any order, so
 ///    it places every node iff N >= nodes; no tier is drawn.
 ///  - kGlobalOnly: each rack takes min(f, budget left, remaining) from a
@@ -231,26 +231,23 @@ std::int64_t greedy_capacity(const ResourceState& state, Bytes d,
 ///    bytes, which it covers iff B >= d·nodes.
 /// kRackOnly and kRackThenGlobal deficit jobs cannot move bytes between
 /// racks, so for them the sums only pre-filter and greedy_capacity decides.
-/// B is summed in 128 bits: ClusterConfig bounds no rack count or pool size.
+///
+/// The caller has already tested totals_admit: Σ free nodes >= nodes and
+/// B >= d·nodes, both from the state's kept totals. Without GPUs
+/// (`g == 0`) f is the rack's free count, so N is that total and the
+/// first sum is decided; with them f is clamped per rack, N <= the total,
+/// and one pass recounts it.
 bool greedy_fits(const ResourceState& state, const Job& job, Bytes d,
                  std::int32_t g, bool rack_ok, bool global_ok,
                  bool neighbor_ok) {
-  std::int64_t takeable = 0;
-  if (g == 0) {
-    for (const std::int32_t free : state.free_nodes) takeable += free;
-  } else {
+  if (g > 0) {
+    std::int64_t takeable = 0;
     for (std::size_t idx = 0; idx < state.free_nodes.size(); ++idx) {
       takeable += gpu_clamped(state, idx, g);
     }
+    if (takeable < job.nodes) return false;
   }
-  if (takeable < job.nodes) return false;
-  if (d.is_zero()) return true;
-  __int128 tier_bytes = global_ok ? state.global_free.count() : 0;
-  if (rack_ok) {
-    for (const Bytes pool : state.pool_free) tier_bytes += pool.count();
-  }
-  if (tier_bytes < static_cast<__int128>(d.count()) * job.nodes) return false;
-  if (neighbor_ok || !rack_ok) return true;
+  if (d.is_zero() || neighbor_ok || !rack_ok) return true;
   return greedy_capacity(state, d, g, global_ok) >= job.nodes;
 }
 
@@ -272,9 +269,13 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
   // Optional axes. A policy blind to an axis plans as if the axis did not
   // exist (the memory-only instantiation); zero-request jobs take the same
   // code path either way, so legacy traces are byte-identical.
+#ifndef NDEBUG
+  DMSCHED_ASSERT(state.totals_match(),
+                 "compute_take: the state's kept totals are stale");
+#endif
+  if (!totals_admit(state, config, job, policy)) return false;
   const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
   if (policy.axes.burst_buffer && job.bb_bytes > Bytes{0}) {
-    if (state.bb_free < job.bb_bytes) return false;
     plan.bb_bytes = job.bb_bytes;
   }
 
@@ -285,8 +286,8 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
   // below walks the remaining deficit outward by hop distance.
   const bool neighbor_ok = policy.routing == PoolRouting::kRackNeighborGlobal;
   // Decide before ordering racks: whether the greedy below places and funds
-  // every node does not depend on the order (greedy_fits), so past this
-  // point the kernel cannot fail.
+  // every node does not depend on the order (totals_admit above, then
+  // greedy_fits), so past this point the kernel cannot fail.
   if (!greedy_fits(state, job, d, g, rack_ok, global_ok, neighbor_ok)) {
     return false;
   }
@@ -453,11 +454,13 @@ void apply_take(ResourceState& state, const TakePlan& plan) {
     DMSCHED_ASSERT(idx < state.free_nodes.size(), "apply_take: bad rack");
     DMSCHED_ASSERT(state.free_nodes[idx] >= t.nodes,
                    "apply_take: node overcommit");
-    DMSCHED_ASSERT(state.pool_free[idx] >=
-                       t.rack_pool_bytes + t.neighbor_pool_bytes,
+    const Bytes pool = t.rack_pool_bytes + t.neighbor_pool_bytes;
+    DMSCHED_ASSERT(state.pool_free[idx] >= pool,
                    "apply_take: rack pool overcommit");
     state.free_nodes[idx] -= t.nodes;
-    state.pool_free[idx] -= t.rack_pool_bytes + t.neighbor_pool_bytes;
+    state.pool_free[idx] -= pool;
+    state.free_nodes_total -= t.nodes;
+    state.pool_free_total -= pool.count();
     if (t.gpus > 0) {
       DMSCHED_ASSERT(idx < state.free_gpus.size() &&
                          state.free_gpus[idx] >= t.gpus,
@@ -479,8 +482,11 @@ void release_take(ResourceState& state, const TakePlan& plan) {
   for (const auto& t : plan.takes) {
     const auto idx = static_cast<std::size_t>(t.rack);
     DMSCHED_ASSERT(idx < state.free_nodes.size(), "release_take: bad rack");
+    const Bytes pool = t.rack_pool_bytes + t.neighbor_pool_bytes;
     state.free_nodes[idx] += t.nodes;
-    state.pool_free[idx] += t.rack_pool_bytes + t.neighbor_pool_bytes;
+    state.pool_free[idx] += pool;
+    state.free_nodes_total += t.nodes;
+    state.pool_free_total += pool.count();
     if (t.gpus > 0) {
       DMSCHED_ASSERT(idx < state.free_gpus.size(), "release_take: bad rack");
       state.free_gpus[idx] += t.gpus;

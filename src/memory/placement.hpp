@@ -60,15 +60,47 @@ struct TakePlan {
   [[nodiscard]] std::int64_t gpu_total() const;
 };
 
+/// compute_take's O(1) reject, read from the totals `state` keeps. False
+/// when the burst buffer is short (a policy that plans it), when fewer
+/// nodes are free than the job asks for, or when a deficit job's far bytes
+/// (per-node deficit × nodes) exceed the free bytes of the tiers `policy`
+/// may draw from: Σ rack pools unless global-only, plus the global tier
+/// unless rack-only. Each is necessary for compute_take to admit the job,
+/// so a caller may skip the kernel when this is false; compute_take tests
+/// it first itself. When it is true, only GPU plans and the rack-only and
+/// rack-then-global deficit jobs still need a per-rack pass (greedy_fits,
+/// placement.cpp, has the proof).
+[[nodiscard]] inline bool totals_admit(const ResourceState& state,
+                                       const ClusterConfig& config,
+                                       const Job& job, PlacementPolicy policy) {
+  if (policy.axes.burst_buffer && job.bb_bytes > Bytes{0} &&
+      state.bb_free < job.bb_bytes) {
+    return false;
+  }
+  if (state.free_nodes_total < job.nodes) return false;
+  const Bytes d =
+      job.mem_per_node - min(job.mem_per_node, config.local_mem_per_node);
+  if (d.is_zero()) return true;
+  __int128 tier_bytes = policy.routing != PoolRouting::kRackOnly
+                            ? state.global_free.count()
+                            : 0;
+  if (policy.routing != PoolRouting::kGlobalOnly) {
+    tier_bytes += state.pool_free_total;
+  }
+  return tier_bytes >= static_cast<__int128>(d.count()) * job.nodes;
+}
+
 /// Plan a start of `job` against `state` into caller-owned `plan`. Returns
 /// false when the job cannot start (insufficient burst buffer, nodes or
 /// pool capacity under `policy`); `plan` then holds no usable plan. That
-/// answer is decided by an order-free test (per-tier sums, plus one
-/// per-rack pass for rack-only and rack-then-global deficit jobs) before
-/// any rack is ordered: a rejected probe never orders racks, and once the
-/// test passes, building the plan cannot fail. Every field of `plan` is
-/// overwritten, and `plan.takes` keeps its capacity, so one plan reused
-/// across probes allocates only when a plan outgrows every earlier one.
+/// answer is decided by an order-free test before any rack is ordered:
+/// `totals_admit` in O(1), then one per-rack pass only for GPU plans and
+/// for rack-only and rack-then-global deficit jobs. A rejected probe never
+/// orders racks, and once the test passes, building the plan cannot fail.
+/// Debug builds recount `state`'s totals and assert they match. Every
+/// field of `plan` is overwritten, and `plan.takes` keeps its capacity, so
+/// one plan reused across probes allocates only when a plan outgrows every
+/// earlier one.
 [[nodiscard]] bool compute_take(const ResourceState& state,
                                 const ClusterConfig& config, const Job& job,
                                 PlacementPolicy policy, TakePlan& plan);
@@ -101,9 +133,10 @@ struct TakePlan {
 /// negative (non-mutating feasibility probe for interval fitting).
 [[nodiscard]] bool can_apply(const ResourceState& state, const TakePlan& plan);
 
-/// Subtract a plan's resources from `state` (must fit; asserts otherwise).
+/// Subtract a plan's resources from `state` (must fit; asserts otherwise),
+/// keeping its totals.
 void apply_take(ResourceState& state, const TakePlan& plan);
-/// Return a plan's resources to `state`.
+/// Return a plan's resources to `state`, keeping its totals.
 void release_take(ResourceState& state, const TakePlan& plan);
 
 /// True when `job` could start on an *empty* machine of this shape ("runnable

@@ -54,13 +54,6 @@ void AvailabilityTimeline::on_finish(JobId id, SimTime release_at) {
   ++version_;
 }
 
-bool AvailabilityTimeline::has_release_in(SimTime after, SimTime upto) const {
-  const auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), after,
-      [](SimTime t, const Entry& e) { return t < e.time; });
-  return it != entries_.end() && it->time <= upto;
-}
-
 // --- FreeProfile -------------------------------------------------------------
 
 FreeProfile::FreeProfile(ResourceState base, SimTime now,

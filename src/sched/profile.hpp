@@ -95,10 +95,6 @@ class AvailabilityTimeline {
   /// Bumped on every mutation: the dirty flag scheduler passes key on.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// True when any release breakpoint lies in (after, upto] — the "did a
-  /// planning bound cross now since the last pass" staleness probe.
-  [[nodiscard]] bool has_release_in(SimTime after, SimTime upto) const;
-
  private:
   const ClusterConfig* config_;
   ResourceState base_free_;
@@ -275,7 +271,8 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
                          !can_apply(cache_states_[failed], plan),
                      "earliest_fit_window: a skipped candidate is continuous");
 #endif
-    } else if (compute_take(row_state(n), *config_, job, policy, plan)) {
+    } else if (totals_admit(row_state(n), *config_, job, policy) &&
+               compute_take(row_state(n), *config_, job, policy, plan)) {
       const SimTime end = t + duration_of(plan);
       // The last failing row first when this window covers it: the same
       // contended rack usually fails again, and continuity is a

@@ -19,9 +19,29 @@ const char* to_string(MemoryTier t) {
   return "?";
 }
 
-std::int32_t ResourceState::total_free_nodes() const {
+namespace {
+
+std::int64_t sum_nodes(const std::vector<std::int32_t>& free_nodes) {
   return std::accumulate(free_nodes.begin(), free_nodes.end(),
-                         std::int32_t{0});
+                         std::int64_t{0});
+}
+
+__int128 sum_pools(const std::vector<Bytes>& pool_free) {
+  __int128 total = 0;
+  for (const Bytes pool : pool_free) total += pool.count();
+  return total;
+}
+
+}  // namespace
+
+void ResourceState::recount() {
+  free_nodes_total = sum_nodes(free_nodes);
+  pool_free_total = sum_pools(pool_free);
+}
+
+bool ResourceState::totals_match() const {
+  return free_nodes_total == sum_nodes(free_nodes) &&
+         pool_free_total == sum_pools(pool_free);
 }
 
 ResourceState snapshot(const Cluster& cluster) {
@@ -41,6 +61,7 @@ ResourceState snapshot(const Cluster& cluster) {
   }
   s.global_free = cluster.global_pool_free();
   s.bb_free = cluster.bb_free();
+  s.recount();
   return s;
 }
 
@@ -58,6 +79,7 @@ ResourceState empty_state(const ClusterConfig& config) {
   }
   s.global_free = config.global_pool;
   s.bb_free = config.bb_capacity;
+  s.recount();
   return s;
 }
 
@@ -84,8 +106,8 @@ TierHeadroom Topology::headroom(const ResourceState& state) const {
                  "headroom: state shape mismatch");
   TierHeadroom h;
   h.free_nodes = state.total_free_nodes();
+  h.rack_pool_free = Bytes{static_cast<std::int64_t>(state.pool_free_total)};
   for (const Bytes free : state.pool_free) {
-    h.rack_pool_free += free;
     h.rack_pool_free_max = max(h.rack_pool_free_max, free);
   }
   h.global_free = state.global_free;

@@ -48,6 +48,12 @@ constexpr std::size_t kMemoryTierCount = 4;
 
 /// Counted (rack-granular) view of free resources — either the live
 /// cluster or a hypothetical future state inside a reservation profile.
+///
+/// Two totals ride along with the per-rack vectors: Σ`free_nodes` and
+/// Σ`pool_free`. `snapshot` and `empty_state` set them, `apply_take` and
+/// `release_take` update them from a plan's slices, so the placement
+/// kernel's order-free test reads them in O(1). Code that writes the
+/// vectors directly calls `recount()` afterwards.
 struct ResourceState {
   std::vector<std::int32_t> free_nodes;  ///< per rack
   std::vector<Bytes> pool_free;          ///< per rack
@@ -57,8 +63,19 @@ struct ResourceState {
   Bytes global_free{};
   /// Free burst-buffer capacity (zero on machines without one).
   Bytes bb_free{};
+  /// Σ free_nodes.
+  std::int64_t free_nodes_total = 0;
+  /// Σ pool_free, in bytes. 128 bits: ClusterConfig bounds no rack count or
+  /// pool size.
+  __int128 pool_free_total = 0;
 
-  [[nodiscard]] std::int32_t total_free_nodes() const;
+  [[nodiscard]] std::int32_t total_free_nodes() const {
+    return static_cast<std::int32_t>(free_nodes_total);
+  }
+  /// Set both totals from the per-rack vectors.
+  void recount();
+  /// Whether both totals equal the sums of the per-rack vectors.
+  [[nodiscard]] bool totals_match() const;
   /// Free GPUs in rack `r`; 0 when the machine has none.
   [[nodiscard]] std::int64_t free_gpus_in(std::size_t r) const {
     return r < free_gpus.size() ? free_gpus[r] : 0;

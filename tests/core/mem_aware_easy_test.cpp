@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/system_config.hpp"
+#include "common/rng.hpp"
 #include "core/engine.hpp"
 #include "core/experiment.hpp"
 #include "testing/builders.hpp"
@@ -488,6 +490,137 @@ TEST(MemAwareEasy, DigestPinnedAcrossReservationDepths) {
                              engine);
     sim.run();
     EXPECT_EQ(sim.event_digest(), pin.digest);
+  }
+}
+
+// The one-call depth-1 what-if (head_keeps_baseline) against the bounded
+// re-fit it replaces (keeps_baseline), on random profiles: a random running
+// set whose releases spread over the next day, a head whose baseline is
+// placed on the release-only profile, then backfill candidates that hold
+// their plan from now past the head's baseline start. Accepted candidates
+// sometimes keep their hold, as the scheduler's do, so later candidates
+// see holds that start at now.
+struct WhatIfCounts {
+  int accepts = 0;
+  int rejects = 0;
+};
+
+void expect_one_call_equals_refit(const ClusterConfig& config,
+                                  PlacementStrategy placement,
+                                  ResourceAxes axes, std::uint64_t seed,
+                                  WhatIfCounts& counts) {
+  Rng rng(seed);
+  const bool gpus = config.has_gpus();
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < 400; ++id) {
+    const std::int64_t wide = rng.bernoulli(0.2) ? 512 : 64;
+    auto j = job(id)
+                 .nodes(static_cast<std::int32_t>(rng.uniform_int(1, wide)))
+                 .mem_gib(static_cast<double>(rng.uniform_int(32, 1024)))
+                 .walltime_h(rng.uniform(1.0, 24.0));
+    if (gpus && rng.bernoulli(0.5)) {
+      j.gpus(static_cast<std::int32_t>(rng.uniform_int(1, 4)));
+    }
+    if (config.has_burst_buffer() && rng.bernoulli(0.3)) {
+      j.bb_gib(static_cast<double>(rng.uniform_int(1, 512)));
+    }
+    jobs.push_back(j);
+  }
+  FakeContext ctx(config, jobs);
+  ctx.set_placement(make_placement(placement));
+  const SimTime now = hours(std::int64_t{12});
+  // Running set: started over the last 12 hours, so most releases lie
+  // ahead and a few are overdue. A quarter of the nodes stays free, so
+  // candidates fit now and wide heads wait.
+  JobId next = 0;
+  for (; next < 150 && ctx.cluster().free_nodes_total() > 256; ++next) {
+    ctx.set_now(hours(rng.uniform(0.0, 12.0)));
+    if (plan_start(ctx.cluster(), ctx.job(next), ctx.placement())) {
+      ctx.force_run(next);
+    }
+  }
+  ctx.set_now(now);
+
+  MemAwareOptions opts;
+  opts.axes = axes;
+  PlacementPolicy planning = ctx.placement();
+  planning.axes = axes;
+  FreeProfile profile;
+  ASSERT_FALSE(profile.sync(ctx));
+  ResourceState state;
+  TakePlan plan;
+  TakePlan take;
+  int heads = 0;
+  for (int round = 0; round < 400 && heads < 40; ++round) {
+    profile.drop_holds();
+    const JobId head = next + static_cast<JobId>(rng.uniform_int(0, 249));
+    // The engine admits only jobs that fit the empty machine.
+    if (!feasible_on_empty(config, ctx.job(head), planning)) continue;
+    const FreeProfile::Mark base_mark = profile.mark();
+    const std::vector<MemAwareEasyScheduler::Reservation> baseline =
+        place_reservations(profile, {head}, ctx, opts, planning);
+    profile.rollback(base_mark);
+    const MemAwareEasyScheduler::Reservation& base = baseline.front();
+    // A head that fits now starts instead of reserving.
+    if (base.start == now) continue;
+    ++heads;
+    for (int k = 0; k < 40; ++k) {
+      const JobId cand = next + static_cast<JobId>(rng.uniform_int(0, 249));
+      if (cand == head ||
+          !compute_take(profile.state_at(now), config, ctx.job(cand), planning,
+                        take)) {
+        continue;
+      }
+      // Any hold ending after the baseline start needs the what-if.
+      const SimTime end =
+          base.start + seconds(rng.uniform_int(1, 24 * 3600));
+      const bool one_call = head_keeps_baseline(profile, base, take, ctx,
+                                                planning, state, plan);
+      const FreeProfile::Mark mark = profile.mark();
+      profile.add_hold(now, end, take);
+      const bool refit = keeps_baseline(profile, baseline, ctx, opts, planning);
+      profile.rollback(mark);
+      ASSERT_EQ(one_call, refit)
+          << "round " << round << " head " << head << " candidate " << cand;
+      ++(one_call ? counts.accepts : counts.rejects);
+      if (one_call && rng.bernoulli(0.3)) profile.add_hold(now, end, take);
+    }
+  }
+}
+
+TEST(MemAwareEasyWhatIf, OneCallEqualsRefitOnThePaperMachine) {
+  const ClusterConfig paper =
+      custom_config(1024, 64, gib(std::int64_t{128}), gib(std::int64_t{2048}),
+                    gib(std::int64_t{4096}));
+  std::uint64_t seed = 100;
+  for (const PlacementStrategy p : all_placement_strategies()) {
+    SCOPED_TRACE(to_string(p));
+    WhatIfCounts counts;
+    for (int k = 0; k < 3; ++k) {
+      expect_one_call_equals_refit(paper, p, ResourceAxes::memory_only(),
+                                   ++seed, counts);
+    }
+    EXPECT_GT(counts.accepts, 100);
+    EXPECT_GT(counts.rejects, 100);
+  }
+}
+
+TEST(MemAwareEasyWhatIf, OneCallEqualsRefitOnAGpuMachine) {
+  ClusterConfig gpu =
+      custom_config(1024, 64, gib(std::int64_t{128}), gib(std::int64_t{2048}),
+                    gib(std::int64_t{4096}));
+  gpu.gpus_per_node = 4;
+  gpu.bb_capacity = gib(std::int64_t{8192});
+  std::uint64_t seed = 200;
+  for (const PlacementStrategy p : all_placement_strategies()) {
+    SCOPED_TRACE(to_string(p));
+    WhatIfCounts counts;
+    for (int k = 0; k < 3; ++k) {
+      expect_one_call_equals_refit(gpu, p, ResourceAxes::all(), ++seed,
+                                   counts);
+    }
+    EXPECT_GT(counts.accepts, 100);
+    EXPECT_GT(counts.rejects, 20);
   }
 }
 

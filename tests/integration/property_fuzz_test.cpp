@@ -45,6 +45,7 @@ ResourceState fuzz_state(Rng& rng, const ClusterConfig& c) {
     s.global_free =
         gib(rng.uniform_int(0, s.global_free.count() / kGiB.count()));
   }
+  s.recount();
   return s;
 }
 
@@ -154,6 +155,7 @@ TEST(PlacementFuzz, MoreResourcesNeverBreakFeasibility) {
       grown.pool_free[r] += gib(std::int64_t{64});
     }
     grown.global_free += gib(std::int64_t{64});
+    grown.recount();
     EXPECT_TRUE(compute_take(grown, bigger, j, policy).has_value());
   }
 }

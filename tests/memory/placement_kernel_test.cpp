@@ -288,6 +288,7 @@ ResourceState random_state(Rng& rng, const ClusterConfig& c) {
   for (auto& g : s.free_gpus) g = rng.uniform_int(0, g);
   s.global_free = Bytes{rng.uniform_int(0, s.global_free.count())};
   s.bb_free = Bytes{rng.uniform_int(0, s.bb_free.count())};
+  s.recount();
   return s;
 }
 
@@ -399,6 +400,7 @@ void set_tier_bytes(Rng& rng, ResourceState& s, PoolRouting route,
             s.pool_free[static_cast<std::size_t>(
                 rng.uniform_int(0, static_cast<std::int64_t>(
                                        s.pool_free.size()) - 1))]);
+  s.recount();
 }
 
 /// Both sums of the test on their boundaries: takeable nodes N at
@@ -493,6 +495,7 @@ TEST(KernelSplit, SharedNeighborsFundsFromAllThreeGrades) {
   s.free_nodes = {4, 0, 0};  // only rack 0 can host
   s.pool_free = {gib(10.0), gib(20.0), Bytes{0}};
   s.global_free = gib(30.0);
+  s.recount();
   // 4 nodes × 15 GiB far = 60 GiB = 10 (own rack) + 20 (neighbor) + 30.
   const Job j = testing::job(0).nodes(4).mem_gib(64.0 + 15.0);
   for (const NodeSelection sel : kSelections) {
@@ -508,10 +511,12 @@ TEST(KernelSplit, SharedNeighborsFundsFromAllThreeGrades) {
     // Every grade is needed: one byte short on any of them rejects.
     for (Bytes* tier : {&s.pool_free[0], &s.pool_free[1], &s.global_free}) {
       *tier -= Bytes{1};
+      s.recount();
       EXPECT_FALSE(compute_take(s, c, j, policy).has_value()) << to_string(sel);
       EXPECT_FALSE(reference_take(s, c, j, policy).has_value())
           << to_string(sel);
       *tier += Bytes{1};
+      s.recount();
     }
     // No routing without neighbor draws can fund it.
     for (const PoolRouting route :

@@ -129,6 +129,7 @@ TEST(Placement, PackRacksMinimizesRackCount) {
   const ClusterConfig cfg = tiny_cluster();
   ResourceState state = empty_state(cfg);
   state.free_nodes = {1, 4, 2, 3};  // rack 1 is emptiest
+  state.recount();
   const auto plan = compute_take(state, cfg, job(0).nodes(4).mem_gib(8),
                                  policy(NodeSelection::kPackRacks));
   ASSERT_TRUE(plan.has_value());
@@ -140,6 +141,7 @@ TEST(Placement, FirstFitWalksRackIndexOrder) {
   const ClusterConfig cfg = tiny_cluster();
   ResourceState state = empty_state(cfg);
   state.free_nodes = {1, 4, 2, 3};
+  state.recount();
   const auto plan = compute_take(state, cfg, job(0).nodes(4).mem_gib(8),
                                  policy(NodeSelection::kFirstFit));
   ASSERT_TRUE(plan.has_value());
@@ -155,6 +157,7 @@ TEST(Placement, PoolAwareDeficitJobChasesPoolRichRacks) {
   ResourceState state = empty_state(cfg);
   state.pool_free = {gib(std::int64_t{5}), gib(std::int64_t{100}),
                      gib(std::int64_t{50}), gib(std::int64_t{5})};
+  state.recount();
   const auto plan = compute_take(state, cfg, job(0).nodes(2).mem_gib(80),
                                  policy(NodeSelection::kPoolAware));
   ASSERT_TRUE(plan.has_value());
@@ -167,6 +170,7 @@ TEST(Placement, PoolAwareLocalJobAvoidsPoolRichRacks) {
   ResourceState state = empty_state(cfg);
   state.pool_free = {gib(std::int64_t{100}), gib(std::int64_t{0}),
                      gib(std::int64_t{50}), gib(std::int64_t{100})};
+  state.recount();
   const auto plan = compute_take(state, cfg, job(0).nodes(2).mem_gib(8),
                                  policy(NodeSelection::kPoolAware));
   ASSERT_TRUE(plan.has_value());

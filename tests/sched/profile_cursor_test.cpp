@@ -157,6 +157,7 @@ void run_round(Rng& rng, Counts& counts) {
       EXPECT_EQ(got.free_nodes, want.free_nodes) << "step " << step;
       EXPECT_EQ(got.pool_free, want.pool_free) << "step " << step;
       EXPECT_EQ(got.global_free, want.global_free) << "step " << step;
+      EXPECT_TRUE(p.keeps_totals_at(t)) << "step " << step;
     } else if (r < 0.80) {
       // A hold, placed like a reservation (the oracle's window fit) or at
       // a chosen start — often a release time — when it stays feasible.
@@ -512,6 +513,7 @@ void expect_matches_oracle(const ProfileOracle& oracle, Site& site, Rng& rng,
     EXPECT_EQ(got.free_gpus, want.free_gpus) << "at " << t.seconds();
     EXPECT_EQ(got.global_free, want.global_free) << "at " << t.seconds();
     EXPECT_EQ(got.bb_free, want.bb_free) << "at " << t.seconds();
+    EXPECT_TRUE(oracle.keeps_totals_at(t)) << "at " << t.seconds();
     ++counts.states;
   }
   const auto duration_of = [](const TakePlan& plan) {

@@ -104,23 +104,6 @@ TEST(AvailabilityTimeline, EqualTimeEntriesKeepStartOrder) {
   EXPECT_EQ(tl.entries()[1].job, 2u);
 }
 
-TEST(AvailabilityTimeline, HasReleaseInProbesHalfOpenWindow) {
-  const ClusterConfig config = machine(8, 64);
-  AvailabilityTimeline tl(config);
-  TakePlan one;
-  one.takes.push_back({0, 1, Bytes{0}, Bytes{0}});
-  tl.on_start(1, seconds(std::int64_t{50}), one);
-  tl.on_start(2, seconds(std::int64_t{100}), one);
-  EXPECT_FALSE(tl.has_release_in(seconds(std::int64_t{0}),
-                                 seconds(std::int64_t{49})));
-  EXPECT_TRUE(tl.has_release_in(seconds(std::int64_t{0}),
-                                seconds(std::int64_t{50})));
-  EXPECT_TRUE(tl.has_release_in(seconds(std::int64_t{50}),
-                                seconds(std::int64_t{100})));
-  EXPECT_FALSE(tl.has_release_in(seconds(std::int64_t{100}),
-                                 seconds(std::int64_t{200})));
-}
-
 TEST(AvailabilityTimeline, IdentityIsProcessUnique) {
   const ClusterConfig config = machine(8, 64);
   const AvailabilityTimeline a(config);
@@ -194,6 +177,7 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
                           fresh.state_at(points[i]));
       expect_states_equal(live.profile().state_at(points[i]),
                           live.state_at(points[i]));
+      EXPECT_TRUE(live.keeps_totals_at(points[i]));
       // Also probe strictly between breakpoints (piecewise-constant spans).
       const SimTime mid =
           points[i] + (i + 1 < points.size()

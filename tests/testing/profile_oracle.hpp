@@ -6,7 +6,8 @@
 // (without touching the profile's prefix-state cache), and answers fit
 // queries with the plain step-by-breakpoint sweep: test every breakpoint,
 // and for a candidate start re-check the plan at every later breakpoint
-// inside its window. The profile's row cursor must agree with it exactly.
+// inside its window. The profile's row cursor must agree with it exactly,
+// down to the totals each row keeps (`keeps_totals_at`).
 //
 // An oracle either owns a fresh profile or mirrors one the test keeps
 // re-syncing: constructed right after a rebuilding sync(), it logs the
@@ -109,6 +110,17 @@ class ProfileOracle {
       if (!d.adds && d.time <= t) apply_take(s, d.take);
     }
     return s;
+  }
+
+  /// Whether the profile's state at `t` keeps the totals of the
+  /// from-scratch fold: Σ free nodes and Σ pool bytes recounted from the
+  /// fold's per-rack vectors.
+  [[nodiscard]] bool keeps_totals_at(SimTime t) const {
+    ResourceState want = state_at(t);
+    want.recount();
+    const ResourceState& got = profile_->state_at(t);
+    return got.free_nodes_total == want.free_nodes_total &&
+           got.pool_free_total == want.pool_free_total;
   }
 
   /// Earliest breakpoint at which `job` fits instantaneously.

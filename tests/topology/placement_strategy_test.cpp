@@ -55,6 +55,7 @@ TEST(PlacementEdgeCases, RackExhaustionFallsBackToTheGlobalTier) {
   // far memory) cannot be funded by rack pools alone.
   state.pool_free[0] = gib(std::int64_t{8});
   state.pool_free[1] = gib(std::int64_t{8});
+  state.recount();
   const Job j = job(0).nodes(4).mem_gib(24.0);
 
   // global-fallback: the rack pool funds what it can (one node), the
@@ -114,6 +115,7 @@ TEST(PlacementEdgeCases, UnequalHeadroomBeatsIndexOrderForDeficitJobs) {
   const ClusterConfig config = machine(8, 16.0, 32.0, 0.0);
   ResourceState state = empty_state(config);
   state.pool_free[0] = gib(std::int64_t{8});
+  state.recount();
   const Job j = job(0).nodes(2).mem_gib(24.0);
   const auto plan = compute_take(
       state, config, j, make_placement(PlacementStrategy::kGlobalFallback));

@@ -72,6 +72,7 @@ TEST(TopologyModel, HeadroomSumsTiersAcrossRacks) {
   s.pool_free[0] = gib(std::int64_t{4});
   s.pool_free[1] = gib(std::int64_t{20});
   s.free_nodes[2] = 0;
+  s.recount();
   h = t.headroom(s);
   EXPECT_EQ(h.free_nodes, 12);
   EXPECT_EQ(h.rack_pool_free, gib(std::int64_t{4 + 20 + 32 + 32}));
