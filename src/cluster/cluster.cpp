@@ -60,12 +60,6 @@ Bytes Cluster::global_pool_free() const {
   return config_.global_pool - global_used_;
 }
 
-JobId Cluster::occupant(NodeId node) const {
-  DMSCHED_ASSERT(node >= 0 && node < config_.total_nodes,
-                 "node id out of range");
-  return node_occupant_[static_cast<std::size_t>(node)];
-}
-
 Bytes Cluster::rack_pools_used() const {
   Bytes total{};
   for (const Bytes& b : pool_used_) total += b;
@@ -82,20 +76,10 @@ std::int64_t Cluster::free_gpus_in_rack(RackId r) const {
   return config_.rack_gpu_capacity(r) - gpu_used_[static_cast<std::size_t>(r)];
 }
 
-std::int64_t Cluster::gpus_used_in_rack(RackId r) const {
-  DMSCHED_ASSERT(r >= 0 && r < config_.racks(), "rack id out of range");
-  return gpu_used_[static_cast<std::size_t>(r)];
-}
-
 std::int64_t Cluster::gpus_used_total() const {
   std::int64_t total = 0;
   for (const std::int64_t g : gpu_used_) total += g;
   return total;
-}
-
-Bytes Cluster::neighbor_bytes_in_rack(RackId r) const {
-  DMSCHED_ASSERT(r >= 0 && r < config_.racks(), "rack id out of range");
-  return neighbor_used_[static_cast<std::size_t>(r)];
 }
 
 Bytes Cluster::neighbor_bytes_total() const {

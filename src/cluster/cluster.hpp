@@ -30,8 +30,6 @@ class Cluster {
   [[nodiscard]] Bytes pool_free(RackId r) const;
   /// Remaining capacity of the global pool.
   [[nodiscard]] Bytes global_pool_free() const;
-  /// Job occupying `node`, or kInvalidJobId when free.
-  [[nodiscard]] JobId occupant(NodeId node) const;
   /// Busy-node count (total - free).
   [[nodiscard]] std::int32_t busy_nodes() const {
     return config_.total_nodes - free_total_;
@@ -45,15 +43,10 @@ class Cluster {
   [[nodiscard]] Bytes busiest_rack_pool_used() const;
   /// Bytes currently drawn from the global pool.
   [[nodiscard]] Bytes global_pool_used() const { return global_used_; }
-  /// Bytes of rack `r`'s pool currently serving *foreign* jobs (neighbor
-  /// draws: jobs hosting no node in `r`). A subset of pool_used(r).
-  [[nodiscard]] Bytes neighbor_bytes_in_rack(RackId r) const;
   /// Σ neighbor-marked bytes across all rack pools.
   [[nodiscard]] Bytes neighbor_bytes_total() const;
   /// Free GPU devices in rack `r`'s pool (0 on GPU-less machines).
   [[nodiscard]] std::int64_t free_gpus_in_rack(RackId r) const;
-  /// GPU devices currently held in rack `r`.
-  [[nodiscard]] std::int64_t gpus_used_in_rack(RackId r) const;
   /// GPU devices currently held across the machine.
   [[nodiscard]] std::int64_t gpus_used_total() const;
   /// Remaining burst-buffer capacity.

@@ -22,20 +22,6 @@ std::string strformat(const char* fmt, ...) {
   return out;
 }
 
-std::vector<std::string_view> split(std::string_view s, char delim) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(delim, start);
-    if (pos == std::string_view::npos) {
-      out.push_back(s.substr(start));
-      return out;
-    }
-    out.push_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
 std::vector<std::string_view> split_ws(std::string_view s) {
   std::vector<std::string_view> out;
   std::size_t i = 0;
@@ -72,15 +58,6 @@ bool parse_double(std::string_view s, double& out) {
   const auto* last = s.data() + s.size();
   const auto [ptr, ec] = std::from_chars(first, last, out);
   return ec == std::errc{} && ptr == last;
-}
-
-std::string join(const std::vector<std::string>& items, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    if (i > 0) out += sep;
-    out += items[i];
-  }
-  return out;
 }
 
 }  // namespace dmsched

@@ -12,10 +12,6 @@ namespace dmsched {
 /// printf-style formatting into a std::string.
 [[gnu::format(printf, 1, 2)]] std::string strformat(const char* fmt, ...);
 
-/// Split on a delimiter; keeps empty fields (CSV/SWF semantics).
-[[nodiscard]] std::vector<std::string_view> split(std::string_view s,
-                                                  char delim);
-
 /// Split on arbitrary whitespace runs; drops empty fields (SWF semantics).
 [[nodiscard]] std::vector<std::string_view> split_ws(std::string_view s);
 
@@ -27,9 +23,5 @@ namespace dmsched {
 
 /// Parse a double; returns false on any malformed input.
 [[nodiscard]] bool parse_double(std::string_view s, double& out);
-
-/// Join items with a separator.
-[[nodiscard]] std::string join(const std::vector<std::string>& items,
-                               std::string_view sep);
 
 }  // namespace dmsched

@@ -42,6 +42,12 @@ void guarded_emit(Fn&& fn) {
 long long raw(SimTime t) { return static_cast<long long>(t.usec()); }
 long long raw(Bytes b) { return static_cast<long long>(b.count()); }
 
+/// The registry gauges set after every pass, in registration order (the
+/// order of the values run_scheduler_pass reads).
+constexpr const char* kPassGauges[] = {
+    "queue_depth", "running_jobs",  "event_queue_size", "event_id_window",
+    "busy_nodes",  "rack_pool_gib", "global_pool_gib"};
+
 }  // namespace
 
 void SchedulingSimulation::JobRing::reserve(std::size_t capacity) {
@@ -147,6 +153,8 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
   if (options_.submit_lookahead == 0) ring_.reserve(expect);
   metrics_.jobs.reserve(expect);
   metrics_.label = std::string(scheduler_->name()) + "/" + config_.name;
+  track_usage_ = options_.checkpoint_interval > SimTime{0} ||
+                 options_.sample_interval > SimTime{0};
 }
 
 SimTime SchedulingSimulation::now() const { return engine_.now(); }
@@ -223,36 +231,133 @@ std::vector<JobId> SchedulingSimulation::queued_jobs_after(
   return out;
 }
 
-void SchedulingSimulation::record_usage_change() {
-  const double t = engine_.now().seconds();
-  busy_nodes_tw_.record(t, static_cast<double>(cluster_.busy_nodes()));
-  rack_pool_tw_.record(t, static_cast<double>(cluster_.rack_pools_used().count()));
-  global_pool_tw_.record(t, static_cast<double>(cluster_.global_pool_used().count()));
-  if (topology_.has_rack_tier()) {
-    busiest_rack_pool_peak_ =
-        max(busiest_rack_pool_peak_, cluster_.busiest_rack_pool_used());
+void SchedulingSimulation::observe(const Transition& t) {
+  using Kind = Transition::Kind;
+  const SimTime now = engine_.now();
+  static constexpr char kDigestTag[] = {'S', 'S', 'R', 'C', 'M'};
+  digest_fold(std::uint64_t(kDigestTag[static_cast<int>(t.kind)]));
+  digest_fold(t.job);
+  digest_fold(static_cast<std::uint64_t>(now.usec()));
+  if (t.kind == Kind::kMigrated) {
+    digest_fold(static_cast<std::uint64_t>(t.move->kind));
+    digest_fold(static_cast<std::uint64_t>(t.move->bytes.count()));
   }
-  if (config_.has_gpus()) {
-    gpu_tw_.record(t, static_cast<double>(cluster_.gpus_used_total()));
-  }
-  if (config_.has_burst_buffer()) {
-    bb_tw_.record(t, static_cast<double>(cluster_.bb_used().count()));
-  }
-}
 
-void SchedulingSimulation::sample_series() {
-  TimeSample s;
-  s.time = engine_.now();
-  s.busy_nodes = cluster_.busy_nodes();
-  s.queued_jobs = static_cast<std::int32_t>(queue_.size());
-  s.running_jobs = static_cast<std::int32_t>(running_.size());
-  s.rack_pool_used = cluster_.rack_pools_used();
-  s.global_pool_used = cluster_.global_pool_used();
-  metrics_.series.push_back(s);
-  if (live_jobs_ > 0) {
-    engine_.schedule_in(options_.sample_interval, sim::EventClass::kTimer,
-                        [this](SimTime) { sample_series(); });
+  // Up to now the usage is what the previous transition left (usage_).
+  const auto emit_sample = [this] {
+    metrics_.series.push_back(usage_);
+    metrics_.series.back().time = next_sample_;
+    next_sample_ += options_.sample_interval;
+  };
+  if (track_usage_) {
+    const SimTime w = options_.checkpoint_interval;
+    // Integrate the usage over [window_frontier_, to) into the open window.
+    const auto integrate = [&](SimTime to) {
+      const double dt = (to - window_frontier_).seconds();
+      window_frontier_ = to;
+      if (dt <= 0.0) return;
+      window_acc_.busy_node_seconds += double(usage_.busy_nodes) * dt;
+      window_acc_.queued_job_seconds += double(usage_.queued_jobs) * dt;
+      window_acc_.running_job_seconds += double(usage_.running_jobs) * dt;
+      window_acc_.rack_pool_gib_seconds += usage_.rack_pool_used.gib() * dt;
+      window_acc_.global_pool_gib_seconds += usage_.global_pool_used.gib() * dt;
+    };
+    for (; w > SimTime{0}; ++window_index_) {
+      const SimTime boundary{(window_index_ + 1) * w.usec()};
+      if (boundary > now) break;
+      integrate(boundary);
+      window_acc_.start = SimTime{window_index_ * w.usec()};
+      window_acc_.end = boundary;
+      metrics_.windows.push_back(window_acc_);
+      window_acc_ = MetricsWindow{};
+    }
+    if (w > SimTime{0}) integrate(now);
+    // A sample at boundary b sees the state after b's completions and
+    // submissions and before its starts and moves: kTimer's slot in the
+    // event order (sim/event.hpp). So a start or move at b emits b, and a
+    // completion or submission at b leaves it for a later transition.
+    const bool after = t.kind == Kind::kStarted || t.kind == Kind::kMigrated;
+    while (next_sample_ < now || (after && next_sample_ == now)) emit_sample();
   }
+
+  switch (t.kind) {
+    case Kind::kRejected:
+      ++window_acc_.jobs_rejected;
+      [[fallthrough]];
+    case Kind::kQueued:
+      ++window_acc_.jobs_submitted;
+      break;
+    case Kind::kStarted:
+      ++window_acc_.jobs_started;
+      break;
+    case Kind::kFinished:
+      ++window_acc_.jobs_finished;
+      break;
+    case Kind::kMigrated:
+      ++window_acc_.jobs_migrated;
+      window_acc_.migrated_gib += t.move->bytes.gib();
+      break;
+  }
+  // Usage means: queueing and rejection hold no resources.
+  if (t.kind != Kind::kQueued && t.kind != Kind::kRejected) {
+    const double secs = now.seconds();
+    busy_nodes_tw_.record(secs, double(cluster_.busy_nodes()));
+    rack_pool_tw_.record(secs, double(cluster_.rack_pools_used().count()));
+    global_pool_tw_.record(secs, double(cluster_.global_pool_used().count()));
+    if (topology_.has_rack_tier()) {
+      busiest_rack_pool_peak_ =
+          max(busiest_rack_pool_peak_, cluster_.busiest_rack_pool_used());
+    }
+    if (config_.has_gpus()) {
+      gpu_tw_.record(secs, double(cluster_.gpus_used_total()));
+    }
+    if (config_.has_burst_buffer()) {
+      bb_tw_.record(secs, double(cluster_.bb_used().count()));
+    }
+  }
+  if (track_usage_) {
+    usage_ = {.busy_nodes = cluster_.busy_nodes(),
+              .queued_jobs = static_cast<std::int32_t>(queue_.size()),
+              .running_jobs = static_cast<std::int32_t>(running_.size()),
+              .rack_pool_used = cluster_.rack_pools_used(),
+              .global_pool_used = cluster_.global_pool_used()};
+    // The timer's stop rule: the series ends with the first sample that
+    // sees no live job, the next boundary at or after the last transition.
+    if (live_jobs_ == 0 && next_sample_ < kTimeInfinity) emit_sample();
+  }
+
+  obs::TraceSink* const sink = options_.sink;
+  if (sink == nullptr) return;
+  const Job& j = ring_[t.job].job;
+  const JobRuntime& r = ring_[t.job].rt;
+  guarded_emit([&] {
+    switch (t.kind) {
+      case Kind::kQueued:
+        return sink->on_job_queued({.job = t.job, .submit = now,
+                                    .nodes = j.nodes,
+                                    .mem_per_node_gib = j.mem_per_node.gib()});
+      case Kind::kRejected:
+        return sink->on_job_rejected({.job = t.job, .at = now});
+      case Kind::kStarted:
+        return sink->on_job_started(
+            {.job = t.job, .submit = j.submit, .start = r.start,
+             .rack = r.home_rack, .nodes = j.nodes, .dilation = r.dilation,
+             .far_rack_gib = r.far_rack.gib(),
+             .far_neighbor_gib = r.far_neighbor.gib(),
+             .far_global_gib = r.far_global.gib()});
+      case Kind::kFinished:
+        return sink->on_job_finished({.job = t.job, .start = r.start,
+                                      .end = now, .rack = r.home_rack,
+                                      .killed = r.killed});
+      case Kind::kMigrated:
+        return sink->on_job_migrated(
+            {.job = t.job, .at = now, .rack = t.move->rack,
+             .demote = t.move->kind == MigrationKind::kDemote,
+             .gib = t.move->bytes.gib(),
+             .dilation_before = t.dilation_before,
+             .dilation_after = r.dilation});
+    }
+  });
 }
 
 void SchedulingSimulation::migration_check() {
@@ -293,47 +398,21 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   DMSCHED_ASSERT(alloc != nullptr, "apply_migration: running job unledgered");
   // Re-validate against the live ledger: other jobs started or finished
   // while the copy was in flight, so the capacity plan() saw may be gone.
-  if (decision.kind == MigrationKind::kDemote) {
-    if (cluster_.global_pool_free() < decision.bytes) return;
-  } else {
-    const Bytes pool_free =
-        config_.pool_per_rack - cluster_.pool_used(decision.rack);
-    if (pool_free < decision.bytes) return;
-  }
+  const bool demote = decision.kind == MigrationKind::kDemote;
+  const Bytes room = demote ? cluster_.global_pool_free()
+                            : cluster_.pool_free(decision.rack);
+  if (room < decision.bytes) return;
 
-  window_advance();
-  const SimTime t = engine_.now();
-  digest_fold('M');
-  digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(t.usec()));
-  digest_fold(static_cast<std::uint64_t>(decision.kind));
-  digest_fold(static_cast<std::uint64_t>(decision.bytes.count()));
-
-  std::vector<PoolDraw> new_draws = rewrite_draws(*alloc, decision);
-  cluster_.retier(id, std::move(new_draws));
-  const Allocation* updated = cluster_.find_allocation(id);
-  const Job& j = job(id);
-  const double old_dilation = r.dilation;
-  const double new_dilation = options_.slowdown.dilation_for(*updated, j);
-
+  cluster_.retier(id, rewrite_draws(*alloc, decision));
   // Close the current dilation segment: bank the undilated work it covered,
   // then reprice the remaining work at the new rate. The completion event
   // moves accordingly (strictly later for a demotion, earlier for a
-  // promotion — never before now, because t < r.end while we are here).
-  r.work_done += (t - r.seg_start).scaled(1.0 / old_dilation);
-  r.seg_start = t;
-  const SimTime work_left = j.runtime - min(j.runtime, r.work_done);
-  SimTime actual_left = work_left.scaled(new_dilation);
-  r.killed = false;
-  if (options_.kill_on_walltime && t + actual_left > r.start + j.walltime) {
-    actual_left = r.start + j.walltime - t;
-    r.killed = true;
-  }
-  r.end = t + actual_left;
+  // promotion — never before now, because now < r.end while we are here).
+  const SimTime t = engine_.now();
+  const double old_dilation = r.dilation;
   const SimTime old_expected = r.expected_end;
-  const SimTime wall_left = j.walltime - min(j.walltime, r.work_done);
-  r.expected_end = t + wall_left.scaled(new_dilation);
-
+  r.work_done += (t - r.seg_start).scaled(1.0 / old_dilation);
+  price(r, job(id), *cluster_.find_allocation(id), t);
   const bool cancelled = engine_.cancel(r.completion_event);
   DMSCHED_ASSERT(cancelled, "apply_migration: completion already fired");
   r.completion_event =
@@ -342,36 +421,41 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   // Refresh the availability timeline: the planning bound and the counted
   // take both changed, so incremental passes must see a version bump.
   timeline_.on_finish(id, old_expected);
-  r.dilation = new_dilation;
-  r.take = take_from(*updated, config_);
-  r.far_rack = updated->rack_draw_total();
-  r.far_neighbor = updated->neighbor_draw_total();
-  r.far_global = updated->global_draw_total();
   timeline_.on_start(id, r.expected_end, r.take);
 
-  if (decision.kind == MigrationKind::kDemote) {
-    ++demotions_;
-    demoted_bytes_ += decision.bytes;
-  } else {
-    ++promotions_;
-    promoted_bytes_ += decision.bytes;
-  }
-  ++window_acc_.jobs_migrated;
-  window_acc_.migrated_gib += decision.bytes.gib();
-  if (options_.sink != nullptr) {
-    obs::JobMigrated ev;
-    ev.job = id;
-    ev.at = t;
-    ev.rack = decision.rack;
-    ev.demote = decision.kind == MigrationKind::kDemote;
-    ev.gib = decision.bytes.gib();
-    ev.dilation_before = old_dilation;
-    ev.dilation_after = new_dilation;
-    guarded_emit([&] { options_.sink->on_job_migrated(ev); });
-  }
+  ++(demote ? metrics_.demotions : metrics_.promotions);
+  (demote ? demoted_bytes_ : promoted_bytes_) += decision.bytes;
   if (options_.audit_cluster) cluster_.audit();
-  record_usage_change();
+  observe({Transition::Kind::kMigrated, id, &decision, old_dilation});
   request_schedule_pass();
+}
+
+void SchedulingSimulation::price(JobRuntime& r, const Job& j,
+                                 const Allocation& alloc, SimTime t) {
+  // With w = r.work_done the undilated work banked before t and d the
+  // dilation on `alloc`:
+  //   end          = t + (runtime - w)·d, clamped to start + walltime
+  //                  (a kill) when kill_on_walltime is set;
+  //   expected_end = t + (walltime - w)·d.
+  // At start w = 0 and t = start, so the clamp test
+  // start + runtime·d > start + walltime is runtime·d > walltime, and
+  // expected_end = start + walltime·d: the start-time formulas exactly.
+  r.seg_start = t;
+  r.dilation = options_.slowdown.dilation_for(alloc, j);
+  const SimTime work_left = j.runtime - min(j.runtime, r.work_done);
+  SimTime actual_left = work_left.scaled(r.dilation);
+  r.killed = false;
+  if (options_.kill_on_walltime && t + actual_left > r.start + j.walltime) {
+    actual_left = r.start + j.walltime - t;
+    r.killed = true;
+  }
+  r.end = t + actual_left;
+  const SimTime wall_left = j.walltime - min(j.walltime, r.work_done);
+  r.expected_end = t + wall_left.scaled(r.dilation);
+  r.take = take_from(alloc, config_);
+  r.far_rack = alloc.rack_draw_total();
+  r.far_neighbor = alloc.neighbor_draw_total();
+  r.far_global = alloc.global_draw_total();
 }
 
 bool SchedulingSimulation::pull_one() {
@@ -438,81 +522,18 @@ void SchedulingSimulation::retire_front() {
     const JobSlot& s = ring_[ring_.base()];
     const JobRuntime& r = s.rt;
     if (r.state != JobState::kDone && r.state != JobState::kRejected) return;
-    JobOutcome o;
-    o.id = s.job.id;
-    o.fate = r.state == JobState::kRejected
-                 ? JobFate::kRejected
-                 : (r.killed ? JobFate::kKilled : JobFate::kCompleted);
-    o.submit = s.job.submit;
-    o.start = r.start;
-    o.end = r.end;
-    o.dilation = r.dilation;
-    o.far_rack = r.far_rack;
-    o.far_neighbor = r.far_neighbor;
-    o.far_global = r.far_global;
-    o.nodes = s.job.nodes;
-    o.mem_per_node = s.job.mem_per_node;
-    o.runtime = s.job.runtime;
-    o.sensitivity = s.job.sensitivity;
-    o.user = s.job.user;
-    metrics_.jobs.push_back(o);
+    metrics_.jobs.push_back(
+        {.id = s.job.id,
+         .fate = r.state == JobState::kRejected
+                     ? JobFate::kRejected
+                     : (r.killed ? JobFate::kKilled : JobFate::kCompleted),
+         .submit = s.job.submit, .start = r.start, .end = r.end,
+         .dilation = r.dilation, .far_rack = r.far_rack,
+         .far_neighbor = r.far_neighbor, .far_global = r.far_global,
+         .nodes = s.job.nodes, .mem_per_node = s.job.mem_per_node,
+         .runtime = s.job.runtime, .sensitivity = s.job.sensitivity,
+         .user = s.job.user});
     ring_.pop_front();
-  }
-}
-
-void SchedulingSimulation::window_integrate(SimTime from, SimTime to) {
-  const double dt = (to - from).seconds();
-  if (dt <= 0.0) return;
-  window_acc_.busy_node_seconds +=
-      static_cast<double>(cluster_.busy_nodes()) * dt;
-  window_acc_.queued_job_seconds += static_cast<double>(queue_.size()) * dt;
-  window_acc_.running_job_seconds +=
-      static_cast<double>(running_.size()) * dt;
-  window_acc_.rack_pool_gib_seconds += cluster_.rack_pools_used().gib() * dt;
-  window_acc_.global_pool_gib_seconds +=
-      cluster_.global_pool_used().gib() * dt;
-}
-
-void SchedulingSimulation::window_close_through(SimTime t) {
-  const SimTime w = options_.checkpoint_interval;
-  for (;;) {
-    const SimTime boundary{(window_index_ + 1) * w.usec()};
-    if (boundary > t) break;
-    window_integrate(window_frontier_, boundary);
-    window_acc_.start = SimTime{window_index_ * w.usec()};
-    window_acc_.end = boundary;
-    metrics_.windows.push_back(window_acc_);
-    window_acc_ = MetricsWindow{};
-    window_frontier_ = boundary;
-    ++window_index_;
-  }
-  window_integrate(window_frontier_, t);
-  window_frontier_ = t;
-}
-
-void SchedulingSimulation::window_advance() {
-  // State is integrated with pre-mutation values, which is why every
-  // handler calls this first.
-  if (options_.checkpoint_interval <= SimTime{0}) return;
-  window_close_through(engine_.now());
-}
-
-void SchedulingSimulation::flush_final_window() {
-  const SimTime w = options_.checkpoint_interval;
-  if (w <= SimTime{0}) return;
-  const SimTime end = max(last_end_, window_frontier_);
-  window_close_through(end);
-  // The trailing partial window is emitted only if it has any content —
-  // a run that ends exactly on a boundary produces no empty extra window.
-  const SimTime start{window_index_ * w.usec()};
-  const bool has_counts =
-      window_acc_.jobs_submitted > 0 || window_acc_.jobs_started > 0 ||
-      window_acc_.jobs_finished > 0 || window_acc_.jobs_rejected > 0;
-  if (end > start || has_counts) {
-    window_acc_.start = start;
-    window_acc_.end = end;
-    metrics_.windows.push_back(window_acc_);
-    window_acc_ = MetricsWindow{};
   }
 }
 
@@ -529,10 +550,9 @@ void SchedulingSimulation::run_scheduler_pass() {
   obs::TraceSink* const sink = options_.sink;
   const bool emit_pass =
       sink != nullptr && options_.trace_detail >= obs::TraceDetail::kSched;
-  const bool want_gauges =
-      (sink != nullptr && options_.trace_detail == obs::TraceDetail::kFull) ||
-      options_.counters != nullptr;
-  if (!emit_pass && !want_gauges) {
+  const bool emit_gauges =
+      sink != nullptr && options_.trace_detail == obs::TraceDetail::kFull;
+  if (!emit_pass && !emit_gauges && options_.counters == nullptr) {
     scheduler_->schedule(*this);
     return;
   }
@@ -540,31 +560,24 @@ void SchedulingSimulation::run_scheduler_pass() {
   // Snapshot pre-pass state and the policy's cumulative counters so the
   // span carries per-pass deltas. Everything here is observation: the
   // scheduler call in the middle is the same call the untraced path makes.
-  const std::size_t depth_before = queue_.size();
-  const std::size_t running_before = running_.size();
+  obs::PassSpan span{.seq = pass_seq_ - 1, .at = engine_.now(),
+                     .kind = scheduler_->name(), .queue_depth = queue_.size(),
+                     .running = running_.size()};
   const SchedulerStats* stats = scheduler_->stats();
-  SchedulerStats before;
-  if (stats != nullptr) before = *stats;
+  const SchedulerStats before = stats != nullptr ? *stats : SchedulerStats{};
   // Wall-clock pass timing is a kFull (profiling) feature: two clock reads
   // per pass are the single largest fixed cost of pass spans, so kSched
   // spans carry wall_ns = 0 and stay cheap.
-  const bool wall = emit_pass &&
-                    options_.trace_detail == obs::TraceDetail::kFull;
+  const bool wall = emit_pass && emit_gauges;
   std::chrono::steady_clock::time_point wall0;
   if (wall) wall0 = std::chrono::steady_clock::now();
 
   scheduler_->schedule(*this);
 
   if (emit_pass) {
-    obs::PassSpan span;
-    span.seq = pass_seq_ - 1;
-    span.at = engine_.now();
-    span.kind = scheduler_->name();
-    span.queue_depth = depth_before;
-    span.running = running_before;
     // A pass only moves jobs queue -> running; submissions and completions
     // cannot interleave with it at one timestamp (distinct event classes).
-    span.started = running_.size() - running_before;
+    span.started = running_.size() - span.running;
     if (stats != nullptr) {
       span.examined =
           static_cast<std::int64_t>(stats->jobs_examined - before.jobs_examined);
@@ -579,40 +592,28 @@ void SchedulingSimulation::run_scheduler_pass() {
     }
     guarded_emit([&] { sink->on_pass(span); });
   }
-  if (want_gauges) {
-    obs::GaugeSample g;
-    g.at = engine_.now();
-    g.busy_nodes = cluster_.busy_nodes();
-    g.queue_depth = queue_.size();
-    g.running = running_.size();
-    g.event_queue_size = pending_events();
-    g.event_id_window = live_event_id_window();
-    g.rack_pool_gib = cluster_.rack_pools_used().gib();
-    g.global_pool_gib = cluster_.global_pool_used().gib();
-    if (sink != nullptr &&
-        options_.trace_detail == obs::TraceDetail::kFull) {
-      guarded_emit([&] { sink->on_gauges(g); });
+  if (!emit_gauges && options_.counters == nullptr) return;
+  const obs::GaugeSample g{
+      .at = engine_.now(), .busy_nodes = cluster_.busy_nodes(),
+      .queue_depth = queue_.size(), .running = running_.size(),
+      .event_queue_size = engine_.pending(),
+      .event_id_window = engine_.id_window(),
+      .rack_pool_gib = cluster_.rack_pools_used().gib(),
+      .global_pool_gib = cluster_.global_pool_used().gib()};
+  if (emit_gauges) guarded_emit([&] { sink->on_gauges(g); });
+  if (options_.counters == nullptr) return;
+  if (pass_gauges_.empty()) {
+    for (const char* name : kPassGauges) {
+      pass_gauges_.push_back(&options_.counters->gauge(name));
     }
-    if (options_.counters != nullptr) {
-      if (gauges_.queue_depth == nullptr) {
-        // Resolve once per run: get-or-create returns deque-stable slots.
-        obs::CounterRegistry& reg = *options_.counters;
-        gauges_.queue_depth = &reg.gauge("queue_depth");
-        gauges_.running_jobs = &reg.gauge("running_jobs");
-        gauges_.event_queue_size = &reg.gauge("event_queue_size");
-        gauges_.event_id_window = &reg.gauge("event_id_window");
-        gauges_.busy_nodes = &reg.gauge("busy_nodes");
-        gauges_.rack_pool_gib = &reg.gauge("rack_pool_gib");
-        gauges_.global_pool_gib = &reg.gauge("global_pool_gib");
-      }
-      gauges_.queue_depth->set(static_cast<double>(g.queue_depth));
-      gauges_.running_jobs->set(static_cast<double>(g.running));
-      gauges_.event_queue_size->set(static_cast<double>(g.event_queue_size));
-      gauges_.event_id_window->set(static_cast<double>(g.event_id_window));
-      gauges_.busy_nodes->set(static_cast<double>(g.busy_nodes));
-      gauges_.rack_pool_gib->set(g.rack_pool_gib);
-      gauges_.global_pool_gib->set(g.global_pool_gib);
-    }
+  }
+  const double values[] = {
+      double(g.queue_depth), double(g.running), double(g.event_queue_size),
+      double(g.event_id_window), double(g.busy_nodes), g.rack_pool_gib,
+      g.global_pool_gib};
+  static_assert(std::size(values) == std::size(kPassGauges));
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    pass_gauges_[i]->set(values[i]);
   }
 }
 
@@ -624,55 +625,30 @@ void SchedulingSimulation::handle_submit(JobId id) {
   // is queued before any later-time event can pop — which is what makes the
   // bounded window order-equivalent to the full pre-push.
   refill_submissions();
-  window_advance();
-  digest_fold('S');
-  digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
-  ++window_acc_.jobs_submitted;
 
   JobSlot& slot = ring_[id];  // after refill: pull_one may grow the ring
   JobRuntime& r = slot.rt;
   DMSCHED_ASSERT(r.state == JobState::kPending, "double submission");
-  const Job& j = slot.job;
-  if (!compute_take(admission_state_, config_, j, options_.placement,
+  if (!compute_take(admission_state_, config_, slot.job, options_.placement,
                     admission_plan_)) {
     // The job cannot run on this machine shape at all (e.g. footprint above
     // local memory and no pool big enough). Table III counts these.
     r.state = JobState::kRejected;
     r.end = engine_.now();
     --live_jobs_;
-    ++window_acc_.jobs_rejected;
-    if (options_.sink != nullptr) {
-      obs::JobRejected ev;
-      ev.job = id;
-      ev.at = engine_.now();
-      guarded_emit([&] { options_.sink->on_job_rejected(ev); });
-    }
-    retire_front();  // after the last use of r and j
+    observe({Transition::Kind::kRejected, id});
+    retire_front();  // after the last use of r
     return;
   }
   r.state = JobState::kQueued;
   DMSCHED_ASSERT(id >= queue_token_, "queue append out of id order");
   queue_.push_back(ring_, id);
   queue_token_ = std::uint64_t{id} + 1;
-  if (options_.sink != nullptr) {
-    obs::JobQueued ev;
-    ev.job = id;
-    ev.submit = engine_.now();
-    ev.nodes = j.nodes;
-    ev.mem_per_node_gib = j.mem_per_node.gib();
-    guarded_emit([&] { options_.sink->on_job_queued(ev); });
-  }
+  observe({Transition::Kind::kQueued, id});
   request_schedule_pass();
 }
 
 void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
-  window_advance();
-  digest_fold('R');
-  digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
-  ++window_acc_.jobs_started;
-
   JobSlot& slot = ring_[id];
   JobRuntime& r = slot.rt;
   DMSCHED_ASSERT(r.state == JobState::kQueued,
@@ -690,48 +666,16 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
 
   r.state = JobState::kRunning;
   r.start = engine_.now();
-  r.seg_start = r.start;
-  r.dilation = options_.slowdown.dilation_for(alloc, j);
-  r.take = take_from(alloc, config_);
-  r.far_rack = alloc.rack_draw_total();
-  r.far_neighbor = alloc.neighbor_draw_total();
-  r.far_global = alloc.global_draw_total();
   r.home_rack = config_.rack_of(alloc.nodes.front());
-
-  SimTime actual = j.runtime.scaled(r.dilation);
-  if (options_.kill_on_walltime && actual > j.walltime) {
-    actual = j.walltime;
-    r.killed = true;
-  }
-  r.end = engine_.now() + actual;
-  r.expected_end = engine_.now() + j.walltime.scaled(r.dilation);
+  price(r, j, alloc, r.start);
   timeline_.on_start(id, r.expected_end, r.take);
   r.completion_event =
       engine_.schedule_at(r.end, sim::EventClass::kCompletion,
                           [this, id](SimTime) { handle_complete(id); });
-  if (options_.sink != nullptr) {
-    obs::JobStarted ev;
-    ev.job = id;
-    ev.submit = j.submit;
-    ev.start = r.start;
-    ev.rack = r.home_rack;
-    ev.nodes = j.nodes;
-    ev.dilation = r.dilation;
-    ev.far_rack_gib = r.far_rack.gib();
-    ev.far_neighbor_gib = r.far_neighbor.gib();
-    ev.far_global_gib = r.far_global.gib();
-    guarded_emit([&] { options_.sink->on_job_started(ev); });
-  }
-  record_usage_change();
+  observe({Transition::Kind::kStarted, id});
 }
 
 void SchedulingSimulation::handle_complete(JobId id) {
-  window_advance();
-  digest_fold('C');
-  digest_fold(id);
-  digest_fold(static_cast<std::uint64_t>(engine_.now().usec()));
-  ++window_acc_.jobs_finished;
-
   JobRuntime& r = ring_[id].rt;
   DMSCHED_ASSERT(r.state == JobState::kRunning, "completion of a non-running job");
   migration_.on_job_finished(id);
@@ -742,17 +686,8 @@ void SchedulingSimulation::handle_complete(JobId id) {
   r.state = JobState::kDone;
   --live_jobs_;
   last_end_ = max(last_end_, engine_.now());
-  if (options_.sink != nullptr) {
-    obs::JobFinished ev;
-    ev.job = id;
-    ev.start = r.start;
-    ev.end = engine_.now();
-    ev.rack = r.home_rack;
-    ev.killed = r.killed;
-    guarded_emit([&] { options_.sink->on_job_finished(ev); });
-  }
+  observe({Transition::Kind::kFinished, id});
   retire_front();  // after the last use of r
-  record_usage_change();
   request_schedule_pass();
 }
 
@@ -761,25 +696,20 @@ RunMetrics SchedulingSimulation::run() {
   run_called_ = true;
 
   if (options_.sink != nullptr) {
-    obs::RunInfo info;
-    info.label = metrics_.label;
-    info.cluster_name = config_.name;
-    info.racks = config_.racks();
-    info.total_nodes = config_.total_nodes;
-    info.detail = options_.trace_detail;
-    guarded_emit([&] { options_.sink->on_run_begin(info); });
+    guarded_emit([&] {
+      options_.sink->on_run_begin(
+          {.label = metrics_.label, .cluster_name = config_.name,
+           .racks = config_.racks(), .total_nodes = config_.total_nodes,
+           .detail = options_.trace_detail});
+    });
   }
 
   // Prime the look-ahead window. An unbounded window (lookahead 0) pulls the
   // whole input here — the historical full pre-push; a bounded one schedules
   // only the first W submissions and handle_submit keeps it topped up.
   refill_submissions();
-  record_usage_change();
+  if (options_.sample_interval > SimTime{0}) next_sample_ = first_submit_;
   // Nothing has retired yet, so an empty ring means an empty input.
-  if (options_.sample_interval > SimTime{0} && !ring_.empty()) {
-    engine_.schedule_at(first_submit_, sim::EventClass::kTimer,
-                        [this](SimTime) { sample_series(); });
-  }
   if (options_.migration.enabled() && !ring_.empty()) {
     engine_.schedule_at(first_submit_ + options_.migration.check_interval,
                         sim::EventClass::kMigration,
@@ -794,44 +724,55 @@ RunMetrics SchedulingSimulation::run() {
                  "simulation drained with queued/running jobs");
   DMSCHED_ASSERT(ring_.empty(), "simulation drained with unretired jobs");
   cluster_.audit();
-  flush_final_window();
+  if (options_.checkpoint_interval > SimTime{0}) {
+    // The last transition closed every window through its time. Emit the
+    // trailing partial window only if it has any content — a run that ends
+    // exactly on a boundary produces no empty extra window.
+    const SimTime start{window_index_ * options_.checkpoint_interval.usec()};
+    MetricsWindow& w = window_acc_;
+    if (window_frontier_ > start || w.jobs_submitted > 0 ||
+        w.jobs_started > 0 || w.jobs_finished > 0 || w.jobs_rejected > 0) {
+      w.start = start;
+      w.end = window_frontier_;
+      metrics_.windows.push_back(w);
+    }
+  }
 
   // Assemble metrics.
   metrics_.makespan = last_end_;
   const double horizon = last_end_.seconds();
   if (horizon > 0.0) {
+    // Time-weighted mean and peak of a usage signal, as capacity fractions.
+    const auto fractions = [horizon](const TimeWeightedMean& tw, double cap,
+                                     double& mean, double& peak) {
+      mean = tw.finish(horizon) / cap;
+      peak = tw.peak() / cap;
+    };
     metrics_.node_utilization = busy_nodes_tw_.finish(horizon) /
                                 static_cast<double>(config_.total_nodes);
     const double rack_capacity =
         static_cast<double>(topology_.rack_tier_capacity().count());
     if (rack_capacity > 0.0) {
-      metrics_.rack_pool_utilization =
-          rack_pool_tw_.finish(horizon) / rack_capacity;
-      metrics_.rack_pool_peak = rack_pool_tw_.peak() / rack_capacity;
+      fractions(rack_pool_tw_, rack_capacity, metrics_.rack_pool_utilization,
+                metrics_.rack_pool_peak);
       metrics_.rack_pool_busiest_peak =
           ratio(busiest_rack_pool_peak_, config_.pool_per_rack);
     }
     const double global_capacity =
         static_cast<double>(topology_.global_tier_capacity().count());
     if (global_capacity > 0.0) {
-      metrics_.global_pool_utilization =
-          global_pool_tw_.finish(horizon) / global_capacity;
-      metrics_.global_pool_peak = global_pool_tw_.peak() / global_capacity;
+      fractions(global_pool_tw_, global_capacity,
+                metrics_.global_pool_utilization, metrics_.global_pool_peak);
     }
     if (config_.has_gpus()) {
-      const double gpu_capacity = static_cast<double>(config_.total_gpus());
-      metrics_.gpu_utilization = gpu_tw_.finish(horizon) / gpu_capacity;
-      metrics_.gpu_peak = gpu_tw_.peak() / gpu_capacity;
+      fractions(gpu_tw_, static_cast<double>(config_.total_gpus()),
+                metrics_.gpu_utilization, metrics_.gpu_peak);
     }
     if (config_.has_burst_buffer()) {
-      const double bb_capacity =
-          static_cast<double>(config_.bb_capacity.count());
-      metrics_.bb_utilization = bb_tw_.finish(horizon) / bb_capacity;
-      metrics_.bb_peak = bb_tw_.peak() / bb_capacity;
+      fractions(bb_tw_, static_cast<double>(config_.bb_capacity.count()),
+                metrics_.bb_utilization, metrics_.bb_peak);
     }
   }
-  metrics_.demotions = demotions_;
-  metrics_.promotions = promotions_;
   metrics_.demoted_gib = demoted_bytes_.gib();
   metrics_.promoted_gib = promoted_bytes_.gib();
   metrics_.finalize();
@@ -850,30 +791,14 @@ void SchedulingSimulation::fill_counters() {
   reg.counter("events_processed").add(engine_.events_processed());
   reg.counter("sched_passes").add(pass_seq_);
   reg.counter("jobs_submitted").add(metrics_.jobs.size());
-  std::uint64_t completed = 0;
-  std::uint64_t killed = 0;
-  std::uint64_t rejected = 0;
-  for (const JobOutcome& o : metrics_.jobs) {
-    switch (o.fate) {
-      case JobFate::kCompleted:
-        ++completed;
-        break;
-      case JobFate::kKilled:
-        ++killed;
-        break;
-      case JobFate::kRejected:
-        ++rejected;
-        break;
-    }
-  }
-  reg.counter("jobs_completed").add(completed);
-  reg.counter("jobs_killed").add(killed);
-  reg.counter("jobs_rejected").add(rejected);
+  reg.counter("jobs_completed").add(metrics_.completed);
+  reg.counter("jobs_killed").add(metrics_.killed);
+  reg.counter("jobs_rejected").add(metrics_.rejected);
   if (options_.migration.enabled()) {
     // Gated on the knob so a migration-off counters dump stays identical to
     // the pre-migration format.
-    reg.counter("migrations_demoted").add(demotions_);
-    reg.counter("migrations_promoted").add(promotions_);
+    reg.counter("migrations_demoted").add(metrics_.demotions);
+    reg.counter("migrations_promoted").add(metrics_.promotions);
   }
   if (const SchedulerStats* stats = scheduler_->stats()) {
     reg.counter("sched_fast_passes").add(stats->fast_passes);

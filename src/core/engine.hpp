@@ -38,6 +38,8 @@ struct EngineOptions {
   /// so dilation effects are measured in full (see DESIGN.md §4).
   bool kill_on_walltime = false;
   /// Sample the system time series at this interval (0 = disabled).
+  /// Passive like checkpoint_interval: samples are read off the engine's
+  /// transition stream, so enabling them schedules no event.
   SimTime sample_interval{};
   /// Run a full cluster audit after every completion (tests only; O(nodes)).
   bool audit_cluster = false;
@@ -48,7 +50,8 @@ struct EngineOptions {
   /// queue's live id window from O(trace) to O(lookahead + running).
   std::size_t submit_lookahead = 0;
   /// Emit windowed metrics checkpoints at this interval (0 = disabled).
-  /// Passive: enabling it injects no events and perturbs nothing.
+  /// Passive: fed by the transition stream, it injects no events and
+  /// perturbs nothing.
   SimTime checkpoint_interval{};
   /// Live tier migration (migration/). The default is the 0-sentinel: a zero
   /// check_interval schedules no events, so every published machine stays
@@ -124,18 +127,6 @@ class SchedulingSimulation final : public SchedContext {
   [[nodiscard]] std::size_t peak_event_id_window() const {
     return engine_.peak_id_window();
   }
-  // --- instrumentation (live — stable gauge accessors) ---------------------
-  // The obs/ gauge stream and bench/sim_throughput's bounded-memory
-  // criterion read the *same* accessors, so the numbers they report are the
-  // same numbers by construction.
-  /// Events currently pending in the underlying queue.
-  [[nodiscard]] std::size_t pending_events() const { return engine_.pending(); }
-  /// Live event-id window of the underlying queue right now.
-  [[nodiscard]] std::size_t live_event_id_window() const {
-    return engine_.id_window();
-  }
-  /// Scheduler passes run so far.
-  [[nodiscard]] std::uint64_t passes_run() const { return pass_seq_; }
   /// Order-sensitive digest over semantic transitions (submit/start/finish
   /// with job id and sim time). Two runs that drain events in the same
   /// semantic order agree on this even when raw event ids differ (a full
@@ -247,6 +238,18 @@ class SchedulingSimulation final : public SchedContext {
     [[nodiscard]] std::vector<JobId> to_vector(const JobRing& ring) const;
   };
 
+  /// One observed state change. Each of the five calls observe() once,
+  /// after its mutation and before retire_front().
+  struct Transition {
+    enum class Kind : std::uint8_t {
+      kQueued, kRejected, kStarted, kFinished, kMigrated
+    };
+    Kind kind;
+    JobId job;
+    const MigrationDecision* move = nullptr;  ///< kMigrated only
+    double dilation_before = 1.0;             ///< kMigrated only
+  };
+
   void handle_submit(JobId id);
   void handle_complete(JobId id);
   /// Periodic kMigration event: plan moves over the running list (insertion
@@ -257,6 +260,9 @@ class SchedulingSimulation final : public SchedContext {
   /// raced a completion), retier the draws, and re-price the job's slowdown
   /// — rescheduling its completion for the remaining work at the new rate.
   void apply_migration(const MigrationDecision& decision, bool delayed);
+  /// Price a running job's remaining work from `t` on `alloc`: dilation,
+  /// the walltime kill, end, expected_end, take and far bytes.
+  void price(JobRuntime& r, const Job& j, const Allocation& alloc, SimTime t);
   void request_schedule_pass();
   /// The body of a kSchedule event: runs the scheduler, and — only when a
   /// sink or counter registry is attached — wraps it with span/gauge
@@ -264,8 +270,11 @@ class SchedulingSimulation final : public SchedContext {
   void run_scheduler_pass();
   /// End-of-run totals and envelopes into options_.counters.
   void fill_counters();
-  void record_usage_change();
-  void sample_series();
+
+  // --- observation ----------------------------------------------------------
+  /// The one observation hook: the digest, the windows, the series, the
+  /// usage means and the sink are all fed from here and nowhere else.
+  void observe(const Transition& t);
 
   /// Pull the next job from the source, validate it (throwing
   /// std::invalid_argument), copy it into the ring under the next sequential
@@ -283,17 +292,6 @@ class SchedulingSimulation final : public SchedContext {
   void digest_fold(std::uint64_t v) {
     digest_ = (digest_ ^ v) * 1099511628211ULL;
   }
-
-  // Windowed checkpoints (all no-ops when checkpoint_interval is 0):
-  /// Integrate current system state over [from, to) into the open window.
-  void window_integrate(SimTime from, SimTime to);
-  /// Close every window whose boundary is <= t, then integrate up to t.
-  void window_close_through(SimTime t);
-  /// Close windows through now. Must run before any state mutation at the
-  /// current timestamp.
-  void window_advance();
-  /// After the run: emit remaining complete windows and the final partial.
-  void flush_final_window();
 
   ClusterConfig config_;
   TraceSource& source_;
@@ -327,19 +325,10 @@ class SchedulingSimulation final : public SchedContext {
   bool run_called_ = false;
   std::uint64_t pass_seq_ = 0;  ///< scheduler passes run (one ++ per pass)
 
-  /// Per-pass gauge slots resolved once from options_.counters (name lookup
-  /// allocates; doing it every pass would dominate the observation cost —
-  /// bench/sim_throughput's tracing-overhead table enforces the budget).
-  struct GaugeRefs {
-    obs::Gauge* queue_depth = nullptr;
-    obs::Gauge* running_jobs = nullptr;
-    obs::Gauge* event_queue_size = nullptr;
-    obs::Gauge* event_id_window = nullptr;
-    obs::Gauge* busy_nodes = nullptr;
-    obs::Gauge* rack_pool_gib = nullptr;
-    obs::Gauge* global_pool_gib = nullptr;
-  };
-  GaugeRefs gauges_;
+  /// Registry slots of the per-pass gauges, resolved on the first pass
+  /// (name lookup allocates; doing it every pass would dominate the
+  /// observation cost).
+  std::vector<obs::Gauge*> pass_gauges_;
 
   // --- lazy submission state ----------------------------------------------
   SimTime last_pull_submit_{};      ///< monotonicity check across pulls
@@ -348,14 +337,20 @@ class SchedulingSimulation final : public SchedContext {
   SimTime first_submit_{};          ///< first pulled job's submit time
   std::uint64_t digest_ = 1469598103934665603ULL;  ///< FNV-1a offset basis
 
-  // --- windowed checkpoints -------------------------------------------------
-  SimTime window_frontier_{};       ///< state integrated up to here
+  // --- windows and series --------------------------------------------------
+  /// Usage after the last transition (`time` unused). Nothing between two
+  /// transitions changes it, so windows and samples read it instead of the
+  /// live state. Kept only when either is on.
+  bool track_usage_ = false;
+  TimeSample usage_;
+  /// The first series boundary not emitted (never, with sampling off).
+  SimTime next_sample_ = kTimeInfinity;
+  SimTime window_frontier_{};       ///< usage integrated up to here
   std::int64_t window_index_ = 0;   ///< index of the open window
   MetricsWindow window_acc_;        ///< the open window's accumulator
 
-  // --- migration totals (assembled into RunMetrics after the run) ----------
-  std::uint64_t demotions_ = 0;
-  std::uint64_t promotions_ = 0;
+  // Migration byte totals; their GiB values go into RunMetrics after the
+  // run (the GiB of a sum, not a sum of GiB values).
   Bytes demoted_bytes_{};
   Bytes promoted_bytes_{};
 

@@ -58,11 +58,11 @@ struct JobOutcome {
 };
 
 /// One checkpointed metrics window: system state integrated over
-/// [start, end). Unlike TimeSample (an instantaneous snapshot taken by a
-/// timer event), windows are accumulated passively at state transitions —
-/// enabling them injects no events, so runs with and without windowing are
-/// byte-identical everywhere else. Windows are aligned to multiples of the
-/// checkpoint interval in sim time; the last window may be partial.
+/// [start, end). Like TimeSample, windows are fed by the engine's one
+/// transition hook (SchedulingSimulation::observe) — no observer injects
+/// events, so runs with and without windowing are byte-identical
+/// everywhere else. Windows are aligned to multiples of the checkpoint
+/// interval in sim time; the last window may be partial.
 struct MetricsWindow {
   SimTime start{};
   SimTime end{};
@@ -93,7 +93,10 @@ struct MetricsWindow {
   }
 };
 
-/// One sample of the system time series (Fig. 7 style plots).
+/// One sample of the system time series (Fig. 7 style plots): the state at
+/// boundary first_submit + k·interval after that instant's completions and
+/// submissions, before its starts and moves. Read off the transition hook
+/// (SchedulingSimulation::observe); sampling schedules no event.
 struct TimeSample {
   SimTime time{};
   std::int32_t busy_nodes = 0;

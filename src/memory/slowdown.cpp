@@ -109,15 +109,4 @@ double SlowdownModel::dilation_bytes(Bytes rack_bytes, Bytes neighbor_bytes,
                   ratio(global_bytes, total), s);
 }
 
-double SlowdownModel::worst_case_dilation(const Job& job,
-                                          Bytes local_per_node) const {
-  if (job.mem_per_node <= local_per_node) return 1.0;
-  const double phi =
-      ratio(job.mem_per_node - local_per_node, job.mem_per_node);
-  // Both betas evaluated; the worse one bounds any mixed allocation.
-  const double via_global = dilation(0.0, phi, job.sensitivity);
-  const double via_rack = dilation(phi, 0.0, job.sensitivity);
-  return via_global > via_rack ? via_global : via_rack;
-}
-
 }  // namespace dmsched

@@ -89,12 +89,6 @@ struct SlowdownModel {
                                       Bytes total, MemSensitivity s) const {
     return dilation_bytes(rack_bytes, Bytes{0}, global_bytes, total, s);
   }
-
-  /// Upper bound on the dilation any allocation of `job` can incur (all far
-  /// bytes through the global pool). Schedulers use it for conservative
-  /// walltime planning.
-  [[nodiscard]] double worst_case_dilation(const Job& job,
-                                           Bytes local_per_node) const;
 };
 
 }  // namespace dmsched

@@ -20,30 +20,6 @@ Gauge& CounterRegistry::gauge(std::string_view name) {
   return gauges_.back().second;
 }
 
-const Counter* CounterRegistry::find_counter(std::string_view name) const {
-  auto it = counter_index_.find(std::string(name));
-  return it == counter_index_.end() ? nullptr : &counters_[it->second].second;
-}
-
-const Gauge* CounterRegistry::find_gauge(std::string_view name) const {
-  auto it = gauge_index_.find(std::string(name));
-  return it == gauge_index_.end() ? nullptr : &gauges_[it->second].second;
-}
-
-std::vector<std::string> CounterRegistry::counter_names() const {
-  std::vector<std::string> names;
-  names.reserve(counters_.size());
-  for (const auto& [name, c] : counters_) names.push_back(name);
-  return names;
-}
-
-std::vector<std::string> CounterRegistry::gauge_names() const {
-  std::vector<std::string> names;
-  names.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) names.push_back(name);
-  return names;
-}
-
 bool CounterRegistry::write_csv(const std::string& path) const {
   CsvWriter csv(path);
   if (!csv.ok()) return false;

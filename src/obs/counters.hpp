@@ -17,7 +17,6 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace dmsched::obs {
 
@@ -51,16 +50,8 @@ class CounterRegistry {
   /// The gauge named `name`, created empty on first use.
   Gauge& gauge(std::string_view name);
 
-  /// Lookup without creation; nullptr when absent.
-  [[nodiscard]] const Counter* find_counter(std::string_view name) const;
-  [[nodiscard]] const Gauge* find_gauge(std::string_view name) const;
-
   [[nodiscard]] std::size_t counter_count() const { return counters_.size(); }
   [[nodiscard]] std::size_t gauge_count() const { return gauges_.size(); }
-
-  /// Names in registration order.
-  [[nodiscard]] std::vector<std::string> counter_names() const;
-  [[nodiscard]] std::vector<std::string> gauge_names() const;
 
   /// Dump everything as CSV: kind,name,value,min,max,samples. Counters fill
   /// `value` only; gauges fill value (= last), min, max, and samples.

@@ -121,9 +121,7 @@ struct PassSpan {
 };
 
 /// System gauges sampled after a scheduler pass (TraceDetail::kFull).
-/// Event-queue figures read the same stable accessors
-/// (SchedulingSimulation::pending_events / live_event_id_window) that
-/// bench/sim_throughput's bounded-memory criterion uses.
+/// Event-queue figures are the engine queue's live size and id window.
 struct GaugeSample {
   SimTime at{};
   std::int32_t busy_nodes = 0;

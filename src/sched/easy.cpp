@@ -7,6 +7,61 @@
 
 namespace dmsched {
 
+namespace {
+
+/// Phase 3's state behind the blocked head. Two counters: `extra` drives
+/// the decisions (legacy semantics — raw-walltime shadow test, deduct only
+/// for runs-past-shadow admissions), while `cache_extra` tracks the
+/// crossing margin a *recompute* of phase 2 would find afterwards. They
+/// differ because the engine's actual release bound is dilated: a start
+/// admitted as "ends before shadow" on raw walltime can release after it,
+/// and then its nodes are not back by the shadow — the recomputed extra
+/// shrinks, and if it would go negative the shadow itself moves later.
+struct Backfill {
+  SimTime now;
+  SimTime shadow;
+  std::int32_t extra;
+  std::int32_t cache_extra;
+  bool cache_ok = true;
+};
+
+/// Judge one queued job behind the head, starting it if a backfill rule
+/// admits it and it fits now. The full pass and the fast pass share it.
+inline void backfill_one(SchedContext& ctx, SchedulerStats& stats, JobId id,
+                         Backfill& b) {
+  const Job& cand = ctx.job(id);
+  ++stats.jobs_examined;
+  // Rules first (memory-unaware bound: raw walltime, no dilation): they
+  // do not depend on the allocation, and planning is the expensive step —
+  // at saturation almost every candidate dies here, so the full pass is
+  // an O(1) test per queued job plus a plan per plausible backfill.
+  const bool ends_before_shadow = b.now + cand.walltime <= b.shadow;
+  const bool within_extra = cand.nodes <= b.extra;
+  if (!ends_before_shadow && !within_extra) return;
+  // A plan needs cand.nodes free nodes somewhere; don't ask for one when
+  // the machine provably lacks them.
+  if (cand.nodes > ctx.cluster().free_nodes_total()) return;
+  ++stats.plans_attempted;
+  auto alloc = plan_start(ctx.cluster(), cand, ctx.placement());
+  if (!alloc) return;
+  // The engine's release bound for this start (dilated walltime).
+  const SimTime bound =
+      b.now + cand.walltime.scaled(ctx.slowdown().dilation_for(*alloc, cand));
+  ctx.start_job(id, *alloc);
+  if (!ends_before_shadow) b.extra -= cand.nodes;
+  if (bound > b.shadow) {
+    b.cache_extra -= cand.nodes;
+    if (b.cache_extra < 0) b.cache_ok = false;
+  } else if (bound == b.shadow) {
+    // A release exactly at the shadow sits among the equal-end releases
+    // of the crossing walk, where the id tie-break decides whether its
+    // nodes count toward the recomputed extra. Not worth modelling.
+    b.cache_ok = false;
+  }
+}
+
+}  // namespace
+
 bool EasyScheduler::try_fast_pass(SchedContext& ctx) {
   const AvailabilityTimeline& tl = *ctx.timeline();
   if (!cache_valid_ || !ctx.queue_order_stable() || tl.id() != timeline_id_ ||
@@ -18,54 +73,29 @@ bool EasyScheduler::try_fast_pass(SchedContext& ctx) {
   // a pure function of cluster state), and every candidate the cached pass
   // rejected stays rejected — both backfill rules only tighten as now
   // advances past a fixed shadow, and the stored extra_ only shrank. Only
-  // jobs appended since need judging, with the same two-counter bookkeeping
-  // as the full pass (see phase 3 there): `extra` drives decisions exactly
-  // as a recompute's phase 3 would, `cache_extra` tracks the crossing
-  // margin a recompute would find given the *dilated* release bounds.
+  // jobs appended since need judging, by the same backfill_one step and
+  // two-counter bookkeeping (Backfill) as the full pass's phase 3.
   const SimTime now = ctx.now();
-  const SimTime shadow = shadow_is_now_ ? now : shadow_;
-  std::int32_t extra = extra_;
-  std::int32_t cache_extra = extra_;
-  bool cache_ok = true;
+  Backfill b{.now = now,
+             .shadow = shadow_is_now_ ? now : shadow_,
+             .extra = extra_,
+             .cache_extra = extra_};
   for (const JobId id : ctx.queued_jobs_after(tail_epoch_)) {
-    const Job& cand = ctx.job(id);
-    ++stats_.jobs_examined;
-    // Rules first: neither depends on the allocation, and planning is the
-    // expensive step — skip it for candidates no plan could rescue.
-    const bool ends_before_shadow = now + cand.walltime <= shadow;
-    const bool within_extra = cand.nodes <= extra;
-    if (!ends_before_shadow && !within_extra) continue;
-    if (cand.nodes > ctx.cluster().free_nodes_total()) continue;
-    ++stats_.plans_attempted;
-    auto alloc = plan_start(ctx.cluster(), cand, ctx.placement());
-    if (!alloc) continue;
-    const SimTime bound =
-        now + cand.walltime.scaled(ctx.slowdown().dilation_for(*alloc, cand));
-    ctx.start_job(id, *alloc);
-    if (!ends_before_shadow) extra -= cand.nodes;
-    if (bound > shadow) {
-      cache_extra -= cand.nodes;
-      if (cache_extra < 0) cache_ok = false;
-    } else if (bound == shadow) {
-      // A release exactly at the shadow sits among the equal-end releases
-      // of the crossing walk, where the id tie-break decides whether its
-      // nodes count toward the recomputed extra. Not worth modelling.
-      cache_ok = false;
-    }
+    backfill_one(ctx, stats_, id, b);
   }
   // Starts whose dilated bound lands by the shadow return their nodes in
   // time and leave the head's crossing point untouched; starts running past
   // it consumed crossing margin, tracked in cache_extra. Either way this
   // pass's decisions matched a recompute; the cache survives only while the
   // margin stays non-negative.
-  if (!cache_ok) {
+  if (!b.cache_ok) {
     cache_valid_ = false;
     return true;
   }
   timeline_version_ = tl.version();
   tail_epoch_ = ctx.queue_tail_epoch();
   cached_now_ = now;
-  extra_ = cache_extra;
+  extra_ = b.cache_extra;
   return true;
 }
 
@@ -127,47 +157,13 @@ void EasyScheduler::schedule(SchedContext& ctx) {
   DMSCHED_ASSERT(shadow < kTimeInfinity,
                  "EASY: head job wider than the machine was not rejected");
 
-  // Phase 3: backfill behind the head. Two counters: `extra` drives the
-  // decisions (legacy semantics — raw-walltime shadow test, deduct only for
-  // runs-past-shadow admissions), while `cache_extra` tracks the crossing
-  // margin a *recompute* of phase 2 would find afterwards. They differ
-  // because the engine's actual release bound is dilated: a start admitted
-  // as "ends before shadow" on raw walltime can release after it, and then
-  // its nodes are not back by the shadow — the recomputed extra shrinks,
-  // and if it would go negative the shadow itself moves later.
-  std::int32_t cache_extra = extra;
-  bool cache_ok = true;
+  // Phase 3: backfill behind the head (see Backfill for the two counters).
+  Backfill b{.now = ctx.now(),
+             .shadow = shadow,
+             .extra = extra,
+             .cache_extra = extra};
   for (std::size_t i = qi + 1; i < queue.size(); ++i) {
-    const Job& cand = ctx.job(queue[i]);
-    ++stats_.jobs_examined;
-    // Rules first (memory-unaware bound: raw walltime, no dilation): they
-    // do not depend on the allocation, and planning is the expensive step —
-    // at saturation almost every candidate dies here, so the full pass is
-    // an O(1) test per queued job plus a plan per plausible backfill.
-    const bool ends_before_shadow = ctx.now() + cand.walltime <= shadow;
-    const bool within_extra = cand.nodes <= extra;
-    if (!ends_before_shadow && !within_extra) continue;
-    // A plan needs cand.nodes free nodes somewhere; don't ask for one when
-    // the machine provably lacks them.
-    if (cand.nodes > ctx.cluster().free_nodes_total()) continue;
-    ++stats_.plans_attempted;
-    auto alloc = plan_start(ctx.cluster(), cand, ctx.placement());
-    if (!alloc) continue;
-    // The engine's release bound for this start (dilated walltime).
-    const SimTime bound =
-        ctx.now() +
-        cand.walltime.scaled(ctx.slowdown().dilation_for(*alloc, cand));
-    ctx.start_job(queue[i], *alloc);
-    if (!ends_before_shadow) extra -= cand.nodes;
-    if (bound > shadow) {
-      cache_extra -= cand.nodes;
-      if (cache_extra < 0) cache_ok = false;
-    } else if (bound == shadow) {
-      // A release exactly at the shadow sits among the equal-end releases
-      // of the crossing walk, where the id tie-break decides whether its
-      // nodes count toward the recomputed extra. Not worth modelling.
-      cache_ok = false;
-    }
+    backfill_one(ctx, stats_, queue[i], b);
   }
 
   // The pass converged with the head blocked: remember its shadow and the
@@ -175,7 +171,7 @@ void EasyScheduler::schedule(SchedContext& ctx) {
   // new arrivals (a start releasing by the shadow leaves the crossing point
   // where it was; one running past it only consumed margin — unless the
   // margin ran out, in which case the shadow moved and the cache is dead).
-  if (cache_ok && ctx.queue_order_stable()) {
+  if (b.cache_ok && ctx.queue_order_stable()) {
     const AvailabilityTimeline& tl = *ctx.timeline();
     cache_valid_ = true;
     timeline_id_ = tl.id();
@@ -184,7 +180,7 @@ void EasyScheduler::schedule(SchedContext& ctx) {
     cached_now_ = ctx.now();
     shadow_is_now_ = shadow_is_now;
     shadow_ = shadow;
-    extra_ = cache_extra;
+    extra_ = b.cache_extra;
   }
 }
 

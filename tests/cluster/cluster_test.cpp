@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "testing/builders.hpp"
+#include "testing/cluster_oracle.hpp"
 
 namespace dmsched {
 namespace {
@@ -25,7 +26,7 @@ TEST(Cluster, StartsAllFree) {
   EXPECT_EQ(c.free_nodes_total(), 16);
   EXPECT_EQ(c.busy_nodes(), 0);
   for (RackId r = 0; r < 4; ++r) EXPECT_EQ(c.free_nodes_in_rack(r), 4);
-  EXPECT_EQ(c.occupant(0), kInvalidJobId);
+  EXPECT_EQ(testing::occupant(c, 0), kInvalidJobId);
   c.audit();
 }
 
@@ -35,9 +36,9 @@ TEST(Cluster, CommitMarksNodesBusy) {
   EXPECT_EQ(c.free_nodes_total(), 13);
   EXPECT_EQ(c.free_nodes_in_rack(0), 2);
   EXPECT_EQ(c.free_nodes_in_rack(1), 3);
-  EXPECT_EQ(c.occupant(0), 7u);
-  EXPECT_EQ(c.occupant(5), 7u);
-  EXPECT_EQ(c.occupant(2), kInvalidJobId);
+  EXPECT_EQ(testing::occupant(c, 0), 7u);
+  EXPECT_EQ(testing::occupant(c, 5), 7u);
+  EXPECT_EQ(testing::occupant(c, 2), kInvalidJobId);
   c.audit();
 }
 
@@ -184,7 +185,7 @@ TEST(Cluster, GpuLedgerTracksRackPools) {
 
   // Rack-pooled: one node may hold more devices than its per-node share.
   c.commit(resource_alloc(1, {0, 1}, 3));
-  EXPECT_EQ(c.gpus_used_in_rack(0), 6);
+  EXPECT_EQ(testing::gpus_used_in_rack(c, 0), 6);
   EXPECT_EQ(c.free_gpus_in_rack(0), 2);
   EXPECT_EQ(c.free_gpus_in_rack(1), 8);  // other racks untouched
   EXPECT_EQ(c.gpus_used_total(), 6);
@@ -202,8 +203,8 @@ TEST(Cluster, GpuLedgerSplitsAcrossRacks) {
   Cluster c(cfg);
   // Nodes 3 (rack 0) and 4 (rack 1): each rack funds its hosted nodes only.
   c.commit(resource_alloc(1, {3, 4}, 2));
-  EXPECT_EQ(c.gpus_used_in_rack(0), 2);
-  EXPECT_EQ(c.gpus_used_in_rack(1), 2);
+  EXPECT_EQ(testing::gpus_used_in_rack(c, 0), 2);
+  EXPECT_EQ(testing::gpus_used_in_rack(c, 1), 2);
   EXPECT_EQ(c.gpus_used_total(), 4);
   c.audit();
 }
@@ -268,7 +269,8 @@ TEST(Cluster, ManyCommitsAndReleasesStayConsistent) {
   for (int round = 0; round < 50; ++round) {
     const JobId id = static_cast<JobId>(round);
     const NodeId n = static_cast<NodeId>(round % 16);
-    if (c.occupant(n) != kInvalidJobId) c.release(c.occupant(n));
+    const JobId held = testing::occupant(c, n);
+    if (held != kInvalidJobId) c.release(held);
     c.commit(alloc_of(id, {n}, gib(std::int64_t{32}), gib(std::int64_t{4}),
                       {{n / 4, gib(std::int64_t{4})}}));
     c.audit();

@@ -11,6 +11,7 @@
 
 #include "cluster/cluster.hpp"
 #include "testing/builders.hpp"
+#include "testing/cluster_oracle.hpp"
 
 namespace dmsched {
 namespace {
@@ -39,8 +40,8 @@ TEST(NeighborDraws, LedgeredPerSourceRack) {
   // The foreign draw debits rack 2's pool like any other draw...
   EXPECT_EQ(c.pool_free(2), gib(std::int64_t{88}));
   // ...and is additionally ledgered as foreign, per source rack.
-  EXPECT_EQ(c.neighbor_bytes_in_rack(2), gib(std::int64_t{12}));
-  EXPECT_EQ(c.neighbor_bytes_in_rack(0), Bytes{0});
+  EXPECT_EQ(testing::neighbor_bytes_in_rack(c, 2), gib(std::int64_t{12}));
+  EXPECT_EQ(testing::neighbor_bytes_in_rack(c, 0), Bytes{0});
   EXPECT_EQ(c.neighbor_bytes_total(), gib(std::int64_t{12}));
   // The allocation splits its far bytes by distance grade.
   const Allocation* a = c.find_allocation(1);
@@ -66,12 +67,12 @@ TEST(NeighborDraws, TwoJobsShareOneForeignPool) {
   c.commit(alloc_of(2, {12}, gib(std::int64_t{64}), gib(std::int64_t{30}),
                     {{3, gib(std::int64_t{30})}}));
   EXPECT_EQ(c.pool_free(3), gib(std::int64_t{50}));
-  EXPECT_EQ(c.neighbor_bytes_in_rack(3), gib(std::int64_t{20}));
+  EXPECT_EQ(testing::neighbor_bytes_in_rack(c, 3), gib(std::int64_t{20}));
   c.audit();
   (void)c.release(2);
-  EXPECT_EQ(c.neighbor_bytes_in_rack(3), gib(std::int64_t{20}));
+  EXPECT_EQ(testing::neighbor_bytes_in_rack(c, 3), gib(std::int64_t{20}));
   (void)c.release(1);
-  EXPECT_EQ(c.neighbor_bytes_in_rack(3), Bytes{0});
+  EXPECT_EQ(testing::neighbor_bytes_in_rack(c, 3), Bytes{0});
   c.audit();
 }
 
@@ -132,7 +133,7 @@ TEST(Retier, MovesBytesBetweenTiersAndKeepsLedgersBalanced) {
   c.retier(1, {{0, gib(std::int64_t{10})},
                {1, gib(std::int64_t{15}), true},
                {kGlobalPoolRack, gib(std::int64_t{5})}});
-  EXPECT_EQ(c.neighbor_bytes_in_rack(1), gib(std::int64_t{15}));
+  EXPECT_EQ(testing::neighbor_bytes_in_rack(c, 1), gib(std::int64_t{15}));
   EXPECT_EQ(c.global_pool_free(), gib(std::int64_t{45}));
   c.audit();
   (void)c.release(1);

@@ -16,21 +16,6 @@ TEST(Str, StrformatLongOutput) {
   EXPECT_EQ(strformat("[%s]", long_arg.c_str()).size(), 502u);
 }
 
-TEST(Str, SplitKeepsEmptyFields) {
-  const auto parts = split("a,,b,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[2], "b");
-  EXPECT_EQ(parts[3], "");
-}
-
-TEST(Str, SplitSingleField) {
-  const auto parts = split("abc", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "abc");
-}
-
 TEST(Str, SplitWsDropsEmpty) {
   const auto parts = split_ws("  1   2\t3\n 4  ");
   ASSERT_EQ(parts.size(), 4u);
@@ -83,12 +68,6 @@ TEST(Str, ParseDoubleInvalid) {
   EXPECT_FALSE(parse_double("", v));
   EXPECT_FALSE(parse_double("x", v));
   EXPECT_FALSE(parse_double("1.5z", v));
-}
-
-TEST(Str, Join) {
-  EXPECT_EQ(join({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(join({"solo"}, ","), "solo");
-  EXPECT_EQ(join({}, ","), "");
 }
 
 }  // namespace

@@ -136,6 +136,55 @@ TEST(Engine, SeriesSamplingProducesSamples) {
   EXPECT_TRUE(saw_full);
 }
 
+TEST(Engine, SampleAtABoundarySeesCompletionsButNotStarts) {
+  // Job 0 fills the machine until 1 h; job 1 (8 nodes) waits for it and
+  // starts at 1 h, in the pass after job 0's completion, then ends at 2 h.
+  // The 1 h sample sits between the two: job 0 gone, job 1 still queued.
+  // The 2 h boundary falls exactly on the last completion: its sample sees
+  // the drained machine and ends the series.
+  EngineOptions options;
+  options.sample_interval = hours(1);
+  const Trace t = trace_of({job(0).nodes(16).runtime_h(1.0),
+                            job(1).nodes(8).runtime_h(1.0)});
+  const RunMetrics m = run(tiny_cluster(), t, SchedulerKind::kFcfs, options);
+  ASSERT_EQ(m.jobs[1].start.usec(), hours(1).usec());
+  ASSERT_EQ(m.makespan.usec(), hours(2).usec());
+  ASSERT_EQ(m.series.size(), 3u);
+  const TimeSample& at0 = m.series[0];  // before the first pass
+  EXPECT_EQ(at0.busy_nodes, 0);
+  EXPECT_EQ(at0.queued_jobs, 2);
+  const TimeSample& at1 = m.series[1];
+  EXPECT_EQ(at1.time.usec(), hours(1).usec());
+  EXPECT_EQ(at1.busy_nodes, 0);
+  EXPECT_EQ(at1.queued_jobs, 1);
+  EXPECT_EQ(at1.running_jobs, 0);
+  const TimeSample& at2 = m.series[2];
+  EXPECT_EQ(at2.time.usec(), hours(2).usec());
+  EXPECT_EQ(at2.busy_nodes, 0);
+  EXPECT_EQ(at2.queued_jobs, 0);
+  EXPECT_EQ(at2.running_jobs, 0);
+}
+
+TEST(Engine, SamplingSchedulesNoEvents) {
+  // The series is read off the transition stream: turning it on (with
+  // windows) leaves the event count and the digest untouched.
+  const Trace t = trace_of({job(0).nodes(8).runtime_h(2.0),
+                            job(1).at_h(0.5).nodes(16).runtime_h(1.0),
+                            job(2).at_h(0.7).nodes(4).runtime_h(0.25)});
+  const auto events = [&](SimTime interval) {
+    EngineOptions options;
+    options.sample_interval = interval;
+    options.checkpoint_interval = interval;
+    EagerTraceSource source(t);
+    SchedulingSimulation sim(tiny_cluster(), source,
+                             make_scheduler(SchedulerKind::kEasy), options);
+    const RunMetrics m = sim.run();
+    EXPECT_EQ(m.series.empty(), interval == SimTime{});
+    return std::pair{sim.events_processed(), sim.event_digest()};
+  };
+  EXPECT_EQ(events(minutes(10)), events(SimTime{}));
+}
+
 TEST(Engine, BoundedSlowdownComputation) {
   const Trace t = trace_of({job(0).at_h(0.0).nodes(16).runtime_h(1.0),
                             job(1).at_h(0.0).nodes(16).runtime_h(1.0)});

@@ -155,6 +155,26 @@ TEST(MetricsWindows, WindowingIsPassive) {
   EXPECT_EQ(plain.mean_bsld, windowed.mean_bsld);
   EXPECT_TRUE(plain.windows.empty());
   EXPECT_FALSE(windowed.windows.empty());
+
+  // Sampling on top changes neither the jobs nor the windows.
+  cfg.engine.sample_interval = minutes(20);
+  const RunMetrics sampled = run_experiment(cfg, s.trace);
+  ASSERT_EQ(plain.jobs.size(), sampled.jobs.size());
+  for (std::size_t i = 0; i < plain.jobs.size(); ++i) {
+    EXPECT_EQ(plain.jobs[i].start.usec(), sampled.jobs[i].start.usec());
+    EXPECT_EQ(plain.jobs[i].end.usec(), sampled.jobs[i].end.usec());
+  }
+  EXPECT_EQ(plain.mean_bsld, sampled.mean_bsld);
+  EXPECT_FALSE(sampled.series.empty());
+  ASSERT_EQ(windowed.windows.size(), sampled.windows.size());
+  for (std::size_t i = 0; i < windowed.windows.size(); ++i) {
+    EXPECT_EQ(windowed.windows[i].busy_node_seconds,
+              sampled.windows[i].busy_node_seconds);
+    EXPECT_EQ(windowed.windows[i].queued_job_seconds,
+              sampled.windows[i].queued_job_seconds);
+    EXPECT_EQ(windowed.windows[i].jobs_started,
+              sampled.windows[i].jobs_started);
+  }
 }
 
 TEST(MetricsWindows, MeanHelpersHandleZeroWidth) {

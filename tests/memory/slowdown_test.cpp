@@ -105,20 +105,22 @@ TEST(Slowdown, DilationBytesZeroTotal) {
 }
 
 TEST(Slowdown, WorstCaseCoversBothRoutes) {
+  // A deficit split any way between the rack and global tiers dilates no
+  // more than the all-global route and no less than the all-rack one, so
+  // the worst case is always one of the two single routes.
   SlowdownModel m;
   m.beta_rack = 0.3;
   m.beta_global = 0.6;
-  const Job j = job(0).mem_gib(100);
-  // deficit 40/100 with local 60: worst case via global
-  const double wc = m.worst_case_dilation(j, gib(std::int64_t{60}));
-  EXPECT_DOUBLE_EQ(wc, 1.0 + 0.4 * 0.6);
-  EXPECT_GE(wc, m.dilation(0.4, 0.0, j.sensitivity));
-}
-
-TEST(Slowdown, WorstCaseIsOneWhenJobFitsLocally) {
-  const SlowdownModel m;
-  const Job j = job(0).mem_gib(10);
-  EXPECT_DOUBLE_EQ(m.worst_case_dilation(j, gib(std::int64_t{64})), 1.0);
+  const double phi = 0.4;
+  const double via_rack = m.dilation(phi, 0.0, MemSensitivity::kBalanced);
+  const double via_global = m.dilation(0.0, phi, MemSensitivity::kBalanced);
+  EXPECT_DOUBLE_EQ(via_global, 1.0 + 0.4 * 0.6);
+  for (int k = 0; k <= 8; ++k) {
+    const double rack = phi * k / 8.0;
+    const double d = m.dilation(rack, phi - rack, MemSensitivity::kBalanced);
+    EXPECT_LE(d, via_global + 1e-12);
+    EXPECT_GE(d, via_rack - 1e-12);
+  }
 }
 
 TEST(Slowdown, SensitivityMultiplierAccessors) {

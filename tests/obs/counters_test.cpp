@@ -37,8 +37,12 @@ TEST(CounterRegistryTest, ReferencesStayValidAcrossGrowth) {
   }
   first.add(7);
   g_first.set(1.5);
-  EXPECT_EQ(reg.find_counter("c0")->value, 7u);
-  EXPECT_EQ(reg.find_gauge("g0")->last, 1.5);
+  EXPECT_EQ(&reg.counter("c0"), &first);
+  EXPECT_EQ(&reg.gauge("g0"), &g_first);
+  EXPECT_EQ(reg.counter("c0").value, 7u);
+  EXPECT_EQ(reg.gauge("g0").last, 1.5);
+  EXPECT_EQ(reg.counter_count(), 200u);
+  EXPECT_EQ(reg.gauge_count(), 200u);
 }
 
 TEST(CounterRegistryTest, IterationIsRegistrationOrder) {
@@ -48,19 +52,20 @@ TEST(CounterRegistryTest, IterationIsRegistrationOrder) {
   reg.counter("mango");
   reg.gauge("z");
   reg.gauge("a");
-  EXPECT_EQ(reg.counter_names(),
-            (std::vector<std::string>{"zebra", "apple", "mango"}));
-  EXPECT_EQ(reg.gauge_names(), (std::vector<std::string>{"z", "a"}));
-}
-
-TEST(CounterRegistryTest, FindWithoutCreation) {
-  CounterRegistry reg;
-  EXPECT_EQ(reg.find_counter("missing"), nullptr);
-  EXPECT_EQ(reg.find_gauge("missing"), nullptr);
-  reg.counter("present");
-  EXPECT_NE(reg.find_counter("present"), nullptr);
-  // find never creates.
-  EXPECT_EQ(reg.counter_count(), 1u);
+  // The dump lists each kind in registration order, never sorted.
+  const std::string path = ::testing::TempDir() + "counters_order.csv";
+  ASSERT_TRUE(reg.write_csv(path));
+  std::ifstream in(path);
+  std::vector<std::string> names;
+  for (std::string line; std::getline(in, line);) {
+    std::stringstream row(line);
+    std::string kind, name;
+    std::getline(row, kind, ',');
+    std::getline(row, name, ',');
+    if (kind != "kind") names.push_back(name);
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{"zebra", "apple", "mango", "z",
+                                             "a"}));
 }
 
 TEST(GaugeTest, EnvelopeTracksMinLastMax) {
