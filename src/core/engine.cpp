@@ -489,6 +489,9 @@ bool SchedulingSimulation::pull_one() {
   if (j.bb_bytes < Bytes{0}) {
     fail(strformat("bb_bytes = %lld B, must be >= 0", raw(j.bb_bytes)));
   }
+  if (j.submit < SimTime{0}) {
+    fail(strformat("submit = %lld us, must be >= 0", raw(j.submit)));
+  }
   if (id > 0 && j.submit < last_pull_submit_) {
     fail(strformat("submit = %lld us, must be >= the previous job's submit "
                    "(%lld us)",

@@ -27,19 +27,30 @@ RunMetrics run_experiment(const ExperimentConfig& config, TraceSource& source) {
   return metrics;
 }
 
-ExperimentConfig scenario_experiment(const Scenario& scenario,
-                                     SchedulerKind kind) {
+namespace {
+
+/// The config both scenario overloads build: the bundle's machine, its
+/// reference memory and its resolved remote-penalty multiplier.
+template <class Bundle>
+ExperimentConfig experiment_for(const Bundle& b, std::size_t jobs,
+                                SchedulerKind kind) {
   ExperimentConfig c;
-  c.label = scenario.info.name + "/" + to_string(kind);
-  c.cluster = scenario.cluster;
+  c.label = b.info.name + "/" + to_string(kind);
+  c.cluster = b.cluster;
   c.scheduler = kind;
-  c.jobs = scenario.trace.size();
-  c.workload_reference_mem = scenario.workload_reference_mem;
+  c.jobs = jobs;
+  c.workload_reference_mem = b.workload_reference_mem;
   // Scenarios carry the resolved remote-penalty multiplier (they sit below
   // memory/ and cannot name SlowdownModel); 1.0 is a bit-identical no-op.
-  c.engine.slowdown = c.engine.slowdown.with_remote_penalty(
-      scenario.remote_penalty);
+  c.engine.slowdown = c.engine.slowdown.with_remote_penalty(b.remote_penalty);
   return c;
+}
+
+}  // namespace
+
+ExperimentConfig scenario_experiment(const Scenario& scenario,
+                                     SchedulerKind kind) {
+  return experiment_for(scenario, scenario.trace.size(), kind);
 }
 
 RunMetrics run_scenario(const Scenario& scenario, SchedulerKind kind) {
@@ -48,17 +59,9 @@ RunMetrics run_scenario(const Scenario& scenario, SchedulerKind kind) {
 
 ExperimentConfig scenario_experiment(const ScenarioStream& stream,
                                      SchedulerKind kind) {
-  ExperimentConfig c;
-  c.label = stream.info.name + "/" + to_string(kind);
-  c.cluster = stream.cluster;
-  c.scheduler = kind;
-  c.jobs = stream.source != nullptr
-               ? stream.source->size_hint().value_or(0)
-               : 0;
-  c.workload_reference_mem = stream.workload_reference_mem;
-  c.engine.slowdown =
-      c.engine.slowdown.with_remote_penalty(stream.remote_penalty);
-  return c;
+  const std::size_t jobs =
+      stream.source != nullptr ? stream.source->size_hint().value_or(0) : 0;
+  return experiment_for(stream, jobs, kind);
 }
 
 }  // namespace dmsched

@@ -126,12 +126,14 @@ struct Scenario {
 
 /// A scenario whose workload is a pull-based stream instead of a
 /// materialized Trace: the same machine and metadata, jobs delivered
-/// incrementally. For every registered scenario, draining `source` yields
-/// exactly the jobs of `make_scenario(name, params).trace` — same order,
-/// same ids — so streamed and eager runs are interchangeable (pinned by
-/// tests/workload/trace_source_test.cpp). The replicated-SWF and synthetic
-/// scenarios build genuinely incremental sources (O(1) workload memory at
-/// any job count); that is what makes the million-job replays feasible.
+/// incrementally. Each registry row names one workload source (a synthetic
+/// model or the tiled SWF day) and an optional order-preserving decorator;
+/// make_scenario and make_scenario_stream both build from that row, so
+/// draining `source` yields exactly the jobs of
+/// `make_scenario(name, params).trace`, same order and same ids (pinned by
+/// tests/workload/trace_source_test.cpp). The eager SWF build is a drain of
+/// this stream. Both sources are genuinely incremental (O(1) workload memory
+/// at any job count); that is what makes the million-job replays feasible.
 struct ScenarioStream {
   ScenarioInfo info;
   ClusterConfig cluster;

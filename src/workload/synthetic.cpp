@@ -144,12 +144,15 @@ Trace generate_trace(const SyntheticSpec& spec, std::uint64_t seed) {
 Trace generate_trace_with_load(const SyntheticSpec& spec, std::uint64_t seed,
                                std::int64_t machine_nodes,
                                double target_load) {
-  DMSCHED_ASSERT(target_load > 0.0, "target load must be positive");
   const Trace raw = generate_trace(spec, seed);
-  const double load = raw.offered_load(machine_nodes);
-  if (load <= 0.0) return raw;
-  // offered_load scales inversely with the submission span.
-  return raw.scaled_arrivals(load / target_load).rebased();
+  OfferedLoad load;
+  for (const Job& j : raw.jobs()) load.add(j);
+  const std::optional<ArrivalScale> scale =
+      load.scale_to(target_load, machine_nodes);
+  if (!scale) return raw;
+  std::vector<Job> jobs = raw.jobs();
+  for (Job& j : jobs) j.submit = (*scale)(j.submit);
+  return Trace::make(std::move(jobs), spec.name);
 }
 
 std::unique_ptr<TraceSource> make_synthetic_source(const SyntheticSpec& spec,
@@ -157,43 +160,22 @@ std::unique_ptr<TraceSource> make_synthetic_source(const SyntheticSpec& spec,
                                                    std::int64_t machine_nodes,
                                                    double target_load) {
   DMSCHED_ASSERT(spec.job_count > 0, "make_synthetic_source: zero jobs");
-  DMSCHED_ASSERT(target_load > 0.0, "target load must be positive");
-  DMSCHED_ASSERT(machine_nodes > 0, "offered_load: machine has no nodes");
 
-  // Pass 1: replay the generator to measure the offered load with the same
-  // arithmetic Trace::offered_load applies to the materialized trace
-  // (used_node_seconds summed in generation order; span = last − first).
+  // Pass 1: replay the generator to measure the offered load.
   JobStream probe(spec, seed);
-  SimTime first{};
-  SimTime last{};
-  double node_seconds = 0.0;
-  for (std::size_t i = 0; i < spec.job_count; ++i) {
-    const Job j = probe.next();
-    if (i == 0) first = j.submit;
-    last = j.submit;
-    node_seconds += j.used_node_seconds();
-  }
-  const double span_sec =
-      spec.job_count < 2 ? 0.0 : (last - first).seconds();
-  const double load =
-      span_sec <= 0.0
-          ? 0.0
-          : node_seconds / (static_cast<double>(machine_nodes) * span_sec);
-  // Mirrors generate_trace_with_load: with no measurable load the raw
-  // submits pass through unscaled (and unrebased), otherwise the final
-  // submit is (s − s₀).scaled(load/target) — scaled_arrivals about the
-  // epoch s₀ followed by rebased().
-  const bool scale = load > 0.0;
-  const double factor = scale ? load / target_load : 1.0;
+  OfferedLoad load;
+  for (std::size_t i = 0; i < spec.job_count; ++i) load.add(probe.next());
+  const std::optional<ArrivalScale> scale =
+      load.scale_to(target_load, machine_nodes);
 
   // Pass 2: the jobs themselves.
   auto stream = std::make_shared<JobStream>(spec, seed);
-  auto generate = [stream, remaining = spec.job_count, epoch = first, scale,
-                   factor]() mutable -> std::optional<Job> {
+  auto generate = [stream, remaining = spec.job_count,
+                   scale]() mutable -> std::optional<Job> {
     if (remaining == 0) return std::nullopt;
     --remaining;
     Job j = stream->next();
-    if (scale) j.submit = (j.submit - epoch).scaled(factor);
+    if (scale) j.submit = (*scale)(j.submit);
     return j;
   };
   return std::make_unique<GeneratorTraceSource>(spec.name, std::move(generate),

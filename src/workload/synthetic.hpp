@@ -91,7 +91,9 @@ struct SyntheticSpec {
                                    std::uint64_t seed);
 
 /// Generate and rescale arrivals so offered load against `machine_nodes`
-/// equals `target_load` (e.g. 0.85 for a busy production system).
+/// equals `target_load` (e.g. 0.85 for a busy production system); the first
+/// job then submits at 0. Throws std::invalid_argument for a target that
+/// OfferedLoad::scale_to rejects.
 [[nodiscard]] Trace generate_trace_with_load(const SyntheticSpec& spec,
                                              std::uint64_t seed,
                                              std::int64_t machine_nodes,
@@ -99,8 +101,8 @@ struct SyntheticSpec {
 
 /// Pull-based equivalent of generate_trace_with_load: yields the identical
 /// jobs one at a time at O(1) memory. A deterministic prepass replays the
-/// same RNG streams to measure the offered load (so the arrival-scaling
-/// factor matches the eager builder bit-for-bit), then a second pass yields
+/// same RNG streams through the same OfferedLoad fold (so the arrival scale
+/// matches the eager builder bit-for-bit), then a second pass yields
 /// the jobs. Deterministic in all arguments; draining the source equals the
 /// eager trace job-for-job (pinned by tests/workload/trace_source_test).
 [[nodiscard]] std::unique_ptr<TraceSource> make_synthetic_source(

@@ -1,8 +1,11 @@
 #include "workload/trace.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/str.hpp"
 
 namespace dmsched {
 
@@ -60,24 +63,43 @@ Trace Trace::prefix(std::size_t n) const {
   return make(std::move(head), name_);
 }
 
-Trace Trace::scaled_arrivals(double factor) const {
-  DMSCHED_ASSERT(factor > 0.0, "scaled_arrivals: factor must be positive");
-  if (jobs_.empty()) return *this;
-  const SimTime epoch = jobs_.front().submit;
-  std::vector<Job> scaled = jobs_;
-  for (auto& j : scaled) {
-    j.submit = epoch + (j.submit - epoch).scaled(factor);
-  }
-  return make(std::move(scaled), name_);
+double Trace::offered_load(std::int64_t total_nodes) const {
+  OfferedLoad load;
+  for (const auto& j : jobs_) load.add(j);
+  return load.against(total_nodes);
 }
 
-double Trace::offered_load(std::int64_t total_nodes) const {
+double OfferedLoad::against(std::int64_t total_nodes) const {
   DMSCHED_ASSERT(total_nodes > 0, "offered_load: machine has no nodes");
-  const double span_sec = span().seconds();
+  const double span_sec = jobs_ < 2 ? 0.0 : (last_ - first_).seconds();
   if (span_sec <= 0.0) return 0.0;
-  double node_seconds = 0.0;
-  for (const auto& j : jobs_) node_seconds += j.used_node_seconds();
-  return node_seconds / (static_cast<double>(total_nodes) * span_sec);
+  return node_seconds_ / (static_cast<double>(total_nodes) * span_sec);
+}
+
+std::optional<ArrivalScale> OfferedLoad::scale_to(
+    double target_load, std::int64_t total_nodes) const {
+  if (!std::isfinite(target_load) || target_load <= 0.0) {
+    throw std::invalid_argument(
+        strformat("load %g: the offered-load target must be finite and > 0",
+                  target_load));
+  }
+  const double current = against(total_nodes);
+  if (current <= 0.0) return std::nullopt;
+  // offered_load scales inversely with the submission span.
+  const ArrivalScale scale{first_, current / target_load};
+  // The scaled span must stay within half of kTimeInfinity, the profiles'
+  // "never": past INT64_MAX the cast in SimTime::scaled is undefined, and a
+  // submit near "never" leaves no room for the job's wait and walltime.
+  constexpr double kMaxSpanUs = static_cast<double>(kTimeInfinity.usec() / 2);
+  const double span_us = static_cast<double>((last_ - first_).usec());
+  if (!(span_us * scale.factor <= kMaxSpanUs)) {
+    throw std::invalid_argument(strformat(
+        "load %g: stretching arrival gaps by %g takes the %.0f s submission "
+        "span past the simulation clock; this workload needs load >= %g",
+        target_load, scale.factor, span_us / 1e6,
+        current * span_us / kMaxSpanUs));
+  }
+  return scale;
 }
 
 }  // namespace dmsched

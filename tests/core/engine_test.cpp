@@ -436,5 +436,28 @@ TEST(EngineInput, UnsortedSubmitThrows) {
                    "previous job's submit (3600000000 us)");
 }
 
+TEST(EngineInput, NegativeFirstSubmitThrows) {
+  // The first pull has no predecessor to order against, and the clock
+  // starts at 0: a source that yields a negative submit is rejected at the
+  // boundary instead of tripping schedule_at's clock assertion.
+  for (const std::size_t lookahead : {std::size_t{0}, std::size_t{1}}) {
+    SCOPED_TRACE("lookahead " + std::to_string(lookahead));
+    Job bad = job(0).runtime_h(1.0);
+    bad.submit = usec(-1'000'000);
+    ListSource source({bad});
+    EngineOptions options;
+    options.submit_lookahead = lookahead;
+    SchedulingSimulation sim(tiny_cluster(), source,
+                             make_scheduler(SchedulerKind::kFcfs), options);
+    try {
+      (void)sim.run();
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(),
+                   "pulled job 0: submit = -1000000 us, must be >= 0");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace dmsched

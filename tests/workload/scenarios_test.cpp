@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "workload/swf.hpp"
 
@@ -26,6 +28,7 @@ void expect_same_trace(const Trace& a, const Trace& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(::testing::Message() << "job " << i);
+    EXPECT_EQ(a.jobs()[i].id, b.jobs()[i].id);
     EXPECT_EQ(a.jobs()[i].submit.usec(), b.jobs()[i].submit.usec());
     EXPECT_EQ(a.jobs()[i].nodes, b.jobs()[i].nodes);
     EXPECT_EQ(a.jobs()[i].mem_per_node, b.jobs()[i].mem_per_node);
@@ -33,6 +36,8 @@ void expect_same_trace(const Trace& a, const Trace& b) {
     EXPECT_EQ(a.jobs()[i].walltime.usec(), b.jobs()[i].walltime.usec());
     EXPECT_EQ(a.jobs()[i].sensitivity, b.jobs()[i].sensitivity);
     EXPECT_EQ(a.jobs()[i].user, b.jobs()[i].user);
+    EXPECT_EQ(a.jobs()[i].gpus_per_node, b.jobs()[i].gpus_per_node);
+    EXPECT_EQ(a.jobs()[i].bb_bytes, b.jobs()[i].bb_bytes);
   }
 }
 
@@ -368,6 +373,43 @@ TEST(MixedSwfScenario, EmbeddedFixtureMatchesTheBundledSwfFile) {
               file.trace.jobs()[i].walltime.usec());
     EXPECT_EQ(s.trace.jobs()[i].user, file.trace.jobs()[i].user);
   }
+}
+
+/// The SWF replay rebuilt from the on-disk fixture, independently of the
+/// scenario code: copy k of the day shifted by k * 7200 s, truncated to
+/// `jobs`, then arrival gaps scaled by offered_load / load about the epoch.
+Trace swf_replay_oracle(std::size_t jobs, double load, std::int32_t nodes) {
+  SwfOptions options;
+  options.procs_per_node = 4;
+  const SwfResult day =
+      read_swf_file(std::string(DMSCHED_TEST_DATA_DIR) + "/sample.swf",
+                    options);
+  EXPECT_TRUE(day.ok()) << day.error;
+  std::vector<Job> tiled;
+  for (std::int64_t k = 0; tiled.size() < jobs; ++k) {
+    for (Job j : day.trace.jobs()) {
+      if (tiled.size() == jobs) break;
+      j.submit += seconds(7200 * k);
+      tiled.push_back(j);
+    }
+  }
+  const Trace unscaled = Trace::make(tiled, "oracle");
+  const double factor = unscaled.offered_load(nodes) / load;
+  const SimTime epoch = unscaled.jobs().front().submit;
+  for (Job& j : tiled) j.submit = epoch + (j.submit - epoch).scaled(factor);
+  return Trace::make(std::move(tiled), "oracle");
+}
+
+TEST(SwfReplayScenarios, MatchAnIndependentTilingOfTheFixture) {
+  // No golden pins the replay scenarios' jobs, and their eager build drains
+  // the same source the stream does, so this oracle is what pins the tiling
+  // period, the truncation and the arrival scaling.
+  const Scenario large = make_scenario("large-replay", {.jobs = 95});
+  expect_same_trace(large.trace,
+                    swf_replay_oracle(95, 0.8, large.cluster.total_nodes));
+  const Scenario swf = make_scenario("mixed-swf", {.load = 0.7});
+  expect_same_trace(swf.trace,
+                    swf_replay_oracle(240, 0.7, swf.cluster.total_nodes));
 }
 
 TEST(LargeReplayScenario, DefaultsToProductionScale) {

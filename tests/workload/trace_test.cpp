@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <stdexcept>
+#include <string>
+
 #include "testing/builders.hpp"
 
 namespace dmsched {
@@ -53,21 +57,6 @@ TEST(Trace, PrefixBeyondSizeIsWholeTrace) {
   EXPECT_EQ(t.prefix(100).size(), 1u);
 }
 
-TEST(Trace, ScaledArrivalsCompressesGaps) {
-  Trace t = trace_of({job(0).at_h(0.0), job(1).at_h(10.0)});
-  const Trace s = t.scaled_arrivals(0.5);
-  EXPECT_DOUBLE_EQ(s.span().hours(), 5.0);
-  // runtimes untouched
-  EXPECT_EQ(s.job(0).runtime, t.job(0).runtime);
-}
-
-TEST(Trace, ScaledArrivalsKeepsEpoch) {
-  Trace t = trace_of({job(0).at_h(4.0), job(1).at_h(8.0)});
-  const Trace s = t.scaled_arrivals(2.0);
-  EXPECT_DOUBLE_EQ(s.job(0).submit.hours(), 4.0);
-  EXPECT_DOUBLE_EQ(s.job(1).submit.hours(), 12.0);
-}
-
 TEST(Trace, OfferedLoadFormula) {
   // two jobs × 4 nodes × 1 h over a 2 h span on 8 nodes: load = 8/(8*2)=0.5
   Trace t = trace_of({job(0).at_h(0.0).nodes(4).runtime_h(1.0),
@@ -78,6 +67,61 @@ TEST(Trace, OfferedLoadFormula) {
 TEST(Trace, OfferedLoadZeroSpan) {
   Trace t = trace_of({job(0).at_h(1.0)});
   EXPECT_DOUBLE_EQ(t.offered_load(8), 0.0);
+}
+
+OfferedLoad fold(const Trace& t) {
+  OfferedLoad load;
+  for (const Job& j : t.jobs()) load.add(j);
+  return load;
+}
+
+TEST(OfferedLoad, ScaleToLandsOnTheTargetWithTheEpochAtZero) {
+  // 2 jobs x 4 nodes x 1 h over a 4 h span on 8 nodes: load 0.25. Halving
+  // the gaps doubles it, and the first job moves to t = 0.
+  const Trace t = trace_of({job(0).at_h(4.0).nodes(4).runtime_h(1.0),
+                            job(1).at_h(8.0).nodes(4).runtime_h(1.0)});
+  const OfferedLoad load = fold(t);
+  EXPECT_DOUBLE_EQ(load.against(8), t.offered_load(8));
+  const auto scale = load.scale_to(0.5, 8);
+  ASSERT_TRUE(scale.has_value());
+  EXPECT_DOUBLE_EQ(scale->factor, 0.5);
+  EXPECT_EQ((*scale)(t.job(0).submit), SimTime{});
+  EXPECT_DOUBLE_EQ((*scale)(t.job(1).submit).hours(), 2.0);
+}
+
+TEST(OfferedLoad, NoMeasurableLoadLeavesSubmitsAlone) {
+  EXPECT_FALSE(fold(trace_of({job(0).at_h(3.0)})).scale_to(1.0, 8));
+  EXPECT_FALSE(OfferedLoad{}.scale_to(1.0, 8));
+}
+
+TEST(OfferedLoad, RejectsTargetsThatAreNotFiniteAndPositive) {
+  const OfferedLoad load =
+      fold(trace_of({job(0).at_h(0.0), job(1).at_h(1.0)}));
+  for (const double target : {std::nan(""), double{INFINITY}, 0.0, -1.0}) {
+    SCOPED_TRACE(target);
+    try {
+      (void)load.scale_to(target, 8);
+      ADD_FAILURE() << "no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("load ", 0), 0u) << e.what();
+    }
+  }
+  // Nothing to scale does not excuse a bad target.
+  EXPECT_THROW((void)OfferedLoad{}.scale_to(std::nan(""), 8),
+               std::invalid_argument);
+}
+
+TEST(OfferedLoad, RejectsScaledSpansPastTheClock) {
+  // 2 jobs x 1 node x 1 h over a 1 h span on 8 nodes: load 0.25. A target
+  // of 1e-12 stretches the span by 2.5e11 to 9e20 us, past half of
+  // kTimeInfinity (~1.15e18 us); 1e-5 stretches it to 9e13 us and fits.
+  const OfferedLoad load =
+      fold(trace_of({job(0).at_h(0.0).nodes(1).runtime_h(1.0),
+                     job(1).at_h(1.0).nodes(1).runtime_h(1.0)}));
+  EXPECT_THROW((void)load.scale_to(1e-12, 8), std::invalid_argument);
+  const auto fits = load.scale_to(1e-5, 8);
+  ASSERT_TRUE(fits.has_value());
+  EXPECT_DOUBLE_EQ((*fits)(hours(1)).hours(), 25000.0);
 }
 
 TEST(Trace, JobAccessorOutOfRangeAborts) {

@@ -131,10 +131,11 @@ int unknown_value(const char* flag, const std::string& value,
   return 1;
 }
 
-/// Print the diagnostic for a model field a `validate()` rejected (its
-/// message starts with the field name), naming the flag that set the field,
-/// and return main's exit code for it.
-int bad_model_value(const std::invalid_argument& e) {
+/// Print the diagnostic for a field the library rejected (its message starts
+/// with the field name: a model's `validate()`, or the offered-load target
+/// that OfferedLoad::scale_to cannot fit on the clock), naming the flag that
+/// set the field, and return main's exit code for it.
+int bad_field_value(const std::invalid_argument& e) {
   static constexpr std::pair<std::string_view, const char*> kFlags[] = {
       {"beta_rack", "beta-rack"},
       {"beta_neighbor", "beta-neighbor"},
@@ -143,6 +144,7 @@ int bad_model_value(const std::invalid_argument& e) {
       {"demote_threshold", "migrate-demote-frac"},
       {"promote_headroom", "migrate-hysteresis"},
       {"bandwidth_gibps", "migrate-gibps"},
+      {"load", "load"},
   };
   const std::string_view what = e.what();
   const std::string_view field = what.substr(0, what.find(' '));
@@ -365,10 +367,11 @@ int main(int argc, char** argv) {
                    "(a scenario brings its own workload)\n");
       return 1;
     }
-    if (cli.get_double("load") < 0.0) {
+    if (const double load = cli.get_double("load");
+        !std::isfinite(load) || load < 0.0) {
       std::fprintf(stderr,
-                   "error: --load must be >= 0 with --scenario (0 keeps the "
-                   "scenario's load)\n");
+                   "error: --load must be finite and >= 0 with --scenario "
+                   "(0 keeps the scenario's load)\n");
       return 1;
     }
     ScenarioParams params;
@@ -400,8 +403,7 @@ int main(int argc, char** argv) {
         scenario = make_scenario(name, params);
       }
     } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
+      return bad_field_value(e);
     }
   } else if (cli.provided("node-scale") || cli.provided("pool-scale") ||
              cli.provided("racks") || cli.provided("rack-pool-frac") ||
@@ -528,7 +530,7 @@ int main(int argc, char** argv) {
     config.engine.slowdown.validate();
     config.engine.migration.validate();
   } catch (const std::invalid_argument& e) {
-    return bad_model_value(e);
+    return bad_field_value(e);
   }
   if (scenario || stream) {
     config.engine.slowdown = config.engine.slowdown.with_remote_penalty(
@@ -595,8 +597,9 @@ int main(int argc, char** argv) {
       return unknown_value("workload", cli.get_string("workload"),
                            "capability|capacity|mixed");
     }
-    if (cli.get_double("load") <= 0.0) {
-      std::fprintf(stderr, "error: --load must be > 0\n");
+    if (const double load = cli.get_double("load");
+        !std::isfinite(load) || load <= 0.0) {
+      std::fprintf(stderr, "error: --load must be finite and > 0\n");
       return 1;
     }
     if (cli.get_int("jobs") == 0) {
@@ -614,7 +617,11 @@ int main(int argc, char** argv) {
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.target_load = cli.get_double("load");
     config.workload_reference_mem = gib(cli.get_double("ref-mem-gib"));
-    trace = make_workload(config);
+    try {
+      trace = make_workload(config);
+    } catch (const std::invalid_argument& e) {
+      return bad_field_value(e);
+    }
   }
   if (!stream && cli.get_flag("exact-walltimes")) {
     trace = with_exact_walltimes(trace);
