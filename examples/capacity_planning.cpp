@@ -9,8 +9,8 @@
 // With --scenario, sweeps the *machine scale* of a library scenario instead
 // (ScenarioParams::{node_scale, pool_scale}): the same regime on machines
 // 1–4× the published node count with 0.5–2× the pool capacity, workload
-// re-derived per machine. All runs share the persistent lane pool, so the
-// grid costs no per-sweep thread startup.
+// re-derived per machine. The grid points run in parallel, one simulation
+// per index.
 //
 // With --scenario --rack-grid, sweeps the machine's *topology* instead
 // (ScenarioParams::{racks, rack_pool_frac}): the same capacity carved into
@@ -51,8 +51,7 @@ bool refuse_infrastructure(const std::string& name, std::size_t jobs) {
 /// The --scenario mode: a node_scale × pool_scale grid over one library
 /// scenario. Each grid point rebuilds the scenario (its workload adapts to
 /// the scaled machine) and runs one scheduler; the grid itself runs through
-/// parallel_for_chunked on the shared pool, each point writing only its own
-/// result slot.
+/// parallel_for_chunked, each point writing only its own result slot.
 struct GridPoint {
   ScenarioParams params;
   Scenario scenario;

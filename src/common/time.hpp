@@ -10,6 +10,12 @@
 
 namespace dmsched {
 
+/// `x` rounded to the nearest integer, halves away from zero, so that
+/// rounding commutes with negation.
+[[nodiscard]] constexpr std::int64_t round_half_away(double x) {
+  return static_cast<std::int64_t>(x >= 0.0 ? x + 0.5 : x - 0.5);
+}
+
 /// A point in simulation time or a duration, in microseconds.
 ///
 /// The trace epoch (first submission) is time 0. Durations and time points
@@ -40,8 +46,7 @@ class SimTime {
 
   /// Scale a duration by a dilation factor, rounding to nearest microsecond.
   [[nodiscard]] constexpr SimTime scaled(double factor) const {
-    return SimTime{
-        static_cast<std::int64_t>(static_cast<double>(usec_) * factor + 0.5)};
+    return SimTime{round_half_away(static_cast<double>(usec_) * factor)};
   }
 
  private:
@@ -56,7 +61,7 @@ constexpr SimTime kTimeInfinity{INT64_MAX / 4};
   return SimTime{n * 1'000'000};
 }
 [[nodiscard]] constexpr SimTime seconds(double x) {
-  return SimTime{static_cast<std::int64_t>(x * 1e6 + 0.5)};
+  return SimTime{round_half_away(x * 1e6)};
 }
 [[nodiscard]] constexpr SimTime minutes(std::int64_t n) {
   return seconds(n * 60);

@@ -18,7 +18,6 @@ const char* to_string(BackfillOrder order) {
 
 MemAwareEasyScheduler::MemAwareEasyScheduler(MemAwareOptions options)
     : options_(options) {
-  DMSCHED_ASSERT(options_.backfill_window > 0, "mem-easy: zero window");
   DMSCHED_ASSERT(options_.reservation_depth > 0,
                  "mem-easy: need at least the head reservation");
 }
@@ -337,7 +336,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   const bool direct_what_if = baseline_.size() == 1 && !options_.adaptive;
   std::size_t examined = 0;
   for (JobId cid : candidates) {
-    if (examined >= options_.backfill_window) break;
+    if (examined >= kBackfillWindow) break;
     ++examined;
     ++stats_.jobs_examined;
     const Job& cand = ctx.job(cid);

@@ -42,9 +42,6 @@ enum class BackfillOrder {
 /// Tuning for MemAwareEasyScheduler.
 struct MemAwareOptions {
   BackfillOrder order = BackfillOrder::kQueueOrder;
-  /// Max backfill candidates examined per pass (each costs one profile
-  /// sweep in the worst case).
-  std::size_t backfill_window = 256;
   /// EASY-K: how many blocked queue-front jobs receive protected
   /// reservations. 1 is classic EASY (head only); larger values trade
   /// backfill aggressiveness for fairness to the queue front, interpolating
@@ -92,6 +89,10 @@ class MemAwareEasyScheduler final : public Scheduler {
     SimTime start{};
     SimTime finish_bound{};
   };
+
+  /// Max backfill candidates examined per pass (each costs one profile
+  /// sweep in the worst case).
+  static constexpr std::size_t kBackfillWindow = 256;
 
   explicit MemAwareEasyScheduler(MemAwareOptions options = {});
 

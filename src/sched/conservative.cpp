@@ -6,11 +6,6 @@
 
 namespace dmsched {
 
-ConservativeScheduler::ConservativeScheduler(std::size_t window)
-    : window_(window) {
-  DMSCHED_ASSERT(window_ > 0, "conservative: zero window");
-}
-
 void ConservativeScheduler::schedule(SchedContext& ctx) {
   ++stats_.passes;
   const SimTime now = ctx.now();
@@ -36,7 +31,7 @@ void ConservativeScheduler::schedule(SchedContext& ctx) {
 
   bool any_start = false;
   for (JobId id : todo) {
-    if (reserved_ >= window_) break;
+    if (reserved_ >= kWindow) break;
     ++reserved_;
     ++stats_.jobs_examined;
     ++stats_.plans_attempted;  // every examined job gets a window fit

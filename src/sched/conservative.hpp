@@ -22,9 +22,9 @@ namespace dmsched {
 /// reservations earlier, and the rebuild discovers that).
 class ConservativeScheduler final : public Scheduler {
  public:
-  /// `window` caps how many queued jobs receive reservations per pass;
-  /// beyond it the pass stops (O(window · breakpoints · racks) per pass).
-  explicit ConservativeScheduler(std::size_t window = 128);
+  /// How many queued jobs receive reservations per pass; beyond it the pass
+  /// stops (O(kWindow · breakpoints · racks) per pass).
+  static constexpr std::size_t kWindow = 128;
 
   [[nodiscard]] const char* name() const override { return "conservative"; }
   [[nodiscard]] const SchedulerStats* stats() const override {
@@ -33,7 +33,6 @@ class ConservativeScheduler final : public Scheduler {
   void schedule(SchedContext& ctx) override;
 
  private:
-  std::size_t window_;
   SchedulerStats stats_;
 
   /// Reservation profile carried across passes (holds = reservations).

@@ -37,6 +37,31 @@ TEST(SimTime, ScaledAppliesDilation) {
             seconds(std::int64_t{10}).usec());
 }
 
+TEST(SimTime, NegativeValuesRoundLikeTheirMagnitudes) {
+  // Rounding is symmetric: a negative input lands on the negation of its
+  // magnitude's result, never one microsecond toward zero.
+  for (const double x : {1.0, 0.5, 2.5e-6, 1.5e-6, 0.4e-6, 3600.25}) {
+    EXPECT_EQ(seconds(-x).usec(), -seconds(x).usec()) << x;
+  }
+  EXPECT_EQ(seconds(-1.0).usec(), -1'000'000);
+  for (const std::int64_t n : {1, 3, 5, 1'000'001}) {
+    for (const double f : {0.5, 1.5, 0.1, 2.0}) {
+      EXPECT_EQ(usec(-n).scaled(f).usec(), -usec(n).scaled(f).usec())
+          << n << " x " << f;
+    }
+  }
+  EXPECT_EQ(usec(-3).scaled(0.5).usec(), -2);  // -1.5 rounds to -2
+  EXPECT_EQ(usec(3).scaled(-0.5).usec(), -2);
+}
+
+TEST(SimTime, PositiveHalvesStillRoundUp) {
+  EXPECT_EQ(seconds(2.5e-6).usec(), 3);
+  EXPECT_EQ(seconds(0.4e-6).usec(), 0);
+  EXPECT_EQ(seconds(1.5).usec(), 1'500'000);
+  EXPECT_EQ(usec(5).scaled(0.5).usec(), 3);  // 2.5 rounds to 3
+  EXPECT_EQ(usec(1).scaled(0.5).usec(), 1);  // 0.5 rounds to 1
+}
+
 TEST(SimTime, MinMax) {
   EXPECT_EQ(min(hours(1), hours(2)), hours(1));
   EXPECT_EQ(max(hours(1), hours(2)), hours(2));

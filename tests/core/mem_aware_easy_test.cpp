@@ -113,21 +113,31 @@ TEST(MemAwareEasy, BackfillWithinSpareNodesAccepted) {
   EXPECT_EQ(ctx.started(), (std::vector<JobId>{2}));
 }
 
-TEST(MemAwareEasy, BackfillWindowCapsCandidates) {
-  FakeContext ctx(tiny_cluster(),
-                  {job(0).nodes(16).walltime_h(4.0).runtime_h(4.0),
-                   job(1).nodes(16).walltime_h(1.0).runtime_h(1.0),
-                   job(2).nodes(16).walltime_h(1.0).runtime_h(1.0),
-                   job(3).nodes(1).walltime_h(1.0).runtime_h(1.0)});
+/// Whether a 1-node, 1 h job backfills when `blocked` 16-node candidates
+/// queue ahead of it behind a 16-node head, on a machine whose other 15
+/// nodes are busy for 4 h (the free node is its only fit, and it ends
+/// before the head's reservation).
+bool backfills_behind(std::size_t blocked) {
+  std::vector<Job> jobs = {job(0).nodes(15).walltime_h(4.0).runtime_h(4.0),
+                           job(1).nodes(16)};
+  for (std::size_t k = 0; k < blocked; ++k) {
+    jobs.push_back(job(static_cast<JobId>(jobs.size())).nodes(16));
+  }
+  const auto last = static_cast<JobId>(jobs.size());
+  jobs.push_back(job(last).nodes(1).walltime_h(1.0).runtime_h(1.0));
+  FakeContext ctx(tiny_cluster(), std::move(jobs));
   ctx.force_run(0);
-  for (JobId i = 1; i <= 3; ++i) ctx.enqueue(i);
-  MemAwareOptions narrow;
-  narrow.backfill_window = 1;
-  MemAwareEasyScheduler sched(narrow);
+  for (JobId i = 1; i <= last; ++i) ctx.enqueue(i);
+  MemAwareEasyScheduler sched;
   sched.schedule(ctx);
-  // job 3 could backfill but sits beyond the 1-candidate window (job 2 is
-  // examined first and cannot start).
-  EXPECT_TRUE(ctx.started().empty());
+  return ctx.started() == std::vector<JobId>{last};
+}
+
+TEST(MemAwareEasy, BackfillWindowCapsCandidates) {
+  // A pass examines kBackfillWindow candidates: the 1-node job backfills as
+  // the last of them, and is never examined one place further back.
+  EXPECT_TRUE(backfills_behind(MemAwareEasyScheduler::kBackfillWindow - 1));
+  EXPECT_FALSE(backfills_behind(MemAwareEasyScheduler::kBackfillWindow));
 }
 
 TEST(MemAwareEasy, ShortestFirstOrderPrefersShortCandidates) {

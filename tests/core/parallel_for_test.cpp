@@ -1,14 +1,18 @@
-// parallel_for_chunked and the lane pool behind it: the sweep harness's
-// correctness rests on visiting every index exactly once, keeping results in
-// slot order, and propagating the lowest-index exception instead of
-// terminating — under contention, nesting, oversubscription, pool reuse,
-// concurrent clients, and while every pool worker is busy.
+// parallel_for_chunked, the per-call fork/join every sweep runs on: the
+// sweep harness's correctness rests on visiting every index exactly once,
+// keeping results in slot order, and propagating the lowest-index exception
+// instead of terminating — under contention, nesting, oversubscription,
+// back-to-back calls, concurrent clients, and while another loop's every
+// lane is blocked. A loop never holds more than hardware-concurrency lanes,
+// and a nested loop runs on its caller's lane.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -19,7 +23,7 @@
 namespace dmsched {
 namespace {
 
-/// Also the pool's fixed worker count.
+/// Also the most lanes one top-level loop may hold.
 unsigned hardware_threads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }
@@ -132,8 +136,8 @@ TEST(ParallelFor, HeavyContentionOnASharedCounter) {
 }
 
 TEST(ParallelForPool, RecursiveParallelForCompletes) {
-  // Loops inside loops inside loops on the shared pool: each inner caller
-  // drains its own loop, so the nesting never waits on a free worker.
+  // Loops inside loops inside loops: each inner loop runs serially on the
+  // lane that called it, so the nesting never waits on a free thread.
   const SweepOptions options{.threads = 4};
   std::atomic<int> leaf{0};
   parallel_for_chunked(4, options, [&](std::size_t) {
@@ -146,9 +150,8 @@ TEST(ParallelForPool, RecursiveParallelForCompletes) {
 }
 
 TEST(ParallelForPool, ReuseAcrossHundredsOfSequentialLoops) {
-  // The whole point of the persistent pool: back-to-back small loops reuse
-  // the same workers. 150 sequential "sweeps" must each produce exact
-  // results.
+  // Back-to-back small loops each start and join their own threads. 150
+  // sequential "sweeps" must each produce exact results.
   for (int sweep = 0; sweep < 150; ++sweep) {
     constexpr std::size_t kCount = 64;
     std::vector<std::size_t> out(kCount, SIZE_MAX);
@@ -160,8 +163,54 @@ TEST(ParallelForPool, ReuseAcrossHundredsOfSequentialLoops) {
   }
 }
 
+/// Distinct threads that run the body of one loop asked for `threads` lanes.
+/// Each index sleeps briefly so that every lane the loop starts gets work.
+std::size_t lanes_used(unsigned threads) {
+  std::mutex mutex;
+  std::set<std::thread::id> ids;
+  parallel_for_chunked(8 * std::size_t{hardware_threads()},
+                       {.threads = threads, .chunk = 1}, [&](std::size_t) {
+                         std::this_thread::sleep_for(
+                             std::chrono::milliseconds(1));
+                         const std::lock_guard<std::mutex> lock(mutex);
+                         ids.insert(std::this_thread::get_id());
+                       });
+  return ids.size();
+}
+
+TEST(ParallelForPool, LanesNeverExceedHardwareConcurrency) {
+  // A small multiple, so that a broken bound starts tens of threads, not
+  // hundreds.
+  EXPECT_LE(lanes_used(4 * hardware_threads()), hardware_threads());
+}
+
+TEST(ParallelForPool, NestedLoopRunsOnItsCallersThread) {
+  // A loop called from a body runs serially on that body's lane, in index
+  // order, whatever lane count it asks for.
+  std::atomic<int> mismatches{0};
+  parallel_for_chunked(
+      8, {.threads = 4, .chunk = 1}, [&](std::size_t) {
+        const std::thread::id outer = std::this_thread::get_id();
+        std::vector<std::size_t> order;
+        parallel_for_chunked(16, {.threads = 4, .chunk = 1},
+                             [&](std::size_t i) {
+                               if (std::this_thread::get_id() != outer) {
+                                 mismatches.fetch_add(1);
+                               }
+                               order.push_back(i);
+                             });
+        std::vector<std::size_t> expected(16);
+        std::iota(expected.begin(), expected.end(), std::size_t{0});
+        if (order != expected) mismatches.fetch_add(1);
+      });
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 TEST(ParallelForPool, OversubscriptionBeyondPoolWorkersIsHarmless) {
-  // Far more lanes than the pool has workers: the surplus never starts.
+  // Far more lanes than hardware threads: the surplus never starts. The
+  // bound is checked at a small multiple first, so that a broken bound
+  // fails here before it can start hundreds of threads.
+  ASSERT_LE(lanes_used(4 * hardware_threads()), hardware_threads());
   constexpr std::size_t kCount = 257;
   std::vector<std::atomic<int>> visits(kCount);
   parallel_for_chunked(kCount, {.threads = 64 * hardware_threads(), .chunk = 1},
@@ -172,10 +221,10 @@ TEST(ParallelForPool, OversubscriptionBeyondPoolWorkersIsHarmless) {
 }
 
 TEST(ParallelForPool, CallerMakesProgressWhileAllWorkersAreBusy) {
-  // A blocker loop with one lane more than the pool has workers parks every
-  // worker (and its own caller) on one index each. A loop issued meanwhile
-  // must still complete, because its calling thread is itself a lane.
-  const unsigned lanes = hardware_threads() + 1;
+  // A blocker loop with one lane per hardware thread parks every lane (its
+  // own caller included) on one index each. A loop issued meanwhile must
+  // still complete, because its calling thread is itself a lane.
+  const unsigned lanes = hardware_threads();
   std::mutex mutex;
   std::condition_variable cv;
   unsigned parked = 0;
@@ -243,8 +292,8 @@ TEST(ParallelForPool, LowerIndexWinsWithinOneChunk) {
 }
 
 TEST(ParallelForPool, SerialPathMatchesSerialSemantics) {
-  // One thread never touches the pool and stops at the first throwing
-  // index, exactly like a plain for loop.
+  // One thread starts no thread and stops at the first throwing index,
+  // exactly like a plain for loop.
   std::vector<std::size_t> visited;
   try {
     parallel_for_chunked(10, {.threads = 1}, [&](std::size_t i) {
@@ -258,9 +307,9 @@ TEST(ParallelForPool, SerialPathMatchesSerialSemantics) {
 }
 
 TEST(ParallelForPool, ManySmallLoopsFromConcurrentThreads) {
-  // Several client threads each issue loops against the shared pool at once
-  // — the cross-session shape benches create. Results must stay exact per
-  // client.
+  // Several client threads each issue loops at once, each loop with its own
+  // threads — the cross-session shape benches create. Results must stay
+  // exact per client.
   constexpr int kClients = 4;
   std::vector<std::jthread> clients;
   std::atomic<int> failures{0};

@@ -79,24 +79,6 @@ TEST(Sweep, LabelPropagates) {
   EXPECT_EQ(results[0].label, "my-label");
 }
 
-TEST(Sweep, AutoChunkSizeInvariants) {
-  // Never zero, never above the cap, and serial-ish inputs stay fine-grained
-  // so small sweeps still load-balance across workers.
-  EXPECT_EQ(auto_chunk_size(0, 4), 1u);
-  EXPECT_EQ(auto_chunk_size(1, 4), 1u);
-  EXPECT_EQ(auto_chunk_size(5, 4), 1u);       // fewer items than 8×threads
-  EXPECT_EQ(auto_chunk_size(64, 4), 2u);      // 64 / (8·4)
-  EXPECT_EQ(auto_chunk_size(1'000'000, 4), 64u);  // capped
-  for (const std::size_t count : {std::size_t{7}, std::size_t{100},
-                                  std::size_t{4096}, std::size_t{100'000}}) {
-    for (const unsigned threads : {1u, 3u, 16u}) {
-      const std::size_t chunk = auto_chunk_size(count, threads);
-      EXPECT_GE(chunk, 1u);
-      EXPECT_LE(chunk, 64u);
-    }
-  }
-}
-
 TEST(Sweep, ChunkedCoversAllIndicesForEveryChunkSize) {
   constexpr std::size_t kCount = 257;  // prime: never divides evenly
   // 300 exceeds the count; SIZE_MAX would overflow a naive ceil-divide.

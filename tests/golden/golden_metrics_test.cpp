@@ -275,9 +275,8 @@ TEST_F(GoldenMetricsTest, ExplicitChunkSizesMatchSerial) {
 }
 
 TEST_F(GoldenMetricsTest, RepeatedSweepsOnTheSharedPoolStayByteIdentical) {
-  // The persistent pool is reused across every sweep in the process;
-  // repeated sweeps on the warm pool must all produce byte-identical output
-  // (pool reuse is unobservable).
+  // Back-to-back sweeps in one process, each with its own threads, must all
+  // produce byte-identical output.
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   for (int repeat = 0; repeat < 3; ++repeat) {
     const auto warm =

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cluster/system_config.hpp"
 #include "testing/builders.hpp"
 #include "testing/fake_context.hpp"
@@ -93,23 +95,29 @@ TEST(Conservative, PoolReservationsAreProtected) {
       << "candidate would drain the pool the head's reservation needs";
 }
 
-TEST(Conservative, WindowCapsWorkPerPass) {
-  FakeContext ctx(tiny_cluster(),
-                  {job(0).nodes(16).walltime_h(4.0).runtime_h(4.0),
-                   job(1).nodes(1), job(2).nodes(1), job(3).nodes(1)});
+/// Whether a 1-node, 1 h job starts now when `blocked` 16-node jobs queue
+/// ahead of it, on a machine whose other 15 nodes are busy for 4 h (the
+/// free node is its only fit, and it ends before the first reservation).
+bool starts_behind(std::size_t blocked) {
+  std::vector<Job> jobs = {job(0).nodes(15).walltime_h(4.0).runtime_h(4.0)};
+  for (std::size_t k = 0; k < blocked; ++k) {
+    jobs.push_back(job(static_cast<JobId>(jobs.size())).nodes(16));
+  }
+  const auto last = static_cast<JobId>(jobs.size());
+  jobs.push_back(job(last).nodes(1).walltime_h(1.0).runtime_h(1.0));
+  FakeContext ctx(tiny_cluster(), std::move(jobs));
   ctx.force_run(0);
-  for (JobId i = 1; i <= 3; ++i) ctx.enqueue(i);
-  ConservativeScheduler narrow(/*window=*/1);
-  narrow.schedule(ctx);
-  // only the first queued job is even examined; machine is full anyway
-  EXPECT_TRUE(ctx.started().empty());
-  ctx.finish(0);
-  narrow.schedule(ctx);
-  EXPECT_EQ(ctx.started(), (std::vector<JobId>{1}));
+  for (JobId i = 1; i <= last; ++i) ctx.enqueue(i);
+  ConservativeScheduler sched;
+  sched.schedule(ctx);
+  return ctx.started() == std::vector<JobId>{last};
 }
 
-TEST(Conservative, ZeroWindowAborts) {
-  EXPECT_DEATH(ConservativeScheduler sched(0), "window");
+TEST(Conservative, WindowCapsWorkPerPass) {
+  // A pass reserves for kWindow queued jobs: the 1-node job starts as the
+  // last of them, and is never examined one place further back.
+  EXPECT_TRUE(starts_behind(ConservativeScheduler::kWindow - 1));
+  EXPECT_FALSE(starts_behind(ConservativeScheduler::kWindow));
 }
 
 TEST(Conservative, EmptyQueueNoOp) {
