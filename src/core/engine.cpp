@@ -147,6 +147,10 @@ SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
       timeline_(config_),
       admission_state_(empty_state(config_)) {
   DMSCHED_ASSERT(scheduler_ != nullptr, "simulation needs a scheduler");
+  // Every walltime bound is the walltime dilated by this model; a negative
+  // coefficient would shrink it below the walltime, which the reservation
+  // sweep relies on never happening (FreeProfile::earliest_fit_window).
+  options_.slowdown.validate();
   // Look-ahead 0 pulls every job before the first event, so the advisory
   // size fits the ring exactly; a bounded window's ring doubles as needed.
   const std::size_t expect = source_.size_hint().value_or(0);

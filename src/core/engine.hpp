@@ -90,7 +90,9 @@ struct EngineOptions {
 class SchedulingSimulation final : public SchedContext {
  public:
   /// The source must outlive the simulation. Job ids are assigned in pull
-  /// order (0, 1, 2, ...) regardless of the ids the source reports.
+  /// order (0, 1, 2, ...) regardless of the ids the source reports. Throws
+  /// std::invalid_argument naming the field when `options.slowdown` or
+  /// `options.migration` fails its validate().
   SchedulingSimulation(ClusterConfig config, TraceSource& source,
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);

@@ -115,21 +115,30 @@ void rack_key(const ResourceState& state, NodeSelection selection,
   }
 }
 
-/// Rack visit order under a selection policy, written into `keys` (one
-/// slot per rack). Deterministic: ties break on rack index.
-void rack_order(const ResourceState& state, NodeSelection selection,
-                bool has_deficit, std::span<RackKey> keys) {
+/// Rack visit order under a selection policy: the racks with a free node,
+/// keyed into the front of `keys` (one slot per rack) and sorted there.
+/// Returns how many there are. Deterministic: ties break on rack index.
+/// Every greedy loop in compute_take skips a rack with no free node (it
+/// can take no node there), stage 2 of the distance-graded routing
+/// included, so leaving those racks out changes no plan; keeps_plan still
+/// compares keys over every rack, a superset of what the greedy reads.
+std::size_t rack_order(const ResourceState& state, NodeSelection selection,
+                       bool has_deficit, std::span<RackKey> keys) {
+  std::size_t n = 0;
   for (std::size_t r = 0; r < keys.size(); ++r) {
-    rack_key(state, selection, has_deficit, r, keys[r]);
+    if (state.free_nodes[r] > 0) {
+      rack_key(state, selection, has_deficit, r, keys[n++]);
+    }
   }
-  if (selection == NodeSelection::kFirstFit) return;
+  if (selection == NodeSelection::kFirstFit) return n;
   // Stable insertion sort: a key moves only past strictly greater keys.
-  for (std::size_t i = 1; i < keys.size(); ++i) {
+  for (std::size_t i = 1; i < n; ++i) {
     const RackKey k = keys[i];
     std::size_t j = i;
     for (; j > 0 && key_before(k, keys[j - 1]); --j) keys[j] = keys[j - 1];
     keys[j] = k;
   }
+  return n;
 }
 
 /// The total order the stable sort realizes: (major, minor, rack index).
@@ -294,8 +303,9 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
 
   const std::size_t racks_n = state.free_nodes.size();
   RackScratch<RackKey> keys(racks_n, RackKey{});
-  const std::span<RackKey> order = keys.slots();
-  rack_order(state, policy.selection, !d.is_zero(), order);
+  // Only the racks with a free node: the greedy would skip the rest.
+  const std::span<RackKey> order = keys.slots().first(
+      rack_order(state, policy.selection, !d.is_zero(), keys.slots()));
 
   std::int32_t remaining = job.nodes;
   if (d.is_zero()) {

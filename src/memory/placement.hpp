@@ -97,6 +97,8 @@ struct TakePlan {
 /// `totals_admit` in O(1), then one per-rack pass only for GPU plans and
 /// for rack-only and rack-then-global deficit jobs. A rejected probe never
 /// orders racks, and once the test passes, building the plan cannot fail.
+/// The builder orders and visits only the racks with a free node: every
+/// greedy step skips a rack without one, so the plan is the same.
 /// Debug builds recount `state`'s totals and assert they match. Every
 /// field of `plan` is overwritten, and `plan.takes` keeps its capacity, so
 /// one plan reused across probes allocates only when a plan outgrows every

@@ -88,9 +88,9 @@ std::vector<MigrationDecision> MigrationEngine::plan(
 
   // Promotions: pull a job's global bytes back into a hosting rack whose
   // pool sits below the hysteresis band, clamped so the landing never
-  // lifts that pool back above the band (no demote/promote flapping).
+  // lifts that pool back above the band (no demote/promote flapping). The
+  // constructor's validate() keeps the band positive.
   const double band = policy_.demote_threshold - policy_.promote_headroom;
-  if (band <= 0.0) return out;
   for (const JobId id : running) {
     if (in_flight(id) || decided.contains(id)) continue;
     const Allocation* alloc = cluster.find_allocation(id);

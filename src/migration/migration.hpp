@@ -79,7 +79,11 @@ struct MigrationDecision {
 class MigrationEngine {
  public:
   MigrationEngine() = default;
-  explicit MigrationEngine(MigrationPolicy policy) : policy_(policy) {}
+  /// Throws std::invalid_argument naming the first bad field of `policy`
+  /// (MigrationPolicy::validate).
+  explicit MigrationEngine(MigrationPolicy policy) : policy_(policy) {
+    policy_.validate();
+  }
 
   [[nodiscard]] const MigrationPolicy& policy() const { return policy_; }
 

@@ -156,7 +156,12 @@ class FreeProfile {
   /// where the memory comes from); a zero duration asks for an
   /// instantaneous fit. It must be a pure function of the plan: a
   /// candidate that would rebuild a plan which already failed continuity
-  /// is skipped on the strength of that plan's window length. The sweep
+  /// is skipped on the strength of that plan's window length. No plan's
+  /// window may be shorter than the empty plan's, `duration_of(TakePlan{})`:
+  /// a candidate whose every possible window covers a row that admits no
+  /// plan is rejected without planning it. A walltime dilated by a
+  /// validated `SlowdownModel` meets this (dilation >= 1, exactly 1 when
+  /// no far bytes are drawn), and so does any constant duration. The sweep
   /// examines no candidate start later than `not_after`: a caller that only
   /// needs to know whether the job fits by then gets nullopt as soon as the
   /// next candidate lies past it. Returns the unbounded sweep's fit when
@@ -251,8 +256,19 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
   // that plan (keeps_plan), a candidate up to `failed` would rebuild it, and
   // since its window has the same length and a later start, it still
   // covers `failed` and fails there too: it is skipped unbuilt.
+  //
+  // The failing row also rejects candidates whose plan is unknown. Every
+  // window is at least `shortest` long (the duration_of contract), so one
+  // starting at t covers every row from the candidate's on that lies
+  // before t + shortest. If `failed` is such a row and its totals do not
+  // admit the job, no plan the kernel could build applies there:
+  // can_apply tests each slice against its rack and the global tier, and
+  // those tests sum to totals_admit's (a plan takes exactly the job's
+  // nodes and far bytes, from the tiers its routing allows). So the
+  // candidate fails continuity whatever it would plan, and is not planned.
   constexpr std::size_t kNone = static_cast<std::size_t>(-1);
   if (now_ > not_after) return std::nullopt;
+  const SimTime shortest = duration_of(TakePlan{});
   std::size_t n = rows_through(now_);
   SimTime t = now_;
   TakePlan plan;
@@ -270,6 +286,21 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
       DMSCHED_ASSERT(row_time(failed) < t + duration_of(plan) &&
                          !can_apply(cache_states_[failed], plan),
                      "earliest_fit_window: a skipped candidate is continuous");
+#endif
+    } else if (failed != kNone && failed >= n &&
+               row_time(failed) < t + shortest &&
+               !totals_admit(cache_states_[failed], *config_, job, policy)) {
+#ifndef NDEBUG
+      // Plan it anyway and walk its window: it must break continuity.
+      TakePlan shadow;
+      if (compute_take(row_state(n), *config_, job, policy, shadow)) {
+        const SimTime end = t + duration_of(shadow);
+        std::size_t k = n;
+        while (row_time(k) < end && can_apply(cache_states_[k], shadow)) ++k;
+        DMSCHED_ASSERT(row_time(k) < end,
+                       "earliest_fit_window: a candidate rejected at the "
+                       "failing row is continuous");
+      }
 #endif
     } else if (totals_admit(row_state(n), *config_, job, policy) &&
                compute_take(row_state(n), *config_, job, policy, plan)) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
 #include "cluster/system_config.hpp"
 #include "core/sweep.hpp"
@@ -114,6 +116,21 @@ TEST(EndToEnd, ZeroBetaMeansFreeFarMemory) {
   config.engine.slowdown.beta_global = 0.0;
   const RunMetrics m = run_experiment(config);
   EXPECT_DOUBLE_EQ(m.mean_dilation, 1.0);
+}
+
+TEST(EndToEnd, NegativeBetaRackThrowsNamingTheField) {
+  // A negative coefficient would dilate walltimes below 1x; the library
+  // rejects it at the simulation boundary, not only the CLI.
+  auto config = medium(SchedulerKind::kConservative, shrunk_with_pool());
+  config.jobs = 20;
+  config.engine.slowdown.beta_rack = -0.1;
+  try {
+    (void)run_experiment(config);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("beta_rack"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(EndToEnd, FullMemoryBaselineHasNoFarTraffic) {

@@ -1,11 +1,17 @@
 // Differential test of the placement kernel: compute_take (order-free
-// feasibility test, stable insertion sort over an inline key buffer) against
-// the previous kernel, kept here as the reference. The reference allocates
-// and std::stable_sort()s a rack vector on every probe and rejects only
-// after walking the racks. Both must return identical plans, and nullopt on
-// the same inputs, for every NodeSelection × PoolRouting with the GPU and
-// burst-buffer axes on and off, on machines of 1, 3, 16 and 80 racks (past
-// the inline buffer).
+// feasibility test, then a stable insertion sort over an inline key buffer
+// that holds only the racks with a free node) against the previous kernel,
+// kept here as the reference. The reference allocates and
+// std::stable_sort()s a vector of every rack on every probe and rejects
+// only after walking the racks. Both must return identical plans, and
+// nullopt on the same inputs, for every NodeSelection × PoolRouting with
+// the GPU and burst-buffer axes on and off, on machines of 1, 3, 16 and 80
+// racks (past the inline buffer). KernelDiff draws its states twice: at
+// random, and mostly full, where at least half the racks have no free
+// node, many have exactly one, and GPU racks with free nodes may have no
+// free device. A kernel that leaves out a rack the greedy could use (one
+// with a single free node, say, or one with free nodes but no free device,
+// which a job drawing no GPUs can use) places a different plan there.
 //
 // KernelBoundary puts both sums of the order-free test exactly on their
 // boundaries, which random states rarely hit, and checks the routings where
@@ -319,6 +325,71 @@ constexpr PoolRouting kRoutings[] = {
     PoolRouting::kRackOnly, PoolRouting::kRackThenGlobal,
     PoolRouting::kGlobalOnly, PoolRouting::kRackNeighborGlobal};
 
+/// A machine at most half of whose racks (rounded down) have a free node:
+/// the rest are full, like most racks of a loaded machine. Racks with one
+/// free node are common, and on GPU machines some racks with free nodes
+/// have no free device.
+ResourceState mostly_full_state(Rng& rng, const ClusterConfig& c) {
+  ResourceState s = empty_state(c);
+  std::vector<std::size_t> racks(s.free_nodes.size());
+  std::iota(racks.begin(), racks.end(), std::size_t{0});
+  for (std::size_t i = racks.size(); i > 1; --i) {
+    std::swap(racks[i - 1], racks[static_cast<std::size_t>(rng.uniform_int(
+                                0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  const auto n = static_cast<std::int64_t>(racks.size());
+  const std::int64_t full = rng.uniform_int((n + 1) / 2, std::max((n + 1) / 2, n - 1));
+  for (std::size_t i = 0; i < racks.size(); ++i) {
+    const std::size_t r = racks[i];
+    s.pool_free[r] = Bytes{leveled(rng, s.pool_free[r].count())};
+    if (std::cmp_less(i, full)) {
+      s.free_nodes[r] = 0;
+      if (c.has_gpus()) s.free_gpus[r] = 0;
+      continue;
+    }
+    s.free_nodes[r] = static_cast<std::int32_t>(
+        rng.bernoulli(0.4) ? 1 : rng.uniform_int(1, s.free_nodes[r]));
+    if (c.has_gpus()) {
+      // The first rack with free nodes has no free device.
+      s.free_gpus[r] = std::cmp_equal(i, full) || rng.bernoulli(0.4)
+                           ? 0
+                           : rng.uniform_int(0, s.free_gpus[r]);
+    }
+  }
+  s.global_free = Bytes{rng.uniform_int(0, s.global_free.count())};
+  s.bb_free = Bytes{rng.uniform_int(0, s.bb_free.count())};
+  s.recount();
+  return s;
+}
+
+/// compute_take against the reference kernel on `s` for every selection,
+/// routing and axes combination; counts the fits and rejects.
+void diff_every_policy(const ResourceState& s, const ClusterConfig& c,
+                       const Job& j, int round, int& fits, int& rejects) {
+  for (const NodeSelection sel : kSelections) {
+    for (const PoolRouting route : kRoutings) {
+      for (const bool all_axes : {false, true}) {
+        const PlacementPolicy policy{
+            sel, route,
+            all_axes ? ResourceAxes::all() : ResourceAxes::memory_only()};
+        const auto got = compute_take(s, c, j, policy);
+        const auto want = reference_take(s, c, j, policy);
+        ASSERT_EQ(got.has_value(), want.has_value())
+            << "round " << round << " " << to_string(sel) << "/"
+            << to_string(route) << " axes=" << all_axes;
+        if (!got) {
+          ++rejects;
+          continue;
+        }
+        ++fits;
+        EXPECT_EQ(*got, *want)
+            << "round " << round << " " << to_string(sel) << "/"
+            << to_string(route) << " axes=" << all_axes;
+      }
+    }
+  }
+}
+
 class KernelDiff : public ::testing::TestWithParam<std::int32_t> {};
 
 TEST_P(KernelDiff, MatchesReferenceKernel) {
@@ -333,34 +404,42 @@ TEST_P(KernelDiff, MatchesReferenceKernel) {
     ASSERT_EQ(c.racks(), racks);
     const ResourceState s = random_state(rng, c);
     for (int k = 0; k < 8; ++k) {
-      const Job j = random_job(rng, c);
-      for (const NodeSelection sel : kSelections) {
-        for (const PoolRouting route : kRoutings) {
-          for (const bool all_axes : {false, true}) {
-            const PlacementPolicy policy{
-                sel, route,
-                all_axes ? ResourceAxes::all() : ResourceAxes::memory_only()};
-            const auto got = compute_take(s, c, j, policy);
-            const auto want = reference_take(s, c, j, policy);
-            ASSERT_EQ(got.has_value(), want.has_value())
-                << "round " << round << " " << to_string(sel) << "/"
-                << to_string(route) << " axes=" << all_axes;
-            if (!got) {
-              ++rejects;
-              continue;
-            }
-            ++fits;
-            EXPECT_EQ(*got, *want)
-                << "round " << round << " " << to_string(sel) << "/"
-                << to_string(route) << " axes=" << all_axes;
-          }
-        }
-      }
+      diff_every_policy(s, c, random_job(rng, c), round, fits, rejects);
+      if (HasFatalFailure()) return;
     }
   }
   // Both outcomes must be well represented.
   EXPECT_GT(fits, 500);
   EXPECT_GT(rejects, 500);
+}
+
+TEST_P(KernelDiff, MatchesReferenceOnMostlyFullMachines) {
+  const std::int32_t racks = GetParam();
+  Rng rng(static_cast<std::uint64_t>(5353 + racks));
+  int fits = 0;
+  int rejects = 0;
+  const int rounds = racks > 16 ? 60 : 150;
+  for (int round = 0; round < rounds; ++round) {
+    const Shape shape{racks, rng.bernoulli(0.5), rng.bernoulli(0.5)};
+    const ClusterConfig c = random_machine(rng, shape);
+    ASSERT_EQ(c.racks(), racks);
+    const ResourceState s = mostly_full_state(rng, c);
+    for (int k = 0; k < 8; ++k) {
+      Job j = random_job(rng, c);
+      // Mostly narrow: few nodes are free.
+      if (rng.bernoulli(0.7)) {
+        j.nodes = static_cast<std::int32_t>(rng.uniform_int(
+            1, std::max<std::int32_t>(1, s.free_nodes_total)));
+      }
+      diff_every_policy(s, c, j, round, fits, rejects);
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(rejects, 500);
+  // A one-rack machine is all full; every other shape must also fit.
+  if (racks > 1) {
+    EXPECT_GT(fits, 500);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(RackCounts, KernelDiff,

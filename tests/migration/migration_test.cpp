@@ -1,9 +1,13 @@
 // Unit coverage for the migration layer: the no-op sentinel, the bandwidth
-// model, the scanner's demote/promote proposals, and the draw rewrite that
-// turns a decision into a Cluster::retier argument.
+// model, the engine's refusal of a policy with no promotion band, the
+// scanner's demote/promote proposals, and the draw rewrite that turns a
+// decision into a Cluster::retier argument.
 #include "migration/migration.hpp"
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "cluster/cluster.hpp"
 #include "testing/builders.hpp"
@@ -169,15 +173,22 @@ TEST(MigrationPlan, PromotionIsClampedToTheHysteresisCeiling) {
   EXPECT_EQ(moves[0].bytes, gib(std::int64_t{60}));
 }
 
-TEST(MigrationPlan, NonPositiveBandDisablesPromotions) {
-  MigrationPolicy p = active_policy();
-  p.demote_threshold = 0.2;
-  p.promote_headroom = 0.25;  // band < 0: promotion can never stabilise
-  Cluster c(tiny_cluster(gib(std::int64_t{100}), gib(std::int64_t{200})));
-  c.commit(alloc_of(0, {0}, gib(std::int64_t{64}), gib(std::int64_t{30}),
-                    {{kGlobalPoolRack, gib(std::int64_t{30})}}));
-  const MigrationEngine engine{p};
-  EXPECT_TRUE(engine.plan(c, {0}).empty());
+TEST(MigrationEngine, BandAtOrAboveThresholdThrowsNamingPromoteHeadroom) {
+  // A headroom at or above the demote threshold leaves no promotion band;
+  // the engine refuses the policy instead of planning with it.
+  for (const double headroom : {0.2, 0.25}) {
+    MigrationPolicy p = active_policy();
+    p.demote_threshold = 0.2;
+    p.promote_headroom = headroom;
+    try {
+      const MigrationEngine engine{p};
+      ADD_FAILURE() << "headroom " << headroom << ": no exception";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("promote_headroom"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(MigrationPlan, DemotionsComeBeforePromotionsInOneScan) {

@@ -22,6 +22,13 @@
 // longer build, or that skips past the row where the plan failed, returns
 // a different start or plan than the oracle.
 //
+// ProfileDrained holds every free node over stretches of time, so a
+// candidate's plan fails continuity at a row whose totals admit no job at
+// all: later candidates whose every window covers that row are rejected
+// without planning them. A rule that rejects a candidate whose shortest
+// window ends exactly on the drained row, or one that starts past it,
+// returns a later start than the oracle (or none).
+//
 // ProfileBound stops window fits at a latest start (`not_after`): before
 // now, on a breakpoint, between two, at the unbounded fit's start, just
 // before it, and at kTimeInfinity. The bounded fit must be the oracle's
@@ -427,6 +434,169 @@ TEST(ProfileBound, NotAfterMatchesUnboundedSweep) {
       EXPECT_GT(cut[si][ri], 20) << si << "/" << ri;
       EXPECT_GT(kept[si][ri], 20) << si << "/" << ri;
     }
+  }
+}
+
+// --- Candidates rejected at a drained row ------------------------------------
+
+/// A hold over [from, to) of every node that stays free throughout, so no
+/// row inside it admits any job.
+void drain_nodes(ProfileOracle& p, SimTime from, SimTime to) {
+  ResourceState least = p.state_at(from);
+  for (const SimTime u : p.breakpoints()) {
+    if (u > from && u < to) {
+      const ResourceState at = p.state_at(u);
+      for (std::size_t r = 0; r < least.free_nodes.size(); ++r) {
+        least.free_nodes[r] = std::min(least.free_nodes[r], at.free_nodes[r]);
+      }
+    }
+  }
+  TakePlan drain;
+  for (std::size_t r = 0; r < least.free_nodes.size(); ++r) {
+    if (least.free_nodes[r] > 0) {
+      drain.takes.push_back({static_cast<RackId>(r), least.free_nodes[r]});
+    }
+  }
+  if (!drain.takes.empty()) p.add_hold(from, to, drain);
+}
+
+/// Candidates of the oracle's plain sweep that the failing-row rule
+/// rejects unplanned: a later row at which the last planned candidate
+/// failed lies before this start plus the empty plan's duration, and its
+/// totals do not admit the job.
+template <class DurationFn>
+int unplanned_rejects(const ProfileOracle& p, const ClusterConfig& c,
+                      const Job& job, PlacementPolicy policy,
+                      DurationFn&& duration_of) {
+  const std::vector<SimTime> points = p.breakpoints();
+  const SimTime shortest = duration_of(TakePlan{});
+  int rejects = 0;
+  std::optional<std::size_t> failed;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (failed && *failed > i && points[*failed] < points[i] + shortest &&
+        !totals_admit(p.state_at(points[*failed]), c, job, policy)) {
+      ++rejects;
+      continue;
+    }
+    const auto plan = compute_take(p.state_at(points[i]), c, job, policy);
+    if (!plan) continue;
+    const SimTime end = points[i] + duration_of(*plan);
+    std::size_t k = i + 1;
+    while (k < points.size() && points[k] < end &&
+           can_apply(p.state_at(points[k]), *plan)) {
+      ++k;
+    }
+    if (k == points.size() || points[k] >= end) return rejects;
+    failed = k;
+  }
+  return rejects;
+}
+
+TEST(ProfileDrained, DrainedRowsMatchBreakpointSweep) {
+  Rng rng(20261020);
+  int queries = 0;
+  int unplanned[4][4] = {};  // per selection and routing
+  for (int round = 0; round < 150; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const ClusterConfig c = random_machine(rng);
+    const SimTime now = seconds(kStepSec * 4);
+    const auto grid = [&](std::int64_t lo, std::int64_t hi) {
+      return now + seconds(kStepSec * rng.uniform_int(lo, hi));
+    };
+    for (std::size_t si = 0; si < 4; ++si) {
+      for (std::size_t ri = 0; ri < 4; ++ri) {
+        const PlacementPolicy policy{kSelections[si], kRoutings[ri]};
+        ResourceState busy = empty_state(c);
+        std::vector<std::pair<SimTime, TakePlan>> running;
+        for (int k = 0; k < 6; ++k) {
+          const auto plan = compute_take(busy, c, random_job(rng, c), policy);
+          if (!plan) continue;
+          apply_take(busy, *plan);
+          running.emplace_back(grid(-1, 10), *plan);
+        }
+        ProfileOracle p(busy, now, &c);
+        for (const auto& [t, plan] : running) p.add_release(t, plan);
+        // Whole-step windows, a step longer with global bytes: window ends
+        // often land exactly on a drained row.
+        const SimTime len = seconds(kStepSec * rng.uniform_int(1, 4));
+        const auto duration_of = [&](const TakePlan& plan) {
+          return plan.global_total() > Bytes{0} ? len + seconds(kStepSec)
+                                                : len;
+        };
+        for (int k = 0; k < 6; ++k) {
+          if (rng.bernoulli(0.7)) {
+            const SimTime from = grid(0, 10);
+            drain_nodes(p, from,
+                        from + seconds(kStepSec * rng.uniform_int(1, 3)));
+          }
+          const Job j = random_job(rng, c);
+          const auto got =
+              p.profile().earliest_fit_window(j, policy, duration_of);
+          const auto want = p.earliest_fit_window(j, policy, duration_of);
+          ++queries;
+          ASSERT_EQ(got.has_value(), want.has_value()) << "query " << k;
+          if (!got) continue;
+          EXPECT_EQ(got->time, want->time) << "query " << k;
+          EXPECT_EQ(got->plan, want->plan) << "query " << k;
+          unplanned[si][ri] += unplanned_rejects(p, c, j, policy, duration_of);
+          if (rng.bernoulli(0.5)) {
+            p.add_hold(want->time, want->time + duration_of(want->plan),
+                       want->plan);
+          }
+          if (HasFatalFailure()) return;
+        }
+      }
+    }
+  }
+  EXPECT_GT(queries, 5000);
+  // Every selection under every routing met candidates the rule rejects.
+  for (const auto& per_routing : unplanned) {
+    for (const int n : per_routing) EXPECT_GT(n, 20);
+  }
+}
+
+/// A window that ends exactly on a drained row fits, and a candidate past
+/// the drained row is planned again: the two edges of the failing-row rule.
+TEST(ProfileDrained, WindowsAtTheEdgesOfADrainedRow) {
+  // Two racks of four nodes; both rack pools are drawn dry until `back`.
+  const ClusterConfig c = testing::machine(8, 64.0, 32.0, 64.0);
+  const SimTime now = seconds(kStepSec * 4);
+  const auto at = [&](std::int64_t steps) {
+    return now + seconds(kStepSec * steps);
+  };
+  TakePlan pools;
+  pools.takes.push_back({0, 0, gib(32.0)});
+  pools.takes.push_back({1, 0, gib(32.0)});
+  TakePlan all_nodes;
+  all_nodes.takes.push_back({0, 4});
+  all_nodes.takes.push_back({1, 4});
+  // 8 GiB far per node: rack pools once they are back, else the global tier.
+  const Job j = testing::job(0).nodes(2).mem_gib(64.0 + 8.0);
+  const PlacementPolicy policy{NodeSelection::kFirstFit,
+                               PoolRouting::kRackThenGlobal};
+  // Four steps, six with global bytes.
+  const auto duration_of = [&](const TakePlan& plan) {
+    return at(plan.global_total() > Bytes{0} ? 6 : 4) - now;
+  };
+  for (const bool pools_back : {true, false}) {
+    SCOPED_TRACE(::testing::Message() << "pools back " << pools_back);
+    ResourceState base = empty_state(c);
+    apply_take(base, pools);
+    ProfileOracle p(base, now, &c);
+    if (pools_back) p.add_release(at(1), pools);
+    // The whole machine is held over [5, 7): now's global plan (window
+    // [0, 6)) fails at 5.
+    p.add_hold(at(5), at(7), all_nodes);
+    const auto got = p.profile().earliest_fit_window(j, policy, duration_of);
+    const auto want = p.earliest_fit_window(j, policy, duration_of);
+    ASSERT_TRUE(want.has_value());
+    ASSERT_TRUE(got.has_value());
+    // With the pools back at 1, a rack-pool plan's window [1, 5) ends on
+    // the drained row and fits. Without them, the global plan fits at 7,
+    // past the drained row.
+    EXPECT_EQ(want->time, at(pools_back ? 1 : 7));
+    EXPECT_EQ(got->time, want->time);
+    EXPECT_EQ(got->plan, want->plan);
   }
 }
 
