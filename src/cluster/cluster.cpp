@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/str.hpp"
 
 namespace dmsched {
@@ -25,7 +25,7 @@ void ClusterConfig::validate() const {
         Bound{"gpus_per_node", gpus_per_node, 0},
         Bound{"bb_capacity", bb_capacity.count(), 0}}) {
     if (b.value < b.min) {
-      throw std::invalid_argument(strformat(
+      throw InputError(b.field, strformat(
           "%s = %lld, must be >= %lld", b.field,
           static_cast<long long>(b.value), static_cast<long long>(b.min)));
     }

@@ -70,8 +70,7 @@ struct ClusterConfig {
   [[nodiscard]] bool has_gpus() const { return gpus_per_node > 0; }
   /// True when the machine provisions a burst buffer.
   [[nodiscard]] bool has_burst_buffer() const { return !bb_capacity.is_zero(); }
-  /// Throw std::invalid_argument, its message starting with the field's
-  /// name, if the shape is degenerate.
+  /// Throw InputError naming the first degenerate field.
   void validate() const;
 };
 

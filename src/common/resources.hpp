@@ -60,7 +60,10 @@ namespace dmsched {
 ///
 /// Per-node axes (mem_per_node, gpus_per_node) scale with the node count;
 /// bb_bytes is a job-global staging reservation against the cluster-wide
-/// burst buffer. A zero axis means "not requested" / "not provisioned".
+/// burst buffer. A zero axis means "not requested" / "not provisioned". The
+/// vector itself checks nothing: a job's axes are checked where jobs enter
+/// (validate(const Job&) in workload/job.hpp), a machine's by
+/// ClusterConfig::validate, so the core never sees a negative axis.
 struct ResourceVector {
   /// Node-exclusive allocation size.
   std::int32_t nodes = 0;
@@ -84,15 +87,6 @@ struct ResourceVector {
     return nodes == 0 && mem_per_node.is_zero() && gpus_per_node == 0 &&
            bb_bytes.is_zero();
   }
-  /// Aborts unless every axis is non-negative. Jobs and capacities are
-  /// validated at the boundary so the core never sees a negative axis.
-  void validate() const {
-    DMSCHED_ASSERT(nodes >= 0, "negative node count");
-    DMSCHED_ASSERT(mem_per_node.count() >= 0, "negative memory request");
-    DMSCHED_ASSERT(gpus_per_node >= 0, "negative GPU count");
-    DMSCHED_ASSERT(bb_bytes.count() >= 0, "negative burst-buffer request");
-  }
-
   [[nodiscard]] bool operator==(const ResourceVector&) const = default;
 };
 

@@ -5,11 +5,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/str.hpp"
 #include "obs/counters.hpp"
 
@@ -40,7 +40,6 @@ void guarded_emit(Fn&& fn) {
 }
 
 long long raw(SimTime t) { return static_cast<long long>(t.usec()); }
-long long raw(Bytes b) { return static_cast<long long>(b.count()); }
 
 /// The registry gauges set after every pass, in registration order (the
 /// order of the values run_scheduler_pass reads).
@@ -470,36 +469,24 @@ bool SchedulingSimulation::pull_one() {
   }
   // Ids are assigned in pull order; for an EagerTraceSource (sorted, ids =
   // indices) this reproduces the job's own id. Sources are arbitrary code,
-  // so the fields Trace::make enforces are re-checked at this boundary.
+  // so each job is validated here; only submit order is the stream's own.
   const JobId id = ring_.end();
   const Job& j = *next;
-  const auto fail = [id](const std::string& what) {
-    throw std::invalid_argument(strformat("pulled job %u: ", id) + what);
+  const auto fail = [id](const std::string& field, const std::string& what) {
+    throw InputError(field, strformat("pulled job %u: ", id) + what);
   };
-  if (j.nodes <= 0) fail(strformat("nodes = %d, must be > 0", j.nodes));
-  if (j.runtime <= SimTime{0}) {
-    fail(strformat("runtime = %lld us, must be > 0", raw(j.runtime)));
-  }
-  if (j.walltime < j.runtime) {
-    fail(strformat("walltime = %lld us, must be >= runtime (%lld us)",
-                   raw(j.walltime), raw(j.runtime)));
-  }
-  if (j.mem_per_node < Bytes{0}) {
-    fail(strformat("mem_per_node = %lld B, must be >= 0", raw(j.mem_per_node)));
-  }
-  if (j.gpus_per_node < 0) {
-    fail(strformat("gpus_per_node = %d, must be >= 0", j.gpus_per_node));
-  }
-  if (j.bb_bytes < Bytes{0}) {
-    fail(strformat("bb_bytes = %lld B, must be >= 0", raw(j.bb_bytes)));
+  try {
+    validate(j);
+  } catch (const InputError& e) {
+    fail(e.field(), e.what());
   }
   if (j.submit < SimTime{0}) {
-    fail(strformat("submit = %lld us, must be >= 0", raw(j.submit)));
+    fail("submit", strformat("submit = %lld us, must be >= 0", raw(j.submit)));
   }
   if (id > 0 && j.submit < last_pull_submit_) {
-    fail(strformat("submit = %lld us, must be >= the previous job's submit "
-                   "(%lld us)",
-                   raw(j.submit), raw(last_pull_submit_)));
+    fail("submit", strformat("submit = %lld us, must be >= the previous "
+                             "job's submit (%lld us)",
+                             raw(j.submit), raw(last_pull_submit_)));
   }
   if (id == 0) first_submit_ = j.submit;
   last_pull_submit_ = j.submit;

@@ -91,14 +91,14 @@ class SchedulingSimulation final : public SchedContext {
  public:
   /// The source must outlive the simulation. Job ids are assigned in pull
   /// order (0, 1, 2, ...) regardless of the ids the source reports. Throws
-  /// std::invalid_argument naming the field when `options.slowdown` or
+  /// InputError naming the field when `options.slowdown` or
   /// `options.migration` fails its validate().
   SchedulingSimulation(ClusterConfig config, TraceSource& source,
                        std::unique_ptr<Scheduler> scheduler,
                        EngineOptions options);
 
   /// Run to completion (all jobs terminal) and return the metrics. Throws
-  /// std::invalid_argument naming the job's pull ordinal and the field when
+  /// InputError naming the job's pull ordinal and the field when
   /// the source yields an invalid job or breaks submission order.
   RunMetrics run();
 
@@ -278,10 +278,10 @@ class SchedulingSimulation final : public SchedContext {
   /// usage means and the sink are all fed from here and nowhere else.
   void observe(const Transition& t);
 
-  /// Pull the next job from the source, validate it (throwing
-  /// std::invalid_argument), copy it into the ring under the next sequential
-  /// id, and schedule its submission event. False when the input is
-  /// exhausted. The only place the ring grows.
+  /// Pull the next job from the source, validate it (throwing InputError),
+  /// copy it into the ring under the next sequential id, and schedule its
+  /// submission event. False when the input is exhausted. The only place the
+  /// ring grows.
   bool pull_one();
   /// Top up pending submission events to the look-ahead window (all of them
   /// when the window is unbounded).

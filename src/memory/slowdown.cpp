@@ -1,10 +1,10 @@
 #include "memory/slowdown.hpp"
 
 #include <cmath>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/str.hpp"
 
 namespace dmsched {
@@ -15,13 +15,13 @@ void SlowdownModel::validate() const {
         std::pair{"beta_neighbor", beta_neighbor},
         std::pair{"beta_global", beta_global}}) {
     if (!std::isfinite(beta) || beta < 0.0) {
-      throw std::invalid_argument(
-          strformat("%s = %g, must be finite and >= 0", field, beta));
+      throw InputError(
+          field, strformat("%s = %g, must be finite and >= 0", field, beta));
     }
   }
   if (!std::isfinite(gamma) || gamma <= 0.0) {
-    throw std::invalid_argument(
-        strformat("gamma = %g, must be finite and > 0", gamma));
+    throw InputError("gamma",
+                     strformat("gamma = %g, must be finite and > 0", gamma));
   }
   // A negative multiplier would shrink a dilation below 1.
   for (const auto& [field, sens] :
@@ -29,8 +29,8 @@ void SlowdownModel::validate() const {
         std::pair{"sens_balanced", sens_balanced},
         std::pair{"sens_bandwidth", sens_bandwidth}}) {
     if (!std::isfinite(sens) || sens < 0.0) {
-      throw std::invalid_argument(
-          strformat("%s = %g, must be finite and >= 0", field, sens));
+      throw InputError(
+          field, strformat("%s = %g, must be finite and >= 0", field, sens));
     }
   }
 }

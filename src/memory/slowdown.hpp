@@ -43,7 +43,7 @@ struct SlowdownModel {
   double sens_balanced = 1.0;
   double sens_bandwidth = 1.6;
 
-  /// Throws std::invalid_argument naming the first bad field: every β and
+  /// Throws InputError naming the first bad field: every β and
   /// every class multiplier must be finite and >= 0, γ finite and > 0. A
   /// bad value would otherwise surface much later as a NaN or negative
   /// completion time.

@@ -2,10 +2,10 @@
 
 #include <cmath>
 #include <map>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/str.hpp"
 
 namespace dmsched {
@@ -13,18 +13,21 @@ namespace dmsched {
 void MigrationPolicy::validate() const {
   // Negated range tests, so NaN fails every one of them.
   if (!(demote_threshold > 0.0 && demote_threshold <= 1.0)) {
-    throw std::invalid_argument(strformat(
-        "demote_threshold = %g, must lie in (0, 1]", demote_threshold));
+    throw InputError("demote_threshold",
+                     strformat("demote_threshold = %g, must lie in (0, 1]",
+                               demote_threshold));
   }
   if (!(promote_headroom >= 0.0 && promote_headroom < demote_threshold)) {
-    throw std::invalid_argument(
+    throw InputError(
+        "promote_headroom",
         strformat("promote_headroom = %g, must lie in [0, demote_threshold "
                   "= %g)",
                   promote_headroom, demote_threshold));
   }
   if (!std::isfinite(bandwidth_gibps) || bandwidth_gibps < 0.0) {
-    throw std::invalid_argument(strformat(
-        "bandwidth_gibps = %g, must be finite and >= 0", bandwidth_gibps));
+    throw InputError("bandwidth_gibps",
+                     strformat("bandwidth_gibps = %g, must be finite and >= 0",
+                               bandwidth_gibps));
   }
 }
 

@@ -45,7 +45,7 @@ struct MigrationPolicy {
   double bandwidth_gibps = 0.0;
 
   [[nodiscard]] bool enabled() const { return check_interval > SimTime{}; }
-  /// Throws std::invalid_argument naming the first bad field: the demote
+  /// Throws InputError naming the first bad field: the demote
   /// threshold must lie in (0, 1], the promote headroom in
   /// [0, demote_threshold), the bandwidth be finite and >= 0.
   void validate() const;
@@ -79,7 +79,7 @@ struct MigrationDecision {
 class MigrationEngine {
  public:
   MigrationEngine() = default;
-  /// Throws std::invalid_argument naming the first bad field of `policy`
+  /// Throws InputError naming the first bad field of `policy`
   /// (MigrationPolicy::validate).
   explicit MigrationEngine(MigrationPolicy policy) : policy_(policy) {
     policy_.validate();

@@ -1,11 +1,11 @@
 #include "topology/topology.hpp"
 
 #include <numeric>
-#include <stdexcept>
-#include <string>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
+#include "common/str.hpp"
 
 namespace dmsched {
 
@@ -118,53 +118,56 @@ TierHeadroom Topology::headroom(const ResourceState& state) const {
 
 ClusterConfig apply(const TopologySpec& spec, ClusterConfig config) {
   if (spec.racks < 0) {
-    throw std::invalid_argument(
-        "topology: racks must be >= 0 (0 keeps the published racking), got " +
-        std::to_string(spec.racks));
+    throw InputError("racks", strformat("racks = %d, must be >= 0 (0 keeps "
+                                        "the published racking)",
+                                        spec.racks));
   }
   if (spec.racks > 0) {
     if (spec.racks > config.total_nodes ||
         config.total_nodes % spec.racks != 0) {
-      throw std::invalid_argument(
-          "topology: racks=" + std::to_string(spec.racks) +
-          " must divide the node count (" +
-          std::to_string(config.total_nodes) +
-          ") exactly; pick a divisor");
+      throw InputError("racks",
+                       strformat("racks = %d must divide the node count (%d) "
+                                 "exactly; pick a divisor",
+                                 spec.racks, config.total_nodes));
     }
     // Preserve the rack tier's total bytes across re-racking.
     const Bytes rack_tier = config.pool_per_rack * config.racks();
     config.nodes_per_rack = config.total_nodes / spec.racks;
     config.pool_per_rack = rack_tier / spec.racks;
     if (!rack_tier.is_zero() && config.pool_per_rack.is_zero()) {
-      throw std::invalid_argument(
-          "topology: re-racking to " + std::to_string(spec.racks) +
-          " racks leaves a zero-capacity rack tier (" +
-          std::to_string(rack_tier.count()) +
-          " bytes split too thin); reduce racks or raise pool capacity");
+      throw InputError(
+          "racks",
+          strformat("racks = %d leaves a zero-capacity rack tier (%lld bytes "
+                    "split too thin); reduce racks or raise pool capacity",
+                    spec.racks, static_cast<long long>(rack_tier.count())));
     }
   }
-  if (spec.rack_pool_frac >= 0.0) {
-    if (spec.rack_pool_frac > 1.0) {
-      throw std::invalid_argument(
-          "topology: rack_pool_frac must lie in [0, 1] (negative keeps the "
-          "published split), got " + std::to_string(spec.rack_pool_frac));
+  // Negated so a NaN fraction is rejected rather than read as "keep".
+  if (!(spec.rack_pool_frac < 0.0)) {
+    if (!(spec.rack_pool_frac <= 1.0)) {
+      throw InputError("rack_pool_frac",
+                       strformat("rack_pool_frac = %g, must lie in [0, 1] "
+                                 "(negative keeps the published split)",
+                                 spec.rack_pool_frac));
     }
     const std::int32_t racks = config.racks();
     const Bytes total = config.pool_per_rack * racks + config.global_pool;
     if (total.is_zero()) {
-      throw std::invalid_argument(
-          "topology: rack_pool_frac set but the machine has no "
-          "disaggregated capacity to split");
+      throw InputError("rack_pool_frac",
+                       "rack_pool_frac set but the machine has no "
+                       "disaggregated capacity to split");
     }
     const Bytes per_rack = Bytes{static_cast<std::int64_t>(
         static_cast<double>(total.count()) * spec.rack_pool_frac /
         static_cast<double>(racks))};
     if (spec.rack_pool_frac > 0.0 && per_rack.is_zero()) {
-      throw std::invalid_argument(
-          "topology: rack_pool_frac=" + std::to_string(spec.rack_pool_frac) +
-          " produces a zero-capacity rack tier on this machine (" +
-          std::to_string(total.count()) + " bytes across " +
-          std::to_string(racks) + " racks); raise the fraction or use 0");
+      throw InputError(
+          "rack_pool_frac",
+          strformat("rack_pool_frac = %g produces a zero-capacity rack tier "
+                    "on this machine (%lld bytes across %d racks); raise the "
+                    "fraction or use 0",
+                    spec.rack_pool_frac,
+                    static_cast<long long>(total.count()), racks));
     }
     config.pool_per_rack = per_rack;
     // frac == 1.0 means *strictly* rack-scale: the integer-division residue
@@ -185,19 +188,20 @@ ClusterConfig flatten_to_global(ClusterConfig config) {
 }
 
 void ensure_tiers_survive(const ClusterConfig& shaped,
-                          const ClusterConfig& published, const char* what) {
+                          const ClusterConfig& published, const char* field) {
   if (!published.pool_per_rack.is_zero() && shaped.pool_per_rack.is_zero()) {
-    throw std::invalid_argument(
-        std::string(what) +
-        ": the published machine has rack pools but this combination "
-        "produces a zero-capacity rack tier; raise pool_scale or "
-        "rack_pool_frac");
+    throw InputError(
+        field, strformat("%s: the published machine has rack pools but this "
+                         "combination produces a zero-capacity rack tier; "
+                         "raise pool_scale or rack_pool_frac",
+                         field));
   }
   if (!published.global_pool.is_zero() && shaped.global_pool.is_zero()) {
-    throw std::invalid_argument(
-        std::string(what) +
-        ": the published machine has a global tier but this combination "
-        "produces a zero-capacity global tier; raise pool_scale");
+    throw InputError(
+        field, strformat("%s: the published machine has a global tier but "
+                         "this combination produces a zero-capacity global "
+                         "tier; raise pool_scale",
+                         field));
   }
 }
 

@@ -186,10 +186,11 @@ struct TopologySpec {
   }
 };
 
-/// Apply a TopologySpec to a machine. Deterministic; throws
-/// std::invalid_argument with a teaching message when the spec is invalid
-/// for this machine or would silently produce a zero-capacity tier (a
-/// requested tier whose per-pool size rounds to nothing).
+/// Apply a TopologySpec to a machine. Deterministic; throws InputError
+/// naming `racks` or `rack_pool_frac`, with a teaching message, when the
+/// spec is invalid for this machine or would silently produce a
+/// zero-capacity tier (a requested tier whose per-pool size rounds to
+/// nothing).
 [[nodiscard]] ClusterConfig apply(const TopologySpec& spec,
                                   ClusterConfig config);
 
@@ -198,11 +199,11 @@ struct TopologySpec {
 /// Total capacity is preserved; only distances change.
 [[nodiscard]] ClusterConfig flatten_to_global(ClusterConfig config);
 
-/// Throw std::invalid_argument if a tier that exists on `published` has
-/// been scaled/reshaped to zero capacity on `shaped` — the silent failure
-/// mode of aggressive pool_scale / rack_pool_frac combinations.
+/// Throw InputError naming `field` (the knob that did the shaping) if a
+/// tier that exists on `published` has been scaled/reshaped to zero
+/// capacity on `shaped` — the silent failure mode of aggressive pool_scale /
+/// rack_pool_frac combinations.
 void ensure_tiers_survive(const ClusterConfig& shaped,
-                          const ClusterConfig& published,
-                          const char* what);
+                          const ClusterConfig& published, const char* field);
 
 }  // namespace dmsched

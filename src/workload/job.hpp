@@ -81,4 +81,9 @@ struct Job {
   }
 };
 
+/// The one check of a job's fields, run by Trace::make and on every pull.
+/// Throws InputError naming the first bad one: nodes and runtime must be
+/// > 0, walltime >= runtime, memory, GPUs and burst buffer >= 0.
+void validate(const Job& j);
+
 }  // namespace dmsched

@@ -5,11 +5,12 @@
 #include <memory>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/resources.hpp"
+#include "common/str.hpp"
 #include "workload/models.hpp"
 #include "workload/swf.hpp"
 #include "workload/transform.hpp"
@@ -30,55 +31,38 @@ ScenarioParams resolve(const ScenarioParams& params,
   // A load of 0 keeps the scenario's default; NaN or infinity would reach
   // the arrival scaling as a factor no clock can hold.
   if (!std::isfinite(params.load) || params.load < 0.0) {
-    throw std::invalid_argument(
-        "scenario load must be finite and >= 0 (0 keeps the scenario's "
-        "load), got " + std::to_string(params.load));
+    throw InputError("load", strformat("load = %g, must be finite and >= 0 "
+                                       "(0 keeps the scenario's load)",
+                                       params.load));
   }
   ScenarioParams r = params;
   if (r.jobs == 0) r.jobs = defaults.jobs;
   if (r.seed == 0) r.seed = defaults.seed;
   if (r.load == 0.0) r.load = defaults.load;
-  // The machine-scale knobs default to the published machine (1.0) for
-  // every scenario; anything else non-positive is a caller error, not a
-  // sentinel.
-  if (r.node_scale == 0.0) r.node_scale = 1.0;
-  if (r.pool_scale == 0.0) r.pool_scale = 1.0;
-  if (r.node_scale <= 0.0 || r.pool_scale <= 0.0) {
-    throw std::invalid_argument(
-        "scenario machine-scale factors must be > 0 (node_scale=" +
-        std::to_string(params.node_scale) +
-        ", pool_scale=" + std::to_string(params.pool_scale) + ")");
+  // The multipliers default to the published machine and model (1.0) for
+  // every scenario; anything else that is not finite and positive is a
+  // caller error, not a sentinel.
+  for (const auto& [field, factor] :
+       {std::pair{"node_scale", &r.node_scale},
+        std::pair{"pool_scale", &r.pool_scale},
+        std::pair{"remote_penalty", &r.remote_penalty}}) {
+    if (*factor == 0.0) *factor = 1.0;
+    if (!(std::isfinite(*factor) && *factor > 0.0)) {
+      throw InputError(field, strformat("%s = %g, must be finite and > 0 (0 "
+                                        "keeps the published machine)",
+                                        field, *factor));
+    }
   }
-  // Topology knobs: 0/negative sentinels keep the published machine; the
-  // structural validation (divisibility, zero-capacity tiers) happens in
-  // topology/apply once the machine is known.
-  if (r.remote_penalty == 0.0) r.remote_penalty = 1.0;
-  if (r.remote_penalty <= 0.0) {
-    throw std::invalid_argument(
-        "scenario remote_penalty must be > 0 (got " +
-        std::to_string(params.remote_penalty) + ")");
-  }
-  if (r.racks < 0) {
-    throw std::invalid_argument(
-        "scenario racks must be >= 0 (0 keeps the published racking), got " +
-        std::to_string(params.racks));
-  }
-  if (r.rack_pool_frac > 1.0) {
-    throw std::invalid_argument(
-        "scenario rack_pool_frac must lie in [0, 1] (negative keeps the "
-        "published split), got " + std::to_string(params.rack_pool_frac));
-  }
-  // Resource-vector knobs: 0 keeps the published provisioning; negative is
-  // a caller error, never a sentinel.
+  // topology/apply checks racks and rack_pool_frac once the machine is
+  // known. The resource-vector knobs keep the published machine at 0.
   if (r.gpus_per_node < 0) {
-    throw std::invalid_argument(
-        "scenario gpus_per_node must be >= 0 (0 keeps the published "
-        "provisioning), got " + std::to_string(params.gpus_per_node));
+    throw InputError("gpus_per_node", strformat("gpus_per_node = %d, must be "
+                                                ">= 0", r.gpus_per_node));
   }
   if (r.bb_capacity < Bytes{0}) {
-    throw std::invalid_argument(
-        "scenario bb_capacity must be >= 0 bytes (0 keeps the published "
-        "capacity), got " + std::to_string(params.bb_capacity.count()));
+    throw InputError("bb_capacity",
+                     strformat("bb_capacity = %lld B, must be >= 0",
+                               static_cast<long long>(r.bb_capacity.count())));
   }
   return r;
 }
@@ -95,19 +79,29 @@ ClusterConfig scale_cluster(ClusterConfig c, const ScenarioParams& p) {
     const double scaled_racks =
         static_cast<double>(c.total_nodes) * p.node_scale /
         static_cast<double>(c.nodes_per_rack);
+    if (!(scaled_racks * c.nodes_per_rack <= INT32_MAX)) {
+      throw InputError("node_scale", strformat("node_scale = %g overflows the "
+                                               "node count", p.node_scale));
+    }
     const auto racks = std::max<std::int64_t>(
         1, static_cast<std::int64_t>(std::llround(scaled_racks)));
     c.total_nodes = static_cast<std::int32_t>(
         racks * static_cast<std::int64_t>(c.nodes_per_rack));
   }
   if (p.pool_scale != 1.0) {
-    c.pool_per_rack = Bytes{static_cast<std::int64_t>(std::llround(
-        static_cast<double>(c.pool_per_rack.count()) * p.pool_scale))};
-    c.global_pool = Bytes{static_cast<std::int64_t>(std::llround(
-        static_cast<double>(c.global_pool.count()) * p.pool_scale))};
+    const auto scale = [&p](Bytes b) {
+      const double scaled = static_cast<double>(b.count()) * p.pool_scale;
+      if (!(scaled < 0x1p63)) {
+        throw InputError("pool_scale", strformat("pool_scale = %g overflows a "
+                                                 "pool", p.pool_scale));
+      }
+      return Bytes{static_cast<std::int64_t>(std::llround(scaled))};
+    };
+    c.pool_per_rack = scale(c.pool_per_rack);
+    c.global_pool = scale(c.global_pool);
     // A pool_scale small enough to round a published tier to zero silently
     // turns a tiered study into a flat one — make it loud instead.
-    ensure_tiers_survive(c, published, "scenario pool_scale");
+    ensure_tiers_survive(c, published, "pool_scale");
   }
   // The topology knobs reshape the (scaled) machine last, so pool_scale and
   // rack_pool_frac compose: scale the total, then split it.
@@ -493,8 +487,8 @@ const ScenarioRow& find_row(const std::string& name) {
     if (!known.empty()) known += ", ";
     known += e.info.name;
   }
-  throw std::invalid_argument("unknown scenario \"" + name +
-                              "\" (known: " + known + ")");
+  throw InputError("scenario",
+                   "unknown scenario \"" + name + "\" (known: " + known + ")");
 }
 
 /// What both drivers share: the row's metadata on the resolved, scaled

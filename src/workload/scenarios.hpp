@@ -40,10 +40,10 @@ struct ScenarioParams {
   /// "the same regime, on a machine k× the size"). Applied *before* the
   /// workload is built, so job widths and offered load adapt to the scaled
   /// machine; the result is snapped to whole racks (min one rack). 0 means
-  /// 1.0 — the published machine. Must be > 0 otherwise.
+  /// 1.0 — the published machine. Must be finite and > 0 otherwise.
   double node_scale = 0.0;
   /// Machine-scale multiplier on disaggregated capacity (rack pools and the
-  /// global tier together). 0 means 1.0; must be > 0 otherwise. A scenario
+  /// global tier together). 0 means 1.0; must be finite and > 0. A scenario
   /// with no pools stays poolless at any scale. Scaling a published tier to
   /// zero capacity throws (see topology/ `ensure_tiers_survive`).
   double pool_scale = 0.0;
@@ -60,7 +60,7 @@ struct ScenarioParams {
   double rack_pool_frac = -1.0;
   /// Multiplier on the remote-tier slowdown coefficients (rack and global
   /// β together): distance penalties k× the published model. 0 means 1.0;
-  /// must be > 0 otherwise. Resolved into Scenario::remote_penalty and
+  /// must be finite and > 0. Resolved into Scenario::remote_penalty and
   /// applied to EngineOptions::slowdown by scenario_experiment().
   double remote_penalty = 0.0;
 
@@ -115,12 +115,13 @@ struct Scenario {
 [[nodiscard]] bool scenario_exists(const std::string& name);
 
 /// Metadata for one scenario without building its trace.
-/// Throws std::invalid_argument for unknown names.
+/// Throws InputError naming `scenario` for unknown names.
 [[nodiscard]] const ScenarioInfo& scenario_info(const std::string& name);
 
 /// Build a scenario by name. Deterministic: the same (name, params) always
 /// produces byte-identical traces and configs.
-/// Throws std::invalid_argument (listing the known names) for unknown names.
+/// Throws InputError naming `scenario` (listing the known names) for
+/// unknown names, and naming the knob for a bad ScenarioParams value.
 [[nodiscard]] Scenario make_scenario(const std::string& name,
                                      const ScenarioParams& params = {});
 
@@ -143,7 +144,7 @@ struct ScenarioStream {
 };
 
 /// Streaming counterpart of make_scenario. Deterministic in (name, params);
-/// throws std::invalid_argument for unknown names.
+/// throws InputError for unknown names and bad knobs.
 [[nodiscard]] ScenarioStream make_scenario_stream(
     const std::string& name, const ScenarioParams& params = {});
 

@@ -1,11 +1,12 @@
 #include "workload/swf.hpp"
 
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <istream>
 #include <string_view>
 
-#include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/str.hpp"
 
 namespace dmsched {
@@ -23,11 +24,15 @@ constexpr std::size_t kFieldStatus = 10;
 constexpr std::size_t kFieldUser = 11;
 constexpr std::size_t kFieldCount = 18;
 
+/// The longest time a line may carry, in seconds: half of kTimeInfinity, as
+/// in OfferedLoad::scale_to, so a submit plus a walltime stays on the clock.
+constexpr std::int64_t kMaxSec = kTimeInfinity.usec() / 2 / 1'000'000;
+
 /// Classification of one SWF line.
 enum class LineKind : std::uint8_t {
   kJob,        ///< parsed into the caller's Job
   kBlank,      ///< empty line or ';' comment (not an error)
-  kMalformed,  ///< unparseable (too few fields, non-numeric field)
+  kMalformed,  ///< unparseable, or a value the simulator cannot hold
   kFiltered,   ///< parseable but filtered (status, zero runtime/procs, ...)
 };
 
@@ -43,7 +48,10 @@ LineKind parse_line(std::string_view line, const SwfOptions& options,
   std::int64_t raw[kFieldCount];
   for (std::size_t i = 0; i < kFieldCount; ++i) {
     double v{};  // archive traces occasionally use decimals (avg CPU time)
-    if (!parse_double(fields[i], v)) return LineKind::kMalformed;
+    // Negated so NaN fails too; llround is undefined past int64.
+    if (!parse_double(fields[i], v) || !(v >= -0x1p63 && v < 0x1p63)) {
+      return LineKind::kMalformed;
+    }
     raw[i] = static_cast<std::int64_t>(std::llround(v));
   }
 
@@ -57,18 +65,22 @@ LineKind parse_line(std::string_view line, const SwfOptions& options,
   if (runtime_sec <= 0 || procs <= 0 || raw[kFieldSubmit] < 0) {
     return LineKind::kFiltered;
   }
+  const std::int64_t nodes = procs / options.procs_per_node +
+                             (procs % options.procs_per_node != 0 ? 1 : 0);
+  const double fallback_sec = static_cast<double>(runtime_sec) *
+                              options.walltime_fallback_factor;
+  if (nodes > INT32_MAX || raw[kFieldSubmit] > kMaxSec ||
+      runtime_sec > kMaxSec || raw[kFieldReqTime] > kMaxSec ||
+      (raw[kFieldReqTime] <= 0 && !(fallback_sec <= kMaxSec))) {
+    return LineKind::kMalformed;
+  }
 
   j = Job{};
   j.submit = seconds(raw[kFieldSubmit]);
-  j.nodes = static_cast<std::int32_t>(
-      (procs + options.procs_per_node - 1) / options.procs_per_node);
+  j.nodes = static_cast<std::int32_t>(nodes);
   j.runtime = seconds(runtime_sec);
-  if (raw[kFieldReqTime] > 0) {
-    j.walltime = seconds(raw[kFieldReqTime]);
-  } else {
-    j.walltime = seconds(static_cast<double>(runtime_sec) *
-                         options.walltime_fallback_factor);
-  }
+  j.walltime = raw[kFieldReqTime] > 0 ? seconds(raw[kFieldReqTime])
+                                      : seconds(fallback_sec);
   // Archive traces contain overruns (runtime > request) when sites had lax
   // enforcement; DMSched requires runtime <= walltime, so clamp upward.
   j.walltime = max(j.walltime, j.runtime);
@@ -76,8 +88,12 @@ LineKind parse_line(std::string_view line, const SwfOptions& options,
   const std::int64_t mem_kb = raw[kFieldReqMemKb] > 0 ? raw[kFieldReqMemKb]
                                                       : raw[kFieldUsedMemKb];
   if (mem_kb > 0) {
-    j.mem_per_node =
-        Bytes{mem_kb * 1024} * options.procs_per_node;
+    std::int64_t bytes = 0;
+    if (__builtin_mul_overflow(mem_kb, std::int64_t{1024}, &bytes) ||
+        __builtin_mul_overflow(bytes, options.procs_per_node, &bytes)) {
+      return LineKind::kMalformed;
+    }
+    j.mem_per_node = Bytes{bytes};
   } else {
     j.mem_per_node = options.default_mem_per_node;
   }
@@ -91,7 +107,11 @@ LineKind parse_line(std::string_view line, const SwfOptions& options,
 
 SwfResult read_swf(std::istream& in, const SwfOptions& options,
                    std::string trace_name) {
-  DMSCHED_ASSERT(options.procs_per_node > 0, "SwfOptions: procs_per_node");
+  if (options.procs_per_node <= 0) {
+    throw InputError("procs_per_node",
+                     strformat("procs_per_node = %d, must be > 0",
+                               options.procs_per_node));
+  }
   SwfResult result;
   std::vector<Job> jobs;
   std::string line;

@@ -44,7 +44,10 @@ struct SwfResult {
 };
 
 /// Parse an SWF stream line by line: the one SWF reader. Malformed lines
-/// are counted and skipped; only I/O failure is a hard error. Accepted jobs
+/// (unparseable, or a value the simulator cannot hold: a field past int64, a
+/// node count past int32, a byte count past int64, a time past half of
+/// kTimeInfinity) are counted and skipped; only I/O failure is a hard error.
+/// Throws InputError naming `procs_per_node` unless it is > 0. Accepted jobs
 /// are stably sorted by submit time (archives need not be in order) and
 /// rebased so the first submits at t=0.
 [[nodiscard]] SwfResult read_swf(std::istream& in, const SwfOptions& options,

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 
 #include "common/assert.hpp"
+#include "common/input_error.hpp"
 #include "common/str.hpp"
 
 namespace dmsched {
@@ -18,19 +18,38 @@ const char* to_string(MemSensitivity s) {
   return "?";
 }
 
+void validate(const Job& j) {
+  // Formats only on failure: a passing job allocates nothing.
+  const auto reject = [](const char* field, std::int64_t value,
+                         const char* unit, const std::string& rule) {
+    throw InputError(field, strformat("%s = %lld%s, must be %s", field,
+                                      static_cast<long long>(value), unit,
+                                      rule.c_str()));
+  };
+  if (j.nodes <= 0) reject("nodes", j.nodes, "", "> 0");
+  if (j.runtime <= SimTime{0}) {
+    reject("runtime", j.runtime.usec(), " us", "> 0");
+  }
+  if (j.walltime < j.runtime) {
+    reject("walltime", j.walltime.usec(), " us",
+           strformat(">= runtime (%lld us)",
+                     static_cast<long long>(j.runtime.usec())));
+  }
+  if (j.mem_per_node < Bytes{0}) {
+    reject("mem_per_node", j.mem_per_node.count(), " B", ">= 0");
+  }
+  if (j.gpus_per_node < 0) reject("gpus_per_node", j.gpus_per_node, "", ">= 0");
+  if (j.bb_bytes < Bytes{0}) {
+    reject("bb_bytes", j.bb_bytes.count(), " B", ">= 0");
+  }
+}
+
 Trace Trace::make(std::vector<Job> jobs, std::string name) {
   std::stable_sort(jobs.begin(), jobs.end(),
                    [](const Job& a, const Job& b) { return a.submit < b.submit; });
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     jobs[i].id = static_cast<JobId>(i);
-    DMSCHED_ASSERT(jobs[i].nodes > 0, "Trace: job with non-positive nodes");
-    DMSCHED_ASSERT(jobs[i].runtime > SimTime{0},
-                   "Trace: job with non-positive runtime");
-    DMSCHED_ASSERT(jobs[i].walltime >= jobs[i].runtime,
-                   "Trace: walltime below runtime (SWF semantics require "
-                   "runtime <= request)");
-    DMSCHED_ASSERT(jobs[i].mem_per_node >= Bytes{0},
-                   "Trace: negative memory request");
+    validate(jobs[i]);
   }
   Trace t;
   t.jobs_ = std::move(jobs);
@@ -79,7 +98,8 @@ double OfferedLoad::against(std::int64_t total_nodes) const {
 std::optional<ArrivalScale> OfferedLoad::scale_to(
     double target_load, std::int64_t total_nodes) const {
   if (!std::isfinite(target_load) || target_load <= 0.0) {
-    throw std::invalid_argument(
+    throw InputError(
+        "load",
         strformat("load %g: the offered-load target must be finite and > 0",
                   target_load));
   }
@@ -93,7 +113,7 @@ std::optional<ArrivalScale> OfferedLoad::scale_to(
   constexpr double kMaxSpanUs = static_cast<double>(kTimeInfinity.usec() / 2);
   const double span_us = static_cast<double>((last_ - first_).usec());
   if (!(span_us * scale.factor <= kMaxSpanUs)) {
-    throw std::invalid_argument(strformat(
+    throw InputError("load", strformat(
         "load %g: stretching arrival gaps by %g takes the %.0f s submission "
         "span past the simulation clock; this workload needs load >= %g",
         target_load, scale.factor, span_us / 1e6,

@@ -16,7 +16,8 @@ class Trace {
  public:
   Trace() = default;
 
-  /// Sorts by submit time (stable) and reassigns ids to match indices.
+  /// Sorts by submit time (stable), reassigns ids to match indices and
+  /// validates every job (throwing InputError).
   static Trace make(std::vector<Job> jobs, std::string name);
 
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -74,7 +75,7 @@ class OfferedLoad {
 
   /// The arrival scale that lands the sequence at `target_load` against
   /// `total_nodes`, or nullopt when it has no measurable load (submits then
-  /// pass through unchanged). Throws std::invalid_argument naming `load` for
+  /// pass through unchanged). Throws InputError naming `load` for
   /// a non-finite or non-positive target, and for a target so small that
   /// the scaled span leaves the simulation clock's range.
   [[nodiscard]] std::optional<ArrivalScale> scale_to(

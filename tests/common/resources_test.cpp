@@ -60,7 +60,6 @@ TEST(ResourceVector, DefaultIsTheEmptyLegacyRequest) {
   EXPECT_TRUE(v.bb_bytes.is_zero());
   EXPECT_EQ(v.total_mem(), Bytes{0});
   EXPECT_EQ(v.total_gpus(), 0);
-  v.validate();  // the empty request is valid
 }
 
 TEST(ResourceVector, AggregatesScaleWithNodes) {
@@ -71,7 +70,6 @@ TEST(ResourceVector, AggregatesScaleWithNodes) {
   EXPECT_FALSE(v.is_zero());
   EXPECT_EQ(v.total_mem(), gib(std::int64_t{512}));
   EXPECT_EQ(v.total_gpus(), 32);
-  v.validate();
 }
 
 TEST(ResourceVector, AnySingleAxisMakesItNonZero) {
@@ -79,14 +77,6 @@ TEST(ResourceVector, AnySingleAxisMakesItNonZero) {
   EXPECT_FALSE((ResourceVector{.mem_per_node = Bytes{1}}).is_zero());
   EXPECT_FALSE((ResourceVector{.gpus_per_node = 1}).is_zero());
   EXPECT_FALSE((ResourceVector{.bb_bytes = Bytes{1}}).is_zero());
-}
-
-TEST(ResourceVectorDeathTest, ValidateRejectsEveryNegativeAxis) {
-  EXPECT_DEATH((ResourceVector{.nodes = -1}).validate(), "negative");
-  EXPECT_DEATH((ResourceVector{.mem_per_node = Bytes{-1}}).validate(),
-               "negative");
-  EXPECT_DEATH((ResourceVector{.gpus_per_node = -1}).validate(), "negative");
-  EXPECT_DEATH((ResourceVector{.bb_bytes = Bytes{-1}}).validate(), "negative");
 }
 
 TEST(ResourceVectorDeathTest, AggregateOverflowAbortsInsteadOfWrapping) {

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/input_error.hpp"
 #include "core/factory.hpp"
 #include "testing/builders.hpp"
 
@@ -364,17 +365,22 @@ class ListSource final : public TraceSource {
   std::size_t next_ = 0;
 };
 
-/// Run two valid jobs followed by `bad` (pull ordinal 2) and return the
-/// diagnostic run() throws. Look-ahead 0 pulls `bad` before the first event;
-/// look-ahead 1 pulls it mid-run, from job 1's submission.
-std::string rejection(const Job& bad, std::size_t lookahead) {
+/// Run two valid jobs followed by `bad` (pull ordinal 2). Look-ahead 0
+/// pulls `bad` before the first event; look-ahead 1 pulls it mid-run, from
+/// job 1's submission.
+void run_after_two(const Job& bad, std::size_t lookahead) {
   ListSource source({job(0).at_h(0.0), job(1).at_h(1.0), bad});
   EngineOptions options;
   options.submit_lookahead = lookahead;
   SchedulingSimulation sim(tiny_cluster(), source,
                            make_scheduler(SchedulerKind::kFcfs), options);
+  (void)sim.run();
+}
+
+/// The diagnostic run_after_two throws.
+std::string rejection(const Job& bad, std::size_t lookahead) {
   try {
-    (void)sim.run();
+    run_after_two(bad, lookahead);
   } catch (const std::invalid_argument& e) {
     return e.what();
   }
@@ -455,6 +461,46 @@ TEST(EngineInput, NegativeFirstSubmitThrows) {
     } catch (const std::invalid_argument& e) {
       EXPECT_STREQ(e.what(),
                    "pulled job 0: submit = -1000000 us, must be >= 0");
+    }
+  }
+}
+
+// --- the one job boundary --------------------------------------------------
+
+/// One bad job per field validate(const Job&) checks, each otherwise valid.
+std::vector<std::pair<std::string, Job>> bad_jobs() {
+  const auto with = [](auto edit) {
+    Job j = third_job();
+    edit(j);
+    return j;
+  };
+  return {
+      {"nodes", with([](Job& j) { j.nodes = 0; })},
+      {"runtime", with([](Job& j) { j.runtime = SimTime{0}; })},
+      {"walltime", with([](Job& j) { j.walltime = minutes(30); })},
+      {"mem_per_node", with([](Job& j) { j.mem_per_node = Bytes{-1}; })},
+      {"gpus_per_node", with([](Job& j) { j.gpus_per_node = -1; })},
+      {"bb_bytes", with([](Job& j) { j.bb_bytes = Bytes{-1}; })},
+  };
+}
+
+TEST(JobBoundary, TraceAndPullRejectEachFieldWithTheSameInputError) {
+  for (const auto& [field, bad] : bad_jobs()) {
+    SCOPED_TRACE(field);
+    try {
+      (void)Trace::make({bad}, "bad");
+      ADD_FAILURE() << "Trace::make accepted the job";
+    } catch (const InputError& e) {
+      EXPECT_EQ(e.field(), field) << e.what();
+    }
+    for (const std::size_t lookahead : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE("lookahead " + std::to_string(lookahead));
+      try {
+        run_after_two(bad, lookahead);
+        ADD_FAILURE() << "the pull accepted the job";
+      } catch (const InputError& e) {
+        EXPECT_EQ(e.field(), field) << e.what();
+      }
     }
   }
 }

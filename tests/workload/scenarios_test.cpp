@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "common/input_error.hpp"
 
 #include "workload/swf.hpp"
 
@@ -301,6 +305,52 @@ TEST(TopologyKnobs, RemotePenaltyResolvesIntoTheScenario) {
   EXPECT_THROW(
       (void)make_scenario("tiered-contended", {.remote_penalty = -1.0}),
       std::invalid_argument);
+}
+
+TEST(ScenarioParamsTest, EveryBadKnobThrowsNamingItsField) {
+  // One bad value per row, on golden-baseline (16 nodes in 4 racks). NaN
+  // and infinity are rejected like negatives, never read as a sentinel, and
+  // a scale past what the machine's counts can hold is rejected before it
+  // wraps.
+  const double nan = std::nan("");
+  const std::vector<std::pair<std::string, ScenarioParams>> table = {
+      {"load", {.load = nan}},
+      {"node_scale", {.node_scale = -1.0}},
+      {"node_scale", {.node_scale = nan}},
+      {"node_scale", {.node_scale = 1e12}},
+      {"pool_scale", {.pool_scale = -2.0}},
+      {"pool_scale", {.pool_scale = INFINITY}},
+      {"pool_scale", {.pool_scale = 1e300}},
+      {"racks", {.racks = -1}},
+      {"racks", {.racks = 7}},
+      {"rack_pool_frac", {.rack_pool_frac = 2.0}},
+      {"rack_pool_frac", {.rack_pool_frac = nan}},
+      {"remote_penalty", {.remote_penalty = -1.0}},
+      {"remote_penalty", {.remote_penalty = nan}},
+      {"gpus_per_node", {.gpus_per_node = -1}},
+      {"bb_capacity", {.bb_capacity = Bytes{-1}}},
+  };
+  for (const auto& [field, params] : table) {
+    SCOPED_TRACE(field);
+    for (const bool stream : {false, true}) {
+      try {
+        if (stream) {
+          (void)make_scenario_stream("golden-baseline", params);
+        } else {
+          (void)make_scenario("golden-baseline", params);
+        }
+        ADD_FAILURE() << "accepted (stream " << stream << ")";
+      } catch (const InputError& e) {
+        EXPECT_EQ(e.field(), field) << e.what();
+      }
+    }
+  }
+  try {
+    (void)make_scenario("no-such-scenario");
+    ADD_FAILURE() << "accepted an unknown name";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.field(), "scenario");
+  }
 }
 
 TEST(TopologyKnobs, KnobsAreDeterministic) {

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "common/input_error.hpp"
 #include "testing/builders.hpp"
 #include "testing/trace_io.hpp"
 
@@ -118,6 +119,34 @@ TEST(Swf, CountsMalformedLines) {
   const auto result = read_swf(in, SwfOptions{}, "t");
   EXPECT_EQ(result.lines_malformed, 2u);
   EXPECT_EQ(result.jobs_accepted, 1u);
+}
+
+TEST(Swf, OutOfRangeFieldsAreMalformed) {
+  // tests/data/out_of_range.swf: one good line, then lines with 3e9 and
+  // 2^32 + 4 procs, 1e16 KB per proc, a 1e17 s submit and a 1e300 s
+  // runtime. Each parses as numbers, but none fits the simulator's int32
+  // node count, int64 byte count or clock; none may wrap, abort or count
+  // as a filtered job.
+  const auto result = read_swf_file(
+      std::string(DMSCHED_TEST_DATA_DIR) + "/out_of_range.swf", SwfOptions{});
+  ASSERT_TRUE(result.ok()) << result.error;
+  EXPECT_EQ(result.lines_malformed, 5u);
+  EXPECT_EQ(result.jobs_skipped, 0u);
+  ASSERT_EQ(result.jobs_accepted, 1u);
+  EXPECT_EQ(result.trace.job(0).nodes, 4);
+  EXPECT_EQ(result.trace.job(0).runtime, seconds(std::int64_t{100}));
+}
+
+TEST(Swf, NonPositiveProcsPerNodeThrowsNamingTheField) {
+  std::istringstream in("1 0 -1 100 4 -1 -1 4 200 -1 1 1 1 1 1 -1 -1 -1\n");
+  SwfOptions opts;
+  opts.procs_per_node = 0;
+  try {
+    (void)read_swf(in, opts, "t");
+    ADD_FAILURE() << "no exception";
+  } catch (const InputError& e) {
+    EXPECT_EQ(e.field(), "procs_per_node");
+  }
 }
 
 TEST(Swf, IgnoresCommentsAndBlankLines) {

@@ -17,13 +17,14 @@
 #include <cstdio>
 #include <initializer_list>
 #include <optional>
-#include <stdexcept>
+#include <string>
 #include <string_view>
 #include <utility>
 
 #include "cluster/system_config.hpp"
 #include "common/cli.hpp"
 #include "common/csv.hpp"
+#include "common/input_error.hpp"
 #include "common/log.hpp"
 #include "common/str.hpp"
 #include "core/engine.hpp"
@@ -122,62 +123,60 @@ void write_series_csv(const std::string& path, const RunMetrics& m) {
   }
 }
 
-/// Print the diagnostic for a value `--flag` does not accept and return
-/// main's exit code for it.
-int unknown_value(const char* flag, const std::string& value,
-                  const std::string& known) {
-  std::fprintf(stderr, "error: unknown --%s '%s' (%s)\n", flag, value.c_str(),
-               known.c_str());
-  return 1;
+/// Reject a flag's value. The error's field is the flag as typed
+/// ("--lookahead"), so main reports it without a table lookup.
+[[noreturn]] void reject(const char* flag, const std::string& detail) {
+  throw InputError(std::string("--") + flag, detail);
 }
 
-/// Print the diagnostic for a field the library rejected (its message starts
-/// with the field name: a model's `validate()`, or the offered-load target
-/// that OfferedLoad::scale_to cannot fit on the clock), naming the flag that
-/// set the field, and return main's exit code for it.
-int bad_field_value(const std::invalid_argument& e) {
-  static constexpr std::pair<std::string_view, const char*> kFlags[] = {
-      {"beta_rack", "beta-rack"},
-      {"beta_neighbor", "beta-neighbor"},
-      {"beta_global", "beta-global"},
-      {"gamma", "gamma"},
-      {"demote_threshold", "migrate-demote-frac"},
-      {"promote_headroom", "migrate-hysteresis"},
-      {"bandwidth_gibps", "migrate-gibps"},
-      {"load", "load"},
-  };
-  const std::string_view what = e.what();
-  const std::string_view field = what.substr(0, what.find(' '));
-  for (const auto& [name, flag] : kFlags) {
-    if (field == name) {
-      std::fprintf(stderr, "error: --%s: %s\n", flag, e.what());
-      return 1;
-    }
-  }
-  std::fprintf(stderr, "error: %s\n", e.what());
-  return 1;
-}
-
-/// Look `value` up among a flag's (name, choice) pairs; on a miss, report it
-/// with the known names via unknown_value.
+/// `parsed` — `--flag`'s value looked up by name — or a rejection of that
+/// value listing the `known` names.
 template <typename T>
-std::optional<T> parse_choice(
-    const char* flag, const std::string& value,
-    std::initializer_list<std::pair<std::string_view, T>> choices) {
+T chosen(const Cli& cli, const char* flag, std::optional<T> parsed,
+         const std::string& known) {
+  if (!parsed) {
+    reject(flag,
+           "unknown value '" + cli.get_string(flag) + "' (" + known + ")");
+  }
+  return *parsed;
+}
+
+/// The choice `--flag`'s value names among its (name, choice) pairs.
+template <typename T>
+T parse_choice(const Cli& cli, const char* flag,
+               std::initializer_list<std::pair<std::string_view, T>> choices) {
+  const std::string value = cli.get_string(flag);
+  std::optional<T> parsed;
   std::string known;
   for (const auto& [name, choice] : choices) {
-    if (value == name) return choice;
+    if (value == name) parsed = choice;
     if (!known.empty()) known += '|';
     known += name;
   }
-  unknown_value(flag, value, known);
-  return std::nullopt;
+  return chosen(cli, flag, parsed, known);
 }
 
-}  // namespace
+/// The flag that sets each library field a run can reject: the one place a
+/// library InputError becomes a flag name. Fields not listed (a job's, when
+/// a source yields a bad job) are reported without a flag.
+constexpr std::pair<std::string_view, const char*> kFieldFlags[] = {
+    {"total_nodes", "--nodes"}, {"nodes_per_rack", "--nodes-per-rack"},
+    {"local_mem_per_node", "--local-gib"}, {"pool_per_rack", "--pool-gib"},
+    {"global_pool", "--global-gib"}, {"procs_per_node", "--procs-per-node"},
+    {"scenario", "--scenario"}, {"load", "--load"},
+    {"node_scale", "--node-scale"}, {"pool_scale", "--pool-scale"},
+    {"racks", "--racks"}, {"rack_pool_frac", "--rack-pool-frac"},
+    {"remote_penalty", "--remote-penalty"},
+    {"gpus_per_node", "--gpus-per-node"}, {"bb_capacity", "--bb-capacity"},
+    {"beta_rack", "--beta-rack"}, {"beta_neighbor", "--beta-neighbor"},
+    {"beta_global", "--beta-global"}, {"gamma", "--gamma"},
+    {"demote_threshold", "--migrate-demote-frac"},
+    {"promote_headroom", "--migrate-hysteresis"},
+    {"bandwidth_gibps", "--migrate-gibps"},
+};
 
-int main(int argc, char** argv) {
-  using namespace dmsched;
+/// The whole run; every bad input surfaces as an InputError for main.
+int run(int argc, char** argv) {
   Cli cli("dmsched_sim", "simulate a workload on a disaggregated machine");
   // machine
   cli.add_int("nodes", 1024, "total nodes");
@@ -297,14 +296,11 @@ int main(int argc, char** argv) {
                  "stderr diagnostics threshold: debug|info|warn|error");
   if (!cli.parse(argc, argv)) return 1;
 
-  const auto log_level = parse_choice<LogLevel>(
-      "log-level", cli.get_string("log-level"),
-      {{"debug", LogLevel::kDebug},
-       {"info", LogLevel::kInfo},
-       {"warn", LogLevel::kWarn},
-       {"error", LogLevel::kError}});
-  if (!log_level) return 1;
-  set_log_level(*log_level);
+  set_log_level(parse_choice<LogLevel>(cli, "log-level",
+                                      {{"debug", LogLevel::kDebug},
+                                       {"info", LogLevel::kInfo},
+                                       {"warn", LogLevel::kWarn},
+                                       {"error", LogLevel::kError}}));
 
   if (cli.get_flag("list-scenarios")) {
     for (const std::string& name : scenario_names()) {
@@ -326,35 +322,28 @@ int main(int argc, char** argv) {
   // default — ScenarioParams' sentinel), other machine/workload flags are
   // ignored.
   if (cli.get_flag("stream") && cli.get_string("scenario").empty()) {
-    std::fprintf(stderr,
-                 "error: --stream requires --scenario (only library "
-                 "scenarios have streaming workload sources)\n");
-    return 1;
+    reject("stream",
+           "requires --scenario (only library scenarios have streaming "
+           "workload sources)");
   }
-  if (cli.get_int("lookahead") < 0) {
-    std::fprintf(stderr, "error: --lookahead must be >= 0\n");
-    return 1;
+  for (const char* flag : {"lookahead", "jobs", "seed"}) {
+    if (cli.get_int(flag) < 0) reject(flag, "must be >= 0");
   }
-  if (cli.get_int("jobs") < 0) {
-    std::fprintf(stderr, "error: --jobs must be >= 0\n");
-    return 1;
-  }
-  if (cli.get_int("seed") < 0) {
-    std::fprintf(stderr, "error: --seed must be >= 0\n");
-    return 1;
-  }
-  // Sizes are int64 byte counts: past this many GiB, gib() wraps.
+  // The library holds sizes as int64 byte counts (past kMaxGib GiB, gib()
+  // wraps) and counts as int32.
   constexpr std::int64_t kMaxGib = INT64_MAX / kGiB.count();
-  for (const char* flag :
-       {"local-gib", "pool-gib", "global-gib", "bb-capacity"}) {
-    const std::int64_t n = cli.get_int(flag);
-    if (n > kMaxGib || n < -kMaxGib) {
-      std::fprintf(stderr,
-                   "error: --%s %lld GiB overflows a 64-bit byte count "
-                   "(at most %lld)\n",
-                   flag, static_cast<long long>(n),
-                   static_cast<long long>(kMaxGib));
-      return 1;
+  constexpr std::int64_t kMaxCount = INT32_MAX;
+  for (const auto& [flag, most] :
+       {std::pair{"local-gib", kMaxGib}, std::pair{"pool-gib", kMaxGib},
+        std::pair{"global-gib", kMaxGib}, std::pair{"bb-capacity", kMaxGib},
+        std::pair{"nodes", kMaxCount}, std::pair{"nodes-per-rack", kMaxCount},
+        std::pair{"procs-per-node", kMaxCount}, std::pair{"racks", kMaxCount},
+        std::pair{"gpus-per-node", kMaxCount}}) {
+    if (const std::int64_t n = cli.get_int(flag); n > most || n < -most) {
+      reject(flag, strformat("%lld is out of range (at most %lld in "
+                             "magnitude)",
+                             static_cast<long long>(n),
+                             static_cast<long long>(most)));
     }
   }
 
@@ -362,17 +351,9 @@ int main(int argc, char** argv) {
   std::optional<ScenarioStream> stream;
   if (const std::string name = cli.get_string("scenario"); !name.empty()) {
     if (cli.provided("swf")) {
-      std::fprintf(stderr,
-                   "error: --scenario and --swf are mutually exclusive "
-                   "(a scenario brings its own workload)\n");
-      return 1;
-    }
-    if (const double load = cli.get_double("load");
-        !std::isfinite(load) || load < 0.0) {
-      std::fprintf(stderr,
-                   "error: --load must be finite and >= 0 with --scenario "
-                   "(0 keeps the scenario's load)\n");
-      return 1;
+      reject("swf",
+             "is exclusive with --scenario (a scenario brings its own "
+             "workload)");
     }
     ScenarioParams params;
     if (cli.provided("jobs")) {
@@ -396,35 +377,21 @@ int main(int argc, char** argv) {
     params.gpus_per_node =
         static_cast<std::int32_t>(cli.get_int("gpus-per-node"));
     params.bb_capacity = gib(cli.get_int("bb-capacity"));
-    try {
-      if (cli.get_flag("stream")) {
-        stream = make_scenario_stream(name, params);
-      } else {
-        scenario = make_scenario(name, params);
-      }
-    } catch (const std::invalid_argument& e) {
-      return bad_field_value(e);
+    if (cli.get_flag("stream")) {
+      stream = make_scenario_stream(name, params);
+    } else {
+      scenario = make_scenario(name, params);
     }
-  } else if (cli.provided("node-scale") || cli.provided("pool-scale") ||
-             cli.provided("racks") || cli.provided("rack-pool-frac") ||
-             cli.provided("remote-penalty") || cli.provided("gpus-per-node") ||
-             cli.provided("bb-capacity")) {
-    std::fprintf(stderr,
-                 "error: --node-scale/--pool-scale/--racks/--rack-pool-frac/"
-                 "--remote-penalty/--gpus-per-node/--bb-capacity only apply "
-                 "to --scenario machines (size custom machines with "
-                 "--nodes/--pool-gib)\n");
-    return 1;
-  }
-
-  if (!scenario && !stream &&
-      (cli.get_int("nodes") <= 0 || cli.get_int("nodes-per-rack") <= 0 ||
-       cli.get_int("local-gib") <= 0 || cli.get_int("pool-gib") < 0 ||
-       cli.get_int("global-gib") < 0)) {
-    std::fprintf(stderr,
-                 "error: --nodes, --nodes-per-rack and --local-gib must be "
-                 "> 0; --pool-gib and --global-gib must be >= 0\n");
-    return 1;
+  } else {
+    for (const char* knob : {"node-scale", "pool-scale", "racks",
+                             "rack-pool-frac", "remote-penalty",
+                             "gpus-per-node", "bb-capacity"}) {
+      if (cli.provided(knob)) {
+        reject(knob,
+               "only applies to --scenario machines (size custom machines "
+               "with --nodes/--pool-gib)");
+      }
+    }
   }
 
   ExperimentConfig config;
@@ -435,24 +402,18 @@ int main(int argc, char** argv) {
           static_cast<std::int32_t>(cli.get_int("nodes-per-rack")),
           gib(cli.get_int("local-gib")), gib(cli.get_int("pool-gib")),
           gib(cli.get_int("global-gib")));
-  const auto scheduler =
-      scheduler_kind_from_string(cli.get_string("scheduler"));
-  if (!scheduler) {
-    return unknown_value(
-        "scheduler", cli.get_string("scheduler"),
-        "fcfs|easy|conservative|mem-easy|adaptive|resource-easy");
-  }
-  config.scheduler = *scheduler;
-  const auto backfill_order = parse_choice<BackfillOrder>(
-      "backfill-order", cli.get_string("backfill-order"),
+  config.cluster.validate();
+  config.scheduler =
+      chosen(cli, "scheduler",
+             scheduler_kind_from_string(cli.get_string("scheduler")),
+             "fcfs|easy|conservative|mem-easy|adaptive|resource-easy");
+  config.mem_options.order = parse_choice<BackfillOrder>(
+      cli, "backfill-order",
       {{"queue-order", BackfillOrder::kQueueOrder},
        {"shortest-first", BackfillOrder::kShortestFirst},
        {"best-mem-fit", BackfillOrder::kBestMemFit}});
-  if (!backfill_order) return 1;
-  config.mem_options.order = *backfill_order;
   if (cli.get_int("reservation-depth") < 1) {
-    std::fprintf(stderr, "error: --reservation-depth must be >= 1\n");
-    return 1;
+    reject("reservation-depth", "must be >= 1");
   }
   config.mem_options.reservation_depth =
       static_cast<std::size_t>(cli.get_int("reservation-depth"));
@@ -460,61 +421,48 @@ int main(int argc, char** argv) {
       cli.get_double("adaptive-margin-sec");
   if (!std::isfinite(config.mem_options.adaptive_margin_sec) ||
       config.mem_options.adaptive_margin_sec < 0.0) {
-    std::fprintf(stderr,
-                 "error: --adaptive-margin-sec must be finite and >= 0\n");
-    return 1;
+    reject("adaptive-margin-sec", "must be finite and >= 0");
   }
   config.mem_options.reserve_headroom = cli.get_double("reserve-headroom");
   if (config.mem_options.reserve_headroom < 0.0 ||
       config.mem_options.reserve_headroom >= 1.0) {
-    std::fprintf(stderr, "error: --reserve-headroom must lie in [0, 1)\n");
-    return 1;
+    reject("reserve-headroom", "must lie in [0, 1)");
   }
-  const auto queue_order = parse_choice<QueueOrder>(
-      "queue-order", cli.get_string("queue-order"),
+  config.engine.queue_order = parse_choice<QueueOrder>(
+      cli, "queue-order",
       {{"fcfs", QueueOrder::kFcfs},
        {"sjf", QueueOrder::kShortestFirst},
        {"largest", QueueOrder::kLargestFirst},
        {"wfp", QueueOrder::kWfp}});
-  if (!queue_order) return 1;
-  config.engine.queue_order = *queue_order;
   // A named strategy presets (selection, routing); the individual flags
   // refine it when explicitly provided.
   if (const std::string name = cli.get_string("placement"); !name.empty()) {
-    const auto strategy = placement_strategy_from_string(name);
-    if (!strategy) {
-      return unknown_value(
-          "placement", name,
-          "local-first|balanced|global-fallback|shared-neighbors");
-    }
-    config.engine.placement = make_placement(*strategy);
+    config.engine.placement = make_placement(
+        chosen(cli, "placement", placement_strategy_from_string(name),
+               "local-first|balanced|global-fallback|shared-neighbors"));
   }
   const auto selection = parse_choice<NodeSelection>(
-      "selection", cli.get_string("selection"),
+      cli, "selection",
       {{"first-fit", NodeSelection::kFirstFit},
        {"pack-racks", NodeSelection::kPackRacks},
        {"spread-racks", NodeSelection::kSpreadRacks},
        {"pool-aware", NodeSelection::kPoolAware}});
-  if (!selection) return 1;
   if (!cli.provided("placement") || cli.provided("selection")) {
-    config.engine.placement.selection = *selection;
+    config.engine.placement.selection = selection;
   }
   const auto routing = parse_choice<PoolRouting>(
-      "routing", cli.get_string("routing"),
+      cli, "routing",
       {{"rack-only", PoolRouting::kRackOnly},
        {"rack-then-global", PoolRouting::kRackThenGlobal},
        {"rack-neighbor-global", PoolRouting::kRackNeighborGlobal},
        {"global-only", PoolRouting::kGlobalOnly}});
-  if (!routing) return 1;
   if (!cli.provided("placement") || cli.provided("routing")) {
-    config.engine.placement.routing = *routing;
+    config.engine.placement.routing = routing;
   }
-  const auto slowdown = parse_choice<SlowdownModel::Kind>(
-      "slowdown", cli.get_string("slowdown"),
+  config.engine.slowdown.kind = parse_choice<SlowdownModel::Kind>(
+      cli, "slowdown",
       {{"linear", SlowdownModel::Kind::kLinear},
        {"saturating", SlowdownModel::Kind::kSaturating}});
-  if (!slowdown) return 1;
-  config.engine.slowdown.kind = *slowdown;
   config.engine.slowdown.beta_rack = cli.get_double("beta-rack");
   config.engine.slowdown.beta_neighbor = cli.get_double("beta-neighbor");
   config.engine.slowdown.beta_global = cli.get_double("beta-global");
@@ -526,12 +474,8 @@ int main(int argc, char** argv) {
   config.engine.migration.promote_headroom =
       cli.get_double("migrate-hysteresis");
   config.engine.migration.bandwidth_gibps = cli.get_double("migrate-gibps");
-  try {
-    config.engine.slowdown.validate();
-    config.engine.migration.validate();
-  } catch (const std::invalid_argument& e) {
-    return bad_field_value(e);
-  }
+  config.engine.slowdown.validate();
+  config.engine.migration.validate();
   if (scenario || stream) {
     config.engine.slowdown = config.engine.slowdown.with_remote_penalty(
         scenario ? scenario->remote_penalty : stream->remote_penalty);
@@ -557,10 +501,8 @@ int main(int argc, char** argv) {
     // eager-only surfaces (characterize, with_exact_walltimes) are
     // unavailable: the point is O(live) workload memory.
     if (cli.get_flag("exact-walltimes")) {
-      std::fprintf(stderr,
-                   "error: --exact-walltimes rewrites a materialized trace "
-                   "and cannot apply to --stream\n");
-      return 1;
+      reject("exact-walltimes",
+             "rewrites a materialized trace and cannot apply to --stream");
     }
     config.workload_reference_mem = stream->workload_reference_mem;
     std::printf("scenario: %s — %s (streaming", stream->info.name.c_str(),
@@ -575,53 +517,35 @@ int main(int argc, char** argv) {
     std::printf("scenario: %s — %s\n", scenario->info.name.c_str(),
                 scenario->info.summary.c_str());
   } else if (const std::string swf = cli.get_string("swf"); !swf.empty()) {
-    if (cli.get_int("procs-per-node") <= 0) {
-      std::fprintf(stderr, "error: --procs-per-node must be > 0\n");
-      return 1;
-    }
     SwfOptions options;
     options.procs_per_node =
         static_cast<std::int32_t>(cli.get_int("procs-per-node"));
     auto result = read_swf_file(swf, options);
-    if (!result.ok()) {
-      std::fprintf(stderr, "error: %s\n", result.error.c_str());
-      return 1;
-    }
+    if (!result.ok()) reject("swf", result.error);
     std::printf("loaded %zu jobs from %s (%zu skipped, %zu malformed)\n",
                 result.jobs_accepted, swf.c_str(), result.jobs_skipped,
                 result.lines_malformed);
     trace = result.trace.prefix(static_cast<std::size_t>(cli.get_int("jobs")));
   } else {
-    const auto model = workload_model_from_string(cli.get_string("workload"));
-    if (!model) {
-      return unknown_value("workload", cli.get_string("workload"),
-                           "capability|capacity|mixed");
-    }
-    if (const double load = cli.get_double("load");
-        !std::isfinite(load) || load <= 0.0) {
-      std::fprintf(stderr, "error: --load must be finite and > 0\n");
-      return 1;
-    }
-    if (cli.get_int("jobs") == 0) {
-      std::fprintf(stderr, "error: --jobs must be > 0\n");
-      return 1;
-    }
+    config.model =
+        chosen(cli, "workload",
+               workload_model_from_string(cli.get_string("workload")),
+               "capability|capacity|mixed");
+    if (cli.get_int("jobs") == 0) reject("jobs", "must be > 0");
     // The synthetic models size job widths as fractions of the machine.
     if (cli.get_int("nodes") < 8) {
-      std::fprintf(stderr,
-                   "error: --nodes must be >= 8 for a synthetic workload\n");
-      return 1;
+      reject("nodes", "must be >= 8 for a synthetic workload");
     }
-    config.model = *model;
     config.jobs = static_cast<std::size_t>(cli.get_int("jobs"));
     config.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
     config.target_load = cli.get_double("load");
-    config.workload_reference_mem = gib(cli.get_double("ref-mem-gib"));
-    try {
-      trace = make_workload(config);
-    } catch (const std::invalid_argument& e) {
-      return bad_field_value(e);
+    const double ref_mem_gib = cli.get_double("ref-mem-gib");
+    if (!(ref_mem_gib > 0.0 && ref_mem_gib <= kMaxGib)) {
+      reject("ref-mem-gib", strformat("must lie in (0, %lld]",
+                                      static_cast<long long>(kMaxGib)));
     }
+    config.workload_reference_mem = gib(ref_mem_gib);
+    trace = make_workload(config);
   }
   if (!stream && cli.get_flag("exact-walltimes")) {
     trace = with_exact_walltimes(trace);
@@ -655,26 +579,19 @@ int main(int argc, char** argv) {
   // Passive observability: both attachments leave RunMetrics byte-identical
   // (tests/golden/trace_passivity_test.cpp), so they can ride along on any
   // run without invalidating comparisons against untraced ones.
-  const auto detail =
-      obs::trace_detail_from_string(cli.get_string("trace-detail"));
-  if (!detail) {
-    std::fprintf(stderr,
-                 "error: unknown --trace-detail '%s' (lifecycle|sched|full)\n",
-                 cli.get_string("trace-detail").c_str());
-    return 1;
-  }
-  config.engine.trace_detail = *detail;
+  config.engine.trace_detail =
+      chosen(cli, "trace-detail",
+             obs::trace_detail_from_string(cli.get_string("trace-detail")),
+             "lifecycle|sched|full");
   std::optional<obs::PerfettoTraceWriter> trace_writer;
   if (const std::string path = cli.get_string("trace-out"); !path.empty()) {
     trace_writer.emplace(path);
     if (!trace_writer->ok()) {
-      std::fprintf(stderr, "error: cannot open %s for the trace\n",
-                   path.c_str());
-      return 1;
+      reject("trace-out", "cannot open " + path + " for the trace");
     }
     config.engine.sink = &*trace_writer;
     DMSCHED_LOG_INFO("tracing at detail '%s' into %s",
-                     obs::to_string(*detail), path.c_str());
+                     obs::to_string(config.engine.trace_detail), path.c_str());
   }
   obs::CounterRegistry registry;
   if (!cli.get_string("counters-out").empty()) {
@@ -767,4 +684,26 @@ int main(int argc, char** argv) {
     }
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const dmsched::InputError& e) {
+    // A flag check names its flag; a library field maps to the flag that
+    // set it.
+    const std::string& field = e.field();
+    const char* flag = field.starts_with("--") ? field.c_str() : nullptr;
+    for (const auto& [name, field_flag] : kFieldFlags) {
+      if (field == name) flag = field_flag;
+    }
+    if (flag != nullptr) {
+      std::fprintf(stderr, "error: %s: %s\n", flag, e.what());
+    } else {
+      std::fprintf(stderr, "error: %s\n", e.what());
+    }
+    return 1;
+  }
 }
