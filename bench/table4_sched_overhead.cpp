@@ -67,12 +67,7 @@ class PassContext final : public SchedContext {
       if (!alloc) break;
       cluster_.commit(*alloc);
       jobs_.push_back(j);
-      RunningJob r;
-      r.id = j.id;
-      r.expected_end = now_ + j.walltime;
-      r.take = take_from(*alloc, config_);
-      running_.push_back(r);
-      timeline_.on_start(r.id, r.expected_end, r.take);
+      timeline_.on_start(j.id, now_ + j.walltime, take_from(*alloc, config_));
     }
     // Queue `depth` more jobs, every one wider than the free half so the
     // queue is provably stuck and a timed pass never starts anything. That
@@ -105,9 +100,6 @@ class PassContext final : public SchedContext {
   }
   [[nodiscard]] std::vector<JobId> queued_jobs() const override {
     return queue_;
-  }
-  [[nodiscard]] std::vector<RunningJob> running_jobs() const override {
-    return running_;
   }
   [[nodiscard]] PlacementPolicy placement() const override {
     return placement_;
@@ -145,7 +137,6 @@ class PassContext final : public SchedContext {
   SlowdownModel slowdown_{};
   std::vector<Job> jobs_;
   std::vector<JobId> queue_;
-  std::vector<RunningJob> running_;
   std::size_t starts_ = 0;
 };
 

@@ -82,12 +82,6 @@ std::int64_t Cluster::gpus_used_total() const {
   return total;
 }
 
-Bytes Cluster::neighbor_bytes_total() const {
-  Bytes total{};
-  for (const Bytes& b : neighbor_used_) total += b;
-  return total;
-}
-
 Bytes Cluster::busiest_rack_pool_used() const {
   Bytes peak{};
   for (const Bytes& b : pool_used_) peak = max(peak, b);

@@ -43,8 +43,6 @@ class Cluster {
   [[nodiscard]] Bytes busiest_rack_pool_used() const;
   /// Bytes currently drawn from the global pool.
   [[nodiscard]] Bytes global_pool_used() const { return global_used_; }
-  /// Σ neighbor-marked bytes across all rack pools.
-  [[nodiscard]] Bytes neighbor_bytes_total() const;
   /// Free GPU devices in rack `r`'s pool (0 on GPU-less machines).
   [[nodiscard]] std::int64_t free_gpus_in_rack(RackId r) const;
   /// GPU devices currently held across the machine.

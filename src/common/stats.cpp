@@ -25,11 +25,6 @@ double SampleStats::mean() const {
   return s / static_cast<double>(samples_.size());
 }
 
-double SampleStats::min() const {
-  if (samples_.empty()) return 0.0;
-  return *std::min_element(samples_.begin(), samples_.end());
-}
-
 double SampleStats::max() const {
   if (samples_.empty()) return 0.0;
   return *std::max_element(samples_.begin(), samples_.end());

@@ -32,7 +32,6 @@ class SampleStats {
 
   [[nodiscard]] std::size_t count() const { return samples_.size(); }
   [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
   [[nodiscard]] double max() const;
   /// Exact percentile by linear interpolation, p in [0,100]. 0 when empty.
   [[nodiscard]] double percentile(double p) const;

@@ -180,17 +180,6 @@ std::vector<JobId> SchedulingSimulation::queued_jobs() const {
   return ids;
 }
 
-std::vector<RunningJob> SchedulingSimulation::running_jobs() const {
-  std::vector<RunningJob> out;
-  out.reserve(running_.size());
-  for (JobId id = running_.head; id != kInvalidJobId;
-       id = ring_[id].rt.list_next) {
-    const JobRuntime& r = ring_[id].rt;
-    out.push_back({id, r.expected_end, r.take});
-  }
-  return out;
-}
-
 PlacementPolicy SchedulingSimulation::placement() const {
   return options_.placement;
 }
@@ -415,7 +404,8 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   const double old_dilation = r.dilation;
   const SimTime old_expected = r.expected_end;
   r.work_done += (t - r.seg_start).scaled(1.0 / old_dilation);
-  price(r, job(id), *cluster_.find_allocation(id), t);
+  const Allocation& moved = *cluster_.find_allocation(id);
+  price(r, job(id), moved, t);
   const bool cancelled = engine_.cancel(r.completion_event);
   DMSCHED_ASSERT(cancelled, "apply_migration: completion already fired");
   r.completion_event =
@@ -424,7 +414,7 @@ void SchedulingSimulation::apply_migration(const MigrationDecision& decision,
   // Refresh the availability timeline: the planning bound and the counted
   // take both changed, so incremental passes must see a version bump.
   timeline_.on_finish(id, old_expected);
-  timeline_.on_start(id, r.expected_end, r.take);
+  timeline_.on_start(id, r.expected_end, take_from(moved, config_));
 
   ++(demote ? metrics_.demotions : metrics_.promotions);
   (demote ? demoted_bytes_ : promoted_bytes_) += decision.bytes;
@@ -455,7 +445,6 @@ void SchedulingSimulation::price(JobRuntime& r, const Job& j,
   r.end = t + actual_left;
   const SimTime wall_left = j.walltime - min(j.walltime, r.work_done);
   r.expected_end = t + wall_left.scaled(r.dilation);
-  r.take = take_from(alloc, config_);
   r.far_rack = alloc.rack_draw_total();
   r.far_neighbor = alloc.neighbor_draw_total();
   r.far_global = alloc.global_draw_total();
@@ -662,7 +651,7 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
   r.start = engine_.now();
   r.home_rack = config_.rack_of(alloc.nodes.front());
   price(r, j, alloc, r.start);
-  timeline_.on_start(id, r.expected_end, r.take);
+  timeline_.on_start(id, r.expected_end, take_from(alloc, config_));
   r.completion_event =
       engine_.schedule_at(r.end, sim::EventClass::kCompletion,
                           [this, id](SimTime) { handle_complete(id); });

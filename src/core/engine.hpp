@@ -107,7 +107,6 @@ class SchedulingSimulation final : public SchedContext {
   [[nodiscard]] const Cluster& cluster() const override;
   [[nodiscard]] const Job& job(JobId id) const override;
   [[nodiscard]] std::vector<JobId> queued_jobs() const override;
-  [[nodiscard]] std::vector<RunningJob> running_jobs() const override;
   [[nodiscard]] PlacementPolicy placement() const override;
   [[nodiscard]] const SlowdownModel& slowdown() const override;
   [[nodiscard]] const Topology& topology() const override;
@@ -157,7 +156,6 @@ class SchedulingSimulation final : public SchedContext {
     SimTime expected_end{};
     double dilation = 1.0;
     bool killed = false;
-    TakePlan take;
     Bytes far_rack{};
     Bytes far_neighbor{};
     Bytes far_global{};
@@ -263,7 +261,8 @@ class SchedulingSimulation final : public SchedContext {
   /// — rescheduling its completion for the remaining work at the new rate.
   void apply_migration(const MigrationDecision& decision, bool delayed);
   /// Price a running job's remaining work from `t` on `alloc`: dilation,
-  /// the walltime kill, end, expected_end, take and far bytes.
+  /// the walltime kill, end, expected_end and far bytes. The take lives
+  /// only in the timeline entry the caller passes it to.
   void price(JobRuntime& r, const Job& j, const Allocation& alloc, SimTime t);
   void request_schedule_pass();
   /// The body of a kSchedule event: runs the scheduler, and — only when a

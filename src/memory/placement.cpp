@@ -33,12 +33,6 @@ std::int32_t TakePlan::node_total() const {
   return n;
 }
 
-std::int64_t TakePlan::gpu_total() const {
-  std::int64_t g = 0;
-  for (const auto& t : takes) g += t.gpus;
-  return g;
-}
-
 namespace {
 
 /// A rack's place in the visit order: racks are visited in ascending

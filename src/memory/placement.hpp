@@ -57,7 +57,6 @@ struct TakePlan {
     return rack_pool_total() + neighbor_pool_total();
   }
   [[nodiscard]] std::int32_t node_total() const;
-  [[nodiscard]] std::int64_t gpu_total() const;
 };
 
 /// compute_take's O(1) reject, read from the totals `state` keeps. False

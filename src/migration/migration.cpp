@@ -36,14 +36,6 @@ SimTime MigrationPolicy::latency_for(Bytes bytes) const {
   return seconds(bytes.gib() / bandwidth_gibps);
 }
 
-const char* to_string(MigrationKind k) {
-  switch (k) {
-    case MigrationKind::kDemote: return "demote";
-    case MigrationKind::kPromote: return "promote";
-  }
-  return "?";
-}
-
 std::vector<MigrationDecision> MigrationEngine::plan(
     const Cluster& cluster, const std::vector<JobId>& running) const {
   std::vector<MigrationDecision> out;

@@ -58,8 +58,6 @@ enum class MigrationKind : std::uint8_t {
   kPromote,  ///< global-tier bytes → a hosting rack's pool (headroom back)
 };
 
-[[nodiscard]] const char* to_string(MigrationKind k);
-
 /// One proposed move of a running job's far bytes between tiers.
 struct MigrationDecision {
   JobId job = kInvalidJobId;

@@ -1,6 +1,8 @@
 #include "sched/easy.hpp"
 
 #include <algorithm>
+#include <tuple>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "sched/profile.hpp"
@@ -59,6 +61,68 @@ inline void backfill_one(SchedContext& ctx, SchedulerStats& stats, JobId id,
     b.cache_ok = false;
   }
 }
+
+/// Where the blocked head's node count is first met: the release bound at
+/// which `avail` free nodes plus the nodes released so far reach `need`,
+/// and the surplus there.
+struct Crossing {
+  SimTime shadow = kTimeInfinity;
+  std::int32_t extra = 0;
+};
+
+/// Phase 2's walk over the timeline's releases in place. EASY takes equal
+/// release bounds in job-id order, and which of them precede the crossing
+/// decides `extra`; the timeline keeps them in start order instead. So a
+/// whole equal-time group that leaves the head short is added at once, and
+/// only the group the crossing falls in is walked by ascending id (a
+/// selection walk: groups are short, and this one is the last walked).
+Crossing find_crossing(const std::vector<RunningJob>& releases,
+                       std::int32_t avail, std::int32_t need) {
+  auto group = releases.begin();
+  while (group != releases.end()) {
+    const SimTime t = group->expected_end;
+    auto group_end = group;
+    std::int32_t freed = 0;
+    for (; group_end != releases.end() && group_end->expected_end == t;
+         ++group_end) {
+      freed += group_end->take.node_total();
+    }
+    if (avail + freed >= need) {
+      for (std::int64_t last = -1;;) {
+        auto next = group_end;
+        for (auto it = group; it != group_end; ++it) {
+          if (it->id > last && (next == group_end || it->id < next->id)) {
+            next = it;
+          }
+        }
+        avail += next->take.node_total();
+        if (avail >= need) return {t, avail - need};
+        last = next->id;
+      }
+    }
+    avail += freed;
+    group = group_end;
+  }
+  return {};
+}
+
+#ifndef NDEBUG
+/// find_crossing's reference: the walk over a copy sorted by
+/// (expected_end, id).
+Crossing sorted_crossing(std::vector<RunningJob> releases, std::int32_t avail,
+                         std::int32_t need) {
+  std::sort(releases.begin(), releases.end(),
+            [](const RunningJob& a, const RunningJob& b) {
+              return std::tie(a.expected_end, a.id) <
+                     std::tie(b.expected_end, b.id);
+            });
+  for (const RunningJob& r : releases) {
+    avail += r.take.node_total();
+    if (avail >= need) return {r.expected_end, avail - need};
+  }
+  return {};
+}
+#endif
 
 }  // namespace
 
@@ -125,15 +189,7 @@ void EasyScheduler::schedule(SchedContext& ctx) {
   // Phase 2: node-only shadow time for the blocked head. Walk expected
   // releases in time order accumulating freed nodes until the head fits.
   const Job& head = ctx.job(queue[qi]);
-  auto running = ctx.running_jobs();
-  std::sort(running.begin(), running.end(),
-            [](const RunningJob& a, const RunningJob& b) {
-              if (a.expected_end != b.expected_end) {
-                return a.expected_end < b.expected_end;
-              }
-              return a.id < b.id;
-            });
-  std::int32_t avail = ctx.cluster().free_nodes_total();
+  const std::int32_t avail = ctx.cluster().free_nodes_total();
   SimTime shadow = kTimeInfinity;
   bool shadow_is_now = false;
   std::int32_t extra = 0;
@@ -145,14 +201,15 @@ void EasyScheduler::schedule(SchedContext& ctx) {
     shadow_is_now = true;
     extra = avail - head.nodes;
   } else {
-    for (const RunningJob& r : running) {
-      avail += r.take.node_total();
-      if (avail >= head.nodes) {
-        shadow = r.expected_end;
-        extra = avail - head.nodes;
-        break;
-      }
-    }
+    const auto& releases = ctx.timeline()->entries();
+    const Crossing c = find_crossing(releases, avail, head.nodes);
+#ifndef NDEBUG
+    const Crossing ref = sorted_crossing(releases, avail, head.nodes);
+    DMSCHED_ASSERT(c.shadow == ref.shadow && c.extra == ref.extra,
+                   "EASY: in-place crossing differs from the sorted walk");
+#endif
+    shadow = c.shadow;
+    extra = c.extra;
   }
   DMSCHED_ASSERT(shadow < kTimeInfinity,
                  "EASY: head job wider than the machine was not rejected");

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "common/assert.hpp"
 
@@ -31,27 +32,34 @@ AvailabilityTimeline::AvailabilityTimeline(const ClusterConfig& config)
       id_(next_timeline_id()) {}
 
 void AvailabilityTimeline::on_start(JobId id, SimTime release_at,
-                                    const TakePlan& take) {
+                                    TakePlan take) {
   apply_take(base_free_, take);
   // upper_bound keeps equal release times in start order — the order a
   // rebuild over the running list would see them in.
   const auto it = std::upper_bound(
       entries_.begin(), entries_.end(), release_at,
-      [](SimTime t, const Entry& e) { return t < e.time; });
-  entries_.insert(it, Entry{release_at, id, take});
+      [](SimTime t, const RunningJob& e) { return t < e.expected_end; });
+  entries_.insert(it, RunningJob{id, release_at, std::move(take)});
   ++version_;
 }
 
 void AvailabilityTimeline::on_finish(JobId id, SimTime release_at) {
   auto it = std::lower_bound(
       entries_.begin(), entries_.end(), release_at,
-      [](const Entry& e, SimTime t) { return e.time < t; });
-  while (it != entries_.end() && it->time == release_at && it->job != id) ++it;
-  DMSCHED_ASSERT(it != entries_.end() && it->time == release_at,
+      [](const RunningJob& e, SimTime t) { return e.expected_end < t; });
+  while (it != entries_.end() && it->expected_end == release_at &&
+         it->id != id) {
+    ++it;
+  }
+  DMSCHED_ASSERT(it != entries_.end() && it->expected_end == release_at,
                  "AvailabilityTimeline: finish for untracked job");
   release_take(base_free_, it->take);
   entries_.erase(it);
   ++version_;
+}
+
+std::vector<RunningJob> SchedContext::running_jobs() const {
+  return timeline()->entries();
 }
 
 // --- FreeProfile -------------------------------------------------------------
@@ -96,7 +104,7 @@ bool FreeProfile::sync(const SchedContext& ctx) {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     // Timeline entries are already in delta_precedes order (all adds,
     // time-sorted), so ordered_ is just the identity — no sort.
-    deltas_[i].time = entries[i].time;
+    deltas_[i].time = entries[i].expected_end;
     deltas_[i].take = entries[i].take;
     deltas_[i].adds = true;
     ordered_.push_back(static_cast<std::uint32_t>(i));

@@ -70,24 +70,22 @@ class AvailabilityTimeline {
   explicit AvailabilityTimeline(const ClusterConfig& config);
 
   /// A job's resources left the free pool; they are expected back at
-  /// `release_at` (its dilated walltime bound). O(log n) locate + insert.
-  void on_start(JobId id, SimTime release_at, const TakePlan& take);
+  /// `release_at` (its dilated walltime bound, which it may overrun).
+  /// O(log n) locate + insert.
+  void on_start(JobId id, SimTime release_at, TakePlan take);
 
   /// The job stopped (completed, killed, or cancelled) and its resources
   /// are free again. `release_at` must be the bound passed to `on_start`.
   void on_finish(JobId id, SimTime release_at);
 
-  struct Entry {
-    SimTime time;  ///< expected release (walltime bound; may be overrun)
-    JobId job = kInvalidJobId;
-    TakePlan take;
-  };
-
   [[nodiscard]] const ClusterConfig& config() const { return *config_; }
   /// Free state at the current instant (mirrors `snapshot(cluster)`).
   [[nodiscard]] const ResourceState& free_now() const { return base_free_; }
-  /// Release breakpoints, sorted by time (ties: job start order).
-  [[nodiscard]] const std::vector<Entry>& entries() const { return entries_; }
+  /// The running set: every running job with its release bound and take,
+  /// sorted by `expected_end` (ties: job start order).
+  [[nodiscard]] const std::vector<RunningJob>& entries() const {
+    return entries_;
+  }
 
   /// Process-unique identity (so a scheduler's cache can never confuse two
   /// timelines that happen to share an address across simulations).
@@ -98,7 +96,7 @@ class AvailabilityTimeline {
  private:
   const ClusterConfig* config_;
   ResourceState base_free_;
-  std::vector<Entry> entries_;
+  std::vector<RunningJob> entries_;
   std::uint64_t id_;
   std::uint64_t version_ = 0;
 };

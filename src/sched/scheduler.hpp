@@ -21,7 +21,7 @@ namespace dmsched {
 
 class AvailabilityTimeline;
 
-/// Planning view of a running job.
+/// Planning view of a running job: one entry of the availability timeline.
 struct RunningJob {
   JobId id = kInvalidJobId;
   /// Upper bound on when it releases resources: start + walltime × the
@@ -42,8 +42,11 @@ class SchedContext {
   [[nodiscard]] virtual const Job& job(JobId id) const = 0;
   /// Waiting jobs, head first, in queue-policy order.
   [[nodiscard]] virtual std::vector<JobId> queued_jobs() const = 0;
-  /// Running jobs with planning bounds (unordered).
-  [[nodiscard]] virtual std::vector<RunningJob> running_jobs() const = 0;
+  /// Running jobs with planning bounds, in release order (ties in start
+  /// order): a copy of `timeline()->entries()`, the one record of the
+  /// running set. No policy calls it; policies read the timeline in place.
+  /// It stays virtual only because perfbench's timing wrapper overrides it.
+  [[nodiscard]] virtual std::vector<RunningJob> running_jobs() const;
   [[nodiscard]] virtual PlacementPolicy placement() const = 0;
   [[nodiscard]] virtual const SlowdownModel& slowdown() const = 0;
   /// The machine's rack-scale memory model (tier capacities, headroom).

@@ -9,16 +9,6 @@
 
 namespace dmsched {
 
-const char* to_string(MemoryTier t) {
-  switch (t) {
-    case MemoryTier::kLocal: return "local";
-    case MemoryTier::kRackPool: return "rack-pool";
-    case MemoryTier::kNeighborPool: return "neighbor-pool";
-    case MemoryTier::kGlobalPool: return "global-pool";
-  }
-  return "?";
-}
-
 namespace {
 
 std::int64_t sum_nodes(const std::vector<std::int32_t>& free_nodes) {
@@ -84,22 +74,6 @@ ResourceState empty_state(const ClusterConfig& config) {
 }
 
 Topology::Topology(ClusterConfig config) : config_(std::move(config)) {}
-
-Bytes Topology::tier_capacity(MemoryTier t) const {
-  switch (t) {
-    case MemoryTier::kLocal:
-      return config_.local_mem_per_node * config_.total_nodes;
-    case MemoryTier::kRackPool:
-      return rack_tier_capacity();
-    case MemoryTier::kNeighborPool:
-      // Neighbor bytes come from the same physical pools as the rack tier;
-      // the tier is a *distance* grade, not extra capacity.
-      return rack_tier_capacity();
-    case MemoryTier::kGlobalPool:
-      return global_tier_capacity();
-  }
-  DMSCHED_UNREACHABLE("bad memory tier");
-}
 
 TierHeadroom Topology::headroom(const ResourceState& state) const {
   DMSCHED_ASSERT(state.free_nodes.size() == static_cast<std::size_t>(racks()),

@@ -37,8 +37,6 @@ enum class MemoryTier : std::uint8_t {
 
 constexpr std::size_t kMemoryTierCount = 4;
 
-[[nodiscard]] const char* to_string(MemoryTier t);
-
 /// Hop distance of a tier from the consuming node: 0 local, 1 rack, 2
 /// neighbor rack, 3 global. The slowdown model's per-tier coefficients are
 /// monotone in this.
@@ -135,8 +133,6 @@ class Topology {
   [[nodiscard]] Bytes global_tier_capacity() const {
     return config_.global_pool;
   }
-  /// Capacity of one tier across the machine (local = Σ node-local DRAM).
-  [[nodiscard]] Bytes tier_capacity(MemoryTier t) const;
 
   /// GPU devices owned by rack `r` (tiered like nodes: rack-pooled).
   [[nodiscard]] std::int64_t rack_gpu_capacity(RackId r) const {

@@ -659,9 +659,12 @@ TEST(KernelReuse, ReusedPlanEqualsFreshPlan) {
       last_had_bb = !reused.bb_bytes.is_zero();
       if (!reused.neighbor_pool_total().is_zero()) ++counts.neighbor_draws;
       if (last_had_bb) ++counts.bb;
-      if (reused.gpu_total() > 0) ++counts.gpus;
+      const bool gpus = std::any_of(
+          reused.takes.begin(), reused.takes.end(),
+          [](const RackTake& t) { return t.gpus > 0; });
+      if (gpus) ++counts.gpus;
       if (!reused.far_per_node.is_zero()) ++counts.deficit;
-      if (!last_had_bb && reused.gpu_total() == 0 &&
+      if (!last_had_bb && !gpus &&
           reused.far_per_node.is_zero()) {
         ++counts.plain;
       }

@@ -313,10 +313,5 @@ TEST(RewriteDrawsDeath, PromotionBeyondTheGlobalDrawAborts) {
       "exceeds the global draw");
 }
 
-TEST(MigrationKindNames, RoundTrip) {
-  EXPECT_STREQ(to_string(MigrationKind::kDemote), "demote");
-  EXPECT_STREQ(to_string(MigrationKind::kPromote), "promote");
-}
-
 }  // namespace
 }  // namespace dmsched

@@ -96,6 +96,30 @@ TEST(Easy, MultipleShortBackfills) {
   EXPECT_EQ(ctx.started(), (std::vector<JobId>{2, 3}));
 }
 
+TEST(Easy, EqualReleasesAtTheCrossingCountInIdOrder) {
+  // Jobs 0 and 1 both release at 4h but started in the order 1, 0; job 2
+  // releases first, at 2h. Head job 3 wants 13 nodes with 6 free: the 2h
+  // release leaves it short (8), and it fits inside the 4h group. Taken by
+  // id, job 0 (+2 -> 10) and then job 1 (+6 -> 16) cross with extra = 3;
+  // taken in start order, job 1 alone crosses (14) with extra = 1.
+  FakeContext ctx(tiny_cluster(),
+                  {job(0).nodes(2).walltime_h(4.0).runtime_h(4.0),
+                   job(1).nodes(6).walltime_h(4.0).runtime_h(4.0),
+                   job(2).nodes(2).walltime_h(2.0).runtime_h(2.0),
+                   job(3).nodes(13).walltime_h(1.0).runtime_h(1.0),
+                   job(4).nodes(3).walltime_h(24.0).runtime_h(20.0)});
+  ctx.force_run(1);
+  ctx.force_run(0);
+  ctx.force_run(2);
+  ctx.enqueue(3);
+  ctx.enqueue(4);
+  EasyScheduler sched;
+  sched.schedule(ctx);
+  // The 3-node candidate outlives the 4h shadow and fits only the
+  // id-ordered extra.
+  EXPECT_EQ(ctx.started(), (std::vector<JobId>{4}));
+}
+
 TEST(Easy, MemoryUnawareShadowIgnoresPoolPressure) {
   // THE baseline pathology this paper targets: the head is blocked on pool
   // bytes, nodes are free, so the node-only shadow is "now" and EASY lets a

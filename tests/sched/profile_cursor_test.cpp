@@ -636,7 +636,7 @@ struct Site {
       ctx.force_run(id);
       return true;
     }
-    const auto running = ctx.running_jobs();
+    const auto& running = ctx.timeline()->entries();
     if (running.empty()) return false;
     ctx.finish(running[static_cast<std::size_t>(rng.uniform_int(
                            0, static_cast<std::int64_t>(running.size()) - 1))]
@@ -768,10 +768,14 @@ TEST(ProfileRows, ReusedAcrossMachineShapesMatchesOracle) {
         ++counts.holds;
       } else if (r < 0.8) {
         // Back to a mark taken since the sync (a drop may have gone below).
+        // Every hold adds two deltas, so marks lie an even count apart: an
+        // odd count would keep a hold's start and drop its end.
         const auto lo =
             static_cast<std::int64_t>(std::min(start, oracle->mark()));
-        oracle->rollback(static_cast<FreeProfile::Mark>(rng.uniform_int(
-            lo, static_cast<std::int64_t>(oracle->mark()))));
+        const auto holds =
+            (static_cast<std::int64_t>(oracle->mark()) - lo) / 2;
+        oracle->rollback(static_cast<FreeProfile::Mark>(
+            lo + 2 * rng.uniform_int(0, holds)));
         ++counts.rollbacks;
       } else {
         oracle->drop_holds();

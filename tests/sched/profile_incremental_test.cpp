@@ -65,19 +65,19 @@ TEST(AvailabilityTimeline, TracksStartsFinishesAndVersion) {
   EXPECT_EQ(tl.free_now().global_free,
             empty.global_free - gib(std::int64_t{4}));
   ASSERT_EQ(tl.entries().size(), 1u);
-  EXPECT_EQ(tl.entries()[0].job, 7u);
+  EXPECT_EQ(tl.entries()[0].id, 7u);
 
   // An earlier release inserts *before* the existing entry.
   TakePlan second;
   second.takes.push_back({1, 1, Bytes{0}, Bytes{0}});
   tl.on_start(8, seconds(std::int64_t{50}), second);
   ASSERT_EQ(tl.entries().size(), 2u);
-  EXPECT_EQ(tl.entries()[0].job, 8u);
-  EXPECT_EQ(tl.entries()[1].job, 7u);
+  EXPECT_EQ(tl.entries()[0].id, 8u);
+  EXPECT_EQ(tl.entries()[1].id, 7u);
 
   tl.on_finish(7, seconds(std::int64_t{100}));
   ASSERT_EQ(tl.entries().size(), 1u);
-  EXPECT_EQ(tl.entries()[0].job, 8u);
+  EXPECT_EQ(tl.entries()[0].id, 8u);
   tl.on_finish(8, seconds(std::int64_t{50}));
   expect_states_equal(tl.free_now(), empty);
   EXPECT_TRUE(tl.entries().empty());
@@ -95,13 +95,13 @@ TEST(AvailabilityTimeline, EqualTimeEntriesKeepStartOrder) {
   // A rebuild over the running list sorts by (time, start order); pushes at
   // an equal time must land after the existing run, preserving it.
   ASSERT_EQ(tl.entries().size(), 3u);
-  EXPECT_EQ(tl.entries()[0].job, 3u);
-  EXPECT_EQ(tl.entries()[1].job, 1u);
-  EXPECT_EQ(tl.entries()[2].job, 2u);
+  EXPECT_EQ(tl.entries()[0].id, 3u);
+  EXPECT_EQ(tl.entries()[1].id, 1u);
+  EXPECT_EQ(tl.entries()[2].id, 2u);
   tl.on_finish(1, t);
   ASSERT_EQ(tl.entries().size(), 2u);
-  EXPECT_EQ(tl.entries()[0].job, 3u);
-  EXPECT_EQ(tl.entries()[1].job, 2u);
+  EXPECT_EQ(tl.entries()[0].id, 3u);
+  EXPECT_EQ(tl.entries()[1].id, 2u);
 }
 
 TEST(AvailabilityTimeline, IdentityIsProcessUnique) {

@@ -161,7 +161,9 @@ TEST(ResourceAwarePlanning, MemoryOnlyPlanOvercommitsAnExhaustedGpuPool) {
   blind.axes = ResourceAxes::memory_only();
   const auto plan = compute_take(state, config, wants, blind);
   ASSERT_TRUE(plan.has_value());
-  EXPECT_EQ(plan->gpu_total(), 0);  // the plan holds no devices at all
+  for (const RackTake& t : plan->takes) {
+    EXPECT_EQ(t.gpus, 0);  // the plan holds no devices at all
+  }
   // ...but the job's physical demand rides on the materialized allocation
   // regardless of what the planner looked at, and no rack can fund it.
   const Allocation alloc = materialize(cluster, wants, *plan);

@@ -54,8 +54,10 @@ class FakeContext final : public SchedContext {
   [[nodiscard]] bool was_started(JobId id) const {
     return std::find(started_.begin(), started_.end(), id) != started_.end();
   }
+  /// The timeline's record of a running job, or nullptr. The pointer dies
+  /// at the next start or finish.
   [[nodiscard]] const RunningJob* running_record(JobId id) const {
-    for (const auto& r : running_) {
+    for (const RunningJob& r : timeline_.entries()) {
       if (r.id == id) return &r;
     }
     return nullptr;
@@ -63,12 +65,10 @@ class FakeContext final : public SchedContext {
 
   /// Finish a running job: release resources, drop from the running set.
   void finish(JobId id) {
+    const RunningJob* r = running_record(id);
+    DMSCHED_ASSERT(r != nullptr, "finish: job is not running");
     cluster_.release(id);
-    const auto it =
-        std::find_if(running_.begin(), running_.end(),
-                     [&](const RunningJob& r) { return r.id == id; });
-    timeline_.on_finish(id, it->expected_end);
-    running_.erase(it);
+    timeline_.on_finish(id, r->expected_end);
   }
 
   // --- SchedContext ----------------------------------------------------------
@@ -90,9 +90,6 @@ class FakeContext final : public SchedContext {
       return queue_precedes(job(a), job(b), order_, now_);
     });
     return ids;
-  }
-  [[nodiscard]] std::vector<RunningJob> running_jobs() const override {
-    return running_;
   }
   [[nodiscard]] PlacementPolicy placement() const override {
     return placement_;
@@ -138,12 +135,8 @@ class FakeContext final : public SchedContext {
     cluster_.commit(alloc);
     const Job& j = job(id);
     const double dilation = slowdown_.dilation_for(alloc, j);
-    RunningJob r;
-    r.id = id;
-    r.expected_end = now_ + j.walltime.scaled(dilation);
-    r.take = take_from(alloc, config_);
-    running_.push_back(r);
-    timeline_.on_start(id, r.expected_end, r.take);
+    timeline_.on_start(id, now_ + j.walltime.scaled(dilation),
+                       take_from(alloc, config_));
   }
 
   ClusterConfig config_;
@@ -158,7 +151,6 @@ class FakeContext final : public SchedContext {
   AvailabilityTimeline timeline_{config_};
   std::vector<JobId> queue_;
   std::vector<JobId> append_log_;
-  std::vector<RunningJob> running_;
   std::vector<JobId> started_;
 };
 

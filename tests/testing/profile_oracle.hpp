@@ -46,7 +46,7 @@ class ProfileOracle {
         now_(now),
         config_(&timeline.config()) {
     for (const auto& e : timeline.entries()) {
-      log_.push_back({e.time, e.take, /*adds=*/true});
+      log_.push_back({e.expected_end, e.take, /*adds=*/true});
     }
     releases_ = log_.size();
     DMSCHED_ASSERT(profile.mark() == releases_, "profile did not rebuild");

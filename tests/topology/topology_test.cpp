@@ -33,13 +33,6 @@ TEST(TopologyModel, TierCapacitiesComeFromTheConfig) {
   EXPECT_EQ(t.rack_pool_capacity(2), gib(std::int64_t{32}));
   EXPECT_EQ(t.rack_tier_capacity(), gib(std::int64_t{128}));
   EXPECT_EQ(t.global_tier_capacity(), gib(std::int64_t{128}));
-  EXPECT_EQ(t.tier_capacity(MemoryTier::kLocal), gib(std::int64_t{64 * 16}));
-  EXPECT_EQ(t.tier_capacity(MemoryTier::kRackPool), gib(std::int64_t{128}));
-  // The neighbor tier is a distance grade over the same physical pools, so
-  // its capacity is the rack tier's.
-  EXPECT_EQ(t.tier_capacity(MemoryTier::kNeighborPool),
-            gib(std::int64_t{128}));
-  EXPECT_EQ(t.tier_capacity(MemoryTier::kGlobalPool), gib(std::int64_t{128}));
   EXPECT_TRUE(t.has_rack_tier());
   EXPECT_TRUE(t.has_global_tier());
   EXPECT_FALSE(t.single_pool());
@@ -237,13 +230,6 @@ TEST(FlattenToGlobal, MovesAllCapacityToTheGlobalTier) {
   EXPECT_EQ(flat.total_nodes, base.total_nodes);
   EXPECT_EQ(flat.local_mem_per_node, base.local_mem_per_node);
   EXPECT_TRUE(Topology(flat).single_pool());
-}
-
-TEST(MemoryTierNames, RoundTrip) {
-  EXPECT_STREQ(to_string(MemoryTier::kLocal), "local");
-  EXPECT_STREQ(to_string(MemoryTier::kRackPool), "rack-pool");
-  EXPECT_STREQ(to_string(MemoryTier::kNeighborPool), "neighbor-pool");
-  EXPECT_STREQ(to_string(MemoryTier::kGlobalPool), "global-pool");
 }
 
 }  // namespace

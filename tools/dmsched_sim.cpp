@@ -41,12 +41,7 @@ namespace {
 
 using namespace dmsched;
 
-void write_jobs_csv(const std::string& path, const RunMetrics& m) {
-  CsvWriter csv(path);
-  if (!csv.ok()) {
-    DMSCHED_LOG_WARN("cannot write %s", path.c_str());
-    return;
-  }
+void write_jobs_csv(CsvWriter& csv, const RunMetrics& m) {
   csv.header({"job", "user", "fate", "nodes", "mem_per_node_gib",
               "submit_s", "start_s", "end_s", "wait_s", "runtime_s",
               "dilation", "bsld", "far_rack_gib", "far_global_gib",
@@ -76,12 +71,7 @@ void write_jobs_csv(const std::string& path, const RunMetrics& m) {
   }
 }
 
-void write_windows_csv(const std::string& path, const RunMetrics& m) {
-  CsvWriter csv(path);
-  if (!csv.ok()) {
-    DMSCHED_LOG_WARN("cannot write %s", path.c_str());
-    return;
-  }
+void write_windows_csv(CsvWriter& csv, const RunMetrics& m) {
   csv.header({"start_s", "end_s", "mean_busy_nodes", "mean_queued_jobs",
               "busy_node_seconds", "rack_pool_gib_seconds",
               "global_pool_gib_seconds", "submitted", "started", "finished",
@@ -104,12 +94,7 @@ void write_windows_csv(const std::string& path, const RunMetrics& m) {
   }
 }
 
-void write_series_csv(const std::string& path, const RunMetrics& m) {
-  CsvWriter csv(path);
-  if (!csv.ok()) {
-    DMSCHED_LOG_WARN("cannot write %s", path.c_str());
-    return;
-  }
+void write_series_csv(CsvWriter& csv, const RunMetrics& m) {
   csv.header({"time_s", "busy_nodes", "queued", "running",
               "rack_pool_used_gib", "global_pool_used_gib"});
   for (const TimeSample& s : m.series) {
@@ -127,6 +112,33 @@ void write_series_csv(const std::string& path, const RunMetrics& m) {
 /// ("--lookahead"), so main reports it without a table lookup.
 [[noreturn]] void reject(const char* flag, const std::string& detail) {
   throw InputError(std::string("--") + flag, detail);
+}
+
+/// `--flag`'s CSV, opened before the run so that an unwritable path is
+/// rejected up front instead of costing the run's results; empty when the
+/// flag is unset.
+std::optional<CsvWriter> open_csv(const Cli& cli, const char* flag) {
+  const std::string path = cli.get_string(flag);
+  if (path.empty()) return std::nullopt;
+  std::optional<CsvWriter> csv(std::in_place, path);
+  if (!csv->ok()) reject(flag, "cannot open " + path + " for writing");
+  return csv;
+}
+
+/// `--flag`'s interval in minutes; zero (off) when the flag is not positive.
+/// A count past half of kTimeInfinity in µs — the bound read_swf puts on
+/// trace times — is rejected: it would overflow the clock.
+SimTime interval_min(const Cli& cli, const char* flag) {
+  constexpr std::int64_t kMaxMin =
+      kTimeInfinity.usec() / 2 / minutes(1).usec();
+  const std::int64_t n = cli.get_int(flag);
+  if (n <= 0) return SimTime{};
+  if (n > kMaxMin) {
+    reject(flag, strformat("%lld is out of range (at most %lld minutes)",
+                           static_cast<long long>(n),
+                           static_cast<long long>(kMaxMin)));
+  }
+  return minutes(n);
 }
 
 /// `parsed` — `--flag`'s value looked up by name — or a rejection of that
@@ -481,19 +493,13 @@ int run(int argc, char** argv) {
         scenario ? scenario->remote_penalty : stream->remote_penalty);
   }
   config.engine.kill_on_walltime = cli.get_flag("kill-on-walltime");
-  if (cli.get_int("sample-interval-min") > 0) {
-    config.engine.sample_interval = minutes(cli.get_int("sample-interval-min"));
-  }
+  config.engine.sample_interval = interval_min(cli, "sample-interval-min");
   config.engine.submit_lookahead =
       static_cast<std::size_t>(cli.get_int("lookahead"));
-  if (cli.get_int("checkpoint-interval-min") > 0) {
-    config.engine.checkpoint_interval =
-        minutes(cli.get_int("checkpoint-interval-min"));
-  }
-  if (cli.get_int("migrate-interval-min") > 0) {
-    config.engine.migration.check_interval =
-        minutes(cli.get_int("migrate-interval-min"));
-  }
+  config.engine.checkpoint_interval =
+      interval_min(cli, "checkpoint-interval-min");
+  config.engine.migration.check_interval =
+      interval_min(cli, "migrate-interval-min");
 
   Trace trace;
   if (stream) {
@@ -593,6 +599,9 @@ int run(int argc, char** argv) {
     DMSCHED_LOG_INFO("tracing at detail '%s' into %s",
                      obs::to_string(config.engine.trace_detail), path.c_str());
   }
+  std::optional<CsvWriter> jobs_csv = open_csv(cli, "csv-jobs");
+  std::optional<CsvWriter> series_csv = open_csv(cli, "csv-series");
+  std::optional<CsvWriter> windows_csv = open_csv(cli, "csv-windows");
   obs::CounterRegistry registry;
   if (!cli.get_string("counters-out").empty()) {
     config.engine.counters = &registry;
@@ -650,23 +659,25 @@ int run(int argc, char** argv) {
                 r.users.size(), r.jain_bsld, r.jain_wait,
                 r.max_min_bsld_ratio, 100.0 * r.top_decile_node_share);
   }
-  if (const std::string path = cli.get_string("csv-jobs"); !path.empty()) {
-    write_jobs_csv(path, m);
-    std::printf("wrote per-job outcomes to %s\n", path.c_str());
+  if (jobs_csv) {
+    write_jobs_csv(*jobs_csv, m);
+    std::printf("wrote per-job outcomes to %s\n",
+                cli.get_string("csv-jobs").c_str());
   }
-  if (const std::string path = cli.get_string("csv-series"); !path.empty()) {
-    write_series_csv(path, m);
-    std::printf("wrote time series to %s\n", path.c_str());
+  if (series_csv) {
+    write_series_csv(*series_csv, m);
+    std::printf("wrote time series to %s\n",
+                cli.get_string("csv-series").c_str());
   }
-  if (const std::string path = cli.get_string("csv-windows"); !path.empty()) {
+  if (windows_csv) {
     if (m.windows.empty()) {
       std::fprintf(stderr,
                    "warning: --csv-windows without --checkpoint-interval-min "
                    "writes an empty table\n");
     }
-    write_windows_csv(path, m);
+    write_windows_csv(*windows_csv, m);
     std::printf("wrote %zu metric windows to %s\n", m.windows.size(),
-                path.c_str());
+                cli.get_string("csv-windows").c_str());
   }
   if (trace_writer) {
     std::printf("wrote trace (%zu events) to %s\n",
