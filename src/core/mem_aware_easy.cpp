@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <span>
 
 #include "common/assert.hpp"
 
@@ -120,6 +121,13 @@ bool leaves_tier_headroom(const SchedContext& ctx, const ResourceState& state,
   return true;
 }
 
+/// Hold `choice` for job `id` on `profile`: its reservation.
+Reservation hold_reservation(FreeProfile& profile, JobId id,
+                             const FitChoice& choice) {
+  profile.add_hold(choice.fit.time, choice.finish_bound, choice.fit.plan);
+  return {id, choice.fit.time, choice.finish_bound};
+}
+
 #ifndef NDEBUG
 /// The full recompute keeps_baseline replaces: true when `fresh` does not
 /// delay any job relative to `baseline` (pairwise by index).
@@ -138,21 +146,18 @@ bool no_regression(const std::vector<Reservation>& baseline,
 }  // namespace
 
 std::vector<Reservation> place_reservations(FreeProfile& profile,
-                                            const std::vector<JobId>& jobs,
+                                            std::span<const JobId> jobs,
                                             const SchedContext& ctx,
                                             const MemAwareOptions& opts,
                                             const PlacementPolicy& planning) {
   std::vector<Reservation> reservations;
   reservations.reserve(jobs.size());
   for (const JobId id : jobs) {
-    const Job& job = ctx.job(id);
-    const auto choice = choose_fit(profile, job, ctx, opts, planning);
+    const auto choice = choose_fit(profile, ctx.job(id), ctx, opts, planning);
     // Admitted jobs always fit once the profile drains.
     DMSCHED_ASSERT(choice.has_value(),
                    "mem-easy: admitted job has no reservation");
-    profile.add_hold(choice->fit.time, choice->finish_bound,
-                     choice->fit.plan);
-    reservations.push_back({id, choice->fit.time, choice->finish_bound});
+    reservations.push_back(hold_reservation(profile, id, *choice));
   }
   return reservations;
 }
@@ -211,10 +216,30 @@ bool head_keeps_baseline(const FreeProfile& profile, const Reservation& base,
          base.finish_bound;
 }
 
+// Why a warm pass with one reservation judges only the jobs queued since the
+// cached pass P. P armed the cache, so it started nothing: it passed over
+// every candidate it judged, in queue order, and left no hold in the
+// profile. This pass is fast: the sync was clean (no start, finish or
+// migration since P, so the cluster is P's and no delta lies between P's now
+// and this one), the queue only grew at its tail, the reserved head and its
+// baseline are P's, and now >= P's now. A candidate P passed over gets P's
+// verdict again (non-adaptive, one reservation):
+//  - its plan at now reads only the row at now, which is P's row, so the
+//    kernel, the headroom shield (same row, same plan) and the dilation
+//    answer as they did;
+//  - the early accept needs end_bound = now + dilated walltime by the
+//    head's start, and end_bound only grows with now;
+//  - head_keeps_baseline reads the row at the head's start, the plan and
+//    the baseline, all P's, and not now or end_bound (end_bound still lies
+//    past the head's start). A deeper what-if re-fits later reservations
+//    around a hold that starts at now, which moved, so this is depth 1 only;
+//  - a what-if accept that failed the live-ledger replan fails it again on
+//    the same cluster.
+// So a full pass would pass over P's candidates again. They still count
+// against kBackfillWindow, which then covers the arrivals only if P reached
+// the end of the queue.
 void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   ++stats_.passes;
-  auto queue = ctx.queued_jobs();
-  std::size_t qi = 0;
   const SimTime now = ctx.now();
   const ClusterConfig& config = ctx.cluster().config();
 
@@ -242,119 +267,31 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   bool any_start = false;
   if (fast) ++stats_.fast_passes;
 
-  if (!fast) {
-    profile_.drop_holds();
-
-    // Phase 1: start from the head while the chosen fit is "now". The
-    // profile is re-synced after every start (the start changed the base
-    // state, so the sync rebuilds).
-    while (qi < queue.size()) {
-      const Job& head = ctx.job(queue[qi]);
-      ++stats_.jobs_examined;
-      ++stats_.plans_attempted;
-      auto choice = choose_fit(profile_, head, ctx, options_, planning);
-      DMSCHED_ASSERT(choice.has_value(),
-                     "mem-easy: admitted head job has no fit at drain");
-      if (choice->fit.time > now) break;
-      if (revalidate) {
-        // The blind plan says "now", but an unplanned axis may be exhausted;
-        // replan against the live ledger with every axis on. A failed
-        // replan means the head is physically blocked — it waits.
-        auto alloc = plan_start(ctx.cluster(), head, ctx.placement());
-        if (!alloc) break;
-        ctx.start_job(queue[qi], *alloc);
-      } else {
-        const Allocation alloc =
-            materialize(ctx.cluster(), head, choice->fit.plan);
-        ctx.start_job(queue[qi], alloc);
-      }
-      any_start = true;
-      profile_.sync(ctx);
-      ++qi;
-    }
-    if (qi >= queue.size()) return;
-
-    // Phase 2: the first K blocked jobs receive protected reservations
-    // (EASY-K; K=1 is classic EASY). `profile_` carries only releases and
-    // accepted backfills; reservations are recomputed from it on demand so
-    // candidate what-if checks can rebuild them cheaply.
-    const std::size_t depth =
-        std::min(options_.reservation_depth, queue.size() - qi);
-    reserved_jobs_.assign(
-        queue.begin() + static_cast<std::ptrdiff_t>(qi),
-        queue.begin() + static_cast<std::ptrdiff_t>(qi + depth));
-    const auto baseline_mark = profile_.mark();
-    baseline_ =
-        place_reservations(profile_, reserved_jobs_, ctx, options_, planning);
-    profile_.rollback(baseline_mark);
-  }
-  // Fast pass: heads are still blocked and baseline_/reserved_jobs_ are
-  // exactly what phases 1–2 would recompute; qi stays 0 because nothing
-  // left the queue since.
-
-  // Phase 3: examine backfill candidates (everything behind the reserved
-  // prefix). Identical in fast and full passes.
-  const std::size_t depth = reserved_jobs_.size();
-  DMSCHED_ASSERT(queue.size() >= qi + depth &&
-                     std::equal(reserved_jobs_.begin(), reserved_jobs_.end(),
-                                queue.begin() +
-                                    static_cast<std::ptrdiff_t>(qi)),
-                 "mem-easy: cached reserved prefix diverged from the queue");
-  std::vector<JobId> candidates(
-      queue.begin() + static_cast<std::ptrdiff_t>(qi + depth), queue.end());
-  switch (options_.order) {
-    case BackfillOrder::kQueueOrder:
-      break;
-    case BackfillOrder::kShortestFirst:
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](JobId a, JobId b) {
-                         return ctx.job(a).walltime < ctx.job(b).walltime;
-                       });
-      break;
-    case BackfillOrder::kBestMemFit:
-      std::stable_sort(candidates.begin(), candidates.end(),
-                       [&](JobId a, JobId b) {
-                         const Bytes local = config.local_mem_per_node;
-                         const Bytes da =
-                             ctx.job(a).mem_per_node -
-                             min(ctx.job(a).mem_per_node, local);
-                         const Bytes db =
-                             ctx.job(b).mem_per_node -
-                             min(ctx.job(b).mem_per_node, local);
-                         return da > db;  // hardest-to-place first
-                       });
-      break;
-  }
-
-  // One scratch plan serves every candidate (compute_take overwrites it),
-  // and one state and plan every one-call what-if.
+  // Phase 3's verdict on one backfill candidate, leaving the profile as
+  // found: the plan to start it with now, or nullptr to pass it over. The
+  // candidate's plan on the profile is left in `take` and the end of the
+  // hold an accept adds in `end_bound`. One scratch plan serves every
+  // candidate (compute_take overwrites it), and one state and plan every
+  // one-call what-if.
   TakePlan take;
+  SimTime end_bound{};
   ResourceState what_if_state;
   TakePlan what_if_plan;
-  // The what-if is one kernel call for a single reservation outside
-  // adaptive mode (proof at head_keeps_baseline).
-  const bool direct_what_if = baseline_.size() == 1 && !options_.adaptive;
-  std::size_t examined = 0;
-  for (JobId cid : candidates) {
-    if (examined >= kBackfillWindow) break;
-    ++examined;
-    ++stats_.jobs_examined;
-    const Job& cand = ctx.job(cid);
-    ++stats_.plans_attempted;
+  std::optional<TakePlan> physical;
+  const auto backfill_plan = [&](const Job& cand) -> const TakePlan* {
     {
       // The row at now, by reference: it dies at the profile's next query.
       const ResourceState& state_now = profile_.state_at(now);
       if (!totals_admit(state_now, config, cand, planning) ||
           !compute_take(state_now, config, cand, planning, take)) {
-        continue;
+        return nullptr;
       }
-
       // Tier-headroom shield: skip backfills that would drain a pool tier
       // below the configured reserve (kept for the protected queue front).
       if (options_.reserve_headroom > 0.0 && !take.far_per_node.is_zero() &&
           !leaves_tier_headroom(ctx, state_now, take,
                                 options_.reserve_headroom)) {
-        continue;
+        return nullptr;
       }
     }
 
@@ -369,16 +306,16 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       const SimTime now_finish = now + cand.walltime.scaled(dil);
       if (alt && alt->finish_bound.seconds() + options_.adaptive_margin_sec <
                      now_finish.seconds()) {
-        continue;
+        return nullptr;
       }
     }
 
-    const SimTime end_bound = now + cand.walltime.scaled(dil);
+    end_bound = now + cand.walltime.scaled(dil);
     const auto mark = profile_.mark();
     // Fast path: a candidate that returns everything before the earliest
     // reservation begins cannot delay any reservation.
     bool accept = !baseline_.empty() && end_bound <= baseline_.front().start;
-    if (!accept && direct_what_if) {
+    if (!accept && baseline_.size() == 1 && !options_.adaptive) {
       // One reservation: one kernel call at its start decides the what-if
       // (head_keeps_baseline), so the candidate is held only if accepted.
       accept = head_keeps_baseline(profile_, baseline_.front(), take, ctx,
@@ -411,23 +348,158 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
 #endif
       profile_.rollback(mark);
     }
-    if (!accept) continue;
-    profile_.add_hold(now, end_bound, take);
-    if (revalidate) {
-      // Replan against the live ledger with every axis on: a blind backfill
-      // must not start on an exhausted GPU rack or a full burst buffer.
-      const auto physical =
-          compute_take(snapshot(ctx.cluster()), config, cand, ctx.placement());
-      if (!physical) {
-        profile_.rollback(mark);
-        continue;
-      }
-      const Allocation alloc = materialize(ctx.cluster(), cand, *physical);
-      ctx.start_job(cid, alloc);
-    } else {
-      const Allocation alloc = materialize(ctx.cluster(), cand, take);
-      ctx.start_job(cid, alloc);
+    if (!accept) return nullptr;
+    if (!revalidate) return &take;
+    // Replan against the live ledger with every axis on: a blind backfill
+    // must not start on an exhausted GPU rack or a full burst buffer.
+    physical = compute_take(snapshot(ctx.cluster()), config, cand,
+                            ctx.placement());
+    return physical ? &*physical : nullptr;
+  };
+
+  // The backfill candidates, and how many of them count as judged already.
+  std::vector<JobId> candidates;
+  std::size_t examined = 0;
+  if (fast && baseline_.size() == 1) {
+    // Only the jobs queued since the cached pass need judging (proof above).
+    candidates = ctx.queued_jobs_after(tail_epoch_);
+    examined = judged_;
+#ifndef NDEBUG
+    // Shadow: the queue is the reserved prefix, the candidates the cached
+    // pass judged and (once it reached the queue's end) the arrivals, and a
+    // full pass would pass over every skipped candidate again.
+    const std::vector<JobId> queue = ctx.queued_jobs();
+    const std::size_t depth = reserved_jobs_.size();
+    DMSCHED_ASSERT(queue.size() >= depth + judged_ + candidates.size() &&
+                       std::equal(reserved_jobs_.begin(), reserved_jobs_.end(),
+                                  queue.begin()) &&
+                       std::equal(candidates.rbegin(), candidates.rend(),
+                                  queue.rbegin()) &&
+                       (judged_ >= kBackfillWindow ||
+                        queue.size() == depth + judged_ + candidates.size()),
+                   "mem-easy: the arrivals are not the queue's new tail");
+    for (std::size_t i = depth; i < depth + judged_; ++i) {
+      DMSCHED_ASSERT(backfill_plan(ctx.job(queue[i])) == nullptr,
+                     "mem-easy: a warm pass skipped a candidate it would "
+                     "start");
     }
+#endif
+  } else {
+    std::vector<JobId> queue = ctx.queued_jobs();
+    std::size_t qi = 0;
+    if (!fast) {
+      profile_.drop_holds();
+
+      // Phase 1: start from the head while the chosen fit is "now". The
+      // profile is re-synced after every start (the start changed the base
+      // state, so the sync rebuilds).
+      std::optional<FitChoice> head_fit;
+      while (qi < queue.size()) {
+        const Job& head = ctx.job(queue[qi]);
+        ++stats_.jobs_examined;
+        ++stats_.plans_attempted;
+        head_fit = choose_fit(profile_, head, ctx, options_, planning);
+        DMSCHED_ASSERT(head_fit.has_value(),
+                       "mem-easy: admitted head job has no fit at drain");
+        if (head_fit->fit.time > now) break;
+        if (revalidate) {
+          // The blind plan says "now", but an unplanned axis may be
+          // exhausted; replan against the live ledger with every axis on.
+          // A failed replan means the head is physically blocked — it
+          // waits.
+          auto alloc = plan_start(ctx.cluster(), head, ctx.placement());
+          if (!alloc) break;
+          ctx.start_job(queue[qi], *alloc);
+        } else {
+          const Allocation alloc =
+              materialize(ctx.cluster(), head, head_fit->fit.plan);
+          ctx.start_job(queue[qi], alloc);
+        }
+        any_start = true;
+        profile_.sync(ctx);
+        ++qi;
+      }
+      if (qi >= queue.size()) return;
+
+      // Phase 2: the first K blocked jobs receive protected reservations
+      // (EASY-K; K=1 is classic EASY). `profile_` carries only releases and
+      // accepted backfills; reservations are recomputed from it on demand
+      // so candidate what-if checks can rebuild them cheaply.
+      const std::size_t depth =
+          std::min(options_.reservation_depth, queue.size() - qi);
+      reserved_jobs_.assign(
+          queue.begin() + static_cast<std::ptrdiff_t>(qi),
+          queue.begin() + static_cast<std::ptrdiff_t>(qi + depth));
+      const auto baseline_mark = profile_.mark();
+      // The blocked head's reservation is phase 1's last fit: the same
+      // choose_fit call on the same profile, since nothing started after it.
+#ifndef NDEBUG
+      // Shadow: refitting the head gives the same fit and finish bound.
+      const auto refit = choose_fit(profile_, ctx.job(reserved_jobs_.front()),
+                                    ctx, options_, planning);
+      DMSCHED_ASSERT(refit && refit->fit.time == head_fit->fit.time &&
+                         refit->fit.plan == head_fit->fit.plan &&
+                         refit->finish_bound == head_fit->finish_bound,
+                     "mem-easy: the blocked head refits elsewhere");
+#endif
+      baseline_.assign(
+          1, hold_reservation(profile_, reserved_jobs_.front(), *head_fit));
+      const std::vector<Reservation> rest = place_reservations(
+          profile_, std::span<const JobId>(reserved_jobs_).subspan(1), ctx,
+          options_, planning);
+      baseline_.insert(baseline_.end(), rest.begin(), rest.end());
+      profile_.rollback(baseline_mark);
+    }
+    // Fast pass: heads are still blocked and baseline_/reserved_jobs_ are
+    // exactly what phases 1–2 would recompute; qi stays 0 because nothing
+    // left the queue since.
+
+    // Phase 3 examines everything behind the reserved prefix.
+    const std::size_t depth = reserved_jobs_.size();
+    DMSCHED_ASSERT(queue.size() >= qi + depth &&
+                       std::equal(reserved_jobs_.begin(), reserved_jobs_.end(),
+                                  queue.begin() +
+                                      static_cast<std::ptrdiff_t>(qi)),
+                   "mem-easy: cached reserved prefix diverged from the queue");
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(qi + depth));
+    candidates = std::move(queue);
+    switch (options_.order) {
+      case BackfillOrder::kQueueOrder:
+        break;
+      case BackfillOrder::kShortestFirst:
+        std::stable_sort(candidates.begin(), candidates.end(),
+                         [&](JobId a, JobId b) {
+                           return ctx.job(a).walltime < ctx.job(b).walltime;
+                         });
+        break;
+      case BackfillOrder::kBestMemFit:
+        std::stable_sort(candidates.begin(), candidates.end(),
+                         [&](JobId a, JobId b) {
+                           const Bytes local = config.local_mem_per_node;
+                           const Bytes da =
+                               ctx.job(a).mem_per_node -
+                               min(ctx.job(a).mem_per_node, local);
+                           const Bytes db =
+                               ctx.job(b).mem_per_node -
+                               min(ctx.job(b).mem_per_node, local);
+                           return da > db;  // hardest-to-place first
+                         });
+        break;
+    }
+  }
+
+  // Phase 3: examine backfill candidates, at most kBackfillWindow of them.
+  for (const JobId cid : candidates) {
+    if (examined >= kBackfillWindow) break;
+    ++examined;
+    ++stats_.jobs_examined;
+    ++stats_.plans_attempted;
+    const Job& cand = ctx.job(cid);
+    const TakePlan* plan = backfill_plan(cand);
+    if (plan == nullptr) continue;
+    profile_.add_hold(now, end_bound, take);
+    ctx.start_job(cid, materialize(ctx.cluster(), cand, *plan));
     any_start = true;
   }
 
@@ -436,13 +508,17 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   // order is append-stable and candidates are walked in it, non-adaptive
   // (loser-fit comparisons are not time-shift-invariant), the reservation
   // window is fully populated (a new arrival must never become reserved),
-  // and every baseline reservation starts strictly after now.
+  // and every baseline reservation starts strictly after now. The judged
+  // count and the queue token let a depth-1 warm pass skip the candidates
+  // judged so far.
   if (!any_start && ctx.queue_order_stable() &&
       options_.order == BackfillOrder::kQueueOrder && !options_.adaptive &&
       reserved_jobs_.size() == options_.reservation_depth &&
       std::all_of(baseline_.begin(), baseline_.end(),
                   [&](const Reservation& r) { return r.start > now; })) {
     cache_valid_ = true;
+    judged_ = examined;
+    tail_epoch_ = ctx.queue_tail_epoch();
   }
   last_now_ = now;
 }

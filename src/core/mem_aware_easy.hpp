@@ -22,6 +22,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/resources.hpp"
@@ -77,10 +79,13 @@ struct MemAwareOptions {
 /// no resource movement since a converged pass (clean profile sync), phase 1
 /// (head starts) and phase 2 (baseline reservations) are skipped — both are
 /// provably byte-identical to a recompute — and only the backfill-candidate
-/// loop runs. The cache arms itself only in the plainest configuration
-/// (queue-order candidates, non-adaptive, full reservation window, every
-/// reservation strictly in the future): those are the conditions under which
-/// the skip is a proof, not a heuristic.
+/// loop runs. With one reservation that loop judges only the jobs queued
+/// since the converged pass: the candidates it judged would be passed over
+/// again (proof at schedule()). The cache arms itself only in the plainest
+/// configuration (queue-order candidates, non-adaptive, full reservation
+/// window, every reservation strictly in the future): those are the
+/// conditions under which the skip is a proof, not a heuristic. A full pass
+/// fits the blocked head once: phase 1's last fit is its reservation.
 class MemAwareEasyScheduler final : public Scheduler {
  public:
   /// One protected reservation of the queue front.
@@ -117,6 +122,10 @@ class MemAwareEasyScheduler final : public Scheduler {
   /// The reserved queue prefix and its baseline, as of the cached pass.
   std::vector<JobId> reserved_jobs_;
   std::vector<Reservation> baseline_;
+  /// Backfill candidates judged (and passed over) up to the cached pass,
+  /// and the queue token taken after it: what a depth-1 warm pass skips.
+  std::size_t judged_ = 0;
+  std::uint64_t tail_epoch_ = 0;
 };
 
 // The backfill what-if, as the scheduler runs it (exposed for tests).
@@ -124,7 +133,7 @@ class MemAwareEasyScheduler final : public Scheduler {
 /// Reservations for `jobs` in order, each one's hold added to `profile` so
 /// later reservations respect it. The holds stay; the caller rolls back.
 [[nodiscard]] std::vector<MemAwareEasyScheduler::Reservation>
-place_reservations(FreeProfile& profile, const std::vector<JobId>& jobs,
+place_reservations(FreeProfile& profile, std::span<const JobId> jobs,
                    const SchedContext& ctx, const MemAwareOptions& opts,
                    const PlacementPolicy& planning);
 

@@ -78,6 +78,7 @@ void FreeProfile::reset(const ResourceState& base, SimTime now,
   // deltas_ is left to the caller: sync() overwrites its slots in place.
   ordered_.clear();
   base_mark_ = 0;
+  future_takes_ = 0;
   timeline_id_ = 0;
   timeline_version_ = 0;
   cache_times_.clear();  // cache_states_ stays: dead rows are storage
@@ -133,6 +134,7 @@ void FreeProfile::add_hold(SimTime start, SimTime end, const TakePlan& take) {
 
 void FreeProfile::insert_delta(ProfileDelta d) {
   invalidate_cache_from(d.time);
+  if (!d.adds && d.time > now_) ++future_takes_;
   const auto idx = static_cast<std::uint32_t>(deltas_.size());
   deltas_.push_back(std::move(d));
   const ProfileDelta& nd = deltas_.back();
@@ -149,10 +151,14 @@ void FreeProfile::insert_delta(ProfileDelta d) {
 
 void FreeProfile::rollback(Mark m) {
   DMSCHED_ASSERT(m <= deltas_.size(), "rollback: mark from the future");
+  // A hold adds its start, then its end: a mark right after a start would
+  // keep a take with no matching release.
+  DMSCHED_ASSERT(m == 0 || deltas_[m - 1].adds, "rollback: mark splits a hold");
   if (m == deltas_.size()) return;
   SimTime first_removed = kTimeInfinity;
   for (std::size_t i = m; i < deltas_.size(); ++i) {
     first_removed = std::min(first_removed, deltas_[i].time);
+    if (!deltas_[i].adds && deltas_[i].time > now_) --future_takes_;
   }
   invalidate_cache_from(first_removed);
   ordered_.erase(std::remove_if(ordered_.begin(), ordered_.end(),

@@ -149,7 +149,10 @@ class FreeProfile {
   /// [t, t + duration_of(plan)): the plan chosen at t must remain
   /// subtractable at every later breakpoint inside the window. This is the
   /// reservation primitive for conservative backfilling, where future holds
-  /// make availability non-monotone. `duration_of` maps the plan chosen at
+  /// make availability non-monotone. On a profile with no hold starting
+  /// after now() availability never falls after now, so the first
+  /// breakpoint at which the kernel admits the job is the fit, returned
+  /// without walking its window. `duration_of` maps the plan chosen at
   /// the candidate start to the job's walltime bound (dilation depends on
   /// where the memory comes from); a zero duration asks for an
   /// instantaneous fit. It must be a pure function of the plan: a
@@ -175,6 +178,8 @@ class FreeProfile {
   /// Checkpoint for tentative holds: everything added after `mark()` can be
   /// dropped with `rollback(mark)`. Backfill uses this to test "what if I
   /// start candidate C now" without copying the profile.
+  /// A mark must fall between whole holds and releases: rollback aborts on
+  /// one that would keep a hold's start and drop its end.
   using Mark = std::size_t;
   [[nodiscard]] Mark mark() const { return deltas_.size(); }
   void rollback(Mark m);
@@ -222,6 +227,10 @@ class FreeProfile {
   std::vector<std::uint32_t> ordered_;
   /// Number of leading deltas_ that are timeline releases (drop_holds floor).
   Mark base_mark_ = 0;
+  /// Subtracting deltas (hold starts) later than now_. While it is 0 every
+  /// row after now only adds, so a window fit needs no continuity walk. A
+  /// clean sync keeps it: no delta lies between the old and the new now.
+  std::size_t future_takes_ = 0;
 
   // sync() bookkeeping: which timeline state this profile mirrors (id 0:
   // none — timeline ids start at 1).
@@ -302,6 +311,21 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
 #endif
     } else if (totals_admit(row_state(n), *config_, job, policy) &&
                compute_take(row_state(n), *config_, job, policy, plan)) {
+      if (future_takes_ == 0) {
+        // Every delta after now adds (no hold starts later), so each row in
+        // the window holds at least row_state(n), from which the plan was
+        // just built: it stays subtractable and continuity cannot fail.
+        // This is the first admitting row, since no candidate failed yet.
+#ifndef NDEBUG
+        const SimTime end = t + duration_of(plan);
+        for (std::size_t k = n; row_time(k) < end; ++k) {
+          DMSCHED_ASSERT(can_apply(cache_states_[k], plan),
+                         "earliest_fit_window: a profile without future "
+                         "takes breaks continuity");
+        }
+#endif
+        return Fit{t, std::move(plan)};
+      }
       const SimTime end = t + duration_of(plan);
       // The last failing row first when this window covers it: the same
       // contended rack usually fails again, and continuity is a

@@ -568,7 +568,8 @@ void expect_one_call_equals_refit(const ClusterConfig& config,
     if (!feasible_on_empty(config, ctx.job(head), planning)) continue;
     const FreeProfile::Mark base_mark = profile.mark();
     const std::vector<MemAwareEasyScheduler::Reservation> baseline =
-        place_reservations(profile, {head}, ctx, opts, planning);
+        place_reservations(profile, std::vector<JobId>{head}, ctx, opts,
+                           planning);
     profile.rollback(base_mark);
     const MemAwareEasyScheduler::Reservation& base = baseline.front();
     // A head that fits now starts instead of reserving.
@@ -632,6 +633,63 @@ TEST(MemAwareEasyWhatIf, OneCallEqualsRefitOnAGpuMachine) {
     EXPECT_GT(counts.accepts, 100);
     EXPECT_GT(counts.rejects, 20);
   }
+}
+
+// A warm pass with one reservation judges only the jobs queued since the
+// pass that armed the cache. Jobs 2 and 3 would hold 4 nodes past the
+// head's start at 4 h, when it needs all 16, so the first pass passes over
+// them; job 4, queued after it, ends by 4 h and must start on the fast
+// pass. Skipping one candidate more than the judged prefix misses it.
+TEST(MemAwareEasyWarm, FirstArrivalAfterARejectedPrefixStartsOnTheFastPass) {
+  FakeContext ctx(tiny_cluster(),
+                  {job(0).nodes(12).walltime_h(4.0).runtime_h(4.0),
+                   job(1).nodes(16).walltime_h(1.0).runtime_h(1.0),
+                   job(2).nodes(4).walltime_h(10.0).runtime_h(10.0),
+                   job(3).nodes(4).walltime_h(10.0).runtime_h(10.0),
+                   job(4).nodes(4).walltime_h(1.0).runtime_h(1.0)});
+  ctx.force_run(0);
+  ctx.enqueue(1);
+  ctx.enqueue(2);
+  ctx.enqueue(3);
+  MemAwareEasyScheduler sched;
+  sched.schedule(ctx);
+  EXPECT_TRUE(ctx.started().empty());
+  EXPECT_EQ(sched.stats()->jobs_examined, 3U);  // the head, 2 and 3
+
+  ctx.set_now(seconds(1800.0));  // no release crossed: the sync stays clean
+  ctx.enqueue(4);
+  sched.schedule(ctx);
+  EXPECT_EQ(sched.stats()->fast_passes, 1U);
+  EXPECT_EQ(ctx.started(), (std::vector<JobId>{4}));
+  // The fast pass judged the arrival alone.
+  EXPECT_EQ(sched.stats()->jobs_examined, 4U);
+}
+
+// The candidates a warm pass skips still count against kBackfillWindow: a
+// pass that judged a full window leaves an arrival unjudged, as a cold pass
+// does, even one that would start.
+TEST(MemAwareEasyWarm, AnArrivalPastAFullBackfillWindowWaitsAsOnAColdPass) {
+  constexpr JobId kArrival = 2 + MemAwareEasyScheduler::kBackfillWindow;
+  std::vector<Job> jobs = {job(0).nodes(12).walltime_h(4.0).runtime_h(4.0),
+                           job(1).nodes(16).walltime_h(1.0).runtime_h(1.0)};
+  for (JobId id = 2; id < kArrival; ++id) {
+    jobs.push_back(job(id).nodes(4).walltime_h(10.0).runtime_h(10.0));
+  }
+  jobs.push_back(job(kArrival).nodes(4).walltime_h(1.0).runtime_h(1.0));
+  FakeContext ctx(tiny_cluster(), jobs);
+  ctx.force_run(0);
+  for (JobId id = 1; id < kArrival; ++id) ctx.enqueue(id);
+  MemAwareEasyScheduler warm;
+  warm.schedule(ctx);
+  ctx.set_now(seconds(1800.0));
+  ctx.enqueue(kArrival);
+  MemAwareEasyScheduler().schedule(ctx);  // the cold pass
+  EXPECT_TRUE(ctx.started().empty());
+  warm.schedule(ctx);
+  EXPECT_EQ(warm.stats()->fast_passes, 1U);
+  EXPECT_TRUE(ctx.started().empty());
+  EXPECT_EQ(warm.stats()->jobs_examined,
+            1 + MemAwareEasyScheduler::kBackfillWindow);
 }
 
 TEST(MemAwareEasy, SessionLifecycleReleasesEverything) {

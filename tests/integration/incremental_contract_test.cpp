@@ -5,8 +5,8 @@
 // (sched/scheduler.hpp). Two checks pin that down:
 //  - warm equals cold: on every paper-regime scenario, under every queue
 //    order, a cached policy produces the same semantic event digest as the
-//    same policy rebuilt from scratch for every pass, and EASY does too on
-//    a deep-backlog large-replay prefix;
+//    same policy rebuilt from scratch for every pass, EASY does too on a
+//    deep-backlog large-replay prefix, and mem-easy on the paper machine;
 //  - the queue view: at every pass, queued_jobs() is the queue comparator's
 //    order and queued_jobs_after(token) names exactly the jobs that arrived
 //    since the pass that took the token.
@@ -25,6 +25,7 @@
 #include "core/factory.hpp"
 #include "sched/queue_policy.hpp"
 #include "testing/builders.hpp"
+#include "workload/models.hpp"
 #include "workload/scenarios.hpp"
 
 namespace dmsched {
@@ -58,19 +59,24 @@ struct CellRun {
   std::uint64_t fast_passes = 0;
 };
 
-CellRun run_scenario_cell(const Scenario& scenario, SchedulerKind kind,
-                          QueueOrder order, bool fresh) {
-  ExperimentConfig cfg = scenario_experiment(scenario, kind);
-  cfg.engine.queue_order = order;
+CellRun run_cell(const ExperimentConfig& cfg, const Trace& trace,
+                 bool fresh) {
   std::unique_ptr<Scheduler> scheduler =
-      fresh ? std::make_unique<FreshEachPass>(kind, cfg.mem_options)
-            : make_scheduler(kind, cfg.mem_options);
+      fresh ? std::make_unique<FreshEachPass>(cfg.scheduler, cfg.mem_options)
+            : make_scheduler(cfg.scheduler, cfg.mem_options);
   const SchedulerStats* stats = scheduler->stats();
-  EagerTraceSource source(scenario.trace);
+  EagerTraceSource source(trace);
   SchedulingSimulation sim(cfg.cluster, source, std::move(scheduler),
                            cfg.engine);
   sim.run();
   return {sim.event_digest(), stats != nullptr ? stats->fast_passes : 0};
+}
+
+CellRun run_scenario_cell(const Scenario& scenario, SchedulerKind kind,
+                          QueueOrder order, bool fresh) {
+  ExperimentConfig cfg = scenario_experiment(scenario, kind);
+  cfg.engine.queue_order = order;
+  return run_cell(cfg, scenario.trace, fresh);
 }
 
 std::vector<std::string> paper_scenarios() {
@@ -119,6 +125,23 @@ TEST(DeepBacklog, EasyWarmEqualsColdOnLargeReplayAtLoad15) {
                                          QueueOrder::kFcfs, false);
   const CellRun cold = run_scenario_cell(scenario, SchedulerKind::kEasy,
                                          QueueOrder::kFcfs, true);
+  EXPECT_EQ(warm.digest, cold.digest);
+  EXPECT_GT(warm.fast_passes, 0U);
+}
+
+// The paper's 1024-node machine at load 1.1 backs mem-easy's queue up, so
+// its warm passes skip long prefixes of judged candidates and judge only
+// the arrivals, with one reservation (the default depth).
+TEST(DeepBacklog, MemEasyWarmEqualsColdOnPaperMachine) {
+  ExperimentConfig cfg;
+  cfg.cluster = custom_config(1024, 64, gib(std::int64_t{128}),
+                              gib(std::int64_t{2048}),
+                              gib(std::int64_t{4096}));
+  cfg.scheduler = SchedulerKind::kMemAwareEasy;
+  const Trace trace = make_model_trace(WorkloadModel::kMixed, 1000, 29, 1024,
+                                       gib(std::int64_t{256}), 1.1);
+  const CellRun warm = run_cell(cfg, trace, false);
+  const CellRun cold = run_cell(cfg, trace, true);
   EXPECT_EQ(warm.digest, cold.digest);
   EXPECT_GT(warm.fast_passes, 0U);
 }

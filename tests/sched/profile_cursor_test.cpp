@@ -34,6 +34,16 @@
 // before it, and at kTimeInfinity. The bounded fit must be the oracle's
 // when that starts in bound, and nullopt otherwise.
 //
+// ProfileNoFutureTake queries profiles where no hold starts after now:
+// releases only, and releases with holds that start at now (mem-easy's
+// accepted backfills). There window fits return the first row the kernel
+// admits without walking the window, so each fit must also be the oracle's
+// instantaneous fit. A hold that starts after now must still move the fit
+// past the row where it breaks the window, and the first-row answer must
+// come back once that hold is rolled back: a count of future takes that
+// drifts either way returns another start than the oracle. A mark that
+// splits a hold is refused.
+//
 // ProfileRows re-syncs one FreeProfile against two machines of different
 // shapes, so rows and delta slots left over from one are overwritten with
 // the other's states: a reused row that keeps a stale vector length or value
@@ -598,6 +608,122 @@ TEST(ProfileDrained, WindowsAtTheEdgesOfADrainedRow) {
     EXPECT_EQ(got->time, want->time);
     EXPECT_EQ(got->plan, want->plan);
   }
+}
+
+// --- Profiles with no take after now ----------------------------------------
+
+/// Window fits on a profile of releases (some overdue) and, when
+/// `holds_at_now`, holds that start at now: each equals the oracle's window
+/// fit and its instantaneous fit. Returns the queries that found a fit.
+int expect_unwalked_fits(Rng& rng, bool holds_at_now) {
+  const ClusterConfig c = random_machine(rng);
+  const PlacementPolicy policy{
+      kSelections[rng.uniform_int(0, 3)], kRoutings[rng.uniform_int(0, 3)]};
+  const SimTime now = seconds(kStepSec * 4);
+  ResourceState busy = empty_state(c);
+  std::vector<std::pair<SimTime, TakePlan>> running;
+  for (int k = 0; k < 8; ++k) {
+    const auto plan = compute_take(busy, c, random_job(rng, c), policy);
+    if (!plan) continue;
+    apply_take(busy, *plan);
+    running.emplace_back(now + seconds(kStepSec * rng.uniform_int(-2, 12)),
+                         *plan);
+  }
+  ProfileOracle p(busy, now, &c);
+  for (const auto& [t, plan] : running) p.add_release(t, plan);
+
+  const SimTime len = seconds(kStepSec * rng.uniform_int(1, 8));
+  const auto duration_of = [&](const TakePlan& plan) {
+    return plan.global_total() > Bytes{0} ? len + seconds(kStepSec / 2) : len;
+  };
+  int fits = 0;
+  for (int k = 0; k < 12; ++k) {
+    const Job j = random_job(rng, c);
+    const auto got = p.profile().earliest_fit_window(j, policy, duration_of);
+    const auto want = p.earliest_fit_window(j, policy, duration_of);
+    const auto instant = p.earliest_fit(j, policy);
+    EXPECT_EQ(got.has_value(), want.has_value()) << "query " << k;
+    EXPECT_EQ(got.has_value(), instant.has_value()) << "query " << k;
+    if (!got || !want || !instant) continue;
+    EXPECT_EQ(got->time, want->time) << "query " << k;
+    EXPECT_EQ(got->plan, want->plan) << "query " << k;
+    EXPECT_EQ(got->time, instant->time) << "query " << k;
+    ++fits;
+    // Start it now if it fits now, as a backfill would.
+    if (holds_at_now && got->time == now) {
+      p.add_hold(now, now + duration_of(got->plan), got->plan);
+    }
+  }
+  return fits;
+}
+
+TEST(ProfileNoFutureTake, ReleaseOnlyFitsMatchBreakpointSweep) {
+  Rng rng(20261020);
+  int fits = 0;
+  for (int round = 0; round < 100; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    fits += expect_unwalked_fits(rng, /*holds_at_now=*/false);
+  }
+  EXPECT_GT(fits, 500);
+}
+
+TEST(ProfileNoFutureTake, HoldsAtNowMatchBreakpointSweep) {
+  Rng rng(20261021);
+  int fits = 0;
+  for (int round = 0; round < 100; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    fits += expect_unwalked_fits(rng, /*holds_at_now=*/true);
+  }
+  EXPECT_GT(fits, 500);
+}
+
+TEST(ProfileNoFutureTake, ALaterHoldBreaksTheWindowUntilRolledBack) {
+  // Two racks of four nodes, all free, and a job of four nodes for three
+  // steps. A hold starting at now takes one node; it never falls later.
+  const ClusterConfig c = testing::machine(8, 64.0);
+  const SimTime now = seconds(kStepSec * 4);
+  const auto at = [&](std::int64_t steps) {
+    return now + seconds(kStepSec * steps);
+  };
+  const Job j = testing::job(0).nodes(4).mem_gib(32.0);
+  const PlacementPolicy policy{NodeSelection::kFirstFit,
+                               PoolRouting::kRackThenGlobal};
+  const auto three_steps = [&](const TakePlan&) { return at(3) - now; };
+  TakePlan one;
+  one.takes.push_back({0, 1});
+  TakePlan six;
+  six.takes.push_back({0, 3});
+  six.takes.push_back({1, 3});
+  ProfileOracle p(empty_state(c), now, &c);
+  p.add_hold(now, at(1), one);
+  const FreeProfile::Mark before = p.mark();
+  // Six nodes held over [2, 5): the fit at now (window [0, 3)) breaks at 2,
+  // and only 2 nodes are free until 5.
+  p.add_hold(at(2), at(5), six);
+  for (int round = 0; round < 2; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const auto got = p.profile().earliest_fit_window(j, policy, three_steps);
+    const auto want = p.earliest_fit_window(j, policy, three_steps);
+    ASSERT_TRUE(got.has_value());
+    ASSERT_TRUE(want.has_value());
+    EXPECT_EQ(want->time, round == 0 ? at(5) : now);
+    EXPECT_EQ(got->time, want->time);
+    EXPECT_EQ(got->plan, want->plan);
+    p.rollback(before);
+  }
+}
+
+TEST(ProfileMarksDeathTest, RollbackRefusesAMarkThatSplitsAHold) {
+  const ClusterConfig c = testing::machine(8, 64.0);
+  FreeProfile profile(empty_state(c), SimTime{}, &c);
+  TakePlan two;
+  two.takes.push_back({0, 2});
+  const FreeProfile::Mark m = profile.mark();
+  profile.add_hold(hours(1), hours(2), two);
+  EXPECT_DEATH(profile.rollback(m + 1), "mark splits a hold");
+  profile.rollback(m);
+  EXPECT_EQ(profile.mark(), m);
+  EXPECT_EQ(profile.state_at(hours(1)).free_nodes_total, 8);
 }
 
 // --- One profile re-synced across machine shapes -----------------------------
