@@ -612,8 +612,8 @@ void SchedulingSimulation::handle_submit(JobId id) {
   JobSlot& slot = ring_[id];  // after refill: pull_one may grow the ring
   JobRuntime& r = slot.rt;
   DMSCHED_ASSERT(r.state == JobState::kPending, "double submission");
-  if (!compute_take(admission_state_, config_, slot.job, options_.placement,
-                    admission_plan_)) {
+  if (!kernel_admits(admission_state_, config_, slot.job,
+                     options_.placement)) {
     // The job cannot run on this machine shape at all (e.g. footprint above
     // local memory and no pool big enough). Table III counts these.
     r.state = JobState::kRejected;

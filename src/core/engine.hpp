@@ -306,10 +306,9 @@ class SchedulingSimulation final : public SchedContext {
   /// Persistent availability view, updated push-style on start/finish —
   /// the structure incremental scheduler passes key their caches on.
   AvailabilityTimeline timeline_;
-  /// Admission ("runnable at all?"): the machine with nothing running and
-  /// one scratch plan, so handle_submit's probe allocates nothing per job.
+  /// Admission ("runnable at all?"): the machine with nothing running, so
+  /// handle_submit's probe allocates nothing per job.
   ResourceState admission_state_;
-  TakePlan admission_plan_;
   /// One past the last id appended to queue_: the queue tail epoch. Appends
   /// happen only in handle_submit, whose events fire in pull order (equal
   /// submit times pop by seq, and pull_one schedules them in pull order),

@@ -256,6 +256,18 @@ bool greedy_fits(const ResourceState& state, const Job& job, Bytes d,
 
 }  // namespace
 
+bool kernel_admits(const ResourceState& state, const ClusterConfig& config,
+                   const Job& job, PlacementPolicy policy) {
+  if (!totals_admit(state, config, job, policy)) return false;
+  const Bytes d =
+      job.mem_per_node - min(job.mem_per_node, config.local_mem_per_node);
+  const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
+  return greedy_fits(state, job, d, g,
+                     policy.routing != PoolRouting::kGlobalOnly,
+                     policy.routing != PoolRouting::kRackOnly,
+                     policy.routing == PoolRouting::kRackNeighborGlobal);
+}
+
 bool compute_take(const ResourceState& state, const ClusterConfig& config,
                   const Job& job, PlacementPolicy policy, TakePlan& plan) {
   DMSCHED_ASSERT(state.free_nodes.size() ==
@@ -269,14 +281,17 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
   plan.takes.clear();
   const Bytes d = plan.far_per_node;
 
-  // Optional axes. A policy blind to an axis plans as if the axis did not
-  // exist (the memory-only instantiation); zero-request jobs take the same
-  // code path either way, so legacy traces are byte-identical.
 #ifndef NDEBUG
   DMSCHED_ASSERT(state.totals_match(),
                  "compute_take: the state's kept totals are stale");
 #endif
-  if (!totals_admit(state, config, job, policy)) return false;
+  // Decide before ordering racks: whether the greedy below places and funds
+  // every node does not depend on the order, so past this point the kernel
+  // cannot fail.
+  if (!kernel_admits(state, config, job, policy)) return false;
+  // Optional axes. A policy blind to an axis plans as if the axis did not
+  // exist (the memory-only instantiation); zero-request jobs take the same
+  // code path either way, so legacy traces are byte-identical.
   const std::int32_t g = policy.axes.gpus ? job.gpus_per_node : 0;
   if (policy.axes.burst_buffer && job.bb_bytes > Bytes{0}) {
     plan.bb_bytes = job.bb_bytes;
@@ -288,12 +303,6 @@ bool compute_take(const ResourceState& state, const ClusterConfig& config,
   // behind foreign rack pools, so the main loop funds rack-only and stage 2
   // below walks the remaining deficit outward by hop distance.
   const bool neighbor_ok = policy.routing == PoolRouting::kRackNeighborGlobal;
-  // Decide before ordering racks: whether the greedy below places and funds
-  // every node does not depend on the order (totals_admit above, then
-  // greedy_fits), so past this point the kernel cannot fail.
-  if (!greedy_fits(state, job, d, g, rack_ok, global_ok, neighbor_ok)) {
-    return false;
-  }
 
   const std::size_t racks_n = state.free_nodes.size();
   RackScratch<RackKey> keys(racks_n, RackKey{});
@@ -502,7 +511,7 @@ void release_take(ResourceState& state, const TakePlan& plan) {
 
 bool feasible_on_empty(const ClusterConfig& config, const Job& job,
                        PlacementPolicy policy) {
-  return compute_take(empty_state(config), config, job, policy).has_value();
+  return kernel_admits(empty_state(config), config, job, policy);
 }
 
 Allocation materialize(const Cluster& cluster, const Job& job,

@@ -89,13 +89,22 @@ struct TakePlan {
   return tier_bytes >= static_cast<__int128>(d.count()) * job.nodes;
 }
 
+/// compute_take's verdict without its plan: true exactly when compute_take
+/// returns a plan for `job` on `state`. The test is order-free:
+/// `totals_admit` in O(1), then one per-rack pass only for GPU plans and
+/// for rack-only and rack-then-global deficit jobs (greedy_fits,
+/// placement.cpp, has the proof). compute_take runs it before it orders
+/// any rack.
+[[nodiscard]] bool kernel_admits(const ResourceState& state,
+                                 const ClusterConfig& config, const Job& job,
+                                 PlacementPolicy policy);
+
 /// Plan a start of `job` against `state` into caller-owned `plan`. Returns
 /// false when the job cannot start (insufficient burst buffer, nodes or
 /// pool capacity under `policy`); `plan` then holds no usable plan. That
-/// answer is decided by an order-free test before any rack is ordered:
-/// `totals_admit` in O(1), then one per-rack pass only for GPU plans and
-/// for rack-only and rack-then-global deficit jobs. A rejected probe never
-/// orders racks, and once the test passes, building the plan cannot fail.
+/// answer is `kernel_admits`, decided before any rack is ordered: a
+/// rejected probe never orders racks, and once the test passes, building
+/// the plan cannot fail.
 /// The builder orders and visits only the racks with a free node: every
 /// greedy step skips a rack without one, so the plan is the same.
 /// Debug builds recount `state`'s totals and assert they match. Every
@@ -141,8 +150,8 @@ void apply_take(ResourceState& state, const TakePlan& plan);
 void release_take(ResourceState& state, const TakePlan& plan);
 
 /// True when `job` could start on an *empty* machine of this shape ("runnable
-/// at all"). The engine's admission keeps its own empty state and scratch
-/// plan instead, so it allocates nothing per submit.
+/// at all"). The engine's admission keeps its own empty state and asks
+/// `kernel_admits` directly, so it allocates nothing per submit.
 [[nodiscard]] bool feasible_on_empty(const ClusterConfig& config,
                                      const Job& job, PlacementPolicy policy);
 

@@ -1,6 +1,6 @@
 // Incremental availability: projected free resources over time.
 //
-// Two pieces share one delta vocabulary:
+// Two pieces:
 //
 //  - `AvailabilityTimeline` is the *persistent* structure, owned by the
 //    engine across scheduler passes. It tracks the live free state plus one
@@ -33,27 +33,6 @@
 #include "sched/scheduler.hpp"
 
 namespace dmsched {
-
-/// One change to projected availability: resources become free (`adds`,
-/// a running job's expected release or a hold expiring) or are taken
-/// (a hold beginning).
-struct ProfileDelta {
-  SimTime time;
-  TakePlan take;
-  bool adds = true;
-};
-
-/// THE delta ordering: time ascending, additions before subtractions at
-/// equal timestamps — so a hold that begins exactly when a release lands is
-/// satisfiable, and intermediate sweep states never go negative. Every
-/// sweep, insertion, and cache in this file routes through this one helper;
-/// the tie-break lives in exactly one place (it used to be copied into each
-/// call site, where it could silently drift).
-[[nodiscard]] inline bool delta_precedes(const ProfileDelta& a,
-                                         const ProfileDelta& b) {
-  if (a.time != b.time) return a.time < b.time;
-  return a.adds && !b.adds;
-}
 
 /// The persistent availability structure: the machine's free state *now*
 /// plus the sorted timeline of expected releases of every running job.
@@ -132,6 +111,17 @@ class FreeProfile {
 
   /// Resources are held from `start` to `end` (reservation / tentative
   /// backfill). `start` may equal now() for jobs being started in this pass.
+  ///
+  /// A hold starting after now() is folded into the rows already grown: it
+  /// changes only the rows inside [start, end), so those take the plan, a
+  /// row is inserted at `start` and at `end` where none sits, and every
+  /// later row keeps its state (its consumed count moves past the two new
+  /// deltas). Rows past the grown frontier are left to grow_row. Every
+  /// row ends byte-for-byte as truncating and regrowing would build it
+  /// (Debug builds regrow every live row after each fold and compare).
+  /// A hold at now() truncates the rows from now on instead: holds at now
+  /// are a pass's starts and mem-easy's what-ifs, which the pass rolls back
+  /// or the next pass rebuilds, so folding them would be work thrown away.
   void add_hold(SimTime start, SimTime end, const TakePlan& take);
 
   /// Free state as of `time` (>= now): base plus all releases/holds with
@@ -185,11 +175,39 @@ class FreeProfile {
   void rollback(Mark m);
 
  private:
+  /// One change to projected availability: the plan in slot `plan`
+  /// becomes free (`adds`: a running job's expected release or a hold
+  /// expiring) or is taken (a hold beginning). A hold's two deltas name
+  /// the same slot.
+  struct Delta {
+    SimTime time;
+    std::uint32_t plan;
+    bool adds;
+  };
+  /// THE delta ordering: time ascending, additions before subtractions at
+  /// equal timestamps, so a hold that begins exactly when a release lands
+  /// is satisfiable and intermediate sweep states never go negative.
+  [[nodiscard]] static bool precedes(const Delta& a, const Delta& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.adds && !b.adds;
+  }
+
   void reset(const ResourceState& base, SimTime now,
              const ClusterConfig* config);
-  void insert_delta(ProfileDelta d);
+  /// Copy `take` into the next plan slot, reusing a dead slot's storage.
+  std::uint32_t store_plan(const TakePlan& take);
+  /// Place `d` in ordered_ after every delta it does not precede.
+  void insert_delta(Delta d);
   /// Drop cached prefix states at or after `t` (a delta at `t` changed).
   void invalidate_cache_from(SimTime t) const;
+  /// add_hold's in-place fold of a hold on plan slot `plan` over
+  /// [start, end), start > now_, into the grown rows.
+  void fold_hold(SimTime start, SimTime end, std::uint32_t plan);
+#ifndef NDEBUG
+  /// The fold's shadow: regrow every live row from the deltas and assert
+  /// each time, consumed count and state equals the cached one.
+  void check_rows() const;
+#endif
 
   // The sweep primitive: a row cursor over the prefix-state cache. A cursor
   // n means the first n rows lie at or before the instant being examined,
@@ -202,6 +220,13 @@ class FreeProfile {
   /// copy-assigned into a dead row's storage when one is left. False when
   /// every delta is already folded.
   bool grow_row() const;
+  /// Insert row `k` (k <= the live row count) at `time` with consumed count
+  /// `consumed`, its state a copy of the state before it; the caller folds
+  /// the row's own deltas into the returned state. Its storage is the first
+  /// dead slot (or a new one), moved into place by its index; no state
+  /// moves.
+  ResourceState& insert_row(std::size_t k, SimTime time,
+                            std::size_t consumed) const;
   /// The cursor for `t`, growing the cache through every delta time <= `t`
   /// (and one row past it, the next breakpoint).
   [[nodiscard]] std::size_t rows_through(SimTime t) const;
@@ -212,18 +237,27 @@ class FreeProfile {
     if (k < cache_times_.size() || grow_row()) return cache_times_[k];
     return kTimeInfinity;
   }
+  /// The state of live row `k`. Reference dies at the next cache growth.
+  [[nodiscard]] const ResourceState& row(std::size_t k) const {
+    return cache_states_[cache_slot_[k]];
+  }
   /// State after the first `n` rows (the base state for n == 0).
   /// Reference dies at the next cache growth.
   [[nodiscard]] const ResourceState& row_state(std::size_t n) const {
-    return n == 0 ? base_ : cache_states_[n - 1];
+    return n == 0 ? base_ : row(n - 1);
   }
 
   ResourceState base_;
   SimTime now_{};
   const ClusterConfig* config_ = nullptr;
   /// Insertion-ordered deltas — the mark()/rollback() domain.
-  std::vector<ProfileDelta> deltas_;
-  /// Indices into deltas_ in delta_precedes order (ties: insertion order).
+  std::vector<Delta> deltas_;
+  /// The deltas' plans, one slot per release or hold, in insertion order.
+  /// Only the first plan_count_ are live; the rest is storage rollbacks
+  /// and rebuilds leave behind for store_plan to copy-assign into.
+  std::vector<TakePlan> plans_;
+  std::size_t plan_count_ = 0;
+  /// Indices into deltas_ in `precedes` order (ties: insertion order).
   std::vector<std::uint32_t> ordered_;
   /// Number of leading deltas_ that are timeline releases (drop_holds floor).
   Mark base_mark_ = 0;
@@ -239,15 +273,22 @@ class FreeProfile {
 
   // Lazy prefix-state cache: row k holds the state after every delta with
   // time <= cache_times_[k] (one row per distinct delta time, ascending),
-  // and cache_consumed_[k] counts the ordered_ entries folded in. Rows at
-  // or after a mutated time are truncated; everything earlier survives
-  // across queries, holds, rollbacks, and clean syncs. Only the first
-  // cache_times_.size() entries of cache_states_ are live rows; the rest
-  // is storage that truncation and rebuilds leave behind for grow_row to
-  // reuse, so a warm profile folds rows without allocating.
+  // and cache_consumed_[k] counts the ordered_ entries folded in. A hold
+  // after now is folded into the rows in place; any other mutation
+  // truncates the rows at or after its time, and everything earlier
+  // survives across queries, holds, rollbacks, and clean syncs. Row k's
+  // state is cache_states_[cache_slot_[k]]: cache_slot_ is a permutation
+  // of cache_states_' indices whose first cache_times_.size() entries
+  // name the live rows and whose rest name storage that truncation and
+  // rebuilds leave behind for the next row to reuse, so a warm profile
+  // grows and inserts rows without allocating.
   mutable std::vector<SimTime> cache_times_;
   mutable std::vector<ResourceState> cache_states_;
+  mutable std::vector<std::uint32_t> cache_slot_;
   mutable std::vector<std::size_t> cache_consumed_;
+  /// earliest_fit_window's scratch plan: it keeps its capacity across
+  /// sweeps, and a returned Fit gets a copy.
+  mutable TakePlan scratch_;
 };
 
 template <class DurationFn>
@@ -256,7 +297,8 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
     SimTime not_after) const {
   // One cursor walks the candidates; the continuity check walks a second
   // one forward from it. Each step reads the next row instead of searching.
-  // One scratch plan serves every candidate; it moves into the Fit.
+  // One scratch plan serves every candidate, keeping its capacity across
+  // sweeps; the returned Fit gets a copy.
   //
   // A failed candidate's verdict is kept: `plan`, built on row_state(built),
   // broke continuity at row `failed`. While every delta folded since keeps
@@ -278,7 +320,7 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
   const SimTime shortest = duration_of(TakePlan{});
   std::size_t n = rows_through(now_);
   SimTime t = now_;
-  TakePlan plan;
+  TakePlan& plan = scratch_;
   std::size_t built = 0;
   std::size_t failed = kNone;
   bool repeats = false;  // `plan` is what compute_take returns at row n
@@ -291,19 +333,19 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
               shadow == plan,
           "earliest_fit_window: a skipped candidate builds another plan");
       DMSCHED_ASSERT(row_time(failed) < t + duration_of(plan) &&
-                         !can_apply(cache_states_[failed], plan),
+                         !can_apply(row(failed), plan),
                      "earliest_fit_window: a skipped candidate is continuous");
 #endif
     } else if (failed != kNone && failed >= n &&
                row_time(failed) < t + shortest &&
-               !totals_admit(cache_states_[failed], *config_, job, policy)) {
+               !totals_admit(row(failed), *config_, job, policy)) {
 #ifndef NDEBUG
       // Plan it anyway and walk its window: it must break continuity.
       TakePlan shadow;
       if (compute_take(row_state(n), *config_, job, policy, shadow)) {
         const SimTime end = t + duration_of(shadow);
         std::size_t k = n;
-        while (row_time(k) < end && can_apply(cache_states_[k], shadow)) ++k;
+        while (row_time(k) < end && can_apply(row(k), shadow)) ++k;
         DMSCHED_ASSERT(row_time(k) < end,
                        "earliest_fit_window: a candidate rejected at the "
                        "failing row is continuous");
@@ -319,12 +361,12 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
 #ifndef NDEBUG
         const SimTime end = t + duration_of(plan);
         for (std::size_t k = n; row_time(k) < end; ++k) {
-          DMSCHED_ASSERT(can_apply(cache_states_[k], plan),
+          DMSCHED_ASSERT(can_apply(row(k), plan),
                          "earliest_fit_window: a profile without future "
                          "takes breaks continuity");
         }
 #endif
-        return Fit{t, std::move(plan)};
+        return Fit{t, plan};
       }
       const SimTime end = t + duration_of(plan);
       // The last failing row first when this window covers it: the same
@@ -332,11 +374,11 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
       // conjunction, so the order of the tests cannot change the verdict.
       std::size_t k = failed;
       if (failed == kNone || failed < n || row_time(failed) >= end ||
-          can_apply(cache_states_[failed], plan)) {
-        for (k = n; row_time(k) < end && can_apply(cache_states_[k], plan);
+          can_apply(row(failed), plan)) {
+        for (k = n; row_time(k) < end && can_apply(row(k), plan);
              ++k) {
         }
-        if (row_time(k) >= end) return Fit{t, std::move(plan)};
+        if (row_time(k) >= end) return Fit{t, plan};
       }
       built = n;
       failed = k;
@@ -355,7 +397,7 @@ std::optional<FreeProfile::Fit> FreeProfile::earliest_fit_window(
     for (std::size_t i = n == 1 ? 0 : cache_consumed_[n - 2];
          repeats && i < last; ++i) {
       repeats = keeps_plan(row_state(built), plan, policy,
-                           deltas_[ordered_[i]].take, row_state(n));
+                           plans_[deltas_[ordered_[i]].plan], row_state(n));
     }
   }
 }

@@ -48,6 +48,20 @@
 // shapes, so rows and delta slots left over from one are overwritten with
 // the other's states: a reused row that keeps a stale vector length or value
 // disagrees with the oracle.
+//
+// ProfileFold checks holds folded into the grown rows. A hold that starts
+// after now changes only the rows in its window, so they take its plan, a
+// row is inserted at its start and its end where none sits, and every
+// later row only moves its consumed count; a hold at now, a rollback and
+// drop_holds still truncate. A fold that takes the plan on one row too
+// many, or leaves a later row's consumed count short (so the next grown
+// row folds the wrong deltas), disagrees with the oracle's state at some
+// breakpoint. The random walk interleaves holds at now and in the future
+// (starting and ending on breakpoints and between them, some ending past
+// every breakpoint and so past the grown frontier) with rollbacks to real
+// marks, drop_holds, point probes at random instants (which grow the rows
+// to a random frontier) and window fits; two named cases pin a hold ending
+// exactly on a grown row and a hold starting before the first grown row.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -919,6 +933,251 @@ TEST(ProfileRows, ReusedAcrossMachineShapesMatchesOracle) {
   EXPECT_GT(counts.drops, 100);
   EXPECT_GT(counts.fits, 1000);
   EXPECT_GT(counts.states, 3000);
+}
+
+// --- Holds folded into grown rows -------------------------------------------
+
+/// The profile's state at `t` equals the oracle's from-scratch fold.
+void expect_state(const ProfileOracle& p, SimTime t) {
+  const ResourceState got = p.profile().state_at(t);
+  const ResourceState want = p.state_at(t);
+  EXPECT_EQ(got.free_nodes, want.free_nodes) << "at " << t.seconds();
+  EXPECT_EQ(got.pool_free, want.pool_free) << "at " << t.seconds();
+  EXPECT_EQ(got.global_free, want.global_free) << "at " << t.seconds();
+  EXPECT_TRUE(p.keeps_totals_at(t)) << "at " << t.seconds();
+}
+
+/// Every breakpoint's state, in time order (which grows every row).
+void expect_all_states(const ProfileOracle& p) {
+  for (const SimTime t : p.breakpoints()) expect_state(p, t);
+}
+
+/// Whether `plan` stays subtractable at every breakpoint in (start, end).
+bool continuous(const ProfileOracle& p, const TakePlan& plan, SimTime start,
+                SimTime end) {
+  for (const SimTime u : p.breakpoints()) {
+    if (u > start && u < end && !can_apply(p.state_at(u), plan)) return false;
+  }
+  return true;
+}
+
+struct FoldCounts {
+  int holds_at_now = 0;
+  int starts_on_breakpoint = 0;
+  int starts_between = 0;
+  int ends_on_breakpoint = 0;
+  int ends_past_frontier = 0;  // past every breakpoint, so past every row
+  int rollbacks = 0;
+  int drops = 0;
+  int probes = 0;
+  int fits = 0;
+};
+
+void run_walk(Rng& rng, FoldCounts& counts) {
+  const ClusterConfig c = random_machine(rng);
+  PlacementPolicy policy{kSelections[rng.uniform_int(0, 3)],
+                         kRoutings[rng.uniform_int(0, 3)]};
+  std::vector<Job> jobs;
+  for (JobId id = 0; id < 40; ++id) {
+    Job j = random_job(rng, c);
+    j.id = id;
+    j.walltime = seconds(kStepSec * rng.uniform_int(1, 16));
+    jobs.push_back(j);
+  }
+  testing::FakeContext ctx(c, jobs);
+  ctx.set_placement(policy);
+  // A partly busy machine: jobs started at 0, some overdue by now.
+  for (JobId id = 0; id < 8; ++id) {
+    if (plan_start(ctx.cluster(), ctx.job(id), policy)) ctx.force_run(id);
+  }
+  const SimTime now = seconds(kStepSec * rng.uniform_int(0, 3));
+  ctx.set_now(now);
+  FreeProfile profile;
+  ASSERT_FALSE(profile.sync(ctx));
+  ProfileOracle p(profile, *ctx.timeline(), now);
+
+  const auto grid = [&](std::int64_t lo, std::int64_t hi) {
+    return now + seconds(kStepSec * rng.uniform_int(lo, hi));
+  };
+  const auto duration_of = [](const TakePlan& plan) {
+    return plan.global_total() > Bytes{0} ? seconds(3 * kStepSec)
+                                          : seconds(2 * kStepSec);
+  };
+  std::vector<FreeProfile::Mark> marks;
+  for (int step = 0; step < 80; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    const double r = rng.uniform();
+    if (r < 0.35) {
+      const Job j = random_job(rng, c);
+      const std::vector<SimTime> points = p.breakpoints();
+      const SimTime last = points.back();
+      const auto pick = [&] {
+        return points[static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(points.size()) - 1))];
+      };
+      // The start: now, a breakpoint, or halfway between grid points.
+      SimTime start = now;
+      const double s = rng.uniform();
+      if (s >= 0.25 && s < 0.65) {
+        start = pick();
+      } else if (s >= 0.65) {
+        start = grid(0, 16) + seconds(kStepSec / 2);
+      }
+      // The end: a later breakpoint, past every breakpoint, or a length.
+      SimTime end = start + seconds(kStepSec * rng.uniform_int(1, 8));
+      const double e = rng.uniform();
+      if (e < 0.35) {
+        const SimTime at = pick();
+        if (at > start) end = at;
+      } else if (e < 0.55) {
+        end = std::max(start, last) + seconds(kStepSec * rng.uniform_int(1, 4));
+      }
+      const auto plan = compute_take(p.state_at(start), c, j, policy);
+      if (!plan || !continuous(p, *plan, start, end)) continue;
+      const bool on_point =
+          std::find(points.begin(), points.end(), start) != points.end();
+      const bool end_on_point =
+          std::find(points.begin(), points.end(), end) != points.end();
+      p.add_hold(start, end, *plan);
+      if (start == now) {
+        ++counts.holds_at_now;
+      } else {
+        ++(on_point ? counts.starts_on_breakpoint : counts.starts_between);
+        if (end_on_point) ++counts.ends_on_breakpoint;
+        if (end > last) ++counts.ends_past_frontier;
+      }
+    } else if (r < 0.50) {
+      // A probe at a random instant: it also grows the rows through it.
+      expect_state(p, grid(0, 24) + seconds(rng.uniform_int(0, 1)));
+      ++counts.probes;
+    } else if (r < 0.65) {
+      const Job j = random_job(rng, c);
+      const auto got = p.profile().earliest_fit_window(j, policy, duration_of);
+      const auto want = p.earliest_fit_window(j, policy, duration_of);
+      ASSERT_EQ(got.has_value(), want.has_value());
+      if (got) {
+        EXPECT_EQ(got->time, want->time);
+        EXPECT_EQ(got->plan, want->plan);
+      }
+      ++counts.fits;
+    } else if (r < 0.75) {
+      marks.push_back(p.mark());
+    } else if (r < 0.85) {
+      if (marks.empty()) continue;
+      const auto at = static_cast<std::size_t>(rng.uniform_int(
+          0, static_cast<std::int64_t>(marks.size()) - 1));
+      p.rollback(marks[at]);
+      marks.resize(at);
+      ++counts.rollbacks;
+    } else if (r < 0.90) {
+      p.drop_holds();
+      std::erase_if(marks, [&](FreeProfile::Mark m) { return m > p.mark(); });
+      ++counts.drops;
+    } else {
+      expect_all_states(p);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_all_states(p);
+}
+
+TEST(ProfileFold, RandomWalkMatchesOracle) {
+  Rng rng(20261020);
+  FoldCounts counts;
+  for (int round = 0; round < 150; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    run_walk(rng, counts);
+    if (HasFatalFailure()) return;
+  }
+  // Every kind of hold and truncation was exercised.
+  EXPECT_GT(counts.holds_at_now, 80);
+  EXPECT_GT(counts.starts_on_breakpoint, 400);
+  EXPECT_GT(counts.starts_between, 300);
+  EXPECT_GT(counts.ends_on_breakpoint, 100);
+  EXPECT_GT(counts.ends_past_frontier, 400);
+  EXPECT_GT(counts.rollbacks, 250);
+  EXPECT_GT(counts.drops, 250);
+  EXPECT_GT(counts.probes, 900);
+  EXPECT_GT(counts.fits, 900);
+}
+
+// --- Named edges -------------------------------------------------------------
+
+/// 8 nodes in two racks of 4, `running` of them busy with 2-node jobs:
+/// `state` is what is free now, `plans` the jobs' takes.
+struct Busy {
+  ClusterConfig config = testing::machine(8, 64.0, 64.0);
+  ResourceState state = empty_state(config);
+  std::vector<TakePlan> plans;
+
+  explicit Busy(int running) {
+    for (int k = 0; k < running; ++k) {
+      const auto plan = compute_take(state, config, testing::job(0).nodes(2),
+                                     PlacementPolicy{});
+      EXPECT_TRUE(plan.has_value());
+      apply_take(state, *plan);
+      plans.push_back(*plan);
+    }
+  }
+};
+
+TEST(ProfileFold, HoldEndingOnAGrownRow) {
+  Busy busy(4);  // nothing free now; 2 nodes at 1h, 4 at 2h, 6 at 3h
+  ProfileOracle p(busy.state, SimTime{}, &busy.config);
+  for (int k = 0; k < 3; ++k) p.add_release(hours(k + 1), busy.plans[k]);
+  // Grow the rows at 1h, 2h and 3h, then hold 2 nodes over [1h, 3h): the
+  // hold starts and ends on grown rows, and the row at 3h must keep its
+  // state (the take and the release cancel there).
+  EXPECT_EQ(p.profile().state_at(hours(3)).free_nodes_total, 6);
+  const auto plan = compute_take(p.state_at(hours(1)), busy.config,
+                                 testing::job(0).nodes(2), PlacementPolicy{});
+  ASSERT_TRUE(plan.has_value());
+  p.add_hold(hours(1), hours(3), *plan);
+  EXPECT_EQ(p.profile().state_at(hours(1)).free_nodes_total, 0);
+  EXPECT_EQ(p.profile().state_at(hours(2)).free_nodes_total, 2);
+  EXPECT_EQ(p.profile().state_at(hours(3)).free_nodes_total, 6);
+  expect_all_states(p);
+  // A later release truncates only past the 3h row: the next row grows
+  // from that row's consumed count, which must count the hold's deltas.
+  p.add_release(hours(4), busy.plans[3]);
+  expect_all_states(p);
+  const auto fit = p.profile().earliest_fit_window(
+      testing::job(0).nodes(6), PlacementPolicy{},
+      [](const TakePlan&) { return hours(1); });
+  ASSERT_TRUE(fit.has_value());
+  EXPECT_EQ(fit->time, hours(3));
+}
+
+TEST(ProfileFold, HoldStartingBeforeTheFirstGrownRow) {
+  Busy busy(3);  // 2 nodes free now; 4 at 2h, 6 at 3h
+  ProfileOracle p(busy.state, SimTime{}, &busy.config);
+  p.add_release(hours(2), busy.plans[0]);
+  p.add_release(hours(3), busy.plans[1]);
+  EXPECT_EQ(p.profile().state_at(hours(3)).free_nodes_total, 6);
+  // Hold 2 nodes over [1h, 2.5h): a row is inserted before the first grown
+  // row (at 1h, from the base state) and one between 2h and 3h.
+  const auto plan = compute_take(p.state_at(hours(1)), busy.config,
+                                 testing::job(0).nodes(2), PlacementPolicy{});
+  ASSERT_TRUE(plan.has_value());
+  const SimTime end = hours(2) + seconds(kStepSec);
+  p.add_hold(hours(1), end, *plan);
+  EXPECT_EQ(p.profile().state_at(hours(1)).free_nodes_total, 0);
+  EXPECT_EQ(p.profile().state_at(hours(2)).free_nodes_total, 2);
+  EXPECT_EQ(p.profile().state_at(end).free_nodes_total, 4);
+  EXPECT_EQ(p.profile().state_at(hours(3)).free_nodes_total, 6);
+  expect_all_states(p);
+  p.add_release(hours(4), busy.plans[2]);
+  expect_all_states(p);
+  // 4 nodes for 2h: from 2.5h on, every row has them.
+  const auto duration_of = [](const TakePlan&) { return hours(2); };
+  const auto fit = p.profile().earliest_fit_window(
+      testing::job(0).nodes(4), PlacementPolicy{}, duration_of);
+  const auto want = p.earliest_fit_window(testing::job(0).nodes(4),
+                                          PlacementPolicy{}, duration_of);
+  ASSERT_TRUE(fit.has_value() && want.has_value());
+  EXPECT_EQ(fit->time, end);
+  EXPECT_EQ(fit->time, want->time);
+  EXPECT_EQ(fit->plan, want->plan);
 }
 
 }  // namespace

@@ -26,6 +26,14 @@
 
 namespace dmsched::testing {
 
+/// One logged change to projected availability: `take` becomes free
+/// (`adds`: a release or a hold's end) or is taken (a hold's start).
+struct ProfileDelta {
+  SimTime time;
+  TakePlan take;
+  bool adds = true;
+};
+
 class ProfileOracle {
  public:
   using Fit = FreeProfile::Fit;
