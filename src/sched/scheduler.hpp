@@ -98,7 +98,10 @@ struct SchedulerStats {
   std::uint64_t passes = 0;        ///< schedule() invocations
   std::uint64_t fast_passes = 0;   ///< served entirely from a warm cache
   std::uint64_t jobs_examined = 0; ///< queue candidates judged
-  std::uint64_t plans_attempted = 0;  ///< plan_start / fit probes
+  /// plan_start / fit probes. A conservative reservation kept from the
+  /// last pass counts as examined, not as a plan, even when a bounded
+  /// sweep confirmed it.
+  std::uint64_t plans_attempted = 0;
 };
 
 /// A scheduling policy. `schedule` is invoked by the engine after every

@@ -6,7 +6,8 @@
 //  - warm equals cold: on every paper-regime scenario, under every queue
 //    order, a cached policy produces the same semantic event digest as the
 //    same policy rebuilt from scratch for every pass, EASY does too on a
-//    deep-backlog large-replay prefix, and mem-easy on the paper machine;
+//    deep-backlog large-replay prefix, and mem-easy and conservative on the
+//    paper machine;
 //  - the queue view: at every pass, queued_jobs() is the queue comparator's
 //    order and queued_jobs_after(token) names exactly the jobs that arrived
 //    since the pass that took the token.
@@ -56,7 +57,7 @@ class FreshEachPass final : public Scheduler {
 
 struct CellRun {
   std::uint64_t digest = 0;
-  std::uint64_t fast_passes = 0;
+  SchedulerStats stats{};
 };
 
 CellRun run_cell(const ExperimentConfig& cfg, const Trace& trace,
@@ -69,7 +70,7 @@ CellRun run_cell(const ExperimentConfig& cfg, const Trace& trace,
   SchedulingSimulation sim(cfg.cluster, source, std::move(scheduler),
                            cfg.engine);
   sim.run();
-  return {sim.event_digest(), stats != nullptr ? stats->fast_passes : 0};
+  return {sim.event_digest(), stats != nullptr ? *stats : SchedulerStats{}};
 }
 
 CellRun run_scenario_cell(const Scenario& scenario, SchedulerKind kind,
@@ -98,7 +99,7 @@ TEST_P(WarmEqualsCold, CachedPolicyMatchesAFreshPolicyEveryPass) {
       const CellRun warm = run_scenario_cell(scenario, kind, order, false);
       const CellRun cold = run_scenario_cell(scenario, kind, order, true);
       EXPECT_EQ(warm.digest, cold.digest);
-      fast_passes += warm.fast_passes;
+      fast_passes += warm.stats.fast_passes;
     }
   }
   // The warm arm must actually have taken fast paths for the comparison
@@ -126,7 +127,7 @@ TEST(DeepBacklog, EasyWarmEqualsColdOnLargeReplayAtLoad15) {
   const CellRun cold = run_scenario_cell(scenario, SchedulerKind::kEasy,
                                          QueueOrder::kFcfs, true);
   EXPECT_EQ(warm.digest, cold.digest);
-  EXPECT_GT(warm.fast_passes, 0U);
+  EXPECT_GT(warm.stats.fast_passes, 0U);
 }
 
 // The paper's 1024-node machine at load 1.1 backs mem-easy's queue up, so
@@ -143,7 +144,32 @@ TEST(DeepBacklog, MemEasyWarmEqualsColdOnPaperMachine) {
   const CellRun warm = run_cell(cfg, trace, false);
   const CellRun cold = run_cell(cfg, trace, true);
   EXPECT_EQ(warm.digest, cold.digest);
-  EXPECT_GT(warm.fast_passes, 0U);
+  EXPECT_GT(warm.stats.fast_passes, 0U);
+}
+
+// The same machine and load under conservative, whose full passes keep the
+// last pass's reservations that no completion or own start could move. A
+// kept reservation counts as examined but not as a plan, so a warm run
+// that keeps any examines more candidates than it plans; under `sjf` every
+// pass is full (the queue re-ranks), and reservations are kept while the
+// ranked order matches the last pass's.
+TEST(DeepBacklog, ConservativeWarmEqualsColdOnPaperMachine) {
+  ExperimentConfig cfg;
+  cfg.cluster = custom_config(1024, 64, gib(std::int64_t{128}),
+                              gib(std::int64_t{2048}),
+                              gib(std::int64_t{4096}));
+  cfg.scheduler = SchedulerKind::kConservative;
+  const Trace trace = make_model_trace(WorkloadModel::kMixed, 1000, 29, 1024,
+                                       gib(std::int64_t{256}), 1.1);
+  for (const QueueOrder order :
+       {QueueOrder::kFcfs, QueueOrder::kShortestFirst}) {
+    SCOPED_TRACE(to_string(order));
+    cfg.engine.queue_order = order;
+    const CellRun warm = run_cell(cfg, trace, false);
+    const CellRun cold = run_cell(cfg, trace, true);
+    EXPECT_EQ(warm.digest, cold.digest);
+    EXPECT_LT(warm.stats.plans_attempted, warm.stats.jobs_examined);
+  }
 }
 
 // --- queue view --------------------------------------------------------------

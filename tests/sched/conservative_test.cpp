@@ -127,6 +127,151 @@ TEST(Conservative, EmptyQueueNoOp) {
   EXPECT_TRUE(ctx.started().empty());
 }
 
+// --- kept reservations -------------------------------------------------------
+// A full pass keeps the last pass's reservation when nothing that changed
+// since can reach it: every change (completions, own starts after it in pass
+// order) ends by its start, so only starts before that gate are swept.
+
+/// How many plans and candidates one pass of `sched` counted.
+struct PassCounts {
+  std::uint64_t examined = 0;
+  std::uint64_t plans = 0;
+};
+
+PassCounts run_counted(ConservativeScheduler& sched, FakeContext& ctx) {
+  const SchedulerStats before = *sched.stats();
+  sched.schedule(ctx);
+  return {sched.stats()->jobs_examined - before.jobs_examined,
+          sched.stats()->plans_attempted - before.plans_attempted};
+}
+
+/// Running: 8 nodes until 2 h (racks 0-1) and 8 until 4 h (racks 2-3).
+/// Queue: a 16-node 1 h job (reserved at 4 h), then an 8-node 1.5 h one
+/// (reserved at 2 h, ending before the first).
+std::vector<Job> completion_jobs() {
+  return {job(0).nodes(8).walltime_h(2.0).runtime_h(2.0),
+          job(1).nodes(8).walltime_h(4.0).runtime_h(4.0),
+          job(2).nodes(16).walltime_h(1.0).runtime_h(1.0),
+          job(3).nodes(8).walltime_h(1.5).runtime_h(1.5)};
+}
+
+TEST(ConservativeKept, CompletionBeforeAKeptReservationMovesItEarlier) {
+  FakeContext ctx(tiny_cluster(), completion_jobs());
+  ctx.force_run(0);
+  ctx.force_run(1);
+  ctx.enqueue(2);
+  ctx.enqueue(3);
+  ConservativeScheduler sched;
+  sched.schedule(ctx);
+  ASSERT_TRUE(ctx.started().empty());
+
+  // Job 1 ends at 1 h, 3 h early. Job 2's reservation at 4 h is at its
+  // gate (job 1's old end), so only starts before 4 h are swept: at 2 h,
+  // when job 0 releases, the whole machine is free and job 2 moves there.
+  // Job 3 now fits on racks 2-3 from 1 h, but would run into 2 h: it must
+  // wait behind job 2's new reservation, not the old one.
+  ctx.set_now(hours(1));
+  ctx.finish(1);
+  const PassCounts moved = run_counted(sched, ctx);
+  EXPECT_TRUE(ctx.started().empty());
+  EXPECT_EQ(moved.examined, 2U);
+  EXPECT_EQ(moved.plans, 2U);  // job 2 moved, so job 3 is swept in full
+
+  ctx.set_now(hours(2));
+  ctx.finish(0);
+  sched.schedule(ctx);
+  EXPECT_EQ(ctx.started(), (std::vector<JobId>{2}));
+}
+
+TEST(ConservativeKept, CompletionEndingAfterAReservationForcesItsSweep) {
+  // Running: 8 nodes until 2 h (racks 0-1), 4 until 4 h (rack 2). An 8-node
+  // 1 h job is reserved at 2 h. Job 1 ends at 1 h: its old end (4 h) lies
+  // past the reservation, so the rows the reservation read may have
+  // changed and it is swept from now. It fits now, on racks 2-3.
+  FakeContext ctx(tiny_cluster(),
+                  {job(0).nodes(8).walltime_h(2.0).runtime_h(2.0),
+                   job(1).nodes(4).walltime_h(4.0).runtime_h(4.0),
+                   job(2).nodes(8).walltime_h(1.0).runtime_h(1.0)});
+  ctx.force_run(0);
+  ctx.force_run(1);
+  ctx.enqueue(2);
+  ConservativeScheduler sched;
+  sched.schedule(ctx);
+  ASSERT_TRUE(ctx.started().empty());
+
+  ctx.set_now(hours(1));
+  ctx.finish(1);
+  const PassCounts swept = run_counted(sched, ctx);
+  EXPECT_EQ(swept.plans, 1U);
+  EXPECT_EQ(ctx.started(), (std::vector<JobId>{2}));
+}
+
+/// One pass starts a 4-node job on rack 3 behind a 12-node job reserved at
+/// 2 h; the next pass (at 0.5 h, nothing else changed) replans. Returns
+/// that pass's counts.
+PassCounts replan_after_own_start(double started_walltime_h) {
+  FakeContext ctx(
+      tiny_cluster(),
+      {job(0).nodes(12).walltime_h(2.0).runtime_h(2.0),
+       job(1).nodes(12).walltime_h(1.0).runtime_h(1.0),
+       job(2).nodes(4).walltime_h(started_walltime_h).runtime_h(0.5)});
+  ctx.force_run(0);
+  ctx.enqueue(1);
+  ctx.enqueue(2);
+  ConservativeScheduler sched;
+  sched.schedule(ctx);
+  EXPECT_EQ(ctx.started(), (std::vector<JobId>{2}));
+  ctx.set_now(seconds(1800.0));
+  return run_counted(sched, ctx);
+}
+
+TEST(ConservativeKept, OwnStartAfterAReservationGatesItByItsEnd) {
+  // Job 1's reservation at 2 h was fitted before job 2 started. Job 2's
+  // take is new to every row before its end: ending at 1 h it leaves the
+  // rows from 2 h alone and job 1 keeps its reservation unswept; ending at
+  // 3 h it covers them, and job 1 is swept again.
+  const PassCounts before = replan_after_own_start(1.0);
+  EXPECT_EQ(before.examined, 1U);
+  EXPECT_EQ(before.plans, 0U);
+  const PassCounts after = replan_after_own_start(3.0);
+  EXPECT_EQ(after.examined, 1U);
+  EXPECT_EQ(after.plans, 1U);
+}
+
+TEST(ConservativeKept, KeptReservationAtNowStartsOnTheLivePlan) {
+  // Job 0 (rack 0) is due at 1 h but still runs at 2 h; job 1 (racks 1-3)
+  // ends on time at 2 h. Job 2 was reserved at 2 h on racks 0-1 of an
+  // empty machine. At 2 h the reservation stands (its gate is 2 h), so it
+  // starts unswept, but on the plan the live cluster gives: racks 1-2.
+  // Job 3, reserved at 1 h behind it, is swept again and starts on rack 3.
+  FakeContext ctx(tiny_cluster(),
+                  {job(0).nodes(4).walltime_h(1.0).runtime_h(1.0),
+                   job(1).nodes(12).walltime_h(2.0).runtime_h(2.0),
+                   job(2).nodes(8).walltime_h(1.0).runtime_h(1.0),
+                   job(3).nodes(4).walltime_h(1.0).runtime_h(1.0)});
+  ctx.force_run(0);
+  ctx.force_run(1);
+  ctx.enqueue(2);
+  ctx.enqueue(3);
+  ConservativeScheduler sched;
+  sched.schedule(ctx);
+  ASSERT_TRUE(ctx.started().empty());
+
+  ctx.set_now(hours(2));
+  ctx.finish(1);
+  const PassCounts counts = run_counted(sched, ctx);
+  EXPECT_EQ(counts.examined, 2U);
+  EXPECT_EQ(counts.plans, 1U);  // job 2 kept, job 3 swept
+  EXPECT_EQ(ctx.started(), (std::vector<JobId>{2, 3}));
+  const RunningJob* kept = ctx.running_record(2);
+  ASSERT_NE(kept, nullptr);
+  std::vector<RackId> racks;
+  for (const RackTake& t : kept->take.takes) {
+    if (t.nodes > 0) racks.push_back(t.rack);
+  }
+  EXPECT_EQ(racks, (std::vector<RackId>{1, 2}));
+}
+
 
 TEST(Conservative, SessionLifecycleReleasesEverything) {
   ConservativeScheduler sched;
