@@ -84,9 +84,8 @@ const SchedulingSimulation::JobSlot& SchedulingSimulation::JobRing::operator[](
 
 void SchedulingSimulation::JobList::push_back(JobRing& ring, JobId job) {
   JobRuntime& r = ring[job].rt;
-  DMSCHED_ASSERT(r.list == JobListId::kNone,
-                 "JobList::push_back: job already linked into a list");
-  r.list = id;
+  DMSCHED_ASSERT(!r.linked, "JobList::push_back: job already linked");
+  r.linked = true;
   r.list_prev = tail;
   r.list_next = kInvalidJobId;
   if (tail != kInvalidJobId) {
@@ -103,7 +102,7 @@ void SchedulingSimulation::JobList::erase(JobRing& ring, JobId job) {
   // The checked removal: membership is asserted via the job's list slot, so
   // a bookkeeping bug aborts here instead of silently corrupting the list
   // (the old vector path erased whatever std::find returned, end() included).
-  DMSCHED_ASSERT(r.list == id, "JobList::erase: job is not in this list");
+  DMSCHED_ASSERT(r.linked, "JobList::erase: job is not linked");
   DMSCHED_ASSERT(count > 0, "JobList::erase: list count out of sync");
   if (r.list_prev != kInvalidJobId) {
     ring[r.list_prev].rt.list_next = r.list_next;
@@ -117,7 +116,7 @@ void SchedulingSimulation::JobList::erase(JobRing& ring, JobId job) {
   }
   r.list_prev = kInvalidJobId;
   r.list_next = kInvalidJobId;
-  r.list = JobListId::kNone;
+  r.linked = false;
   --count;
 }
 
@@ -167,9 +166,9 @@ const Cluster& SchedulingSimulation::cluster() const { return cluster_; }
 const Job& SchedulingSimulation::job(JobId id) const { return ring_[id].job; }
 
 std::vector<JobId> SchedulingSimulation::queued_jobs() const {
-  // The list is already in FCFS order — see queue_token_ — so only the
+  // The array is already in FCFS order — see queue_token_ — so only the
   // re-ranking orders sort.
-  std::vector<JobId> ids = queue_.to_vector(ring_);
+  std::vector<JobId> ids = queue_;
   const QueueOrder order = options_.queue_order;
   if (order != QueueOrder::kFcfs) {
     const SimTime now = engine_.now();
@@ -212,15 +211,10 @@ std::vector<JobId> SchedulingSimulation::queued_jobs_after(
     std::uint64_t epoch) const {
   DMSCHED_ASSERT(epoch <= queue_token_,
                  "queued_jobs_after: epoch from the future");
-  // Ids rise from head to tail, so the jobs appended since `epoch` are the
-  // list's suffix of ids >= epoch.
-  std::vector<JobId> out;
-  for (JobId j = queue_.tail; j != kInvalidJobId && j >= epoch;
-       j = ring_[j].rt.list_prev) {
-    out.push_back(j);
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
+  // Ids rise from front to back, so the jobs appended since `epoch` are the
+  // array's suffix of ids >= epoch.
+  const auto first = std::lower_bound(queue_.begin(), queue_.end(), epoch);
+  return {first, queue_.end()};
 }
 
 void SchedulingSimulation::observe(const Transition& t) {
@@ -625,17 +619,21 @@ void SchedulingSimulation::handle_submit(JobId id) {
   }
   r.state = JobState::kQueued;
   DMSCHED_ASSERT(id >= queue_token_, "queue append out of id order");
-  queue_.push_back(ring_, id);
+  queue_.push_back(id);
   queue_token_ = std::uint64_t{id} + 1;
   observe({Transition::Kind::kQueued, id});
   request_schedule_pass();
 }
 
 void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
+  // The checked removal: the queue holds ascending ids (queue_token_), so a
+  // binary search finds the job, and a job that is not waiting aborts here
+  // instead of erasing whatever the search returned.
+  const auto queued = std::lower_bound(queue_.begin(), queue_.end(), id);
+  DMSCHED_ASSERT(queued != queue_.end() && *queued == id,
+                 "start_job: job is not in the queue");
   JobSlot& slot = ring_[id];
   JobRuntime& r = slot.rt;
-  DMSCHED_ASSERT(r.state == JobState::kQueued,
-                 "start_job: job is not waiting");
   DMSCHED_ASSERT(alloc.job == id, "start_job: allocation/job id mismatch");
   const Job& j = slot.job;
   DMSCHED_ASSERT(std::cmp_equal(alloc.nodes.size(), j.nodes),
@@ -644,7 +642,7 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
                  "start_job: allocation does not cover the footprint");
 
   cluster_.commit(alloc);
-  queue_.erase(ring_, id);
+  queue_.erase(queued);
   running_.push_back(ring_, id);
 
   r.state = JobState::kRunning;

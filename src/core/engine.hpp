@@ -143,12 +143,6 @@ class SchedulingSimulation final : public SchedContext {
     kDone,      ///< completed or killed
     kRejected,  ///< can never fit this machine
   };
-  /// Which intrusive job list (if any) a job is linked into. The slot makes
-  /// queue/running removal a *checked* O(1) unlink: erase asserts the job is
-  /// a member of the list it is being removed from instead of trusting a
-  /// std::find to have succeeded.
-  enum class JobListId : std::uint8_t { kNone, kQueue, kRunning };
-
   struct JobRuntime {
     JobState state = JobState::kPending;
     SimTime start{};
@@ -169,11 +163,12 @@ class SchedulingSimulation final : public SchedContext {
     /// Rack of the first allocated node — the trace track the job's run
     /// span lives on (obs/).
     std::int32_t home_rack = 0;
-    /// Intrusive doubly-linked-list slots (a job is in at most one list at a
-    /// time — queued xor running — so one pair of links suffices).
+    /// Intrusive doubly-linked-list slots: the running list's links. The
+    /// flag makes removal a *checked* O(1) unlink: erase asserts the job is
+    /// linked instead of trusting a std::find to have succeeded.
     JobId list_prev = kInvalidJobId;
     JobId list_next = kInvalidJobId;
-    JobListId list = JobListId::kNone;
+    bool linked = false;
   };
 
   /// One live job: the pulled record and its runtime state.
@@ -220,15 +215,15 @@ class SchedulingSimulation final : public SchedContext {
     JobId base_ = 0;         ///< oldest unretired id
   };
 
-  /// Intrusive doubly-linked list over the JobRuntime link slots: O(1)
-  /// push_back and O(1) checked erase, with iteration in insertion order —
+  /// The running set: an intrusive doubly-linked list over the JobRuntime
+  /// link slots, with O(1) push_back and O(1) checked erase and iteration
+  /// in insertion order —
   /// byte-identical to the order the old vector kept under
   /// erase-from-the-middle, which the goldens pin.
   struct JobList {
     JobId head = kInvalidJobId;
     JobId tail = kInvalidJobId;
     std::size_t count = 0;
-    JobListId id = JobListId::kNone;
 
     [[nodiscard]] bool empty() const { return count == 0; }
     [[nodiscard]] std::size_t size() const { return count; }
@@ -312,14 +307,15 @@ class SchedulingSimulation final : public SchedContext {
   /// One past the last id appended to queue_: the queue tail epoch. Appends
   /// happen only in handle_submit, whose events fire in pull order (equal
   /// submit times pop by seq, and pull_one schedules them in pull order),
-  /// so queue ids rise from head to tail; starts only unlink. Pull order is
+  /// so queue ids rise from front to back; starts only erase. Pull order is
   /// (submit, id) order — pull_one rejects a decreasing submit — so the
-  /// list is always in FCFS order and queued_jobs_after(t) is its suffix
-  /// of ids >= t. handle_submit asserts the rising ids.
+  /// array is always in FCFS order, start_job finds an id by binary search
+  /// and queued_jobs_after(t) is its suffix of ids >= t. handle_submit
+  /// asserts the rising ids.
   std::uint64_t queue_token_ = 0;
   JobRing ring_;
-  JobList queue_{.id = JobListId::kQueue};      // waiting, insertion order
-  JobList running_{.id = JobListId::kRunning};  // running, insertion order
+  std::vector<JobId> queue_;                    // waiting, ascending ids
+  JobList running_;                             // running, insertion order
   std::size_t live_jobs_ = 0;   // not yet terminal
   bool pass_pending_ = false;
   bool run_called_ = false;

@@ -216,6 +216,38 @@ bool head_keeps_baseline(const FreeProfile& profile, const Reservation& base,
          base.finish_bound;
 }
 
+// Why head_totals_admit is head_keeps_baseline's first test without the
+// take. That test is totals_admit on S - take, S the row at the head's
+// start, and totals_admit reads four totals of it: the free burst buffer
+// (only when the policy plans it and the head asks for some), the free
+// nodes, and the global tier and the rack pools (each only when the routing
+// may draw on it). Every plan compute_take builds for the candidate under
+// `planning` takes exactly:
+//  - the candidate's node count;
+//  - its burst-buffer bytes when the policy plans that axis (and the head's
+//    test reads the burst buffer only then);
+//  - its far_bytes, d x nodes with d its per-node deficit, drawn only from
+//    the tiers the routing may use: rack and neighbor pools unless
+//    global-only, the global tier unless rack-only. tier_free_bytes sums
+//    exactly those tiers for totals_admit, so the take lowers that sum by
+//    far_bytes whichever tier paid.
+// So the four totals of S - take, and with them the verdict, follow from S
+// and the candidate alone.
+bool head_totals_admit(const ResourceState& at_start,
+                       const ClusterConfig& config, const Job& head,
+                       const Job& cand, PlacementPolicy planning) {
+  if (planning.axes.burst_buffer && head.bb_bytes > Bytes{0} &&
+      at_start.bb_free < head.bb_bytes + cand.bb_bytes) {
+    return false;
+  }
+  if (at_start.free_nodes_total < std::int64_t{head.nodes} + cand.nodes) {
+    return false;
+  }
+  const __int128 need = far_bytes(config, head);
+  return need == 0 ||
+         tier_free_bytes(at_start, planning) - far_bytes(config, cand) >= need;
+}
+
 // Why a warm pass with one reservation judges only the jobs queued since the
 // cached pass P. P armed the cache, so it started nothing: it passed over
 // every candidate it judged, in queue order, and left no hold in the
@@ -278,12 +310,13 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   ResourceState what_if_state;
   TakePlan what_if_plan;
   std::optional<TakePlan> physical;
-  const auto backfill_plan = [&](const Job& cand) -> const TakePlan* {
+  // The verdict on a candidate whose totals admit it now: plan it at now,
+  // then the shield, the dilation and the what-if.
+  const auto judge_plan = [&](const Job& cand) -> const TakePlan* {
     {
       // The row at now, by reference: it dies at the profile's next query.
       const ResourceState& state_now = profile_.state_at(now);
-      if (!totals_admit(state_now, config, cand, planning) ||
-          !compute_take(state_now, config, cand, planning, take)) {
+      if (!compute_take(state_now, config, cand, planning, take)) {
         return nullptr;
       }
       // Tier-headroom shield: skip backfills that would drain a pool tier
@@ -355,6 +388,36 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
     physical = compute_take(snapshot(ctx.cluster()), config, cand,
                             ctx.placement());
     return physical ? &*physical : nullptr;
+  };
+  // The row at now for the totals test. Nothing queries or mutates the
+  // profile between two candidates the test rejects, so the reference
+  // lives until a candidate passes it; it is looked up again after that.
+  const ResourceState* row_now = nullptr;
+  const auto backfill_plan = [&](const Job& cand) -> const TakePlan* {
+    if (row_now == nullptr) row_now = &profile_.state_at(now);
+    if (!totals_admit(*row_now, config, cand, planning)) return nullptr;
+    row_now = nullptr;
+    // The what-if before the plan. With one reservation at B and no
+    // adaptive mode, a candidate with now + walltime > B ends past B at any
+    // dilation (dilation >= 1 and SimTime::scaled rounds monotonically), so
+    // the fast accept cannot take it and head_keeps_baseline decides. That
+    // call's first test is head_totals_admit on the row at B (proof there),
+    // so a reject needs no plan.
+    if (baseline_.size() == 1 && !options_.adaptive) {
+      const Reservation& base = baseline_.front();
+      if (now + cand.walltime > base.start &&
+          !head_totals_admit(profile_.state_at(base.start), config,
+                             ctx.job(base.id), cand, planning)) {
+#ifndef NDEBUG
+        // Shadow: the planned path passes the candidate over too.
+        DMSCHED_ASSERT(judge_plan(cand) == nullptr,
+                       "mem-easy: the plan-free what-if rejects a candidate "
+                       "the planned path starts");
+#endif
+        return nullptr;
+      }
+    }
+    return judge_plan(cand);
   };
 
   // The backfill candidates, and how many of them count as judged already.

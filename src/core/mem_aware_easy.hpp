@@ -160,4 +160,15 @@ place_reservations(FreeProfile& profile, std::span<const JobId> jobs,
     const TakePlan& take, const SchedContext& ctx,
     const PlacementPolicy& planning, ResourceState& state, TakePlan& plan);
 
+/// head_keeps_baseline's first test without the candidate's plan: whether
+/// `totals_admit` admits `head` on `at_start` less any plan compute_take
+/// builds for `cand` under `planning`. `at_start` is the row at the head's
+/// baseline start. When this is false, head_keeps_baseline is false for
+/// every such take, so phase 3 rejects a candidate that ends past that
+/// start without planning it.
+[[nodiscard]] bool head_totals_admit(const ResourceState& at_start,
+                                     const ClusterConfig& config,
+                                     const Job& head, const Job& cand,
+                                     PlacementPolicy planning);
+
 }  // namespace dmsched

@@ -59,6 +59,28 @@ struct TakePlan {
   [[nodiscard]] std::int32_t node_total() const;
 };
 
+/// The far bytes every plan for `job` draws: its per-node deficit over the
+/// local memory times its nodes, in 128 bits.
+[[nodiscard]] inline __int128 far_bytes(const ClusterConfig& config,
+                                        const Job& job) {
+  const Bytes d =
+      job.mem_per_node - min(job.mem_per_node, config.local_mem_per_node);
+  return static_cast<__int128>(d.count()) * job.nodes;
+}
+
+/// The free bytes of the tiers `policy` may draw far bytes from: Σ rack
+/// pools unless global-only, plus the global tier unless rack-only.
+[[nodiscard]] inline __int128 tier_free_bytes(const ResourceState& state,
+                                              PlacementPolicy policy) {
+  __int128 tier_bytes = policy.routing != PoolRouting::kRackOnly
+                            ? state.global_free.count()
+                            : 0;
+  if (policy.routing != PoolRouting::kGlobalOnly) {
+    tier_bytes += state.pool_free_total;
+  }
+  return tier_bytes;
+}
+
 /// compute_take's O(1) reject, read from the totals `state` keeps. False
 /// when the burst buffer is short (a policy that plans it), when fewer
 /// nodes are free than the job asks for, or when a deficit job's far bytes
@@ -77,16 +99,8 @@ struct TakePlan {
     return false;
   }
   if (state.free_nodes_total < job.nodes) return false;
-  const Bytes d =
-      job.mem_per_node - min(job.mem_per_node, config.local_mem_per_node);
-  if (d.is_zero()) return true;
-  __int128 tier_bytes = policy.routing != PoolRouting::kRackOnly
-                            ? state.global_free.count()
-                            : 0;
-  if (policy.routing != PoolRouting::kGlobalOnly) {
-    tier_bytes += state.pool_free_total;
-  }
-  return tier_bytes >= static_cast<__int128>(d.count()) * job.nodes;
+  const __int128 need = far_bytes(config, job);
+  return need == 0 || tier_free_bytes(state, policy) >= need;
 }
 
 /// compute_take's verdict without its plan: true exactly when compute_take

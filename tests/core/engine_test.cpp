@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -11,6 +13,8 @@
 
 #include "common/input_error.hpp"
 #include "core/factory.hpp"
+#include "memory/placement.hpp"
+#include "sched/queue_policy.hpp"
 #include "testing/builders.hpp"
 
 namespace dmsched {
@@ -345,6 +349,101 @@ TEST(EngineRingDeathTest, RetiredJobIsNotALiveJob) {
         (void)sim.run();
       },
       "not a live job");
+}
+
+// --- the waiting queue -----------------------------------------------------
+
+/// EASY, recording after every pass the time, queued_jobs(), and whether
+/// queued_jobs_after(e) is the queue's ids >= e in id order for every
+/// epoch e up to the tail epoch.
+class QueueRecorder final : public Scheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "queue-recorder"; }
+  void schedule(SchedContext& ctx) override {
+    inner_->schedule(ctx);
+    times.push_back(ctx.now());
+    queues.push_back(ctx.queued_jobs());
+    std::vector<JobId> ids = queues.back();
+    std::sort(ids.begin(), ids.end());
+    for (std::uint64_t e = 0; e <= ctx.queue_tail_epoch(); ++e) {
+      std::vector<JobId> suffix;
+      for (const JobId id : ids) {
+        if (id >= e) suffix.push_back(id);
+      }
+      if (ctx.queued_jobs_after(e) != suffix) ++suffix_mismatches;
+    }
+  }
+
+  std::vector<SimTime> times;
+  std::vector<std::vector<JobId>> queues;
+  int suffix_mismatches = 0;
+
+ private:
+  std::unique_ptr<Scheduler> inner_ = make_scheduler(SchedulerKind::kEasy);
+};
+
+// Job 0 holds 12 of the 16 nodes until 4 h. At 0.5 h the head (job 1, all
+// 16 nodes) waits, and job 3, in the middle of the queue, backfills; jobs 2
+// and 4 (8 nodes each) wait. At 4 h the head starts, and at 5 h the rest.
+// Under sjf the queue ranks job 4 (2 h) before job 2 (3 h).
+TEST(EngineQueue, BackfillFromTheMiddleThenTheHead) {
+  const Trace t = trace_of({job(0).nodes(12).runtime_h(4.0),
+                            job(1).at_h(0.5).nodes(16).runtime_h(1.0),
+                            job(2).at_h(0.5).nodes(8).runtime_h(3.0),
+                            job(3).at_h(0.5).nodes(4).runtime_h(1.0),
+                            job(4).at_h(0.5).nodes(8).runtime_h(2.0)});
+  using Queue = std::vector<JobId>;
+  const std::vector<SimTime> times = {hours(0), seconds(1800.0), hours(1) +
+                                      seconds(1800.0), hours(4), hours(5),
+                                      hours(7), hours(8)};
+  for (const QueueOrder order :
+       {QueueOrder::kFcfs, QueueOrder::kShortestFirst}) {
+    SCOPED_TRACE(to_string(order));
+    auto recorder = std::make_unique<QueueRecorder>();
+    const QueueRecorder& seen = *recorder;
+    EngineOptions options;
+    options.queue_order = order;
+    EagerTraceSource source(t);
+    SchedulingSimulation sim(tiny_cluster(), source, std::move(recorder),
+                             options);
+    (void)sim.run();
+    const Queue waiting =
+        order == QueueOrder::kFcfs ? Queue{1, 2, 4} : Queue{1, 4, 2};
+    const Queue after_head =
+        order == QueueOrder::kFcfs ? Queue{2, 4} : Queue{4, 2};
+    EXPECT_EQ(seen.times, times);
+    EXPECT_EQ(seen.queues, (std::vector<Queue>{{}, waiting, waiting,
+                                               after_head, {}, {}, {}}));
+    EXPECT_EQ(seen.suffix_mismatches, 0);
+  }
+}
+
+/// Starts the queue's first job twice in one pass.
+class DoubleStart final : public Scheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "double-start"; }
+  void schedule(SchedContext& ctx) override {
+    const std::vector<JobId> queue = ctx.queued_jobs();
+    if (queue.empty()) return;
+    const auto alloc =
+        plan_start(ctx.cluster(), ctx.job(queue.front()), ctx.placement());
+    if (!alloc) return;
+    ctx.start_job(queue.front(), *alloc);
+    ctx.start_job(queue.front(), *alloc);
+  }
+};
+
+TEST(EngineQueueDeathTest, StartingAJobThatIsNotQueuedAborts) {
+  const Trace t = trace_of({job(0).nodes(2).runtime_h(1.0)});
+  EXPECT_DEATH(
+      {
+        EagerTraceSource source(t);
+        SchedulingSimulation sim(tiny_cluster(), source,
+                                 std::make_unique<DoubleStart>(),
+                                 EngineOptions{});
+        (void)sim.run();
+      },
+      "job is not in the queue");
 }
 
 // --- invalid pulled jobs ---------------------------------------------------

@@ -509,10 +509,16 @@ TEST(MemAwareEasy, DigestPinnedAcrossReservationDepths) {
 // placed on the release-only profile, then backfill candidates that hold
 // their plan from now past the head's baseline start. Accepted candidates
 // sometimes keep their hold, as the scheduler's do, so later candidates
-// see holds that start at now.
+// see holds that start at now. Every draw also runs the plan-free test
+// phase 3 asks first (head_totals_admit): it must equal totals_admit on the
+// held row at the head's start, and its reject must be the what-if's.
 struct WhatIfCounts {
   int accepts = 0;
   int rejects = 0;
+  /// Draws head_totals_admit rejects, and those of them only its
+  /// burst-buffer term rejects.
+  int plan_free_rejects = 0;
+  int burst_buffer_rejects = 0;
 };
 
 void expect_one_call_equals_refit(const ClusterConfig& config,
@@ -587,6 +593,25 @@ void expect_one_call_equals_refit(const ClusterConfig& config,
           base.start + seconds(rng.uniform_int(1, 24 * 3600));
       const bool one_call = head_keeps_baseline(profile, base, take, ctx,
                                                 planning, state, plan);
+      const bool plan_free =
+          head_totals_admit(profile.state_at(base.start), config,
+                            ctx.job(head), ctx.job(cand), planning);
+      state = profile.state_at(base.start);
+      apply_take(state, take);
+      ASSERT_EQ(plan_free,
+                totals_admit(state, config, ctx.job(head), planning))
+          << "round " << round << " head " << head << " candidate " << cand;
+      if (!plan_free) {
+        ASSERT_FALSE(one_call)
+            << "round " << round << " head " << head << " candidate " << cand;
+        ++counts.plan_free_rejects;
+        PlacementPolicy blind = planning;
+        blind.axes.burst_buffer = false;
+        if (head_totals_admit(profile.state_at(base.start), config,
+                              ctx.job(head), ctx.job(cand), blind)) {
+          ++counts.burst_buffer_rejects;
+        }
+      }
       const FreeProfile::Mark mark = profile.mark();
       profile.add_hold(now, end, take);
       const bool refit = keeps_baseline(profile, baseline, ctx, opts, planning);
@@ -613,25 +638,37 @@ TEST(MemAwareEasyWhatIf, OneCallEqualsRefitOnThePaperMachine) {
     }
     EXPECT_GT(counts.accepts, 100);
     EXPECT_GT(counts.rejects, 100);
+    EXPECT_GT(counts.plan_free_rejects, 100);
   }
 }
 
+// The GPU + burst-buffer machine under every axis. With 1 TiB of burst
+// buffer it runs short, so that head_totals_admit's burst-buffer term
+// decides some rejects by itself; with 8 TiB it never does.
 TEST(MemAwareEasyWhatIf, OneCallEqualsRefitOnAGpuMachine) {
   ClusterConfig gpu =
       custom_config(1024, 64, gib(std::int64_t{128}), gib(std::int64_t{2048}),
                     gib(std::int64_t{4096}));
   gpu.gpus_per_node = 4;
-  gpu.bb_capacity = gib(std::int64_t{8192});
-  std::uint64_t seed = 200;
-  for (const PlacementStrategy p : all_placement_strategies()) {
-    SCOPED_TRACE(to_string(p));
-    WhatIfCounts counts;
-    for (int k = 0; k < 3; ++k) {
-      expect_one_call_equals_refit(gpu, p, ResourceAxes::all(), ++seed,
-                                   counts);
+  for (const std::int64_t bb_gib : {8192, 1024}) {
+    const bool short_bb = bb_gib == 1024;
+    gpu.bb_capacity = gib(bb_gib);
+    std::uint64_t seed = 200;
+    for (const PlacementStrategy p : all_placement_strategies()) {
+      SCOPED_TRACE(std::string(to_string(p)) + ", burst buffer " +
+                   std::to_string(bb_gib) + " GiB");
+      WhatIfCounts counts;
+      for (int k = 0; k < 3; ++k) {
+        expect_one_call_equals_refit(gpu, p, ResourceAxes::all(), ++seed,
+                                     counts);
+      }
+      EXPECT_GT(counts.accepts, 100);
+      EXPECT_GT(counts.rejects, short_bb ? 10 : 20);
+      EXPECT_GT(counts.plan_free_rejects, 2);
+      if (short_bb) {
+        EXPECT_GT(counts.burst_buffer_rejects, 2);
+      }
     }
-    EXPECT_GT(counts.accepts, 100);
-    EXPECT_GT(counts.rejects, 20);
   }
 }
 

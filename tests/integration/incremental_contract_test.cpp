@@ -172,6 +172,35 @@ TEST(DeepBacklog, ConservativeWarmEqualsColdOnPaperMachine) {
   }
 }
 
+// The edge of mem-easy's plan-free what-if, in a pass with one
+// reservation: the head (job 1, all 16 nodes) reserves 4 h, when job 0
+// ends. Job 2 ends exactly then, undilated (now + walltime == the head's
+// start), so the plan-free test must not judge it and the fast accept
+// starts it. Job 3 runs one microsecond longer and would leave the head 4
+// nodes short at 4 h, so the pass passes it over; it starts after the head.
+TEST(MemEasyWhatIfEdge, HoldEndingAtTheHeadStartStartsOneMicrosecondMoreWaits) {
+  const Trace trace = testing::trace_of(
+      {testing::job(0).nodes(8).runtime_h(4.0),
+       testing::job(1).nodes(16).runtime_h(1.0),
+       testing::job(2).nodes(4).runtime_h(4.0),
+       testing::job(3).nodes(4).runtime_h(1.0).walltime(hours(4) +
+                                                        SimTime{1})});
+  ExperimentConfig cfg;
+  cfg.cluster = testing::tiny_cluster();
+  cfg.scheduler = SchedulerKind::kMemAwareEasy;
+  EagerTraceSource source(trace);
+  SchedulingSimulation sim(cfg.cluster, source, make_scheduler(cfg.scheduler),
+                           cfg.engine);
+  const RunMetrics m = sim.run();
+  ASSERT_EQ(m.jobs.size(), 4U);
+  EXPECT_EQ(m.jobs[0].start, SimTime{0});
+  EXPECT_EQ(m.jobs[1].start, hours(4));
+  EXPECT_EQ(m.jobs[2].start, SimTime{0});
+  EXPECT_EQ(m.jobs[2].dilation, 1.0);
+  EXPECT_EQ(m.jobs[3].start, hours(5));
+  EXPECT_EQ(sim.event_digest(), run_cell(cfg, trace, true).digest);
+}
+
 // --- queue view --------------------------------------------------------------
 
 /// Checks the context's queue view at the start of every pass, then hands
