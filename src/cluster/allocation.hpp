@@ -54,10 +54,6 @@ struct Allocation {
     return (local_per_node + far_per_node) *
            static_cast<std::int64_t>(nodes.size());
   }
-  /// Fraction of the footprint served from pools, in [0,1].
-  [[nodiscard]] double far_fraction() const {
-    return ratio(far_total(), mem_total());
-  }
   /// Far bytes drawn from the job's *own* racks' pools (hosting racks).
   [[nodiscard]] Bytes rack_draw_total() const {
     Bytes total{};
@@ -73,11 +69,6 @@ struct Allocation {
       if (d.neighbor) total += d.bytes;
     }
     return total;
-  }
-  /// Total GPU devices held across the job.
-  [[nodiscard]] std::int64_t gpu_total() const {
-    return static_cast<std::int64_t>(gpus_per_node) *
-           static_cast<std::int64_t>(nodes.size());
   }
   /// GPU devices held in rack `r` (its nodes there x per-node count).
   [[nodiscard]] std::int64_t gpus_in_rack(const ClusterConfig& config,

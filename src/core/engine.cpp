@@ -82,55 +82,6 @@ const SchedulingSimulation::JobSlot& SchedulingSimulation::JobRing::operator[](
   return slots_[index(id - base_)];
 }
 
-void SchedulingSimulation::JobList::push_back(JobRing& ring, JobId job) {
-  JobRuntime& r = ring[job].rt;
-  DMSCHED_ASSERT(!r.linked, "JobList::push_back: job already linked");
-  r.linked = true;
-  r.list_prev = tail;
-  r.list_next = kInvalidJobId;
-  if (tail != kInvalidJobId) {
-    ring[tail].rt.list_next = job;
-  } else {
-    head = job;
-  }
-  tail = job;
-  ++count;
-}
-
-void SchedulingSimulation::JobList::erase(JobRing& ring, JobId job) {
-  JobRuntime& r = ring[job].rt;
-  // The checked removal: membership is asserted via the job's list slot, so
-  // a bookkeeping bug aborts here instead of silently corrupting the list
-  // (the old vector path erased whatever std::find returned, end() included).
-  DMSCHED_ASSERT(r.linked, "JobList::erase: job is not linked");
-  DMSCHED_ASSERT(count > 0, "JobList::erase: list count out of sync");
-  if (r.list_prev != kInvalidJobId) {
-    ring[r.list_prev].rt.list_next = r.list_next;
-  } else {
-    head = r.list_next;
-  }
-  if (r.list_next != kInvalidJobId) {
-    ring[r.list_next].rt.list_prev = r.list_prev;
-  } else {
-    tail = r.list_prev;
-  }
-  r.list_prev = kInvalidJobId;
-  r.list_next = kInvalidJobId;
-  r.linked = false;
-  --count;
-}
-
-std::vector<JobId> SchedulingSimulation::JobList::to_vector(
-    const JobRing& ring) const {
-  std::vector<JobId> ids;
-  ids.reserve(count);
-  for (JobId j = head; j != kInvalidJobId; j = ring[j].rt.list_next) {
-    ids.push_back(j);
-  }
-  DMSCHED_ASSERT(ids.size() == count, "JobList: link/count mismatch");
-  return ids;
-}
-
 SchedulingSimulation::SchedulingSimulation(ClusterConfig config,
                                            TraceSource& source,
                                            std::unique_ptr<Scheduler> scheduler,
@@ -304,7 +255,8 @@ void SchedulingSimulation::observe(const Transition& t) {
   if (track_usage_) {
     usage_ = {.busy_nodes = cluster_.busy_nodes(),
               .queued_jobs = static_cast<std::int32_t>(queue_.size()),
-              .running_jobs = static_cast<std::int32_t>(running_.size()),
+              .running_jobs =
+                  static_cast<std::int32_t>(timeline_.entries().size()),
               .rack_pool_used = cluster_.rack_pools_used(),
               .global_pool_used = cluster_.global_pool_used()};
     // The timer's stop rule: the series ends with the first sample that
@@ -347,10 +299,16 @@ void SchedulingSimulation::observe(const Transition& t) {
 }
 
 void SchedulingSimulation::migration_check() {
-  // Plan over the running list in insertion order — the same deterministic
-  // order every other per-job walk uses.
+  // The greedy planner is order-sensitive: scan the running set in start
+  // order. The timeline keeps it by release, so sort its ids.
+  std::vector<JobId> running;
+  running.reserve(timeline_.entries().size());
+  for (const RunningJob& e : timeline_.entries()) running.push_back(e.id);
+  std::sort(running.begin(), running.end(), [this](JobId a, JobId b) {
+    return ring_[a].rt.start_seq < ring_[b].rt.start_seq;
+  });
   const std::vector<MigrationDecision> moves =
-      migration_.plan(cluster_, running_.to_vector(ring_));
+      migration_.plan(cluster_, running);
   for (const MigrationDecision& m : moves) {
     const SimTime latency = migration_.policy().latency_for(m.bytes);
     if (latency > SimTime{0}) {
@@ -539,7 +497,7 @@ void SchedulingSimulation::run_scheduler_pass() {
   // scheduler call in the middle is the same call the untraced path makes.
   obs::PassSpan span{.seq = pass_seq_ - 1, .at = engine_.now(),
                      .kind = scheduler_->name(), .queue_depth = queue_.size(),
-                     .running = running_.size()};
+                     .running = timeline_.entries().size()};
   const SchedulerStats* stats = scheduler_->stats();
   const SchedulerStats before = stats != nullptr ? *stats : SchedulerStats{};
   // Wall-clock pass timing is a kFull (profiling) feature: two clock reads
@@ -554,7 +512,7 @@ void SchedulingSimulation::run_scheduler_pass() {
   if (emit_pass) {
     // A pass only moves jobs queue -> running; submissions and completions
     // cannot interleave with it at one timestamp (distinct event classes).
-    span.started = running_.size() - span.running;
+    span.started = timeline_.entries().size() - span.running;
     if (stats != nullptr) {
       span.examined =
           static_cast<std::int64_t>(stats->jobs_examined - before.jobs_examined);
@@ -572,7 +530,7 @@ void SchedulingSimulation::run_scheduler_pass() {
   if (!emit_gauges && options_.counters == nullptr) return;
   const obs::GaugeSample g{
       .at = engine_.now(), .busy_nodes = cluster_.busy_nodes(),
-      .queue_depth = queue_.size(), .running = running_.size(),
+      .queue_depth = queue_.size(), .running = timeline_.entries().size(),
       .event_queue_size = engine_.pending(),
       .event_id_window = engine_.id_window(),
       .rack_pool_gib = cluster_.rack_pools_used().gib(),
@@ -643,10 +601,10 @@ void SchedulingSimulation::start_job(JobId id, const Allocation& alloc) {
 
   cluster_.commit(alloc);
   queue_.erase(queued);
-  running_.push_back(ring_, id);
 
   r.state = JobState::kRunning;
   r.start = engine_.now();
+  r.start_seq = starts_++;
   r.home_rack = config_.rack_of(alloc.nodes.front());
   price(r, j, alloc, r.start);
   timeline_.on_start(id, r.expected_end, take_from(alloc, config_));
@@ -663,7 +621,6 @@ void SchedulingSimulation::handle_complete(JobId id) {
   cluster_.release(id);
   timeline_.on_finish(id, r.expected_end);
   if (options_.audit_cluster) cluster_.audit();
-  running_.erase(ring_, id);
   r.state = JobState::kDone;
   --live_jobs_;
   last_end_ = max(last_end_, engine_.now());
@@ -701,7 +658,7 @@ RunMetrics SchedulingSimulation::run() {
   DMSCHED_ASSERT(source_dry_ && pending_submissions_ == 0,
                  "simulation drained with submissions outstanding");
   DMSCHED_ASSERT(live_jobs_ == 0, "simulation drained with live jobs");
-  DMSCHED_ASSERT(queue_.empty() && running_.empty(),
+  DMSCHED_ASSERT(queue_.empty() && timeline_.entries().empty(),
                  "simulation drained with queued/running jobs");
   DMSCHED_ASSERT(ring_.empty(), "simulation drained with unretired jobs");
   cluster_.audit();

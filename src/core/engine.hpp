@@ -163,12 +163,9 @@ class SchedulingSimulation final : public SchedContext {
     /// Rack of the first allocated node — the trace track the job's run
     /// span lives on (obs/).
     std::int32_t home_rack = 0;
-    /// Intrusive doubly-linked-list slots: the running list's links. The
-    /// flag makes removal a *checked* O(1) unlink: erase asserts the job is
-    /// linked instead of trusting a std::find to have succeeded.
-    JobId list_prev = kInvalidJobId;
-    JobId list_next = kInvalidJobId;
-    bool linked = false;
+    /// Rank among the run's starts (0, 1, 2, ...): the order the migration
+    /// scan walks the running set in.
+    std::uint64_t start_seq = 0;
   };
 
   /// One live job: the pulled record and its runtime state.
@@ -215,24 +212,6 @@ class SchedulingSimulation final : public SchedContext {
     JobId base_ = 0;         ///< oldest unretired id
   };
 
-  /// The running set: an intrusive doubly-linked list over the JobRuntime
-  /// link slots, with O(1) push_back and O(1) checked erase and iteration
-  /// in insertion order —
-  /// byte-identical to the order the old vector kept under
-  /// erase-from-the-middle, which the goldens pin.
-  struct JobList {
-    JobId head = kInvalidJobId;
-    JobId tail = kInvalidJobId;
-    std::size_t count = 0;
-
-    [[nodiscard]] bool empty() const { return count == 0; }
-    [[nodiscard]] std::size_t size() const { return count; }
-    void push_back(JobRing& ring, JobId job);
-    void erase(JobRing& ring, JobId job);
-    /// Collect ids head → tail (insertion order).
-    [[nodiscard]] std::vector<JobId> to_vector(const JobRing& ring) const;
-  };
-
   /// One observed state change. Each of the five calls observe() once,
   /// after its mutation and before retire_front().
   struct Transition {
@@ -247,8 +226,8 @@ class SchedulingSimulation final : public SchedContext {
 
   void handle_submit(JobId id);
   void handle_complete(JobId id);
-  /// Periodic kMigration event: plan moves over the running list (insertion
-  /// order — deterministic), dispatch each (delayed by the bandwidth knob or
+  /// Periodic kMigration event: plan moves over the running set in start
+  /// order (deterministic), dispatch each (delayed by the bandwidth knob or
   /// applied in place), then self-reschedule while jobs are live.
   void migration_check();
   /// Land one move: re-validate against the live ledger (the copy may have
@@ -299,7 +278,8 @@ class SchedulingSimulation final : public SchedContext {
   MigrationEngine migration_;
   Topology topology_;  ///< the machine's rack-scale memory model
   /// Persistent availability view, updated push-style on start/finish —
-  /// the structure incremental scheduler passes key their caches on.
+  /// the structure incremental scheduler passes key their caches on, and
+  /// the engine's one record of the running set.
   AvailabilityTimeline timeline_;
   /// Admission ("runnable at all?"): the machine with nothing running, so
   /// handle_submit's probe allocates nothing per job.
@@ -314,8 +294,8 @@ class SchedulingSimulation final : public SchedContext {
   /// asserts the rising ids.
   std::uint64_t queue_token_ = 0;
   JobRing ring_;
-  std::vector<JobId> queue_;                    // waiting, ascending ids
-  JobList running_;                             // running, insertion order
+  std::vector<JobId> queue_;    // waiting, ascending ids
+  std::uint64_t starts_ = 0;    // jobs started so far (the next start_seq)
   std::size_t live_jobs_ = 0;   // not yet terminal
   bool pass_pending_ = false;
   bool run_called_ = false;

@@ -35,14 +35,6 @@ struct FitChoice {
   SimTime finish_bound{};
 };
 
-/// The dilation `job` runs at when its memory comes from `plan`.
-double dilation_of(const SchedContext& ctx, const Job& job,
-                   const TakePlan& plan) {
-  return ctx.slowdown().dilation_bytes(
-      plan.rack_pool_total(), plan.neighbor_pool_total(), plan.global_total(),
-      job.total_mem(), job.sensitivity);
-}
-
 /// Estimated-finish evaluation of the earliest *window* fit under `policy`.
 /// Window fitting is required once reservations (future holds) are in the
 /// profile; on a monotone profile it equals the instantaneous fit. A fit
@@ -52,11 +44,11 @@ std::optional<FitChoice> evaluate_fit(const FreeProfile& profile,
                                       PlacementPolicy policy,
                                       SimTime not_after = kTimeInfinity) {
   const auto duration_of = [&](const TakePlan& plan) {
-    return job.walltime.scaled(dilation_of(ctx, job, plan));
+    return job.walltime.scaled(ctx.slowdown().dilation_for(plan, job));
   };
   auto fit = profile.earliest_fit_window(job, policy, duration_of, not_after);
   if (!fit) return std::nullopt;
-  const double dil = dilation_of(ctx, job, fit->plan);
+  const double dil = ctx.slowdown().dilation_for(fit->plan, job);
   FitChoice choice{std::move(*fit), dil, SimTime{}};
   choice.finish_bound = choice.fit.time + job.walltime.scaled(dil);
   return choice;
@@ -126,6 +118,15 @@ Reservation hold_reservation(FreeProfile& profile, JobId id,
                              const FitChoice& choice) {
   profile.add_hold(choice.fit.time, choice.finish_bound, choice.fit.plan);
   return {id, choice.fit.time, choice.finish_bound};
+}
+
+/// Whether `queue` holds `baseline`'s jobs in order from index `first` on
+/// (the caller checks it is long enough).
+bool reserved_prefix(const std::vector<Reservation>& baseline,
+                     const std::vector<JobId>& queue, std::size_t first) {
+  return std::equal(baseline.begin(), baseline.end(),
+                    queue.begin() + static_cast<std::ptrdiff_t>(first),
+                    [](const Reservation& r, JobId id) { return r.id == id; });
 }
 
 #ifndef NDEBUG
@@ -212,8 +213,8 @@ bool head_keeps_baseline(const FreeProfile& profile, const Reservation& base,
       !compute_take(state, config, head, planning, plan)) {
     return false;
   }
-  return base.start + head.walltime.scaled(dilation_of(ctx, head, plan)) <=
-         base.finish_bound;
+  const double dilation = ctx.slowdown().dilation_for(plan, head);
+  return base.start + head.walltime.scaled(dilation) <= base.finish_bound;
 }
 
 // Why head_totals_admit is head_keeps_baseline's first test without the
@@ -328,7 +329,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       }
     }
 
-    const double dil = dilation_of(ctx, cand, take);
+    const double dil = ctx.slowdown().dilation_for(take, cand);
 
     // Adaptive veto: skip a backfill that spills to the global tier when a
     // rack-pool-fed start later would finish sooner anyway.
@@ -372,8 +373,10 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
 #ifndef NDEBUG
       // Shadow: the full recompute of every reservation reaches the same
       // verdict.
+      std::vector<JobId> reserved;
+      for (const Reservation& r : baseline_) reserved.push_back(r.id);
       const std::vector<Reservation> fresh =
-          place_reservations(profile_, reserved_jobs_, ctx, options_, planning);
+          place_reservations(profile_, reserved, ctx, options_, planning);
       profile_.rollback(what_if_mark);
       DMSCHED_ASSERT(no_regression(baseline_, fresh) == accept,
                      "mem-easy: the bounded what-if disagrees with the full "
@@ -432,10 +435,9 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
     // pass judged and (once it reached the queue's end) the arrivals, and a
     // full pass would pass over every skipped candidate again.
     const std::vector<JobId> queue = ctx.queued_jobs();
-    const std::size_t depth = reserved_jobs_.size();
+    const std::size_t depth = baseline_.size();
     DMSCHED_ASSERT(queue.size() >= depth + judged_ + candidates.size() &&
-                       std::equal(reserved_jobs_.begin(), reserved_jobs_.end(),
-                                  queue.begin()) &&
+                       reserved_prefix(baseline_, queue, 0) &&
                        std::equal(candidates.rbegin(), candidates.rend(),
                                   queue.rbegin()) &&
                        (judged_ >= kBackfillWindow ||
@@ -490,39 +492,34 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
       // so candidate what-if checks can rebuild them cheaply.
       const std::size_t depth =
           std::min(options_.reservation_depth, queue.size() - qi);
-      reserved_jobs_.assign(
-          queue.begin() + static_cast<std::ptrdiff_t>(qi),
-          queue.begin() + static_cast<std::ptrdiff_t>(qi + depth));
+      const auto reserved = std::span<const JobId>(queue).subspan(qi, depth);
       const auto baseline_mark = profile_.mark();
       // The blocked head's reservation is phase 1's last fit: the same
       // choose_fit call on the same profile, since nothing started after it.
 #ifndef NDEBUG
       // Shadow: refitting the head gives the same fit and finish bound.
-      const auto refit = choose_fit(profile_, ctx.job(reserved_jobs_.front()),
-                                    ctx, options_, planning);
+      const auto refit = choose_fit(profile_, ctx.job(reserved.front()), ctx,
+                                    options_, planning);
       DMSCHED_ASSERT(refit && refit->fit.time == head_fit->fit.time &&
                          refit->fit.plan == head_fit->fit.plan &&
                          refit->finish_bound == head_fit->finish_bound,
                      "mem-easy: the blocked head refits elsewhere");
 #endif
       baseline_.assign(
-          1, hold_reservation(profile_, reserved_jobs_.front(), *head_fit));
+          1, hold_reservation(profile_, reserved.front(), *head_fit));
       const std::vector<Reservation> rest = place_reservations(
-          profile_, std::span<const JobId>(reserved_jobs_).subspan(1), ctx,
-          options_, planning);
+          profile_, reserved.subspan(1), ctx, options_, planning);
       baseline_.insert(baseline_.end(), rest.begin(), rest.end());
       profile_.rollback(baseline_mark);
     }
-    // Fast pass: heads are still blocked and baseline_/reserved_jobs_ are
-    // exactly what phases 1–2 would recompute; qi stays 0 because nothing
-    // left the queue since.
+    // Fast pass: heads are still blocked and baseline_ is exactly what
+    // phases 1–2 would recompute; qi stays 0 because nothing left the
+    // queue since.
 
     // Phase 3 examines everything behind the reserved prefix.
-    const std::size_t depth = reserved_jobs_.size();
+    const std::size_t depth = baseline_.size();
     DMSCHED_ASSERT(queue.size() >= qi + depth &&
-                       std::equal(reserved_jobs_.begin(), reserved_jobs_.end(),
-                                  queue.begin() +
-                                      static_cast<std::ptrdiff_t>(qi)),
+                       reserved_prefix(baseline_, queue, qi),
                    "mem-easy: cached reserved prefix diverged from the queue");
     queue.erase(queue.begin(),
                 queue.begin() + static_cast<std::ptrdiff_t>(qi + depth));
@@ -576,7 +573,7 @@ void MemAwareEasyScheduler::schedule(SchedContext& ctx) {
   // judged so far.
   if (!any_start && ctx.queue_order_stable() &&
       options_.order == BackfillOrder::kQueueOrder && !options_.adaptive &&
-      reserved_jobs_.size() == options_.reservation_depth &&
+      baseline_.size() == options_.reservation_depth &&
       std::all_of(baseline_.begin(), baseline_.end(),
                   [&](const Reservation& r) { return r.start > now; })) {
     cache_valid_ = true;

@@ -119,8 +119,8 @@ class MemAwareEasyScheduler final : public Scheduler {
   FreeProfile profile_;
   bool cache_valid_ = false;
   SimTime last_now_{};
-  /// The reserved queue prefix and its baseline, as of the cached pass.
-  std::vector<JobId> reserved_jobs_;
+  /// The reserved queue prefix's baseline, in queue order, as of the
+  /// cached pass.
   std::vector<Reservation> baseline_;
   /// Backfill candidates judged (and passed over) up to the cached pass,
   /// and the queue token taken after it: what a depth-1 warm pass skips.

@@ -6,6 +6,7 @@
 #include "common/assert.hpp"
 #include "common/input_error.hpp"
 #include "common/str.hpp"
+#include "memory/placement.hpp"
 
 namespace dmsched {
 
@@ -99,6 +100,12 @@ double SlowdownModel::dilation_for(const Allocation& alloc,
   const double phi_neighbor = ratio(alloc.neighbor_draw_total(), total);
   const double phi_global = ratio(alloc.global_draw_total(), total);
   return dilation(phi_rack, phi_neighbor, phi_global, job.sensitivity);
+}
+
+double SlowdownModel::dilation_for(const TakePlan& plan,
+                                   const Job& job) const {
+  return dilation_bytes(plan.rack_pool_total(), plan.neighbor_pool_total(),
+                        plan.global_total(), job.total_mem(), job.sensitivity);
 }
 
 double SlowdownModel::dilation_bytes(Bytes rack_bytes, Bytes neighbor_bytes,

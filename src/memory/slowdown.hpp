@@ -14,6 +14,8 @@
 
 namespace dmsched {
 
+struct TakePlan;
+
 /// Runtime dilation as a function of the far-memory fraction.
 ///
 /// The penalty composes over distance tiers (topology/): each tier carries
@@ -67,15 +69,13 @@ struct SlowdownModel {
   [[nodiscard]] double dilation(double phi_rack, double phi_neighbor,
                                 double phi_global, MemSensitivity s) const;
 
-  /// Two-tier convenience overload (no neighbor draws) — the shape every
-  /// pre-neighbor call site uses; forwards with φ_neighbor = 0.
-  [[nodiscard]] double dilation(double phi_rack, double phi_global,
-                                MemSensitivity s) const {
-    return dilation(phi_rack, 0.0, phi_global, s);
-  }
-
   /// Dilation factor for a concrete allocation of `job`.
   [[nodiscard]] double dilation_for(const Allocation& alloc,
+                                    const Job& job) const;
+  /// Dilation factor for `job` drawing its far memory as `plan` does (a
+  /// counted plan, before node ids are assigned): the walltime bound every
+  /// scheduler plans with.
+  [[nodiscard]] double dilation_for(const TakePlan& plan,
                                     const Job& job) const;
 
   /// Dilation factor from byte totals (counted plans, before node ids are
@@ -84,11 +84,6 @@ struct SlowdownModel {
   [[nodiscard]] double dilation_bytes(Bytes rack_bytes, Bytes neighbor_bytes,
                                       Bytes global_bytes, Bytes total,
                                       MemSensitivity s) const;
-  /// Two-tier convenience overload (no neighbor draws).
-  [[nodiscard]] double dilation_bytes(Bytes rack_bytes, Bytes global_bytes,
-                                      Bytes total, MemSensitivity s) const {
-    return dilation_bytes(rack_bytes, Bytes{0}, global_bytes, total, s);
-  }
 };
 
 }  // namespace dmsched

@@ -85,10 +85,10 @@ class MigrationEngine {
 
   [[nodiscard]] const MigrationPolicy& policy() const { return policy_; }
 
-  /// Scan `running` (caller supplies a deterministic order — the engine's
-  /// intrusive running list) and propose at most one move per job. Demotions
-  /// are proposed before promotions for the same scan so a contended pool
-  /// is relieved before anything is pulled back in.
+  /// Scan `running` (caller supplies a deterministic order — the engine
+  /// passes the running set in start order) and propose at most one move
+  /// per job. Demotions are proposed before promotions for the same scan so
+  /// a contended pool is relieved before anything is pulled back in.
   [[nodiscard]] std::vector<MigrationDecision> plan(
       const Cluster& cluster, const std::vector<JobId>& running) const;
 

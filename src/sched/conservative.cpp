@@ -127,10 +127,7 @@ void ConservativeScheduler::schedule(SchedContext& ctx) {
     ++stats_.jobs_examined;
     const Job& job = ctx.job(id);
     const auto walltime_bound = [&](const TakePlan& plan) {
-      const double dilation = ctx.slowdown().dilation_bytes(
-          plan.rack_pool_total(), plan.neighbor_pool_total(),
-          plan.global_total(), job.total_mem(), job.sensitivity);
-      return job.walltime.scaled(dilation);
+      return job.walltime.scaled(ctx.slowdown().dilation_for(plan, job));
     };
 
     const Reservation* old = nullptr;

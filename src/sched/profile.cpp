@@ -34,8 +34,7 @@ AvailabilityTimeline::AvailabilityTimeline(const ClusterConfig& config)
 void AvailabilityTimeline::on_start(JobId id, SimTime release_at,
                                     TakePlan take) {
   apply_take(base_free_, take);
-  // upper_bound keeps equal release times in start order — the order a
-  // rebuild over the running list would see them in.
+  // upper_bound keeps equal release times in on_start order.
   const auto it = std::upper_bound(
       entries_.begin(), entries_.end(), release_at,
       [](SimTime t, const RunningJob& e) { return t < e.expected_end; });
@@ -54,6 +53,11 @@ void AvailabilityTimeline::on_finish(JobId id, SimTime release_at) {
   DMSCHED_ASSERT(it != entries_.end() && it->expected_end == release_at,
                  "AvailabilityTimeline: finish for untracked job");
   release_take(base_free_, it->take);
+#ifndef NDEBUG
+  DMSCHED_ASSERT(within_machine(base_free_, *config_),
+                 "AvailabilityTimeline: a finish frees more than the machine "
+                 "has");
+#endif
   entries_.erase(it);
   ++version_;
 }
@@ -301,6 +305,10 @@ bool FreeProfile::grow_row() const {
     const Delta& d = deltas_[ordered_[i]];
     apply_signed(state, plans_[d.plan], d.adds);
   }
+#ifndef NDEBUG
+  DMSCHED_ASSERT(within_machine(state, *config_),
+                 "FreeProfile: a row frees more than the machine has");
+#endif
   return true;
 }
 

@@ -41,9 +41,9 @@ namespace dmsched {
 /// `on_start` when a job's resources leave the free pool, `on_finish` when
 /// they return (completions, walltime kills, and cancellations all land
 /// here — the engine funnels every way a job stops through one completion
-/// path). Entries are kept sorted by release time with ties in start order,
-/// which is exactly the order a from-scratch rebuild over the running list
-/// would produce — the property the golden byte-identity contract rests on.
+/// path). Entries are kept sorted by release time with ties in `on_start`
+/// order (a job's start, or its last re-tier) — the order the golden
+/// byte-identity contract rests on.
 class AvailabilityTimeline {
  public:
   explicit AvailabilityTimeline(const ClusterConfig& config);
@@ -61,7 +61,7 @@ class AvailabilityTimeline {
   /// Free state at the current instant (mirrors `snapshot(cluster)`).
   [[nodiscard]] const ResourceState& free_now() const { return base_free_; }
   /// The running set: every running job with its release bound and take,
-  /// sorted by `expected_end` (ties: job start order).
+  /// sorted by `expected_end` (ties: `on_start` order).
   [[nodiscard]] const std::vector<RunningJob>& entries() const {
     return entries_;
   }

@@ -1,5 +1,6 @@
 #include "topology/topology.hpp"
 
+#include <algorithm>
 #include <numeric>
 #include <utility>
 
@@ -73,10 +74,23 @@ ResourceState empty_state(const ClusterConfig& config) {
   return s;
 }
 
+bool within_machine(const ResourceState& state, const ClusterConfig& config) {
+  const ResourceState idle = empty_state(config);
+  const auto none_above = [](const auto& free, const auto& cap) {
+    return free.size() == cap.size() &&
+           std::equal(free.begin(), free.end(), cap.begin(),
+                      [](auto f, auto c) { return f <= c; });
+  };
+  return none_above(state.free_nodes, idle.free_nodes) &&
+         none_above(state.pool_free, idle.pool_free) &&
+         none_above(state.free_gpus, idle.free_gpus) &&
+         state.global_free <= idle.global_free && state.bb_free <= idle.bb_free;
+}
+
 Topology::Topology(ClusterConfig config) : config_(std::move(config)) {}
 
 TierHeadroom Topology::headroom(const ResourceState& state) const {
-  DMSCHED_ASSERT(state.free_nodes.size() == static_cast<std::size_t>(racks()),
+  DMSCHED_ASSERT(std::cmp_equal(state.free_nodes.size(), config_.racks()),
                  "headroom: state shape mismatch");
   TierHeadroom h;
   h.free_nodes = state.total_free_nodes();

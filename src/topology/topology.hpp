@@ -3,7 +3,7 @@
 // A machine is a set of racks, each owning its nodes plus an optional
 // rack-local memory pool, with an optional cluster-global tier reachable
 // from every rack at higher cost. `Topology` is the queryable form of that
-// model (tier capacities, hop distances, headroom against a counted state);
+// model (tier capacities, headroom against a counted state);
 // `TopologySpec` reshapes a ClusterConfig along the two axes the
 // provisioning studies care about (rack count, rack-vs-global capacity
 // split). Default-constructed everything reproduces the flat pre-topology
@@ -36,13 +36,6 @@ enum class MemoryTier : std::uint8_t {
 };
 
 constexpr std::size_t kMemoryTierCount = 4;
-
-/// Hop distance of a tier from the consuming node: 0 local, 1 rack, 2
-/// neighbor rack, 3 global. The slowdown model's per-tier coefficients are
-/// monotone in this.
-[[nodiscard]] constexpr std::int32_t tier_distance(MemoryTier t) {
-  return static_cast<std::int32_t>(t);
-}
 
 /// Counted (rack-granular) view of free resources — either the live
 /// cluster or a hypothetical future state inside a reservation profile.
@@ -84,6 +77,11 @@ struct ResourceState {
 [[nodiscard]] ResourceState snapshot(const Cluster& cluster);
 /// An idle machine of the given shape.
 [[nodiscard]] ResourceState empty_state(const ClusterConfig& config);
+/// Whether no free count in `state` exceeds `empty_state(config)`'s: the
+/// upper bound `release_take` does not check (a plan released twice breaks
+/// it). Debug builds assert it where states are rebuilt from releases.
+[[nodiscard]] bool within_machine(const ResourceState& state,
+                                  const ClusterConfig& config);
 
 /// Remaining capacity per memory tier — what a scheduler reads before
 /// deciding whether a start would drain a tier others depend on.
@@ -111,49 +109,18 @@ class Topology {
   Topology() : Topology(ClusterConfig{}) {}
   explicit Topology(ClusterConfig config);
 
-  [[nodiscard]] const ClusterConfig& config() const { return config_; }
-
-  [[nodiscard]] std::int32_t racks() const { return config_.racks(); }
-  [[nodiscard]] std::int32_t nodes() const { return config_.total_nodes; }
-  [[nodiscard]] std::int32_t rack_nodes(RackId r) const {
-    return config_.rack_size(r);
-  }
-  [[nodiscard]] RackId rack_of(NodeId node) const {
-    return config_.rack_of(node);
-  }
-
-  /// Capacity of rack `r`'s pool (all racks are provisioned equally).
-  [[nodiscard]] Bytes rack_pool_capacity(RackId) const {
-    return config_.pool_per_rack;
-  }
   /// Σ rack pools.
   [[nodiscard]] Bytes rack_tier_capacity() const {
-    return config_.pool_per_rack * racks();
+    return config_.pool_per_rack * config_.racks();
   }
   [[nodiscard]] Bytes global_tier_capacity() const {
     return config_.global_pool;
   }
-
-  /// GPU devices owned by rack `r` (tiered like nodes: rack-pooled).
-  [[nodiscard]] std::int64_t rack_gpu_capacity(RackId r) const {
-    return config_.rack_gpu_capacity(r);
-  }
-  [[nodiscard]] std::int64_t total_gpus() const { return config_.total_gpus(); }
-  [[nodiscard]] Bytes bb_capacity() const { return config_.bb_capacity; }
-
   [[nodiscard]] bool has_rack_tier() const {
     return !config_.pool_per_rack.is_zero();
   }
   [[nodiscard]] bool has_global_tier() const {
     return !config_.global_pool.is_zero();
-  }
-  /// True for the flat pre-topology shape: no rack tier, so every far byte
-  /// is a global-pool byte.
-  [[nodiscard]] bool single_pool() const { return !has_rack_tier(); }
-
-  /// Switch hops between two racks: 0 within a rack, 1 across racks.
-  [[nodiscard]] std::int32_t rack_distance(RackId a, RackId b) const {
-    return a == b ? 0 : 1;
   }
 
   /// Remaining per-tier capacity in `state` (which must match this

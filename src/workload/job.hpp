@@ -71,10 +71,6 @@ struct Job {
   [[nodiscard]] std::int64_t total_gpus() const {
     return static_cast<std::int64_t>(gpus_per_node) * nodes;
   }
-  /// Requested node-seconds (walltime-based; what the scheduler reserves).
-  [[nodiscard]] double requested_node_seconds() const {
-    return static_cast<double>(nodes) * walltime.seconds();
-  }
   /// Consumed node-seconds (runtime-based, undilated).
   [[nodiscard]] double used_node_seconds() const {
     return static_cast<double>(nodes) * runtime.seconds();

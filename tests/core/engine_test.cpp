@@ -14,6 +14,7 @@
 #include "common/input_error.hpp"
 #include "core/factory.hpp"
 #include "memory/placement.hpp"
+#include "obs/recording_sink.hpp"
 #include "sched/queue_policy.hpp"
 #include "testing/builders.hpp"
 
@@ -444,6 +445,67 @@ TEST(EngineQueueDeathTest, StartingAJobThatIsNotQueuedAborts) {
         (void)sim.run();
       },
       "job is not in the queue");
+}
+
+// --- the migration scan order ----------------------------------------------
+
+/// Starts the queue back to front, each job on the next free node with its
+/// whole deficit drawn from that node's rack pool.
+class ReverseStarter final : public Scheduler {
+ public:
+  [[nodiscard]] const char* name() const override { return "reverse"; }
+  void schedule(SchedContext& ctx) override {
+    const std::vector<JobId> queue = ctx.queued_jobs();
+    const ClusterConfig& config = ctx.cluster().config();
+    for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
+      const Job& j = ctx.job(*it);
+      Allocation a;
+      a.job = *it;
+      a.nodes = {next_node_};
+      a.local_per_node = config.local_mem_per_node;
+      a.far_per_node = j.mem_per_node - config.local_mem_per_node;
+      a.draws = {{config.rack_of(next_node_), a.far_per_node}};
+      ctx.start_job(*it, a);
+      ++next_node_;
+    }
+  }
+
+ private:
+  NodeId next_node_ = 0;
+};
+
+// Jobs 0 and 1 each draw 45 GiB from rack 0's 100 GiB pool: 90% used, above
+// the 0.85 demotion threshold, and demoting either one relieves it. Job 1
+// starts first, and job 0 releases first (shorter walltime), so start order
+// (1, 0) differs from both id order and release order (0, 1). The scan walks
+// the running set in start order, so job 1 demotes and job 0 stays put.
+// (Once job 0 ends, job 1 promotes back up to the 1% band.)
+TEST(EngineMigration, ScanWalksTheRunningSetInStartOrder) {
+  const Trace t = trace_of({job(0).nodes(1).mem_gib(109).runtime_h(2.0),
+                            job(1).nodes(1).mem_gib(109).runtime_h(3.0)});
+  obs::RecordingSink sink;
+  EngineOptions options;
+  options.audit_cluster = true;
+  options.sink = &sink;
+  options.migration.check_interval = minutes(10);
+  options.migration.promote_headroom = 0.84;  // band 1%: none at 45% used
+  EagerTraceSource source(t);
+  SchedulingSimulation sim(
+      tiny_cluster(gib(std::int64_t{100}), gib(std::int64_t{400})), source,
+      std::make_unique<ReverseStarter>(), options);
+  const RunMetrics m = sim.run();
+
+  ASSERT_EQ(sink.started.size(), 2u);
+  EXPECT_EQ(sink.started[0].job, 1u);
+  EXPECT_EQ(sink.started[1].job, 0u);
+  ASSERT_FALSE(sink.migrated.empty());
+  EXPECT_TRUE(sink.migrated[0].demote);
+  EXPECT_EQ(sink.migrated[0].at, minutes(10));
+  for (const obs::JobMigrated& e : sink.migrated) EXPECT_EQ(e.job, 1u);
+  EXPECT_EQ(m.demotions, 1u);
+  EXPECT_EQ(m.jobs[0].far_rack, gib(std::int64_t{45}));
+  EXPECT_TRUE(m.jobs[0].far_global.is_zero());
+  EXPECT_GT(m.jobs[1].far_global, gib(std::int64_t{40}));
 }
 
 // --- invalid pulled jobs ---------------------------------------------------

@@ -7,7 +7,8 @@
 //    order, a cached policy produces the same semantic event digest as the
 //    same policy rebuilt from scratch for every pass, EASY does too on a
 //    deep-backlog large-replay prefix, and mem-easy and conservative on the
-//    paper machine;
+//    paper machine, and every caching policy on the neighbor workload's
+//    shape with migration re-tiering running jobs;
 //  - the queue view: at every pass, queued_jobs() is the queue comparator's
 //    order and queued_jobs_after(token) names exactly the jobs that arrived
 //    since the pass that took the token.
@@ -58,6 +59,7 @@ class FreshEachPass final : public Scheduler {
 struct CellRun {
   std::uint64_t digest = 0;
   SchedulerStats stats{};
+  std::size_t moves = 0;  ///< tier migrations applied
 };
 
 CellRun run_cell(const ExperimentConfig& cfg, const Trace& trace,
@@ -69,8 +71,9 @@ CellRun run_cell(const ExperimentConfig& cfg, const Trace& trace,
   EagerTraceSource source(trace);
   SchedulingSimulation sim(cfg.cluster, source, std::move(scheduler),
                            cfg.engine);
-  sim.run();
-  return {sim.event_digest(), stats != nullptr ? *stats : SchedulerStats{}};
+  const RunMetrics m = sim.run();
+  return {sim.event_digest(), stats != nullptr ? *stats : SchedulerStats{},
+          m.demotions + m.promotions};
 }
 
 CellRun run_scenario_cell(const Scenario& scenario, SchedulerKind kind,
@@ -114,6 +117,30 @@ INSTANTIATE_TEST_SUITE_P(
       std::replace(name.begin(), name.end(), '-', '_');
       return name;
     });
+
+// The neighbor workload's shape: shared-neighbors placement on twice the
+// machine, with a migration scan every 15 minutes. Each applied move
+// re-tiers a running job, which the timeline sees as a finish plus a start
+// (a new release bound and take): every cache must notice it, and
+// conservative's completion gate must refuse to keep reservations across
+// it.
+TEST(WarmEqualsColdUnderMigration, EveryCachingKindOnSharedNeighbors) {
+  const Scenario scenario =
+      make_scenario("shared-neighbors", {.jobs = 300, .node_scale = 2.0});
+  std::uint64_t fast_passes = 0;
+  for (const SchedulerKind kind : kCachingKinds) {
+    SCOPED_TRACE(to_string(kind));
+    ExperimentConfig cfg = scenario_experiment(scenario, kind);
+    cfg.engine.placement = make_placement(PlacementStrategy::kSharedNeighbors);
+    cfg.engine.migration.check_interval = minutes(15);
+    const CellRun warm = run_cell(cfg, scenario.trace, false);
+    const CellRun cold = run_cell(cfg, scenario.trace, true);
+    EXPECT_EQ(warm.digest, cold.digest);
+    EXPECT_GT(warm.moves, 0U);  // non-vacuous: jobs were re-tiered
+    fast_passes += warm.stats.fast_passes;
+  }
+  EXPECT_GT(fast_passes, 0U);
+}
 
 // A large-replay prefix above saturation backs the queue up to well over a
 // hundred jobs (about 90 on average over the run), so EASY's cached shadow

@@ -16,25 +16,27 @@ using testing::job;
 
 TEST(Slowdown, NoFarMemoryNoDilation) {
   const SlowdownModel m;
-  EXPECT_DOUBLE_EQ(m.dilation(0.0, 0.0, MemSensitivity::kBalanced), 1.0);
+  EXPECT_DOUBLE_EQ(m.dilation(0.0, 0.0, 0.0, MemSensitivity::kBalanced), 1.0);
 }
 
 TEST(Slowdown, LinearFormula) {
   SlowdownModel m;
   m.beta_rack = 0.3;
   m.beta_global = 0.5;
-  EXPECT_DOUBLE_EQ(m.dilation(0.5, 0.0, MemSensitivity::kBalanced), 1.15);
-  EXPECT_DOUBLE_EQ(m.dilation(0.0, 0.5, MemSensitivity::kBalanced), 1.25);
-  EXPECT_DOUBLE_EQ(m.dilation(0.2, 0.2, MemSensitivity::kBalanced),
+  EXPECT_DOUBLE_EQ(m.dilation(0.5, 0.0, 0.0, MemSensitivity::kBalanced), 1.15);
+  EXPECT_DOUBLE_EQ(m.dilation(0.0, 0.0, 0.5, MemSensitivity::kBalanced), 1.25);
+  EXPECT_DOUBLE_EQ(m.dilation(0.2, 0.0, 0.2, MemSensitivity::kBalanced),
                    1.0 + 0.2 * 0.3 + 0.2 * 0.5);
 }
 
 TEST(Slowdown, SensitivityScalesPenalty) {
   SlowdownModel m;
   m.beta_rack = 0.4;
-  const double bal = m.dilation(0.5, 0.0, MemSensitivity::kBalanced);
-  const double cpu = m.dilation(0.5, 0.0, MemSensitivity::kComputeBound);
-  const double bw = m.dilation(0.5, 0.0, MemSensitivity::kBandwidthBound);
+  const double bal = m.dilation(0.5, 0.0, 0.0, MemSensitivity::kBalanced);
+  const double cpu =
+      m.dilation(0.5, 0.0, 0.0, MemSensitivity::kComputeBound);
+  const double bw =
+      m.dilation(0.5, 0.0, 0.0, MemSensitivity::kBandwidthBound);
   EXPECT_DOUBLE_EQ(bal, 1.2);
   EXPECT_DOUBLE_EQ(cpu, 1.0 + 0.2 * m.sens_compute);
   EXPECT_DOUBLE_EQ(bw, 1.0 + 0.2 * m.sens_bandwidth);
@@ -47,8 +49,9 @@ TEST(Slowdown, SaturatingIsConcave) {
   m.kind = SlowdownModel::Kind::kSaturating;
   m.beta_rack = 0.4;
   m.gamma = 0.5;
-  const double at_quarter = m.dilation(0.25, 0.0, MemSensitivity::kBalanced);
-  const double at_full = m.dilation(1.0, 0.0, MemSensitivity::kBalanced);
+  const double at_quarter =
+      m.dilation(0.25, 0.0, 0.0, MemSensitivity::kBalanced);
+  const double at_full = m.dilation(1.0, 0.0, 0.0, MemSensitivity::kBalanced);
   // concave: quarter of the fraction gives half the full penalty
   EXPECT_DOUBLE_EQ(at_quarter - 1.0, (at_full - 1.0) / 2.0);
   EXPECT_GT(at_quarter - 1.0, 0.25 * (at_full - 1.0));
@@ -58,7 +61,7 @@ TEST(Slowdown, MonotoneInFraction) {
   const SlowdownModel m;
   double prev = 0.0;
   for (double phi = 0.0; phi <= 1.0; phi += 0.1) {
-    const double d = m.dilation(phi, 0.0, MemSensitivity::kBalanced);
+    const double d = m.dilation(phi, 0.0, 0.0, MemSensitivity::kBalanced);
     EXPECT_GE(d, prev);
     prev = d;
   }
@@ -66,9 +69,9 @@ TEST(Slowdown, MonotoneInFraction) {
 
 TEST(Slowdown, InvalidFractionAborts) {
   const SlowdownModel m;
-  EXPECT_DEATH((void)m.dilation(0.8, 0.3, MemSensitivity::kBalanced),
+  EXPECT_DEATH((void)m.dilation(0.8, 0.0, 0.3, MemSensitivity::kBalanced),
                "fractions");
-  EXPECT_DEATH((void)m.dilation(-0.1, 0.0, MemSensitivity::kBalanced),
+  EXPECT_DEATH((void)m.dilation(-0.1, 0.0, 0.0, MemSensitivity::kBalanced),
                "fractions");
 }
 
@@ -91,15 +94,16 @@ TEST(Slowdown, DilationForAllocation) {
 TEST(Slowdown, DilationBytesMatchesDilation) {
   const SlowdownModel m;
   const double via_bytes =
-      m.dilation_bytes(gib(std::int64_t{25}), gib(std::int64_t{25}),
-                       gib(std::int64_t{100}), MemSensitivity::kBalanced);
+      m.dilation_bytes(gib(std::int64_t{25}), Bytes{0},
+                       gib(std::int64_t{25}), gib(std::int64_t{100}),
+                       MemSensitivity::kBalanced);
   EXPECT_DOUBLE_EQ(via_bytes,
-                   m.dilation(0.25, 0.25, MemSensitivity::kBalanced));
+                   m.dilation(0.25, 0.0, 0.25, MemSensitivity::kBalanced));
 }
 
 TEST(Slowdown, DilationBytesZeroTotal) {
   const SlowdownModel m;
-  EXPECT_DOUBLE_EQ(m.dilation_bytes(Bytes{0}, Bytes{0}, Bytes{0},
+  EXPECT_DOUBLE_EQ(m.dilation_bytes(Bytes{0}, Bytes{0}, Bytes{0}, Bytes{0},
                                     MemSensitivity::kBalanced),
                    1.0);
 }
@@ -112,12 +116,14 @@ TEST(Slowdown, WorstCaseCoversBothRoutes) {
   m.beta_rack = 0.3;
   m.beta_global = 0.6;
   const double phi = 0.4;
-  const double via_rack = m.dilation(phi, 0.0, MemSensitivity::kBalanced);
-  const double via_global = m.dilation(0.0, phi, MemSensitivity::kBalanced);
+  const double via_rack = m.dilation(phi, 0.0, 0.0, MemSensitivity::kBalanced);
+  const double via_global =
+      m.dilation(0.0, 0.0, phi, MemSensitivity::kBalanced);
   EXPECT_DOUBLE_EQ(via_global, 1.0 + 0.4 * 0.6);
   for (int k = 0; k <= 8; ++k) {
     const double rack = phi * k / 8.0;
-    const double d = m.dilation(rack, phi - rack, MemSensitivity::kBalanced);
+    const double d =
+        m.dilation(rack, 0.0, phi - rack, MemSensitivity::kBalanced);
     EXPECT_LE(d, via_global + 1e-12);
     EXPECT_GE(d, via_rack - 1e-12);
   }

@@ -138,7 +138,10 @@ void run_round(Rng& rng, Counts& counts) {
     apply_take(busy, *plan);
     running.emplace_back(grid(-3, 16), *plan);
   }
-  ProfileOracle p(busy, now, &c);
+  // The late releases below return jobs planned on an idle `c` that the
+  // base never counted: they run on the deeper machine's extra capacity.
+  const ClusterConfig deep = testing::deepened(c, 64);
+  ProfileOracle p(busy, now, &deep);
   std::vector<SimTime> release_times;
   for (const auto& [t, plan] : running) {
     p.add_release(t, plan);

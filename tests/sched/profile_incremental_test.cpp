@@ -152,15 +152,19 @@ TEST(FreeProfileProperty, RandomOpsMatchFromScratchRebuild) {
     TakePlan take;
   };
   std::vector<Op> ops;
+  // The releases below return jobs planned on the idle machine that `busy`
+  // never counted: the profiles declare a machine deep enough to have run
+  // them all.
+  const ClusterConfig deep = testing::deepened(config, 1024);
   // The live profile, shadowed by the oracle's from-scratch delta log.
-  ProfileOracle live(busy, t0, &config);
+  ProfileOracle live(busy, t0, &deep);
   for (const auto& [t, take] : initial) {
     live.add_release(t, take);
     ops.push_back({false, t, SimTime{}, take});
   }
 
   const auto verify = [&]() {
-    FreeProfile fresh(busy, t0, &config);
+    FreeProfile fresh(busy, t0, &deep);
     for (const Op& op : ops) {
       if (op.hold) {
         fresh.add_hold(op.a, op.b, op.take);

@@ -227,5 +227,39 @@ TEST(FreeProfile, FitPlanIsUsableAtThatTime) {
   apply_take(at, fit->plan);
 }
 
+// release_take has no upper bound of its own: a plan released twice
+// frees more than the machine has, which within_machine reports.
+TEST(ResourceStateBound, APlanReleasedTwiceLeavesTheMachine) {
+  const ClusterConfig cfg = tiny_cluster(gib(std::int64_t{32}));
+  ResourceState state = empty_state(cfg);
+  EXPECT_TRUE(within_machine(state, cfg));
+  const TakePlan plan = take_for(cfg, job(0).nodes(2).mem_gib(80), state);
+  apply_take(state, plan);
+  EXPECT_TRUE(within_machine(state, cfg));
+  release_take(state, plan);
+  EXPECT_TRUE(within_machine(state, cfg));
+  release_take(state, plan);
+  EXPECT_FALSE(within_machine(state, cfg));
+  EXPECT_EQ(state.total_free_nodes(), 18);
+}
+
+#ifndef NDEBUG
+// Debug builds check every row a profile grows against the machine.
+TEST(FreeProfileDeathTest, APlanReleasedTwiceAborts) {
+  const ClusterConfig cfg = tiny_cluster(gib(std::int64_t{32}));
+  ResourceState state = empty_state(cfg);
+  const TakePlan plan = take_for(cfg, job(0).nodes(2).mem_gib(80), state);
+  apply_take(state, plan);
+  FreeProfile once(state, SimTime{}, &cfg);
+  once.add_release(hours(1), plan);
+  EXPECT_EQ(once.state_at(hours(2)).total_free_nodes(), 16);
+  FreeProfile twice(state, SimTime{}, &cfg);
+  twice.add_release(hours(1), plan);
+  twice.add_release(hours(2), plan);
+  EXPECT_DEATH((void)twice.state_at(hours(2)),
+               "a row frees more than the machine has");
+}
+#endif
+
 }  // namespace
 }  // namespace dmsched

@@ -95,6 +95,20 @@ inline ClusterConfig machine(std::int32_t nodes, double local_gib,
   return c;
 }
 
+/// `c` with every rack `k` times as deep and every pool `k` times as large.
+/// The rack count and node-local memory stay, and the placement kernel
+/// reads no other capacity, so it plans exactly as on `c`. A profile over
+/// `c`'s states that declares this machine may take releases of jobs
+/// planned on an idle `c` (the extra capacity is busy with them) without
+/// freeing more than its machine has.
+inline ClusterConfig deepened(ClusterConfig c, std::int32_t k) {
+  c.total_nodes *= k;
+  c.nodes_per_rack *= k;
+  c.pool_per_rack = c.pool_per_rack * k;
+  c.global_pool = c.global_pool * k;
+  return c;
+}
+
 /// A small machine: 4 racks × 4 nodes, 64 GiB local, with optional pools.
 inline ClusterConfig tiny_cluster(Bytes pool_per_rack = Bytes{0},
                                   Bytes global_pool = Bytes{0}) {

@@ -1,4 +1,4 @@
-// The Topology model: tier capacities and distances, headroom against
+// The Topology model: tier capacities, headroom against
 // counted states, TopologySpec reshaping (including every zero-capacity
 // failure mode), and the flatten-to-global ablation.
 #include "topology/topology.hpp"
@@ -20,34 +20,16 @@ TEST(TopologyModel, DefaultIsTheFlatSingleGlobalPoolShape) {
   // tier — the shape every pre-topology config had.
   const Topology t;
   EXPECT_FALSE(t.has_rack_tier());
-  EXPECT_TRUE(t.single_pool());
   EXPECT_TRUE(t.rack_tier_capacity().is_zero());
 }
 
 TEST(TopologyModel, TierCapacitiesComeFromTheConfig) {
   // 16 nodes in racks of 4, 64 GiB local, 32 GiB pool/rack, 128 GiB global.
   const Topology t(machine(16, 64.0, 32.0, 128.0));
-  EXPECT_EQ(t.racks(), 4);
-  EXPECT_EQ(t.nodes(), 16);
-  EXPECT_EQ(t.rack_nodes(0), 4);
-  EXPECT_EQ(t.rack_pool_capacity(2), gib(std::int64_t{32}));
   EXPECT_EQ(t.rack_tier_capacity(), gib(std::int64_t{128}));
   EXPECT_EQ(t.global_tier_capacity(), gib(std::int64_t{128}));
   EXPECT_TRUE(t.has_rack_tier());
   EXPECT_TRUE(t.has_global_tier());
-  EXPECT_FALSE(t.single_pool());
-}
-
-TEST(TopologyModel, DistancesAreMonotoneInHops) {
-  const Topology t(machine(16, 64.0, 32.0, 128.0));
-  EXPECT_EQ(tier_distance(MemoryTier::kLocal), 0);
-  EXPECT_EQ(tier_distance(MemoryTier::kRackPool), 1);
-  EXPECT_EQ(tier_distance(MemoryTier::kNeighborPool), 2);
-  EXPECT_EQ(tier_distance(MemoryTier::kGlobalPool), 3);
-  EXPECT_EQ(t.rack_distance(1, 1), 0);
-  EXPECT_EQ(t.rack_distance(0, 3), 1);
-  EXPECT_EQ(t.rack_of(0), 0);
-  EXPECT_EQ(t.rack_of(15), 3);
 }
 
 TEST(TopologyModel, HeadroomSumsTiersAcrossRacks) {
@@ -96,10 +78,10 @@ TEST(TopologyModel, ResourceAxesFlowIntoStateAndHeadroom) {
   EXPECT_EQ(s.free_gpus_in(0), 8);  // 4 nodes × 2 devices, rack-pooled
   EXPECT_EQ(s.bb_free, gib(std::int64_t{50}));
 
+  EXPECT_EQ(config.rack_gpu_capacity(0), 8);
+  EXPECT_EQ(config.total_gpus(), 32);
+
   const Topology t(config);
-  EXPECT_EQ(t.rack_gpu_capacity(0), 8);
-  EXPECT_EQ(t.total_gpus(), 32);
-  EXPECT_EQ(t.bb_capacity(), gib(std::int64_t{50}));
 
   // Depletion shows up in the summed headroom.
   s.free_gpus[0] = 1;
@@ -229,7 +211,7 @@ TEST(FlattenToGlobal, MovesAllCapacityToTheGlobalTier) {
   EXPECT_EQ(flat.global_pool, gib(std::int64_t{256}));
   EXPECT_EQ(flat.total_nodes, base.total_nodes);
   EXPECT_EQ(flat.local_mem_per_node, base.local_mem_per_node);
-  EXPECT_TRUE(Topology(flat).single_pool());
+  EXPECT_FALSE(Topology(flat).has_rack_tier());
 }
 
 }  // namespace

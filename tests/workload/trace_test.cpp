@@ -162,7 +162,6 @@ TEST(Trace, NodeSecondsHelpers) {
   const Job j =
       job(0).nodes(2).runtime_h(1.0).walltime_h(2.0);
   EXPECT_DOUBLE_EQ(j.used_node_seconds(), 2 * 3600.0);
-  EXPECT_DOUBLE_EQ(j.requested_node_seconds(), 2 * 7200.0);
 }
 
 }  // namespace
